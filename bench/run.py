@@ -3,12 +3,15 @@
     python3 bench/run.py [--workload NAME|all] [--seed S] [--seconds T] [--trace 0|1]
 
 One workload runs in this process as a closed loop: a warm-up pass, then
-passes back to back until T seconds have gone by.  Every operation's outputs
-are checked.  The last line of stdout is one JSON object with ``correct``,
-``attempted``, ``failed`` and ``metrics``: the end-to-end metrics of
-BENCHMARK.json, or with ``--trace 1`` its per-layer metrics.  ``--workload
-all`` (the default) runs every workload, untraced and traced, each in a
-fresh process, and prints a summary of all of them.  See bench/README.md.
+passes back to back until the ``run_seconds`` of BENCHMARK.json have gone by.
+``--seconds`` is accepted for callers that pass the run length along, and must
+equal ``run_seconds``, so a run has one length however it is launched.
+Every operation's outputs are checked.  The last line of stdout is one JSON
+object with ``correct``, ``attempted``, ``failed`` and ``metrics``: the
+end-to-end metrics of BENCHMARK.json, or with ``--trace 1`` its per-layer
+metrics.  ``--workload all`` (the default) runs every workload, untraced and
+traced, each in a fresh process, and prints a summary of all of them.  See
+bench/README.md.
 """
 
 import os
@@ -89,9 +92,8 @@ def artifact_bytes(out: Path) -> int:
 class Runner:
     """Runs passes over one workload's operations and tallies the outcome."""
 
-    def __init__(self, ops, work: Path, tracer=None):
+    def __init__(self, ops, tracer=None):
         self.ops = ops
-        self.work = work
         self.tracer = tracer
         self.attempted = 0
         self.failed = 0
@@ -102,9 +104,10 @@ class Runner:
 
     def run_pass(self, traced: bool = False):
         """One pass; returns (wall seconds, artifact bytes)."""
-        # fixed-width names: a sweep's index records its point paths, so the
-        # artifact bytes must not depend on how many digits a pass number has
-        outs = [self.work / f"pass{self.passes:04d}_op{i:02d}" for i in range(len(self.ops))]
+        # relative, fixed-width names under the work directory (the current
+        # one): a sweep's index records its point paths, so the artifact bytes
+        # must depend neither on where the checkout is nor on the pass number
+        outs = [Path(f"pass{self.passes:04d}_op{i:02d}") for i in range(len(self.ops))]
         results = []
         if traced:
             self.tracer.install()
@@ -118,6 +121,9 @@ class Runner:
                     results.append(op.run(out))
                 except Exception:  # an operation's crash is counted, not fatal
                     results.append((None, traceback.format_exc()))
+                except SystemExit as exc:  # argparse, or sys.exit in the package
+                    code = 0 if exc.code is None else exc.code
+                    results.append((code if isinstance(code, int) else 1, str(exc.code)))
                 self.op_seconds[op.name].append(time.perf_counter() - op_start)
             elapsed = time.perf_counter() - start
         finally:
@@ -144,6 +150,12 @@ class Runner:
         self.passes += 1
         return elapsed, written
 
+    def compare_counts(self, name: str, values: list):
+        """A count that differs between traced passes is a wrong result."""
+        if len(set(values)) > 1:
+            self.correct = False
+            self.note(f"count {name} differs between traced passes: {values}")
+
     def note(self, text: str):
         print(f"bench: {text}", file=sys.stderr)
         if len(self.problems) < 10:
@@ -162,15 +174,16 @@ def run_workload(args, spec: dict) -> dict:
 
     work = ROOT / ".bench_work" / f"{args.workload}-{os.getpid():07d}"
     work.mkdir(parents=True)
+    os.chdir(work)  # operations get paths relative to it
     tracer = Tracer() if args.trace else None
     try:
-        runner = Runner(Workloads(ROOT, work, args.seed).build(args.workload),
-                        work, tracer)
+        runner = Runner(Workloads(ROOT, work, args.seed).build(args.workload), tracer)
         runner.run_pass()  # warm-up: lazy imports, caches, first allocations
         plain, traced, totals = [], [], []
         start = time.perf_counter()
-        while (time.perf_counter() - start < args.seconds
-               or (args.trace and not traced)):
+        # a traced run makes at least two traced passes, to compare their counts
+        while (time.perf_counter() - start < spec["run_seconds"]
+               or (args.trace and len(traced) < 2)):
             plain.append(runner.run_pass()[0])
             if args.trace:
                 first = len(tracer.spans)
@@ -185,6 +198,7 @@ def run_workload(args, spec: dict) -> dict:
             write(tracer.spans,
                   out_dir / f"spans-{args.workload}-seed{args.seed}.csv")
     finally:
+        os.chdir(ROOT)
         shutil.rmtree(work, ignore_errors=True)
 
     run_s = statistics.median(plain)
@@ -197,8 +211,7 @@ def run_workload(args, spec: dict) -> dict:
                 value = overhead
             elif entry["unit"] in ("count", "bytes"):
                 value = values[0]
-                if len(set(values)) > 1:
-                    runner.note(f"count {entry['name']} differs between passes: {values}")
+                runner.compare_counts(entry["name"], values)
             else:
                 value = statistics.median(values)
             metrics[entry["name"]] = {"value": value, "unit": entry["unit"]}
@@ -224,8 +237,8 @@ def run_all(args, spec: dict) -> dict:
         for trace in (0, 1):
             found = subprocess.run(
                 [sys.executable, __file__, "--workload", name, "--seed",
-                 str(args.seed), "--seconds", str(args.seconds), "--trace",
-                 str(trace)], cwd=ROOT, capture_output=True, text=True)
+                 str(args.seed), "--trace", str(trace)],
+                cwd=ROOT, capture_output=True, text=True)
             sys.stderr.write(found.stderr)
             lines = found.stdout.strip().splitlines()
             if found.returncode != 0 or len(lines) < 2:
@@ -262,10 +275,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="forwarded to the CLI's --seed")
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                        help="measuring time after the warm-up pass")
+                        help="must equal run_seconds in BENCHMARK.json")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="1: per-layer metrics from a traced run")
     args = parser.parse_args()
+    if args.seconds != spec["run_seconds"]:
+        parser.error(f"--seconds {args.seconds:g}: the run length is "
+                     f"run_seconds = {spec['run_seconds']} in BENCHMARK.json")
     result = run_all(args, spec) if args.workload == "all" else run_workload(args, spec)
     print(json.dumps(result))
     return 0

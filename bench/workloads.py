@@ -74,7 +74,8 @@ def _max_energy(lattice: dict) -> float:
 
 
 class Workloads:
-    """Builds operations whose configs live in ``work`` and outputs under it."""
+    """Builds operations whose configs live in ``work``; they run with ``work``
+    as the current directory and write under it."""
 
     def __init__(self, root: Path, work: Path, seed: int):
         self.root = root
@@ -96,7 +97,7 @@ class Workloads:
         if config is not None:
             path = self.work / f"{name.replace(' ', '_').replace('=', '')}.json"
             path.write_text(json.dumps(config, indent=1))
-            argv += ["--config", str(path)]
+            argv += ["--config", path.name]  # operations run from ``work``
 
         def run(out: Path):
             printed = io.StringIO()
