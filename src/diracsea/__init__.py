@@ -64,15 +64,18 @@ from .evolution import (
     Snapshot,
     Trajectory,
     ZeroPotential,
+    apply_hamiltonian,
     build_kick_chi,
     continuity_residual,
     density_rate,
     excite_wavepacket,
     gauge_pair_experiment,
+    gauge_pair_sweep,
     gaussian_packet_coefficients,
     observables,
     rate_identity_residual,
     rate_identity_series,
+    run_branches,
     run_trajectory,
     single_particle_hamiltonian,
     step,

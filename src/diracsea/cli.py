@@ -219,10 +219,43 @@ def _packet_from(config: dict, state):
 def _window_from(config: dict, basis):
     t_start = float(config.get("t_a", 0.0))
     t_stop = float(config.get("t_b", t_start + 10.0 * _default_dt(basis) * 100))
-    if t_stop <= t_start:
+    if not t_stop > t_start:
         raise ConfigError("need t_b > t_a")
-    dt = float(config.get("dt", _default_dt(basis)))
-    return t_start, t_stop, dt
+    return t_start, t_stop
+
+
+def _stepping_from(config: dict, basis):
+    """Validated time step and sample stride of an evolution run."""
+    dt = config.get("dt", _default_dt(basis))
+    try:
+        dt = float(dt)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"dt must be a number, got {dt!r}") from exc
+    if not (np.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be finite and positive, got {dt!r}")
+    stride = config.get("sample_stride", 1)
+    if (isinstance(stride, bool) or not isinstance(stride, (int, float))
+            or not float(stride).is_integer() or stride < 1):
+        raise ConfigError(
+            f"sample_stride must be a positive integer, got {stride!r}")
+    return dt, int(stride)
+
+
+def _kick_recipe(kick: dict) -> str:
+    recipe = KICK_RECIPES.get(kick.get("recipe", "density_rate"))
+    if recipe is None:
+        raise ConfigError(f"unknown kick recipe {kick.get('recipe')!r}")
+    return recipe
+
+
+def _kick_strength(value) -> float:
+    try:
+        strength = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"kick strength must be a number, got {value!r}") from exc
+    if not np.isfinite(strength):
+        raise ConfigError(f"kick strength must be finite, got {value!r}")
+    return strength
 
 
 def _trajectory_files(out_dir: Path, tag: str, traj, potential) -> list[Path]:
@@ -248,28 +281,25 @@ def run_evolve(config: dict, out_dir: Path, seed: int) -> list[Path]:
     del seed
     basis = _basis_from(config)
     spec = _vacuum_from(config)
-    t_start, t_stop, dt = _window_from(config, basis)
+    t_start, t_stop = _window_from(config, basis)
+    dt, stride = _stepping_from(config, basis)
     state = _packet_from(config, ev.vacuum_state(basis, spec, time=t_start))
-    stride = int(config.get("sample_stride", 1))
 
     kick = config.get("kick")
     if kick is None:
         potential = ev.ZeroPotential(basis.config)
     else:
-        recipe = KICK_RECIPES.get(kick.get("recipe", "density_rate"))
-        if recipe is None:
-            raise ConfigError(f"unknown kick recipe {kick.get('recipe')!r}")
-        try:
-            strength = float(kick["f"])
-        except KeyError as exc:
-            raise ConfigError(f"kick config missing key {exc}") from exc
+        recipe = _kick_recipe(kick)
+        if "f" not in kick:
+            raise ConfigError("kick config missing key 'f'")
+        strength = _kick_strength(kick["f"])
         free_traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
                                          t_stop, dt, stride)
         gauge = ev.build_kick_chi(free_traj, recipe, strength, t_start, t_stop)
         potential = ev.PureGaugePotential(gauge)
 
     traj, final = ev.run_trajectory(state, potential, t_stop, dt, stride)
-    if final.gram_defect() > 1e-10:
+    if not final.gram_defect() <= 1e-10:
         raise InvariantError("orbital orthonormality drifted above 1e-10")
     return _trajectory_files(out_dir, "evolve", traj, potential)
 
@@ -280,17 +310,17 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
     del seed
     basis = _basis_from(config)
     spec = _vacuum_from(config)
-    t_start, t_stop, dt = _window_from(config, basis)
+    t_start, t_stop = _window_from(config, basis)
+    dt, stride = _stepping_from(config, basis)
     state = _packet_from(config, ev.vacuum_state(basis, spec, time=t_start))
     if state.orbital_count == len(state.reference):
         raise ConfigError("extract-energy needs a packet on top of the vacuum")
-    stride = int(config.get("sample_stride", 1))
     kick = config.get("kick", {})
-    recipe = KICK_RECIPES.get(kick.get("recipe", "density_rate"))
-    if recipe is None:
-        raise ConfigError(f"unknown kick recipe {kick.get('recipe')!r}")
-    strengths = [float(f) for f in kick.get(
-        "f", [0.0, 0.01, 0.02, 0.03, 0.04])]
+    recipe = _kick_recipe(kick)
+    strengths = kick.get("f", [0.0, 0.01, 0.02, 0.03, 0.04])
+    if not isinstance(strengths, list):
+        raise ConfigError("extract-energy needs a list of kick strengths 'f'")
+    strengths = [_kick_strength(f) for f in strengths]
 
     free_traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
                                      t_stop, dt, stride)
@@ -302,6 +332,11 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
         raise InvariantError(
             "density rate vanishes at t_b; the kick has nothing to extract")
 
+    # every nonzero strength advances in one batch against the free branch
+    gauges = [ev.build_kick_chi(free_traj, recipe, f, t_start, t_stop)
+              for f in strengths if f != 0.0]
+    reports = iter(ev.gauge_pair_sweep(state, gauges, t_start, t_stop, dt,
+                                       stride, free_branch=free_traj))
     rows = []
     for strength in strengths:
         if strength == 0.0:
@@ -309,9 +344,7 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
                          free_traj.free_energy[i_stop],
                          free_traj.free_energy[i_stop], 0.0, 0.0, 0.0))
             continue
-        gauge = ev.build_kick_chi(free_traj, recipe, strength, t_start, t_stop)
-        report = ev.gauge_pair_experiment(state, gauge, t_start, t_stop, dt,
-                                          stride)
+        report = next(reports)
         rows.append((strength, report.free_energy_free_tb,
                      report.free_energy_gauge_tb, report.predicted_gauge_tb,
                      report.max_density_deviation,
@@ -360,7 +393,7 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
     chi_cfg = config.get("chi", {"k": 1, "amplitude": 0.3})
     harmonic = int(chi_cfg.get("k", 1))
     amplitude = float(chi_cfg.get("amplitude", 0.3))
-    t_start, t_stop, _ = _window_from(config, basis)
+    t_start, t_stop = _window_from(config, basis)
     n_times = int(config.get("n_times", 5))
     smearing = config.get("smearing", "fourier")
 

@@ -7,10 +7,18 @@ carried entirely by the single-particle orbitals:
     i d/dt psi_o = [h0 - q alpha A(x,t) + q A0(x,t)] psi_o.
 
 Each step applies the exponential of the midpoint Hamiltonian, which is
-unitary up to rounding and second-order accurate in dt.  The module also
-hosts the gauge-kick experiment: build a gauge function from the density
-rate of a potential-free trajectory, evolve a second branch under the
-corresponding pure-gauge potential, and compare the observables and the
+unitary up to rounding and second-order accurate in dt.  The exponential is
+evaluated without forming h: as a Chebyshev series in h (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 3967 (1984)) whose terms each apply h once, by one FFT
+round trip for the kinetic term and site-local 2x2 matrices for the mass and
+the potentials; when the midpoint potential vanishes it is the exact
+per-momentum rotation cos(E dt) - i sin(E dt) h(p)/E.  Branches that share an
+initial state and step size advance together as one stacked tensor
+(``run_branches``).
+
+The module also hosts the gauge-kick experiment: build a gauge function from
+the density rate of a potential-free trajectory, evolve a second branch under
+the corresponding pure-gauge potential, and compare the observables and the
 free-field energy of the two branches.
 """
 
@@ -21,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.special import jv
 
 from .lattice import ALPHA, LatticeConfig, ModeBasis, spectral_derivative
 from .operators import RenormalizationConstants, renorm_constants
@@ -49,7 +58,7 @@ class GaugeFunction:
 
     def __init__(self, config: LatticeConfig, strength: float, t_start: float,
                  t_stop: float, recipe: str, profile_fn, profile_rate_fn,
-                 envelope, envelope_rate):
+                 envelope, envelope_rate, profile_dx_fn=None):
         if t_stop <= t_start:
             raise ValueError("gauge window must have t_stop > t_start")
         self.config = config
@@ -61,6 +70,10 @@ class GaugeFunction:
         self._profile_rate = profile_rate_fn
         self._envelope = envelope
         self._envelope_rate = envelope_rate
+        if profile_dx_fn is None:
+            def profile_dx_fn(t):
+                return spectral_derivative(profile_fn(t), config.box_length)
+        self._profile_dx = profile_dx_fn
 
     def _s(self, t: float) -> float:
         return (t - self.t_start) / (self.t_stop - self.t_start)
@@ -77,7 +90,7 @@ class GaugeFunction:
         return out
 
     def dchi_dx(self, t: float) -> np.ndarray:
-        return spectral_derivative(self.chi(t), self.config.box_length)
+        return self.strength * self._envelope(self._s(t)) * self._profile_dx(t)
 
     @classmethod
     def ramped_profile(cls, config: LatticeConfig, profile: np.ndarray,
@@ -87,8 +100,10 @@ class GaugeFunction:
         profile = np.array(profile, dtype=float)
         if profile.shape != (config.site_count,):
             raise ValueError("profile must be one sample per grid site")
+        profile_dx = spectral_derivative(profile, config.box_length)
         return cls(config, strength, t_start, t_stop, recipe,
-                   lambda t: profile, None, smoothstep, smoothstep_rate)
+                   lambda t: profile, None, smoothstep, smoothstep_rate,
+                   lambda t: profile_dx)
 
     @classmethod
     def bump_series(cls, config: LatticeConfig, times: np.ndarray,
@@ -121,14 +136,11 @@ class Potential:
     """External classical potential (A0, A) sampled on the grid."""
 
     provenance = "custom"
-    is_static = False
 
-    def __init__(self, config: LatticeConfig, a0_fn=None, a_fn=None,
-                 is_static: bool = False):
+    def __init__(self, config: LatticeConfig, a0_fn=None, a_fn=None):
         self.config = config
         self._a0 = a0_fn
         self._a = a_fn
-        self.is_static = is_static
 
     def a0(self, t: float) -> np.ndarray:
         if self._a0 is None:
@@ -144,9 +156,6 @@ class Potential:
 class ZeroPotential(Potential):
     provenance = "zero"
 
-    def __init__(self, config: LatticeConfig):
-        super().__init__(config, None, None, is_static=True)
-
 
 class PureGaugePotential(Potential):
     """(A0, A) = (d chi/dt, -d chi/dx): zero field strength by construction."""
@@ -154,7 +163,7 @@ class PureGaugePotential(Potential):
     provenance = "pure_gauge"
 
     def __init__(self, gauge: GaugeFunction):
-        super().__init__(gauge.config, None, None, is_static=False)
+        super().__init__(gauge.config)
         self.gauge = gauge
 
     def a0(self, t: float) -> np.ndarray:
@@ -232,7 +241,10 @@ def vacuum_state(basis: ModeBasis, spec: VacuumSpec | OccupationSet,
 
 def single_particle_hamiltonian(basis: ModeBasis, potential: Potential,
                                 t: float) -> np.ndarray:
-    """h(t) = h0 - q alpha A(x,t) + q A0(x,t), dense and hermitian."""
+    """h(t) = h0 - q alpha A(x,t) + q A0(x,t), dense and hermitian.
+
+    The reference for ``apply_hamiltonian``; evolution never forms it.
+    """
     h = basis.free_hamiltonian_matrix().copy()
     q = basis.config.charge
     a0 = q * potential.a0(t)
@@ -245,18 +257,133 @@ def single_particle_hamiltonian(basis: ModeBasis, potential: Potential,
     return h
 
 
-def _propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
+# Chebyshev terms whose Bessel weight |J_k(R dt)| is below this are dropped.
+# Each term's polynomial is bounded by 1 on the spectrum, so the truncation
+# error stays far below rounding.
+BESSEL_CUTOFF = 1e-18
+_MINUS_I_POWERS = (1.0, -1j, -1.0, 1j)
+
+
+def _grid_last(orbitals: np.ndarray, n_sites: int) -> np.ndarray:
+    """Site-major (2N, n_orb) orbitals as a contiguous (2, n_orb, N) array."""
+    return np.ascontiguousarray(
+        orbitals.reshape(n_sites, 2, -1).transpose(1, 2, 0))
+
+
+def _site_major(psi: np.ndarray) -> np.ndarray:
+    """Inverse of ``_grid_last``."""
+    return np.ascontiguousarray(psi.transpose(2, 0, 1)).reshape(-1, psi.shape[1])
+
+
+def _fft_momenta(config: LatticeConfig) -> np.ndarray:
+    return 2.0 * np.pi * np.fft.fftfreq(config.site_count, d=config.spacing)
+
+
+def _couplings(config: LatticeConfig, potential: Potential | None, t: float):
+    """Site couplings (q A0, -q A) at time t; zeros without a potential."""
+    if potential is None:
+        zeros = np.zeros(config.site_count)
+        return zeros, zeros
+    v0 = config.charge * potential.a0(t)
+    v1 = -config.charge * potential.a(t)
+    if not (np.isfinite(v0).all() and np.isfinite(v1).all()):
+        raise ValueError(f"potential is not finite at t={t}")
+    return v0, v1
+
+
+def _hamiltonian(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray,
+                 scale: float = 1.0):
+    """psi -> scale * h psi for grid-last orbitals psi of shape (..., 2, n_orb, N).
+
+    The kinetic term -i alpha d/dx is one FFT round trip (alpha swaps the
+    spinor components); the mass, q A0 and -q alpha A terms are site-local.
+    The couplings v0 = q A0 and v1 = -q A have shape (..., N), their leading
+    axes matching those of psi.
+    """
+    mass = basis.config.mass
+    p = scale * _fft_momenta(basis.config)
+    v0 = v0[..., None, None, :]
+    diag = scale * np.concatenate([v0 + mass, v0 - mass], axis=-3)
+    off = scale * v1[..., None, None, :]
+
+    def apply(psi: np.ndarray) -> np.ndarray:
+        swapped = psi[..., ::-1, :, :]
+        out = np.fft.ifft(p * np.fft.fft(swapped, axis=-1), axis=-1)
+        out += diag * psi
+        out += off * swapped
+        return out
+
+    return apply
+
+
+def _free_rotation(basis: ModeBasis, psi: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h0 dt) psi: cos(E dt) - i sin(E dt) h(p)/E at each momentum."""
+    p = _fft_momenta(basis.config)
+    mass = basis.config.mass
+    energy = np.hypot(p, mass)
+    cos = np.cos(energy * dt)
+    sin_over_e = dt * np.sinc(energy * dt / np.pi)  # dt at E = 0
+    ft = np.fft.fft(psi, axis=-1)
+    up, down = ft[..., 0, :, :], ft[..., 1, :, :]
+    out = np.empty_like(ft)
+    out[..., 0, :, :] = cos * up - 1j * sin_over_e * (mass * up + p * down)
+    out[..., 1, :, :] = cos * down - 1j * sin_over_e * (p * up - mass * down)
+    return np.fft.ifft(out, axis=-1)
+
+
+def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
+               v1: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) psi for stacked grid-last orbitals psi (n_branch, 2, n_orb, N).
+
+    Branch b feels the couplings v0[b], v1[b].  All branches share one
+    Chebyshev series exp(-i h dt) = sum_k (2 - delta_k0) (-i)^k J_k(R dt)
+    T_k(h / R), with R = E_max + max_b (max|v0[b]| + max|v1[b]|) bounding the
+    spectrum of every branch's h.
+    """
+    if not (v0.any() or v1.any()):
+        return _free_rotation(basis, psi, dt)
+    radius = basis.max_energy + float(
+        (np.abs(v0).max(axis=-1) + np.abs(v1).max(axis=-1)).max())
+    z = radius * dt
+    weights = jv(np.arange(int(z + 20.0 * np.cbrt(z)) + 30), z)
+    n_terms = max(2, int(np.nonzero(np.abs(weights) >= BESSEL_CUTOFF)[0][-1]) + 1)
+    twice_x = _hamiltonian(basis, v0, v1, 2.0 / radius)  # 2 h / R
+    prev, cur = psi, 0.5 * twice_x(psi)
+    out = weights[0] * psi + (-2j * weights[1]) * cur
+    for k in range(2, n_terms):
+        prev, cur = cur, twice_x(cur) - prev  # T_{k} = 2 (h/R) T_{k-1} - T_{k-2}
+        out += (2.0 * _MINUS_I_POWERS[k % 4] * weights[k]) * cur
+    return out
+
+
+def apply_hamiltonian(basis: ModeBasis, orbitals: np.ndarray,
+                      potential: Potential | None = None,
+                      t: float = 0.0) -> np.ndarray:
+    """h(t) applied to site-major orbitals (2N, n_orb) without forming h.
+
+    Applies h0 alone when no potential is given.
+    """
+    v0, v1 = _couplings(basis.config, potential, t)
+    psi = _grid_last(orbitals, basis.config.site_count)
+    return _site_major(_hamiltonian(basis, v0, v1)(psi))
 
 
 def step(state: SlaterState, potential: Potential, dt: float) -> SlaterState:
-    """One midpoint-exponential step; exactly unitary up to rounding."""
-    if dt <= 0:
+    """One midpoint-exponential step: psi -> exp(-i h(t + dt/2) dt) psi.
+
+    The exponential is unitary up to rounding and second-order accurate in
+    dt.  It is evaluated matrix-free as a Chebyshev series in h, or as the
+    exact per-momentum rotation of h0 when the midpoint potential vanishes.
+    Raises ValueError for a non-positive dt or a non-finite potential.
+    """
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    h = single_particle_hamiltonian(state.basis, potential, state.time + 0.5 * dt)
-    u = _propagator(h, dt)
-    return SlaterState(state.basis, state.reference, u @ state.orbitals,
+    config = state.basis.config
+    v0, v1 = _couplings(config, potential, state.time + 0.5 * dt)
+    # a batch of one, so that steps and run_trajectory agree bitwise
+    psi = _grid_last(state.orbitals, config.site_count)[None]
+    psi = _propagate(state.basis, psi, v0[None], v1[None], dt)
+    return SlaterState(state.basis, state.reference, _site_major(psi[0]),
                        state.time + dt, state.subtractions)
 
 
@@ -269,9 +396,8 @@ def observables(state: SlaterState) -> Snapshot:
     sub = state.subtractions
     density = q * np.einsum("jso,jso->j", psi.conj(), psi).real - sub.rho
     current = q * np.einsum("jso,st,jto->j", psi.conj(), ALPHA, psi).real - sub.current
-    h0 = state.basis.free_hamiltonian_matrix()
-    energy = a * np.einsum("io,io->", state.orbitals.conj(),
-                           h0 @ state.orbitals).real - sub.xi
+    h0_psi = apply_hamiltonian(state.basis, state.orbitals)
+    energy = a * np.vdot(state.orbitals, h0_psi).real - sub.xi
     return Snapshot(density, current, float(energy))
 
 
@@ -281,15 +407,52 @@ def density_rate(state: SlaterState, potential: Potential | None = None) -> np.n
     Uses the instantaneous Hamiltonian (h0 when no potential is given); this
     avoids differencing sampled densities.
     """
-    if potential is None:
-        h = state.basis.free_hamiltonian_matrix()
-    else:
-        h = single_particle_hamiltonian(state.basis, potential, state.time)
     n = state.basis.config.site_count
     q = state.basis.config.charge
     psi = state.orbitals.reshape(n, 2, -1)
-    hpsi = (h @ state.orbitals).reshape(n, 2, -1)
+    hpsi = apply_hamiltonian(state.basis, state.orbitals, potential,
+                             state.time).reshape(n, 2, -1)
     return 2.0 * q * np.einsum("jso,jso->j", psi.conj(), hpsi).imag
+
+
+def _step_count(state: SlaterState, t_final: float, dt: float,
+                sample_stride: int) -> tuple[int, float]:
+    """Number of steps and the adjusted step that land samples on t_final."""
+    span = t_final - state.time
+    if not span > 0:
+        raise ValueError("t_final must exceed the state time")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if sample_stride < 1:
+        raise ValueError("sample_stride must be a positive integer")
+    n_steps = max(1, int(round(span / dt)))
+    n_steps += (-n_steps) % sample_stride  # land samples on the final time
+    return n_steps, span / n_steps
+
+
+class _Recorder:
+    """Observable samples of one branch, assembled into a Trajectory."""
+
+    def __init__(self, basis: ModeBasis, potential: Potential):
+        self.basis = basis
+        self.potential = potential
+        self.times, self.dens, self.cur, self.xi, self.rate = [], [], [], [], []
+
+    def add(self, state: SlaterState):
+        snap = observables(state)
+        self.times.append(state.time)
+        self.dens.append(snap.density)
+        self.cur.append(snap.current)
+        self.xi.append(snap.free_energy)
+        self.rate.append(density_rate(state, self.potential))
+
+    def trajectory(self) -> Trajectory:
+        cur = np.array(self.cur)
+        rate = np.array(self.rate)
+        residual = rate + spectral_derivative(cur.T, self.basis.config.box_length).T
+        return Trajectory(self.basis, self.potential.provenance,
+                          np.array(self.times), np.array(self.dens), cur,
+                          np.array(self.xi), rate, residual)
 
 
 def run_trajectory(state: SlaterState, potential: Potential, t_final: float,
@@ -300,49 +463,49 @@ def run_trajectory(state: SlaterState, potential: Potential, t_final: float,
     number of steps, a multiple of the stride, lands exactly on t_final; the
     final state is always sampled.
     """
-    span = t_final - state.time
-    if span <= 0:
-        raise ValueError("t_final must exceed the state time")
-    n_steps = max(1, int(round(span / dt)))
-    n_steps += (-n_steps) % sample_stride  # land samples on the final time
-    dt_eff = span / n_steps
+    return run_branches(state, [potential], t_final, dt, sample_stride)[0]
 
-    length = state.basis.config.box_length
-    cached = None
-    if potential.is_static:
-        h = single_particle_hamiltonian(state.basis, potential, state.time)
-        cached = _propagator(h, dt_eff)
 
-    times, dens, cur, xi, rate = [], [], [], [], []
+def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
+                 sample_stride: int = 1) -> list[tuple[Trajectory, SlaterState]]:
+    """``run_trajectory`` for several potentials from one initial state.
 
-    def record(s):
-        snap = observables(s)
-        times.append(s.time)
-        dens.append(snap.density)
-        cur.append(snap.current)
-        xi.append(snap.free_energy)
-        rate.append(density_rate(s, potential))
+    The branches advance together as one stacked orbital tensor, each step
+    applying a single Chebyshev series shared by all of them; every branch
+    matches its own ``run_trajectory`` up to rounding.  Returns one
+    (trajectory, final_state) pair per potential.
+    """
+    n_steps, dt_eff = _step_count(state, t_final, dt, sample_stride)
+    potentials = list(potentials)
+    if not potentials:
+        return []
+    basis = state.basis
+    config = basis.config
+    recorders = [_Recorder(basis, potential) for potential in potentials]
 
-    record(state)
-    current_state = state
+    def states(psi, time):
+        return [SlaterState(basis, state.reference, _site_major(branch), time,
+                            state.subtractions) for branch in psi]
+
+    def record(psi, time):
+        for branch_state, recorder in zip(states(psi, time), recorders):
+            recorder.add(branch_state)
+
+    psi = np.stack([_grid_last(state.orbitals, config.site_count)]
+                   * len(potentials))
+    time = state.time
+    record(psi, time)
     for k in range(n_steps):
-        if cached is not None:
-            current_state = SlaterState(
-                current_state.basis, current_state.reference,
-                cached @ current_state.orbitals, current_state.time + dt_eff,
-                current_state.subtractions)
-        else:
-            current_state = step(current_state, potential, dt_eff)
+        couplings = [_couplings(config, potential, time + 0.5 * dt_eff)
+                     for potential in potentials]
+        v0 = np.array([c[0] for c in couplings])
+        v1 = np.array([c[1] for c in couplings])
+        psi = _propagate(basis, psi, v0, v1, dt_eff)
+        time = time + dt_eff
         if (k + 1) % sample_stride == 0:
-            record(current_state)
-
-    dens = np.array(dens)
-    cur = np.array(cur)
-    rate = np.array(rate)
-    residual = rate + spectral_derivative(cur.T, length).T
-    traj = Trajectory(state.basis, potential.provenance, np.array(times),
-                      dens, cur, np.array(xi), rate, residual)
-    return traj, current_state
+            record(psi, time)
+    return [(recorder.trajectory(), final)
+            for recorder, final in zip(recorders, states(psi, time))]
 
 
 def continuity_residual(traj: Trajectory) -> np.ndarray:
@@ -454,13 +617,17 @@ class GaugePairReport:
     predicted_gauge_tb_branch2: float
 
 
-def gauge_pair_experiment(state: SlaterState, gauge: GaugeFunction,
-                          t_start: float, t_stop: float, dt: float,
-                          sample_stride: int = 1) -> GaugePairReport:
-    """Evolve the free and pure-gauge branches from one initial state.
+def gauge_pair_sweep(state: SlaterState, gauges, t_start: float,
+                     t_stop: float, dt: float, sample_stride: int = 1,
+                     free_branch: Trajectory | None = None
+                     ) -> list[GaugePairReport]:
+    """Evolve one free branch and a pure-gauge branch per gauge function.
 
-    Reports the worst observable deviation between the branches, the final
-    free-field energies, and the first-order prediction
+    The gauge branches advance together (``run_branches``).  ``free_branch``
+    is the potential-free trajectory of ``state`` with the same window, step
+    and stride, when the caller has one; otherwise it is evolved here.  Each
+    report holds the worst observable deviation between its branch and the
+    free one, the final free-field energies, and the first-order prediction
     xi0_free(t_b) - int (d rho_free/dt)(x, t_b) chi(x, t_b) dx, evaluated
     with the density rate of either branch (both are reported; they agree
     exactly only when the lattice is exactly gauge covariant).
@@ -468,18 +635,37 @@ def gauge_pair_experiment(state: SlaterState, gauge: GaugeFunction,
     if abs(state.time - t_start) > 1e-12:
         raise ValueError("state must be prepared at t_start")
     config = state.basis.config
-    traj1, _ = run_trajectory(state, ZeroPotential(config), t_stop, dt,
-                              sample_stride)
-    traj2, _ = run_trajectory(state, PureGaugePotential(gauge), t_stop, dt,
-                              sample_stride)
-    dev_rho = float(np.abs(traj2.density - traj1.density).max())
-    dev_cur = float(np.abs(traj2.current - traj1.current).max())
-    chi_tb = gauge.chi(t_stop)
+    if free_branch is None:
+        free_branch, _ = run_trajectory(state, ZeroPotential(config), t_stop,
+                                        dt, sample_stride)
+    elif free_branch.provenance != "zero":
+        raise ValueError("free_branch must be a potential-free trajectory")
+    gauges = list(gauges)
+    branches = [traj for traj, _ in run_branches(
+        state, [PureGaugePotential(g) for g in gauges], t_stop, dt,
+        sample_stride)]
+    traj1 = free_branch
+    if branches and not np.array_equal(branches[0].times, traj1.times):
+        raise ValueError("free_branch is not sampled at the branch times")
     a = config.spacing
     i_tb = traj1.index_of(t_stop)
-    pred1 = traj1.free_energy[i_tb] - a * np.sum(traj1.density_rate[i_tb] * chi_tb)
-    pred2 = traj1.free_energy[i_tb] - a * np.sum(traj2.density_rate[i_tb] * chi_tb)
-    return GaugePairReport(traj1, traj2, dev_rho, dev_cur,
-                           float(traj1.free_energy[i_tb]),
-                           float(traj2.free_energy[i_tb]),
-                           float(pred1), float(pred2))
+    reports = []
+    for gauge, traj2 in zip(gauges, branches):
+        dev_rho = float(np.abs(traj2.density - traj1.density).max())
+        dev_cur = float(np.abs(traj2.current - traj1.current).max())
+        chi_tb = gauge.chi(t_stop)
+        pred1 = traj1.free_energy[i_tb] - a * np.sum(traj1.density_rate[i_tb] * chi_tb)
+        pred2 = traj1.free_energy[i_tb] - a * np.sum(traj2.density_rate[i_tb] * chi_tb)
+        reports.append(GaugePairReport(traj1, traj2, dev_rho, dev_cur,
+                                       float(traj1.free_energy[i_tb]),
+                                       float(traj2.free_energy[i_tb]),
+                                       float(pred1), float(pred2)))
+    return reports
+
+
+def gauge_pair_experiment(state: SlaterState, gauge: GaugeFunction,
+                          t_start: float, t_stop: float, dt: float,
+                          sample_stride: int = 1) -> GaugePairReport:
+    """``gauge_pair_sweep`` for a single gauge function."""
+    return gauge_pair_sweep(state, [gauge], t_start, t_stop, dt,
+                            sample_stride)[0]

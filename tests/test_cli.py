@@ -162,6 +162,30 @@ def test_stationary_packet_violates_invariant(tmp_path):
     assert code == 2
 
 
+KICKED_PACKET = {
+    "lattice": BASE_LATTICE, "vacuum": "standard",
+    "packet": {"p_center": 2.0, "sigma": 0.2},
+    "t_a": 0.0, "t_b": 1.0, "sample_stride": 10,
+}
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("evolve", {"kick": {"recipe": "density_rate", "f": float("nan")}}),
+    ("evolve", {"kick": {"recipe": "density_rate", "f": [0.1, 0.2]}}),
+    ("extract-energy", {"kick": {"recipe": "eq39", "f": [0.0, float("nan")]}}),
+    ("evolve", {"sample_stride": 0}),
+    ("extract-energy", {"dt": -0.01, "kick": {"f": [0.0, 0.01]}}),
+    ("evolve", {"dt": float("nan")}),
+], ids=["evolve-nan-f", "evolve-list-f", "extract-energy-nan-f",
+        "zero-stride", "negative-dt", "nan-dt"])
+def test_bad_evolution_input_is_config_error(tmp_path, capsys, command,
+                                             overrides):
+    cfg = write_config(tmp_path / "cfg.json", dict(KICKED_PACKET, **overrides))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(err)["exit_code"] == 1
+
+
 def test_response_paths(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {
         "lattice": BASE_LATTICE, "vacuum": "standard",

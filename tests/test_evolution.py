@@ -19,6 +19,21 @@ def packet_state(basis, p_center=2.0, sigma=0.2):
         ev.vacuum_state(basis, VacuumSpec("standard")), p_center, sigma)
 
 
+def dense_propagator(h, dt):
+    """Reference exp(-i h dt) by diagonalising the dense h."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * dt)) @ v.conj().T
+
+
+def kicked_packet(basis, strength, sigma=0.2, t_stop=1.0):
+    """Packet state and the pure-gauge potential of its density-rate kick."""
+    state = packet_state(basis, sigma=sigma)
+    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config), t_stop,
+                                default_dt(basis), sample_stride=10)
+    gauge = ev.build_kick_chi(free, "density_rate", strength, 0.0, t_stop)
+    return state, ev.PureGaugePotential(gauge)
+
+
 def test_vacuum_observables_vanish(basis_n9):
     snap = ev.observables(ev.vacuum_state(basis_n9, VacuumSpec("standard")))
     assert np.abs(snap.density).max() < 1e-13
@@ -62,6 +77,68 @@ def test_unitarity_and_norms(basis_n9):
     assert final.gram_defect() < 1e-12
 
 
+def test_matrix_free_hamiltonian_matches_dense(basis_n9):
+    state, pot = kicked_packet(basis_n9, 0.3)
+    t = 0.4
+    dense = ev.single_particle_hamiltonian(basis_n9, pot, t) @ state.orbitals
+    matrix_free = ev.apply_hamiltonian(basis_n9, state.orbitals, pot, t)
+    assert np.abs(matrix_free - dense).max() < 1e-13
+    free = basis_n9.free_hamiltonian_matrix() @ state.orbitals
+    assert np.abs(ev.apply_hamiltonian(basis_n9, state.orbitals) - free).max() < 1e-13
+
+
+@pytest.mark.parametrize("n_sites, sigma", [(9, 0.2), (27, 0.8)])
+def test_step_matches_dense_midpoint_exponential(n_sites, sigma):
+    basis = build_basis(LatticeConfig(TWO_PI, n_sites, 1.0, 1.0))
+    state, kicked = kicked_packet(basis, 4.0, sigma)
+    # the ramp rate, and with it the Chebyshev radius, peaks mid-window
+    start = ev.SlaterState(basis, state.reference, state.orbitals, 0.5,
+                           state.subtractions)
+    x = basis.config.grid
+    strong = ev.Potential(basis.config, a0_fn=lambda t: 50.0 * np.cos(x),
+                          a_fn=lambda t: 30.0 * np.sin(2.0 * x))
+    cases = [(kicked, default_dt(basis)),
+             (ev.ZeroPotential(basis.config), default_dt(basis)),
+             (strong, 0.1)]  # R dt near 10: about 30 Chebyshev terms
+    for pot, dt in cases:
+        h = ev.single_particle_hamiltonian(basis, pot, start.time + 0.5 * dt)
+        expected = dense_propagator(h, dt) @ start.orbitals
+        stepped = ev.step(start, pot, dt)
+        assert np.abs(stepped.orbitals - expected).max() < 1e-13
+        assert stepped.time == start.time + dt
+
+
+def test_step_rejects_non_finite_input(basis_n9):
+    state = packet_state(basis_n9)
+    for bad in (np.nan, np.inf):
+        pot = ev.Potential(basis_n9.config, a_fn=lambda t: np.full(9, bad))
+        with pytest.raises(ValueError):
+            ev.step(state, pot, 0.01)
+    with pytest.raises(ValueError):
+        ev.step(state, ev.ZeroPotential(basis_n9.config), np.nan)
+
+
+def test_batched_branches_match_single_runs(basis_n9):
+    state = packet_state(basis_n9)
+    dt = default_dt(basis_n9)
+    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
+                                dt, sample_stride=5)
+    gauges = [ev.build_kick_chi(free, "density_rate", f, 0.0, 1.0)
+              for f in (0.01, 0.4, 4.0)]
+    reports = ev.gauge_pair_sweep(state, gauges, 0.0, 1.0, dt, 5,
+                                  free_branch=free)
+    for gauge, report in zip(gauges, reports):
+        single, _ = ev.run_trajectory(state, ev.PureGaugePotential(gauge), 1.0,
+                                      dt, sample_stride=5)
+        batched = report.gauge_branch
+        assert np.array_equal(batched.times, single.times)
+        for name in ("density", "current", "free_energy", "density_rate"):
+            assert np.abs(getattr(batched, name)
+                          - getattr(single, name)).max() < 1e-12, name
+    with pytest.raises(ValueError):  # free branch sampled at another stride
+        ev.gauge_pair_sweep(state, gauges, 0.0, 1.0, dt, 10, free_branch=free)
+
+
 def test_step_is_second_order(basis_n9):
     state = packet_state(basis_n9)
     profile = 0.4 * np.cos(basis_n9.config.grid)
@@ -91,7 +168,7 @@ def test_zero_potential_conserves_free_energy(basis_n9):
 def test_constant_scalar_potential_shifts_spectrum(basis_n9):
     shift = 0.37
     pot = ev.Potential(basis_n9.config,
-                       a0_fn=lambda t: np.full(9, shift), is_static=True)
+                       a0_fn=lambda t: np.full(9, shift))
     h = ev.single_particle_hamiltonian(basis_n9, pot, 0.0)
     h0 = basis_n9.free_hamiltonian_matrix()
     shifted = np.sort(np.linalg.eigvalsh(h))
@@ -282,8 +359,7 @@ def test_rate_identity_second_order(basis_n9):
 def test_rate_identity_static_scalar_potential(basis_n9):
     state = packet_state(basis_n9)
     pot = ev.Potential(basis_n9.config,
-                       a0_fn=lambda t: 0.2 * np.cos(basis_n9.config.grid),
-                       is_static=True)
+                       a0_fn=lambda t: 0.2 * np.cos(basis_n9.config.grid))
     dt = 0.25 * default_dt(basis_n9)
     traj, _ = ev.run_trajectory(state, pot, 1.0, dt)
     # with A = 0 the identity reduces to the charge-rate term alone
