@@ -21,10 +21,8 @@ from .lattice import (
 from .vacua import (
     OccupationSet,
     VacuumSpec,
-    classify,
     classify_indices,
     coupled_band_spec,
-    density_matrix,
     occupation_set,
 )
 from .operators import (
@@ -48,6 +46,7 @@ from .fock import (
 )
 from .schwinger import (
     SchwingerKernel,
+    commutator_kernel,
     divergence_diag_closed_form,
     divergence_of_kernel,
     f2_identity_check,
@@ -66,7 +65,6 @@ from .evolution import (
     ZeroPotential,
     apply_hamiltonian,
     build_kick_chi,
-    continuity_residual,
     density_rate,
     excite_wavepacket,
     gauge_pair_experiment,

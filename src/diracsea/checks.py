@@ -21,8 +21,15 @@ from .operators import (
     free_hamiltonian_kernel,
     renorm_constants,
 )
-from .schwinger import schwinger_band, schwinger_standard
-from .vacua import OccupationSet, VacuumSpec, occupation_set
+from .schwinger import (
+    commutator_kernel,
+    divergence_diag_closed_form,
+    divergence_of_kernel,
+    f2_identity_check,
+    schwinger_band,
+    schwinger_standard,
+)
+from .vacua import OccupationSet, VacuumSpec, classify_indices, occupation_set
 
 
 @dataclass(frozen=True)
@@ -130,21 +137,6 @@ def algebra_gate(site_counts=(5, 7, 9, 11), masses=(0.0, 1.0, 5.0),
     return results
 
 
-def _subset_occupation(basis: ModeBasis, spec: VacuumSpec, subset) -> list[int]:
-    """Positions within ``subset`` that the vacuum occupies."""
-    subset = list(subset)
-    occupied = []
-    edge = None
-    if spec.kind == "band":
-        edge = basis.config.mass + spec.band_width
-    for local, global_index in enumerate(subset):
-        if basis.lam[global_index] > 0:
-            continue
-        if edge is None or basis.energy[global_index] <= edge:
-            occupied.append(local)
-    return occupied
-
-
 def oracle_commutator_defect(basis: ModeBasis, spec: VacuumSpec,
                              mode_indices=None) -> float:
     """Brute-force <vac|[rho(y), J(x)]|vac> against the mode-sum kernel.
@@ -153,19 +145,13 @@ def oracle_commutator_defect(basis: ModeBasis, spec: VacuumSpec,
     kernel has nonvanishing grid values; on the full basis both sides vanish
     identically and the comparison still exercises the whole pipeline.
     """
-    subset = (list(range(basis.mode_count)) if mode_indices is None
-              else list(mode_indices))
+    subset = (np.arange(basis.mode_count) if mode_indices is None
+              else np.asarray(mode_indices, dtype=int))
     ladders = fock.build_ladders(len(subset))
-    occ = OccupationSet(tuple(_subset_occupation(basis, spec, subset)),
-                        len(subset))
+    occupied = np.isin(subset, occupation_set(spec, basis).indices)
+    occ = OccupationSet(tuple(np.flatnonzero(occupied).tolist()), len(subset))
     vacuum = fock.build_vacuum_vector(ladders, occ)
-
-    if spec.kind == "band":
-        kernel = schwinger_band(basis, spec, mode_indices=subset)
-    else:
-        kernel = schwinger_standard(basis, mode_indices=subset)
-    grid = basis.config.grid
-    values = kernel.evaluate(grid, grid)
+    values = commutator_kernel(basis, spec, mode_indices=subset).values
 
     n_sites = basis.config.site_count
     rho_ops = [fock.bilinear_matrix(ladders,
@@ -206,7 +192,7 @@ def spectrum_positivity(basis: ModeBasis) -> tuple[float, int]:
     occ = occupation_set(VacuumSpec("standard"), basis)
     ladders = fock.build_ladders(basis.mode_count)
     kernel = free_hamiltonian_kernel(basis, occ)
-    spectrum = fock.spectrum_of_h0_sector(ladders, kernel, occ)
+    spectrum = fock.spectrum_of_h0_sector(ladders, kernel)
     zeros = int(np.sum(np.abs(spectrum) <= 1e-12))
     return float(spectrum.min()), zeros
 
@@ -216,11 +202,10 @@ def band_spectrum_negative_level(basis: ModeBasis, spec: VacuumSpec):
     occ = occupation_set(spec, basis)
     ladders = fock.build_ladders(basis.mode_count)
     kernel = free_hamiltonian_kernel(basis, occ)
-    spectrum = fock.spectrum_of_h0_sector(ladders, kernel, occ)
-    edge = basis.config.mass + spec.band_width
-    negatives = basis.lam < 0
-    band_energies = basis.energy[negatives & (basis.energy <= edge)]
-    below_energies = basis.energy[negatives & (basis.energy > edge)]
+    spectrum = fock.spectrum_of_h0_sector(ladders, kernel)
+    _, in_band, below = classify_indices(spec, basis)
+    band_energies = basis.energy[in_band]
+    below_energies = basis.energy[below]
     if len(below_energies) == 0:
         raise ValueError("band vacuum has no below-band modes")
     move = float(band_energies.min() - below_energies.max())   # closest move
@@ -283,7 +268,6 @@ def schwinger_suite() -> list[CheckResult]:
         "kernel real part (filled sea, oversampled)",
         float(np.abs(kernel.evaluate(fine, fine).real).max()), 1e-12))
 
-    from .schwinger import divergence_diag_closed_form, divergence_of_kernel
     div = divergence_of_kernel(kernel)
     closed = divergence_diag_closed_form(basis)
     rel = float(np.abs(np.diag(div) - closed).max() / np.abs(closed[0]))
@@ -298,7 +282,6 @@ def schwinger_suite() -> list[CheckResult]:
     results.append(CheckResult(
         "band kernel coincident-point values",
         float(np.abs(np.diag(band_kernel.values)).max()), 1e-12))
-    from .schwinger import f2_identity_check
     results.append(CheckResult(
         "intra-band double-sum identity residual",
         f2_identity_check(basis, spec), 1e-12))

@@ -133,7 +133,7 @@ def run_check_basis(config: dict, out_dir: Path, seed: int) -> list[Path]:
     }
     path = out_dir / "check_basis.json"
     _write_json(path, report)
-    if max(report.values()) > 1e-12:
+    if not all(value <= 1e-12 for value in report.values()):
         raise InvariantError(
             f"basis invariant exceeded 1e-12: {json.dumps(report)}")
     return [path]
@@ -146,14 +146,11 @@ def run_schwinger(config: dict, out_dir: Path, seed: int) -> list[Path]:
     basis = _basis_from(config)
     spec = _vacuum_from(config)
     cfg = basis.config
-    if spec.kind == "band":
-        kernel = sw.schwinger_band(basis, spec)
-        width = spec.band_width
-    elif spec.kind == "standard":
-        kernel = sw.schwinger_standard(basis)
-        width = ""
-    else:
-        raise ConfigError("schwinger requires vacuum 'standard' or 'band'")
+    try:
+        kernel = sw.commutator_kernel(basis, spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    width = spec.band_width if spec.kind == "band" else ""
     values = kernel.values
     divergence = sw.divergence_of_kernel(kernel)
 
@@ -186,17 +183,17 @@ def run_schwinger(config: dict, out_dir: Path, seed: int) -> list[Path]:
     summary_path = out_dir / "schwinger_summary.json"
     _write_json(summary_path, summary)
 
-    if summary["re_I_max"] > 1e-12:
+    if not summary["re_I_max"] <= 1e-12:
         raise InvariantError("kernel developed a real part above 1e-12")
     if spec.kind == "standard":
-        if cfg.charge != 0 and summary["div_I_diag_imag"] >= 0:
+        if cfg.charge != 0 and not summary["div_I_diag_imag"] < 0:
             raise InvariantError("coincident-point divergence lost its sign")
-        if summary["div_paths_rel_err"] > 1e-10:
+        if not summary["div_paths_rel_err"] <= 1e-10:
             raise InvariantError("divergence paths disagree beyond 1e-10")
     else:
-        if summary["I_diag_abs_max"] > 1e-12:
+        if not summary["I_diag_abs_max"] <= 1e-12:
             raise InvariantError("band kernel nonzero at coincident points")
-        if summary["f2_residual"] > 1e-12:
+        if not summary["f2_residual"] <= 1e-12:
             raise InvariantError("intra-band identity residual above 1e-12")
     return [csv_path, summary_path]
 
@@ -233,12 +230,15 @@ def _stepping_from(config: dict, basis):
         raise ConfigError(f"dt must be a number, got {dt!r}") from exc
     if not (np.isfinite(dt) and dt > 0):
         raise ConfigError(f"dt must be finite and positive, got {dt!r}")
-    stride = config.get("sample_stride", 1)
-    if (isinstance(stride, bool) or not isinstance(stride, (int, float))
-            or not float(stride).is_integer() or stride < 1):
-        raise ConfigError(
-            f"sample_stride must be a positive integer, got {stride!r}")
-    return dt, int(stride)
+    return dt, _positive_int(config, "sample_stride", 1)
+
+
+def _positive_int(config: dict, key: str, default: int) -> int:
+    value = config.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer() or value < 1):
+        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _kick_recipe(kick: dict) -> str:
@@ -299,6 +299,10 @@ def run_evolve(config: dict, out_dir: Path, seed: int) -> list[Path]:
         potential = ev.PureGaugePotential(gauge)
 
     traj, final = ev.run_trajectory(state, potential, t_stop, dt, stride)
+    if len(traj.times) < 3:
+        raise ConfigError(
+            f"evolve records {len(traj.times)} samples and needs at least "
+            "three; lower dt or sample_stride")
     if not final.gram_defect() <= 1e-10:
         raise InvariantError("orbital orthonormality drifted above 1e-10")
     return _trajectory_files(out_dir, "evolve", traj, potential)
@@ -388,13 +392,15 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
     del seed
     basis = _basis_from(config)
     spec = _vacuum_from(config)
-    if spec.kind == "bare":
-        raise ConfigError("response requires a filled-sea or band vacuum")
+    try:
+        commutator = sw.commutator_kernel(basis, spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     chi_cfg = config.get("chi", {"k": 1, "amplitude": 0.3})
     harmonic = int(chi_cfg.get("k", 1))
     amplitude = float(chi_cfg.get("amplitude", 0.3))
     t_start, t_stop = _window_from(config, basis)
-    n_times = int(config.get("n_times", 5))
+    n_times = _positive_int(config, "n_times", 5)
     smearing = config.get("smearing", "fourier")
 
     cfg = basis.config
@@ -412,7 +418,7 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
     for t in times:
         direct = rs.first_order_current(kernel, potential, t, t_start,
                                         smearing=smearing)
-        contraction = rs.gauge_variation_response(basis, spec, gauge, t)
+        contraction = rs.gauge_variation_response(commutator, gauge, t)
         worst = max(worst, float(np.abs(direct - contraction).max()))
         for j, x in enumerate(cfg.grid):
             rows.append((t, x, direct[j], contraction[j], spec.kind,
@@ -458,6 +464,9 @@ def _set_by_path(config: dict, dotted: str, value):
     node = config
     for key in keys[:-1]:
         node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise ConfigError(
+                f"sweep parameter {dotted!r} descends into the scalar {key!r}")
     node[keys[-1]] = value
 
 

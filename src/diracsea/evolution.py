@@ -209,7 +209,13 @@ class Snapshot:
 
 @dataclass
 class Trajectory:
-    """Observable history of one evolution branch at uniform sample times."""
+    """Observable history of one evolution branch at uniform sample times.
+
+    ``residual`` is the continuity residual L(x,t) = d rho/dt + div J: the
+    density rate is the analytic commutator form and the divergence the
+    N-point spectral derivative of the sampled current, so L measures the
+    aliasing of bilinears at the cutoff rather than integrator error.
+    """
 
     basis: ModeBasis
     provenance: str
@@ -506,16 +512,6 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
             record(psi, time)
     return [(recorder.trajectory(), final)
             for recorder, final in zip(recorders, states(psi, time))]
-
-
-def continuity_residual(traj: Trajectory) -> np.ndarray:
-    """L(x,t) = d rho/dt + div J along the trajectory.
-
-    The density rate is the analytic commutator form; the divergence is the
-    N-point spectral derivative of the sampled current, so L measures the
-    aliasing of bilinears at the cutoff rather than integrator error.
-    """
-    return traj.residual
 
 
 def rate_identity_series(traj: Trajectory, potential: Potential) -> np.ndarray:

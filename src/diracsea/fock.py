@@ -137,17 +137,14 @@ def slater_vector(ladders: LadderSet, orbitals: np.ndarray) -> np.ndarray:
     return vec
 
 
-def spectrum_of_h0_sector(
-    ladders: LadderSet, kernel: OneBodyKernel, occ: OccupationSet
-) -> np.ndarray:
+def spectrum_of_h0_sector(ladders: LadderSet, kernel: OneBodyKernel) -> np.ndarray:
     """All 2^M eigenvalues of the subtracted many-body free Hamiltonian.
 
     The operator is diagonal in the occupation basis, so the eigenvalues are
     occupation sums of the diagonal kernel entries minus the subtraction; the
-    result is indexed by basis bitstring.  ``occ`` names the reference vacuum
-    only through the subtraction already attached to the kernel.
+    result is indexed by basis bitstring.  The reference vacuum enters only
+    through the subtraction attached to the kernel.
     """
-    del occ  # the subtraction carries the vacuum dependence
     weights = np.real(np.diag(kernel.coefficients))
     dim = 1 << ladders.mode_count
     bits = (np.arange(dim)[:, None] >> np.arange(ladders.mode_count)[None, :]) & 1

@@ -35,27 +35,39 @@ class LatticeConfig:
     charge: float = 1.0
 
     def __post_init__(self):
-        if self.box_length <= 0:
-            raise ValueError(f"box_length must be positive, got {self.box_length}")
+        if not (np.isfinite(self.box_length) and self.box_length > 0):
+            raise ValueError(
+                f"box_length must be finite and positive, got {self.box_length}")
         if self.site_count < 1 or self.site_count % 2 == 0:
             raise ValueError(
                 f"site_count must be an odd positive integer, got {self.site_count}"
             )
-        if self.mass < 0:
-            raise ValueError(f"mass must be non-negative, got {self.mass}")
+        if not (np.isfinite(self.mass) and self.mass >= 0):
+            raise ValueError(
+                f"mass must be finite and non-negative, got {self.mass}")
+        if not np.isfinite(self.charge):
+            raise ValueError(f"charge must be finite, got {self.charge}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "LatticeConfig":
         """Build from the CLI JSON keys {"L", "N", "m", "q"}."""
+        if not isinstance(d, dict):
+            raise ValueError("lattice config must be an object")
         try:
+            n_sites = d["N"]
+            if (isinstance(n_sites, bool) or not isinstance(n_sites, (int, float))
+                    or not float(n_sites).is_integer()):
+                raise ValueError(f"N must be an integer, got {n_sites!r}")
             return cls(
                 box_length=float(d["L"]),
-                site_count=int(d["N"]),
+                site_count=int(n_sites),
                 mass=float(d["m"]),
                 charge=float(d.get("q", 1.0)),
             )
         except KeyError as exc:
             raise ValueError(f"lattice config missing key {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"lattice values must be numbers: {exc}") from exc
 
     @property
     def spacing(self) -> float:
@@ -200,6 +212,19 @@ def spectral_derivative(values: np.ndarray, box_length: float) -> np.ndarray:
     shape = (n,) + (1,) * (values.ndim - 1)
     out = np.fft.ifft(1j * p.reshape(shape) * np.fft.fft(values, axis=0), axis=0)
     return out.real if np.isrealobj(values) else out
+
+
+def fourier_at(values: np.ndarray, transfers) -> np.ndarray:
+    """Fourier coefficients (1/N) sum_j f_j exp(-i 2 pi d j / N) of grid samples.
+
+    Evaluated at integer momentum transfers d; zero for any d outside the
+    symmetric N-point window |d| <= (N-1)/2.
+    """
+    n = len(values)
+    transfers = np.asarray(transfers)
+    spectrum = np.fft.fft(values) / n
+    return np.where(np.abs(transfers) <= (n - 1) // 2,
+                    spectrum[transfers % n], 0.0)
 
 
 def apply_free_hamiltonian(basis: ModeBasis, psi: np.ndarray) -> np.ndarray:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ALPHA, ModeBasis
-from .schwinger import SchwingerKernel, schwinger_band, schwinger_standard
+from .lattice import ALPHA, ModeBasis, fourier_at
+from .schwinger import SchwingerKernel
 from .vacua import OccupationSet, VacuumSpec, occupation_set
 
 
@@ -46,17 +46,16 @@ class ResponseKernel:
         unoccupied = np.array(sorted(occ.complement), dtype=int)
         q = basis.config.charge
         length = basis.config.box_length
-        u = basis.spinors
+        un = basis.spinors[:, occupied]
+        um = basis.spinors[:, unoccupied]
         eps = basis.lam * basis.energy
-        omega, transfer, wj, wr = [], [], [], []
-        for n in occupied:
-            for m in unoccupied:
-                omega.append(eps[n] - eps[m])
-                transfer.append(basis.momentum_index[m] - basis.momentum_index[n])
-                wj.append((u[:, n].conj() @ ALPHA @ u[:, m]) * q / length)
-                wr.append(np.vdot(u[:, n], u[:, m]) * q / length)
-        return cls(basis, occ, np.array(omega), np.array(transfer, dtype=int),
-                   np.array(wj, dtype=complex), np.array(wr, dtype=complex))
+        omega = eps[occupied, None] - eps[None, unoccupied]
+        transfer = (basis.momentum_index[None, unoccupied]
+                    - basis.momentum_index[occupied, None])
+        current = un.conj().T @ ALPHA @ um   # u_n^dag alpha u_m
+        charge = un.conj().T @ um
+        return cls(basis, occ, omega.ravel(), transfer.ravel(),
+                   (current * q / length).ravel(), (charge * q / length).ravel())
 
     def _site_matrix(self, weights: np.ndarray) -> np.ndarray:
         base = 2.0 * np.pi / self.basis.config.box_length
@@ -131,8 +130,6 @@ def first_order_current(kernel: ResponseKernel, potential, t: float,
     rmat = kernel.charge_pair_matrix()
     a = basis.config.spacing
     length = basis.config.box_length
-    freqs = np.fft.fftfreq(n_sites, d=1.0 / n_sites).astype(int)
-    index_of_transfer = {int(k): i for i, k in enumerate(freqs)}
 
     integral = np.zeros(kernel.omega.shape, dtype=complex)
     for t_prime, w in zip(ts, weights):
@@ -141,18 +138,9 @@ def first_order_current(kernel: ResponseKernel, potential, t: float,
         if smearing == "site":
             source = a * (jmat.conj().T @ (-a_vec) + rmat.conj().T @ a0_vec)
         else:
-            a_hat = np.fft.fft(a_vec) / n_sites
-            a0_hat = np.fft.fft(a0_vec) / n_sites
-            coef_a = np.array([
-                a_hat[index_of_transfer[d]] if d in index_of_transfer else 0.0
-                for d in kernel.transfer
-            ])
-            coef_a0 = np.array([
-                a0_hat[index_of_transfer[d]] if d in index_of_transfer else 0.0
-                for d in kernel.transfer
-            ])
-            source = length * (-kernel.current_weight.conj() * coef_a
-                               + kernel.charge_weight.conj() * coef_a0)
+            source = length * (
+                -kernel.current_weight.conj() * fourier_at(a_vec, kernel.transfer)
+                + kernel.charge_weight.conj() * fourier_at(a0_vec, kernel.transfer))
         integral += w * source * np.exp(-1j * kernel.omega * t_prime)
 
     # delta<J> = -i * int <[J_I(t), V_I(t')]> dt'; the sign is fixed by the
@@ -166,15 +154,7 @@ def vacuum_response_kernel(basis: ModeBasis, spec: VacuumSpec) -> ResponseKernel
     return ResponseKernel.build(basis, occupation_set(spec, basis))
 
 
-def commutator_kernel(basis: ModeBasis, spec: VacuumSpec) -> SchwingerKernel:
-    if spec.kind == "band":
-        return schwinger_band(basis, spec)
-    if spec.kind == "standard":
-        return schwinger_standard(basis)
-    raise ValueError("commutator kernel requires a filled-sea or band vacuum")
-
-
-def gauge_variation_response(basis: ModeBasis, spec: VacuumSpec, gauge,
+def gauge_variation_response(kernel: SchwingerKernel, gauge,
                              t: float) -> np.ndarray:
     """delta J(x, t) = i * integral of I(x,y) chi(y,t) dy.
 
@@ -184,29 +164,12 @@ def gauge_variation_response(basis: ModeBasis, spec: VacuumSpec, gauge,
     ``first_order_current`` (fixed against the integrated dynamics), so the
     two paths agree rather than merely being proportional.
     """
-    kernel = commutator_kernel(basis, spec)
-    return contract_kernel_with_chi(kernel, gauge.chi(t))
-
-
-def contract_kernel_with_chi(kernel: SchwingerKernel,
-                             chi_values: np.ndarray) -> np.ndarray:
     basis = kernel.basis
-    n = basis.config.site_count
-    chi_values = np.asarray(chi_values, dtype=float)
-    if chi_values.shape != (n,):
+    chi = np.asarray(gauge.chi(t), dtype=float)
+    if chi.shape != (basis.config.site_count,):
         raise ValueError("chi must be sampled on the grid")
-    chi_hat = np.fft.fft(chi_values) / n
-    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    index_of = {int(k): i for i, k in enumerate(freqs)}
-    base = 2.0 * np.pi / basis.config.box_length
-    grid = basis.config.grid
-    out = np.zeros(n, dtype=complex)
-    for d, c in kernel.coefficients.items():
-        if d not in index_of:
-            continue
-        out += c * chi_hat[index_of[d]] * np.exp(1j * base * d * grid)
-    out = 1j * basis.config.box_length * out
-    return out.real
+    out = kernel.on_grid(fourier_at(chi, kernel.transfers))
+    return (1j * basis.config.box_length * out).real
 
 
 def deep_state_coupling(basis: ModeBasis, potential_fn, t_span, packet,

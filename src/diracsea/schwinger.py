@@ -16,7 +16,8 @@ Nyquist window):
   along the coupled cutoff/band sweep).
 
 Kernels are translation covariant, so each one is represented by the Fourier
-coefficients of its separation profile w(s) = I(x, x - s).
+coefficients of its separation profile w(s) = I(x, x - s), held as one dense
+array over the momentum transfers d = -(N-1) .. N-1.
 """
 
 from __future__ import annotations
@@ -25,62 +26,58 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import ALPHA, ModeBasis
+from .lattice import ALPHA, ModeBasis, fourier_at
 from .vacua import VacuumSpec, classify_indices, occupation_set
 
 
-def _pair_coefficients(basis: ModeBasis, occupied, partners) -> dict[int, complex]:
-    """Fourier coefficients over momentum transfer of the ordered-pair sum.
+def _transfer_coefficients(basis: ModeBasis, occupied, partners) -> np.ndarray:
+    """Fourier coefficients C_d of the kernel profile, d = -(N-1) .. N-1.
 
-    Each (m in occupied, n in partners) contributes
-    (u_m^dag u_n)(u_n^dag alpha u_m) q^2 / L^2 at transfer k_m - k_n.
+    Each ordered pair (m in occupied, n in partners) contributes
+    T = (u_m^dag u_n)(u_n^dag alpha u_m) q^2 / L^2 at transfer d = k_m - k_n;
+    the antihermitian profile has C_d = T_d - conj(T_{-d}).
     """
     q = basis.config.charge
     length = basis.config.box_length
-    coeffs: dict[int, complex] = {}
-    u = basis.spinors
-    for m in occupied:
-        for n in partners:
-            amp = np.vdot(u[:, m], u[:, n]) * (u[:, n].conj() @ ALPHA @ u[:, m])
-            delta = int(basis.momentum_index[m] - basis.momentum_index[n])
-            coeffs[delta] = coeffs.get(delta, 0.0) + q * q * amp / length**2
-    return coeffs
+    n_sites = basis.config.site_count
+    um = basis.spinors[:, occupied]
+    un = basis.spinors[:, partners]
+    overlap = um.conj().T @ un                  # u_m^dag u_n
+    current = (un.conj().T @ ALPHA @ um).T      # u_n^dag alpha u_m
+    amp = q * q * (overlap * current) / length**2
+    delta = (basis.momentum_index[occupied, None]
+             - basis.momentum_index[None, partners])
+    terms = np.zeros(2 * n_sites - 1, dtype=complex)
+    np.add.at(terms, (delta + n_sites - 1).ravel(), amp.ravel())
+    return terms - terms[::-1].conj()
 
 
 @dataclass
 class SchwingerKernel:
     """Translation-covariant commutator kernel over grid pairs.
 
-    ``values[j, k]`` samples I(x_j, y_k); ``coefficients`` maps momentum
-    transfer d to the Fourier coefficient C_d of the full antihermitian
-    profile, I(x,y) = sum_d C_d exp(i 2 pi d (x-y) / L).
+    ``coefficients`` holds the Fourier coefficients C_d of the antihermitian
+    profile over the transfers d = ``transfers``,
+    I(x,y) = sum_d C_d exp(i 2 pi d (x-y) / L); ``values[j, k]`` samples
+    I(x_j, y_k).
     """
 
     basis: ModeBasis
-    vacuum: str
-    band_width: float | None
     occupied: np.ndarray
     partners: np.ndarray
-    term_coefficients: dict[int, complex] = field(repr=False)
-    mode_subset: np.ndarray | None = None
+    coefficients: np.ndarray = field(repr=False)
 
     @property
-    def coefficients(self) -> dict[int, complex]:
-        c = self.term_coefficients
-        deltas = set(c) | {-d for d in c}
-        return {
-            d: c.get(d, 0.0) - np.conj(c.get(-d, 0.0))
-            for d in sorted(deltas)
-        }
+    def transfers(self) -> np.ndarray:
+        n_sites = self.basis.config.site_count
+        return np.arange(1 - n_sites, n_sites)
 
     def profile(self, separations: np.ndarray) -> np.ndarray:
         """I evaluated at x - y = s, for arbitrary (possibly off-grid) s."""
         s = np.asarray(separations, dtype=float)
-        out = np.zeros(s.shape, dtype=complex)
         base = 2.0 * np.pi / self.basis.config.box_length
-        for d, c in self.coefficients.items():
-            out += c * np.exp(1j * base * d * s)
-        return out
+        phases = np.exp(1j * base * np.multiply.outer(s, self.transfers))
+        return phases @ self.coefficients
 
     def evaluate(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Kernel matrix I(x_a, y_b) at arbitrary positions."""
@@ -88,17 +85,40 @@ class SchwingerKernel:
         ys = np.asarray(ys, dtype=float)
         return self.profile(xs[:, None] - ys[None, :])
 
+    def on_grid(self, weights=1.0) -> np.ndarray:
+        """sum_d weights_d C_d exp(i 2 pi d j / N) for j = 0 .. N-1.
+
+        The grid cannot tell d from d +- N, so the coefficients are folded
+        mod N and summed by one N-point FFT.
+        """
+        n_sites = self.basis.config.site_count
+        folded = np.zeros(n_sites, dtype=complex)
+        np.add.at(folded, self.transfers % n_sites, weights * self.coefficients)
+        return np.fft.ifft(folded, norm="forward")
+
     @property
     def values(self) -> np.ndarray:
-        grid = self.basis.config.grid
-        return self.evaluate(grid, grid)
+        return _over_pairs(self.on_grid())
 
 
-def _subset(indices, mode_indices):
+def _over_pairs(profile: np.ndarray) -> np.ndarray:
+    """Matrix [j, k] of a profile sampled at the grid separations x_j - y_k."""
+    j = np.arange(len(profile))
+    return profile[(j[:, None] - j[None, :]) % len(profile)]
+
+
+def _subset(indices, mode_indices) -> np.ndarray:
+    indices = np.asarray(indices, dtype=int)
     if mode_indices is None:
-        return np.asarray(indices, dtype=int)
-    keep = set(int(i) for i in mode_indices)
-    return np.array([i for i in indices if int(i) in keep], dtype=int)
+        return indices
+    return indices[np.isin(indices, mode_indices)]
+
+
+def _kernel(basis: ModeBasis, occupied, partners, mode_indices) -> SchwingerKernel:
+    occupied = _subset(occupied, mode_indices)
+    partners = _subset(partners, mode_indices)
+    return SchwingerKernel(basis, occupied, partners,
+                           _transfer_coefficients(basis, occupied, partners))
 
 
 def schwinger_standard(
@@ -111,13 +131,8 @@ def schwinger_standard(
     ``mode_indices`` restricts the mode sum to a subset (used by the Fock
     oracle comparisons, where subsets give nonvanishing grid values).
     """
-    occupied = _subset(np.where(basis.lam == occupied_branch)[0], mode_indices)
-    partners = _subset(np.where(basis.lam == -occupied_branch)[0], mode_indices)
-    coeffs = _pair_coefficients(basis, occupied, partners)
-    return SchwingerKernel(
-        basis, "standard", None, occupied, partners, coeffs,
-        None if mode_indices is None else np.asarray(mode_indices, dtype=int),
-    )
+    return _kernel(basis, np.flatnonzero(basis.lam == occupied_branch),
+                   np.flatnonzero(basis.lam == -occupied_branch), mode_indices)
 
 
 def schwinger_band(
@@ -130,53 +145,29 @@ def schwinger_band(
     """
     if spec.kind != "band":
         raise ValueError("schwinger_band requires a band vacuum spec")
-    occupation_set(spec, basis)  # validates headroom below the cutoff
-    positive, in_band, below = classify_indices(spec, basis)
-    occupied = _subset(in_band, mode_indices)
-    partners = _subset(np.concatenate([positive, below]), mode_indices)
-    coeffs = _pair_coefficients(basis, occupied, partners)
-    return SchwingerKernel(
-        basis, "band", spec.band_width, occupied, partners, coeffs,
-        None if mode_indices is None else np.asarray(mode_indices, dtype=int),
-    )
+    occ = occupation_set(spec, basis)  # validates headroom below the cutoff
+    return _kernel(basis, occ.indices, occ.complement, mode_indices)
+
+
+def commutator_kernel(basis: ModeBasis, spec: VacuumSpec,
+                      mode_indices=None) -> SchwingerKernel:
+    """Kernel of the filled-sea or band vacuum named by ``spec``."""
+    if spec.kind == "band":
+        return schwinger_band(basis, spec, mode_indices)
+    if spec.kind == "standard":
+        return schwinger_standard(basis, mode_indices)
+    raise ValueError("commutator kernel requires a filled-sea or band vacuum")
 
 
 def divergence_of_kernel(kernel: SchwingerKernel) -> np.ndarray:
     """d/dx I(x, y) over grid pairs, differentiated spectrally.
 
-    The kernel profile is sampled by direct pair summation on a refined grid
-    (2N+1 points) whose Nyquist window resolves every momentum transfer the
-    pair sum contains, FFT-differentiated there, and read back at the grid
-    separations.  This path never touches the mode energies, so it is
-    independent of the closed-form divergence.
+    Each coefficient C_d is multiplied by i 2 pi d / L and the result summed
+    at the grid separations.  This path never touches the mode energies, so
+    it is independent of the closed-form divergence.
     """
-    basis = kernel.basis
-    n_sites = basis.config.site_count
-    length = basis.config.box_length
-    fine = 2 * n_sites + 1
-    s_fine = np.arange(fine) * (length / fine)
-
-    q = basis.config.charge
-    u = basis.spinors
-    prof = np.zeros(fine, dtype=complex)
-    base = 2.0 * np.pi / length
-    for m in kernel.occupied:
-        for n in kernel.partners:
-            amp = np.vdot(u[:, m], u[:, n]) * (u[:, n].conj() @ ALPHA @ u[:, m])
-            amp = q * q * amp / length**2
-            sign = basis.momentum_index[m] - basis.momentum_index[n]
-            term = amp * np.exp(1j * base * sign * s_fine)
-            prof += term - term.conj()
-
-    freqs = np.fft.fftfreq(fine, d=1.0 / fine)  # integer momentum transfers
-    spectrum = np.fft.fft(prof) / fine
-    s_grid = np.arange(n_sites) * basis.config.spacing
-    phases = np.exp(1j * base * np.outer(s_grid, freqs))
-    deriv_profile = phases @ (1j * base * freqs * spectrum)
-
-    j = np.arange(n_sites)
-    sep = (j[:, None] - j[None, :]) % n_sites
-    return deriv_profile[sep]
+    base = 2.0 * np.pi / kernel.basis.config.box_length
+    return _over_pairs(kernel.on_grid(1j * base * kernel.transfers))
 
 
 def divergence_diag_closed_form(basis: ModeBasis, mode_indices=None) -> np.ndarray:
@@ -187,15 +178,13 @@ def divergence_diag_closed_form(basis: ModeBasis, mode_indices=None) -> np.ndarr
     strictly negative whenever the charge and the spinor overlaps are.  The
     result is x-independent for plane waves, so all N entries coincide.
     """
-    occupied = _subset(np.where(basis.lam < 0)[0], mode_indices)
-    partners = _subset(np.where(basis.lam > 0)[0], mode_indices)
-    q = basis.config.charge
+    occupied = _subset(np.flatnonzero(basis.lam < 0), mode_indices)
+    partners = _subset(np.flatnonzero(basis.lam > 0), mode_indices)
     u = basis.spinors
-    total = 0.0
-    for m in occupied:
-        for n in partners:
-            overlap = np.vdot(u[:, m], u[:, n])
-            total += (basis.energy[n] + basis.energy[m]) * abs(overlap) ** 2
+    overlap = u[:, occupied].conj().T @ u[:, partners]
+    energies = basis.energy[occupied, None] + basis.energy[None, partners]
+    total = float(np.sum(energies * np.abs(overlap) ** 2))
+    q = basis.config.charge
     value = -2j * q * q * total / basis.config.box_length**2
     return np.full(basis.config.site_count, value, dtype=complex)
 
@@ -221,21 +210,17 @@ def f2_identity_check(basis: ModeBasis, spec: VacuumSpec) -> float:
     return float(np.abs(f2 - f2_dag).max())
 
 
-def _test_function_coefficients(basis: ModeBasis, f) -> dict[int, complex]:
-    """Fourier coefficients of a bandlimited test function.
+def _test_function_samples(basis: ModeBasis, f) -> np.ndarray:
+    """Grid samples (length N) of a test function, or of a callable on the grid.
 
-    Accepts grid samples (length N) or a callable evaluated on the grid; the
-    samples are read as the trigonometric interpolant on the symmetric
+    The samples are read as the trigonometric interpolant on the symmetric
     momentum window.
     """
-    grid = basis.config.grid
-    values = np.asarray(f(grid) if callable(f) else f, dtype=complex)
+    values = np.asarray(f(basis.config.grid) if callable(f) else f, dtype=complex)
     n = basis.config.site_count
     if values.shape != (n,):
         raise ValueError(f"test function must have {n} samples")
-    spectrum = np.fft.fft(values) / n
-    freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    return {int(k): spectrum[i] for i, k in enumerate(freqs)}
+    return values
 
 
 def weak_limit_pairing(kernel: SchwingerKernel, g, h) -> complex:
@@ -248,14 +233,8 @@ def weak_limit_pairing(kernel: SchwingerKernel, g, h) -> complex:
     whose sweep behavior separates the two vacua at finite cutoff.
     """
     basis = kernel.basis
-    g_hat = _test_function_coefficients(basis, g)
-    h_hat = _test_function_coefficients(basis, h)
-    length = basis.config.box_length
-    total = 0.0 + 0.0j
-    for d, c in kernel.coefficients.items():
-        gi = g_hat.get(-d)
-        hi = h_hat.get(d)
-        if gi is None or hi is None:
-            continue
-        total += c * gi * hi * length**2
-    return complex(total)
+    d = kernel.transfers
+    g_hat = fourier_at(_test_function_samples(basis, g), -d)
+    h_hat = fourier_at(_test_function_samples(basis, h), d)
+    total = np.sum(kernel.coefficients * g_hat * h_hat)
+    return complex(total * basis.config.box_length**2)

@@ -11,13 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Mode, ModeBasis
+from .lattice import ModeBasis
 
 KINDS = ("bare", "standard", "band")
-
-POSITIVE = "positive"
-IN_BAND = "in_band"
-BELOW_BAND = "below_band"
 
 
 @dataclass(frozen=True)
@@ -71,24 +67,20 @@ class OccupationSet:
         occupied = set(self.indices)
         return tuple(i for i in range(self.mode_count) if i not in occupied)
 
-    def density_matrix(self) -> np.ndarray:
-        d = np.zeros((self.mode_count, self.mode_count))
-        for i in self.indices:
-            d[i, i] = 1.0
-        return d
 
+def classify_indices(spec: VacuumSpec, basis: ModeBasis):
+    """Index arrays (positive, in_band, below_band) for the whole basis.
 
-def classify(mode: Mode, spec: VacuumSpec, mass: float) -> str:
-    """Region of a single mode: positive, in_band, or below_band.
-
-    For bare/standard vacua every negative-branch mode counts as in_band.
-    The band keeps energies in [m, m + width], both edges inclusive.
+    This is the one band-edge rule of the package.  For bare/standard vacua
+    every negative-branch mode counts as in_band; the band keeps energies in
+    [m, m + width], both edges inclusive.
     """
-    if mode.lam > 0:
-        return POSITIVE
+    positive = np.flatnonzero(basis.lam > 0)
+    negative = np.flatnonzero(basis.lam < 0)
     if spec.kind != "band":
-        return IN_BAND
-    return IN_BAND if mode.energy <= mass + spec.band_width else BELOW_BAND
+        return positive, negative, np.array([], dtype=int)
+    inside = basis.energy[negative] <= basis.config.mass + spec.band_width
+    return positive, negative[inside], negative[~inside]
 
 
 def occupation_set(spec: VacuumSpec, basis: ModeBasis) -> OccupationSet:
@@ -96,36 +88,18 @@ def occupation_set(spec: VacuumSpec, basis: ModeBasis) -> OccupationSet:
     M = basis.mode_count
     if spec.kind == "bare":
         return OccupationSet((), M)
-    negative = np.where(basis.lam < 0)[0]
-    if spec.kind == "standard":
-        return OccupationSet(tuple(int(i) for i in negative), M)
-    m = basis.config.mass
-    edge = m + spec.band_width
-    e_max = basis.max_energy
-    if edge >= e_max:
-        raise ValueError(
-            "band vacuum needs headroom below the momentum cutoff: "
-            f"m + band_width = {edge:g} must stay below E_max = {e_max:g} "
-            f"(max admissible band_width here is {e_max - m:g} exclusive)"
-        )
-    occupied = [int(i) for i in negative if basis.energy[i] <= edge]
-    return OccupationSet(tuple(occupied), M)
-
-
-def classify_indices(spec: VacuumSpec, basis: ModeBasis):
-    """Index arrays (positive, in_band, below_band) for the whole basis."""
-    positive = np.where(basis.lam > 0)[0]
-    negative = np.where(basis.lam < 0)[0]
-    if spec.kind != "band":
-        return positive, negative, np.array([], dtype=int)
-    edge = basis.config.mass + spec.band_width
-    in_band = negative[basis.energy[negative] <= edge]
-    below = negative[basis.energy[negative] > edge]
-    return positive, in_band, below
-
-
-def density_matrix(occ: OccupationSet) -> np.ndarray:
-    return occ.density_matrix()
+    if spec.kind == "band":
+        m = basis.config.mass
+        edge = m + spec.band_width
+        e_max = basis.max_energy
+        if edge >= e_max:
+            raise ValueError(
+                "band vacuum needs headroom below the momentum cutoff: "
+                f"m + band_width = {edge:g} must stay below E_max = {e_max:g} "
+                f"(max admissible band_width here is {e_max - m:g} exclusive)"
+            )
+    _, in_band, _ = classify_indices(spec, basis)
+    return OccupationSet(tuple(in_band.tolist()), M)
 
 
 def coupled_band_spec(basis: ModeBasis, headroom_fraction: float = 0.5) -> VacuumSpec:

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from diracsea import checks
+from diracsea import schwinger as sw
 from diracsea.cli import main
 
 TWO_PI = 2.0 * np.pi
@@ -54,6 +56,45 @@ def test_config_errors_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     parsed = json.loads(err)
     assert parsed["exit_code"] == 1
+
+
+def assert_config_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(err)["exit_code"] == 1
+
+
+@pytest.mark.parametrize("lattice", [
+    dict(BASE_LATTICE, L=float("nan")),
+    dict(BASE_LATTICE, L=float("inf")),
+    dict(BASE_LATTICE, N=9.7),
+    dict(BASE_LATTICE, m=float("inf")),
+    dict(BASE_LATTICE, m=float("nan")),
+    dict(BASE_LATTICE, q=float("nan")),
+    dict(BASE_LATTICE, L=None),
+    [TWO_PI, 9, 1.0],
+], ids=["nan-L", "inf-L", "fractional-N", "inf-m", "nan-m", "nan-q", "null-L",
+        "list"])
+def test_bad_lattice_is_config_error(tmp_path, capsys, lattice):
+    cfg = write_config(tmp_path / "cfg.json", {"lattice": lattice})
+    assert_config_error(["check-basis", "--config", cfg,
+                         "--out", str(tmp_path / "out")], capsys)
+
+
+@pytest.mark.parametrize("command, config, module, name", [
+    ("check-basis", {"lattice": BASE_LATTICE}, checks, "completeness_defect"),
+    ("schwinger", {"lattice": BASE_LATTICE, "vacuum": "standard"}, sw,
+     "divergence_diag_closed_form"),
+    ("schwinger", {"lattice": BASE_LATTICE, "vacuum": "band", "delta_Ew": 1.5},
+     sw, "f2_identity_check"),
+], ids=["check-basis", "schwinger-sea", "schwinger-band"])
+def test_nan_defect_fails_gate(tmp_path, monkeypatch, command, config, module,
+                               name):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: np.nan * original(*args))
+    cfg = write_config(tmp_path / "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_schwinger_outputs(tmp_path):
@@ -176,8 +217,9 @@ KICKED_PACKET = {
     ("evolve", {"sample_stride": 0}),
     ("extract-energy", {"dt": -0.01, "kick": {"f": [0.0, 0.01]}}),
     ("evolve", {"dt": float("nan")}),
+    ("evolve", {"dt": 1.0, "sample_stride": 1}),
 ], ids=["evolve-nan-f", "evolve-list-f", "extract-energy-nan-f",
-        "zero-stride", "negative-dt", "nan-dt"])
+        "zero-stride", "negative-dt", "nan-dt", "two-samples"])
 def test_bad_evolution_input_is_config_error(tmp_path, capsys, command,
                                              overrides):
     cfg = write_config(tmp_path / "cfg.json", dict(KICKED_PACKET, **overrides))
@@ -198,6 +240,16 @@ def test_response_paths(tmp_path):
     assert summary["max_path_difference"] < 1e-6
     header = (out / "response.csv").read_text().splitlines()[0]
     assert header == "t,x,J1_direct,J1_gauge_variation,vacuum,N,delta_Ew"
+
+
+@pytest.mark.parametrize("n_times", [0, -2, 2.5, "3", True])
+def test_response_rejects_bad_n_times(tmp_path, capsys, n_times):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "lattice": BASE_LATTICE, "vacuum": "standard",
+        "t_a": 0.0, "t_b": 1.5, "n_times": n_times,
+    })
+    assert_config_error(["response", "--config", cfg,
+                         "--out", str(tmp_path / "out")], capsys)
 
 
 def test_verify_subcommand(tmp_path):
@@ -231,3 +283,13 @@ def test_sweep_rejects_unknown_experiment(tmp_path):
                   "values": [5]},
     })
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_sweep_rejects_parameter_inside_a_scalar(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "lattice": BASE_LATTICE, "vacuum": "standard",
+        "sweep": {"experiment": "schwinger", "parameter": "lattice.N.x",
+                  "values": [5]},
+    })
+    assert_config_error(["sweep", "--config", cfg,
+                         "--out", str(tmp_path / "o")], capsys)

@@ -378,14 +378,14 @@ def test_continuity_residual_vacuum_and_eigenmode(basis_n9):
     vacuum = ev.vacuum_state(basis_n9, VacuumSpec("standard"))
     traj, _ = ev.run_trajectory(vacuum, ev.ZeroPotential(basis_n9.config),
                                 0.5, default_dt(basis_n9))
-    assert np.abs(ev.continuity_residual(traj)).max() < 1e-12
+    assert np.abs(traj.residual).max() < 1e-12
 
     mode = ev.SlaterState(basis_n9,
                           occupation_set(VacuumSpec("bare"), basis_n9),
                           basis_n9.flat[:, [5]].copy(), 0.0)
     traj, _ = ev.run_trajectory(mode, ev.ZeroPotential(basis_n9.config),
                                 0.5, default_dt(basis_n9))
-    assert np.abs(ev.continuity_residual(traj)).max() < 1e-10
+    assert np.abs(traj.residual).max() < 1e-10
 
 
 def test_continuity_residual_shrinks_with_cutoff():
@@ -402,7 +402,7 @@ def test_continuity_residual_shrinks_with_cutoff():
                                orbital[:, None], 0.0)
         traj, _ = ev.run_trajectory(state, ev.ZeroPotential(config), 0.5,
                                     default_dt(basis))
-        residuals.append(np.abs(ev.continuity_residual(traj)).max())
+        residuals.append(np.abs(traj.residual).max())
     assert residuals[0] > 10 * residuals[1] > 100 * residuals[2]
 
 

@@ -132,7 +132,7 @@ def test_spectrum_single_particle(basis_n3):
     ladders = fock.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
     kernel = free_hamiltonian_kernel(basis_n3, occ)
-    spectrum = fock.spectrum_of_h0_sector(ladders, kernel, occ)
+    spectrum = fock.spectrum_of_h0_sector(ladders, kernel)
     for n in np.where(basis_n3.lam > 0)[0]:
         index = sum(1 << i for i in occ.indices) | (1 << int(n))
         assert spectrum[index] == pytest.approx(basis_n3.energy[n], abs=1e-12)

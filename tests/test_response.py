@@ -4,6 +4,7 @@ import pytest
 from diracsea import evolution as ev
 from diracsea import response as rs
 from diracsea.lattice import LatticeConfig, build_basis
+from diracsea.schwinger import commutator_kernel
 from diracsea.vacua import VacuumSpec, coupled_band_spec
 
 TWO_PI = 2.0 * np.pi
@@ -19,7 +20,8 @@ def test_zero_chi_zero_gauge_variation(basis_n9):
     gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, np.zeros(9), 1.0,
                                             0.0, 1.0, "fixed")
     for spec in (VacuumSpec("standard"), coupled_band_spec(basis_n9)):
-        out = rs.gauge_variation_response(basis_n9, spec, gauge, 0.7)
+        out = rs.gauge_variation_response(commutator_kernel(basis_n9, spec),
+                                          gauge, 0.7)
         assert np.abs(out).max() == 0.0
 
 
@@ -74,7 +76,8 @@ def test_path_equivalence_standard_vacuum(basis_n9):
         direct = rs.first_order_current(kernel, pot, t, 0.0,
                                         smearing="fourier",
                                         samples_per_period=80)
-        contraction = rs.gauge_variation_response(basis_n9, spec, gauge, t)
+        contraction = rs.gauge_variation_response(
+            commutator_kernel(basis_n9, spec), gauge, t)
         assert np.abs(direct - contraction).max() < 1e-6
         assert np.abs(contraction).max() > 1e-5  # visibly nonzero
 
@@ -86,11 +89,12 @@ def test_path_equivalence_band_vacuum(basis_n9):
     kernel = rs.vacuum_response_kernel(basis_n9, spec)
     direct = rs.first_order_current(kernel, pot, 1.2, 0.0, smearing="fourier",
                                     samples_per_period=80)
-    contraction = rs.gauge_variation_response(basis_n9, spec, gauge, 1.2)
+    contraction = rs.gauge_variation_response(commutator_kernel(basis_n9, spec),
+                                              gauge, 1.2)
     assert np.abs(direct - contraction).max() < 1e-6
     # the band vacuum's gauge response collapses where the sea's does not
-    sea = rs.gauge_variation_response(basis_n9, VacuumSpec("standard"), gauge,
-                                      1.2)
+    sea = rs.gauge_variation_response(
+        commutator_kernel(basis_n9, VacuumSpec("standard")), gauge, 1.2)
     assert np.abs(contraction).max() < 1e-12 * np.abs(sea).max() + 1e-12
 
 
@@ -151,7 +155,8 @@ def test_path_equivalence_random_profiles(basis_n9, rng):
         direct = rs.first_order_current(kernel, pot, 0.9, 0.0,
                                         smearing="fourier",
                                         samples_per_period=80)
-        contraction = rs.gauge_variation_response(basis_n9, spec, gauge, 0.9)
+        contraction = rs.gauge_variation_response(
+            commutator_kernel(basis_n9, spec), gauge, 0.9)
         assert np.abs(direct - contraction).max() < 1e-6
 
 

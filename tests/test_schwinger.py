@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diracsea.checks import oracle_commutator_defect
-from diracsea.lattice import LatticeConfig, build_basis
+from diracsea.lattice import ALPHA, LatticeConfig, build_basis
 from diracsea.schwinger import (
     divergence_diag_closed_form,
     divergence_of_kernel,
@@ -19,6 +19,72 @@ TWO_PI = 2.0 * np.pi
 def fine_points(basis, factor=4):
     n = factor * basis.config.site_count
     return np.arange(n) * basis.config.box_length / n
+
+
+def pair_sum_coefficients(basis, occupied, partners):
+    """Reference C_d, one mode pair at a time, as a dict over transfers d."""
+    q = basis.config.charge
+    length = basis.config.box_length
+    u = basis.spinors
+    terms = {}
+    for m in occupied:
+        for n in partners:
+            amp = np.vdot(u[:, m], u[:, n]) * (u[:, n].conj() @ ALPHA @ u[:, m])
+            delta = int(basis.momentum_index[m] - basis.momentum_index[n])
+            terms[delta] = terms.get(delta, 0.0) + q * q * amp / length**2
+    deltas = set(terms) | {-d for d in terms}
+    return {d: terms.get(d, 0.0) - np.conj(terms.get(-d, 0.0)) for d in deltas}
+
+
+def refined_grid_divergence(kernel):
+    """Reference d/dx I over grid pairs: the pair sum sampled on 2N+1 points,
+    FFT-differentiated there and read back at the grid separations."""
+    basis = kernel.basis
+    n_sites = basis.config.site_count
+    length = basis.config.box_length
+    fine = 2 * n_sites + 1
+    s_fine = np.arange(fine) * (length / fine)
+    q = basis.config.charge
+    u = basis.spinors
+    prof = np.zeros(fine, dtype=complex)
+    base = TWO_PI / length
+    for m in kernel.occupied:
+        for n in kernel.partners:
+            amp = np.vdot(u[:, m], u[:, n]) * (u[:, n].conj() @ ALPHA @ u[:, m])
+            amp = q * q * amp / length**2
+            sign = basis.momentum_index[m] - basis.momentum_index[n]
+            term = amp * np.exp(1j * base * sign * s_fine)
+            prof += term - term.conj()
+    freqs = np.fft.fftfreq(fine, d=1.0 / fine)
+    spectrum = np.fft.fft(prof) / fine
+    s_grid = np.arange(n_sites) * basis.config.spacing
+    phases = np.exp(1j * base * np.outer(s_grid, freqs))
+    deriv_profile = phases @ (1j * base * freqs * spectrum)
+    j = np.arange(n_sites)
+    return deriv_profile[(j[:, None] - j[None, :]) % n_sites]
+
+
+@pytest.mark.parametrize("which", ["sea", "band", "sea-subset", "band-subset"])
+def test_dense_coefficients_match_pair_sum(basis_n9, which):
+    subset = None
+    if which.endswith("subset"):
+        subset = [i for i in range(18)
+                  if basis_n9.momentum_index[i] in (-1, 0, 1, 2)]
+    if which.startswith("sea"):
+        kernel = schwinger_standard(basis_n9, mode_indices=subset)
+    else:
+        kernel = schwinger_band(basis_n9, coupled_band_spec(basis_n9),
+                                mode_indices=subset)
+    reference = pair_sum_coefficients(basis_n9, kernel.occupied,
+                                      kernel.partners)
+    dense = dict(zip(kernel.transfers.tolist(), kernel.coefficients))
+    for d, c in dense.items():
+        assert c == reference.get(d, 0.0)  # bit for bit
+    assert set(reference) <= set(dense)
+
+    divergence = divergence_of_kernel(kernel)
+    expected = refined_grid_divergence(kernel)
+    assert np.abs(divergence - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_zero_charge_gives_zero_kernel():

@@ -3,19 +3,24 @@ import pytest
 
 from diracsea import fock
 from diracsea.vacua import (
-    BELOW_BAND,
-    IN_BAND,
-    POSITIVE,
     OccupationSet,
     VacuumSpec,
-    classify,
     classify_indices,
     coupled_band_spec,
-    density_matrix,
     occupation_set,
 )
 
 TWO_PI = 2.0 * np.pi
+
+POSITIVE, IN_BAND, BELOW_BAND = "positive", "in_band", "below_band"
+
+
+def classify(basis, index, spec):
+    """Region of one mode, read off ``classify_indices``."""
+    positive, in_band, _ = classify_indices(spec, basis)
+    if index in positive:
+        return POSITIVE
+    return IN_BAND if index in in_band else BELOW_BAND
 
 
 def test_spec_validation():
@@ -34,8 +39,8 @@ def test_spec_validation():
 def test_classify_regions(basis_n9):
     mass = basis_n9.config.mass
     spec = VacuumSpec("band", 1.0)
-    for mode in basis_n9.modes:
-        region = classify(mode, spec, mass)
+    for index, mode in enumerate(basis_n9.modes):
+        region = classify(basis_n9, index, spec)
         if mode.lam > 0:
             assert region == POSITIVE
         elif mode.energy <= mass + 1.0:
@@ -43,16 +48,17 @@ def test_classify_regions(basis_n9):
         else:
             assert region == BELOW_BAND
     # p=0 negative mode is in the band for any width, including zero
-    rest = [md for md in basis_n9.modes if md.momentum_index == 0 and md.lam < 0][0]
-    assert classify(rest, VacuumSpec("band", 0.0), mass) == IN_BAND
+    rest = [i for i, md in enumerate(basis_n9.modes)
+            if md.momentum_index == 0 and md.lam < 0][0]
+    assert classify(basis_n9, rest, VacuumSpec("band", 0.0)) == IN_BAND
     # exact upper edge counts as inside
-    edge_mode = [md for md in basis_n9.modes if md.lam < 0][3]
-    width = edge_mode.energy - mass
-    assert classify(edge_mode, VacuumSpec("band", width), mass) == IN_BAND
+    edge_mode = [i for i, md in enumerate(basis_n9.modes) if md.lam < 0][3]
+    width = basis_n9.energy[edge_mode] - mass
+    assert classify(basis_n9, edge_mode, VacuumSpec("band", width)) == IN_BAND
     # standard vacuum: every negative mode is band-classified
-    for mode in basis_n9.modes:
+    for index, mode in enumerate(basis_n9.modes):
         expected = POSITIVE if mode.lam > 0 else IN_BAND
-        assert classify(mode, VacuumSpec("standard"), mass) == expected
+        assert classify(basis_n9, index, VacuumSpec("standard")) == expected
 
 
 def test_classify_partitions_negative_branch(basis_n9):
@@ -93,18 +99,6 @@ def test_band_monotone_in_width(basis_n9):
         occ = occupation_set(VacuumSpec("band", width), basis_n9)
         assert previous <= set(occ.indices)
         previous = set(occ.indices)
-
-
-def test_density_matrix():
-    empty = OccupationSet((), 6)
-    assert np.abs(density_matrix(empty)).max() == 0.0
-    full = OccupationSet(tuple(range(6)), 6)
-    assert np.allclose(density_matrix(full), np.eye(6))
-    some = OccupationSet((0, 3, 4), 6)
-    d = density_matrix(some)
-    assert np.abs(d @ d - d).max() < 1e-15
-    assert np.abs(d - d.conj().T).max() == 0.0
-    assert d.trace() == pytest.approx(3.0)
 
 
 def test_occupation_set_bounds():
