@@ -9,11 +9,9 @@ direct Slater-determinant time evolution under external potentials.
 
 from .lattice import (
     ALPHA,
-    BETA,
     LatticeConfig,
     Mode,
     ModeBasis,
-    apply_free_hamiltonian,
     build_basis,
     mode_energy,
     spectral_derivative,
@@ -65,9 +63,7 @@ from .evolution import (
     ZeroPotential,
     apply_hamiltonian,
     build_kick_chi,
-    density_rate,
     excite_wavepacket,
-    gauge_pair_experiment,
     gauge_pair_sweep,
     gaussian_packet_coefficients,
     observables,
@@ -76,7 +72,6 @@ from .evolution import (
     run_branches,
     run_trajectory,
     single_particle_hamiltonian,
-    step,
     vacuum_state,
 )
 from .response import (

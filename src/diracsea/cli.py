@@ -2,7 +2,9 @@
 
 Every run writes its outputs plus a manifest (config echo, package version,
 checksums) into the output directory.  Exit codes: 0 success, 1 config
-error, 2 numerical invariant violation.
+error, 2 numerical invariant violation, 3 any other failure.  A failed run
+prints one JSON line {"error", "exit_code"} to stderr (exit 3 adds the
+traceback as a "traceback" string), never a raw traceback.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import csv
 import hashlib
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -38,25 +41,48 @@ KICK_RECIPES = {
 
 
 class ConfigError(ValueError):
-    pass
+    exit_code = 1
 
 
 class InvariantError(RuntimeError):
-    pass
+    exit_code = 2
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return FLOAT_FORMAT.format(float(value))
-    return str(value)
+class SweepError(RuntimeError):
+    """Some sweep points failed; exits with the worst point's code."""
+
+    def __init__(self, message: str, exit_code: int):
+        super().__init__(message)
+        self.exit_code = exit_code
 
 
-def _write_csv(path: Path, header, rows):
+def _failure(exc: Exception) -> dict:
+    """The JSON error report of a failed run; exit 3 (with the traceback) for
+    anything unforeseen.  Call it inside the ``except`` block."""
+    code = getattr(exc, "exit_code", 3)
+    if code != 3:
+        return {"error": str(exc), "exit_code": code}
+    return {"error": f"{type(exc).__name__}: {exc}", "exit_code": code,
+            "traceback": traceback.format_exc()}
+
+
+def _column_text(column, n_rows: int) -> list[str]:
+    """Cells of one column: an array entry by entry, or a scalar repeated."""
+    values = np.asarray(column)
+    fmt = FLOAT_FORMAT.format if values.dtype.kind == "f" else str
+    if values.ndim == 0:
+        return [fmt(values.item())] * n_rows
+    return list(map(fmt, values.tolist()))
+
+
+def _write_csv(path: Path, header, columns):
+    """One array (one entry per row) or scalar (repeated) per header name."""
+    n_rows = max((len(c) for c in columns if np.ndim(c) > 0), default=1)
+    cells = [_column_text(column, n_rows) for column in columns]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*cells, strict=True))
 
 
 def _write_json(path: Path, payload: dict):
@@ -91,11 +117,45 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError("--config is required for this subcommand")
     try:
         with open(path) as handle:
-            return json.load(handle)
+            config = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    return config
+
+
+def _section(config: dict, key: str, default=None) -> dict | None:
+    """An optional config section (``default`` if absent or null), an object."""
+    value = config.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """An integral number (9.0 reads as 9), at least ``minimum`` if given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _positive_int(config: dict, key: str, default: int) -> int:
+    return _integer(config.get(key, default), key, minimum=1)
 
 
 def _basis_from(config: dict):
@@ -111,7 +171,7 @@ def _basis_from(config: dict):
 def _vacuum_from(config: dict) -> VacuumSpec:
     try:
         return VacuumSpec.from_dict(config)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid vacuum spec: {exc}") from exc
 
 
@@ -154,18 +214,14 @@ def run_schwinger(config: dict, out_dir: Path, seed: int) -> list[Path]:
     values = kernel.values
     divergence = sw.divergence_of_kernel(kernel)
 
-    grid = cfg.grid
-    rows = []
-    for j in range(cfg.site_count):
-        for k in range(cfg.site_count):
-            rows.append((j, k, grid[j], grid[k],
-                         values[j, k].real, values[j, k].imag,
-                         divergence[j, k].real, divergence[j, k].imag,
-                         spec.kind, cfg.site_count, cfg.mass, cfg.charge,
-                         width))
+    j, k = np.divmod(np.arange(cfg.site_count**2), cfg.site_count)  # row-major
     csv_path = out_dir / "schwinger.csv"
     _write_csv(csv_path, ["j", "k", "x", "y", "re_I", "im_I", "re_divI",
-                          "im_divI", "vacuum", "N", "m", "q", "delta_Ew"], rows)
+                          "im_divI", "vacuum", "N", "m", "q", "delta_Ew"],
+               [j, k, cfg.grid[j], cfg.grid[k], values.real.ravel(),
+                values.imag.ravel(), divergence.real.ravel(),
+                divergence.imag.ravel(), spec.kind, cfg.site_count, cfg.mass,
+                cfg.charge, width])
 
     summary = {
         "re_I_max": float(np.abs(values.real).max()),
@@ -201,12 +257,13 @@ def run_schwinger(config: dict, out_dir: Path, seed: int) -> list[Path]:
 # ---------------------------------------------------------------------- evolve
 
 def _packet_from(config: dict, state):
-    packet = config.get("packet")
+    packet = _section(config, "packet")
     if packet is None:
         return state
     try:
-        return ev.excite_wavepacket(state, float(packet["p_center"]),
-                                    float(packet["sigma"]))
+        return ev.excite_wavepacket(state,
+                                    _number(packet["p_center"], "p_center"),
+                                    _number(packet["sigma"], "sigma"))
     except KeyError as exc:
         raise ConfigError(f"packet config missing key {exc}") from exc
     except ValueError as exc:
@@ -214,8 +271,9 @@ def _packet_from(config: dict, state):
 
 
 def _window_from(config: dict, basis):
-    t_start = float(config.get("t_a", 0.0))
-    t_stop = float(config.get("t_b", t_start + 10.0 * _default_dt(basis) * 100))
+    t_start = _number(config.get("t_a", 0.0), "t_a")
+    t_stop = _number(config.get("t_b", t_start + 10.0 * _default_dt(basis) * 100),
+                     "t_b")
     if not t_stop > t_start:
         raise ConfigError("need t_b > t_a")
     return t_start, t_stop
@@ -223,22 +281,10 @@ def _window_from(config: dict, basis):
 
 def _stepping_from(config: dict, basis):
     """Validated time step and sample stride of an evolution run."""
-    dt = config.get("dt", _default_dt(basis))
-    try:
-        dt = float(dt)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"dt must be a number, got {dt!r}") from exc
+    dt = _number(config.get("dt", _default_dt(basis)), "dt")
     if not (np.isfinite(dt) and dt > 0):
         raise ConfigError(f"dt must be finite and positive, got {dt!r}")
     return dt, _positive_int(config, "sample_stride", 1)
-
-
-def _positive_int(config: dict, key: str, default: int) -> int:
-    value = config.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer() or value < 1):
-        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def _kick_recipe(kick: dict) -> str:
@@ -249,10 +295,7 @@ def _kick_recipe(kick: dict) -> str:
 
 
 def _kick_strength(value) -> float:
-    try:
-        strength = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"kick strength must be a number, got {value!r}") from exc
+    strength = _number(value, "kick strength")
     if not np.isfinite(strength):
         raise ConfigError(f"kick strength must be finite, got {value!r}")
     return strength
@@ -260,20 +303,15 @@ def _kick_strength(value) -> float:
 
 def _trajectory_files(out_dir: Path, tag: str, traj, potential) -> list[Path]:
     rate_series = ev.rate_identity_series(traj, potential)
-    snap_rows = []
     grid = traj.basis.config.grid
-    for i, t in enumerate(traj.times):
-        for j, x in enumerate(grid):
-            snap_rows.append((t, x, traj.density[i, j], traj.current[i, j]))
-    run_rows = [
-        (t, traj.free_energy[i], rate_series[i],
-         float(np.abs(traj.residual[i]).max()))
-        for i, t in enumerate(traj.times)
-    ]
     snap_path = out_dir / f"{tag}_snapshots.csv"
     run_path = out_dir / f"{tag}_series.csv"
-    _write_csv(snap_path, ["t", "x", "rho_e", "J_e"], snap_rows)
-    _write_csv(run_path, ["t", "xi0", "rate_residual", "max_L"], run_rows)
+    _write_csv(snap_path, ["t", "x", "rho_e", "J_e"],
+               [np.repeat(traj.times, len(grid)), np.tile(grid, len(traj.times)),
+                traj.density.ravel(), traj.current.ravel()])
+    _write_csv(run_path, ["t", "xi0", "rate_residual", "max_L"],
+               [traj.times, traj.free_energy, rate_series,
+                np.abs(traj.residual).max(axis=1)])
     return [snap_path, run_path]
 
 
@@ -285,7 +323,7 @@ def run_evolve(config: dict, out_dir: Path, seed: int) -> list[Path]:
     dt, stride = _stepping_from(config, basis)
     state = _packet_from(config, ev.vacuum_state(basis, spec, time=t_start))
 
-    kick = config.get("kick")
+    kick = _section(config, "kick")
     if kick is None:
         potential = ev.ZeroPotential(basis.config)
     else:
@@ -319,12 +357,20 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
     state = _packet_from(config, ev.vacuum_state(basis, spec, time=t_start))
     if state.orbital_count == len(state.reference):
         raise ConfigError("extract-energy needs a packet on top of the vacuum")
-    kick = config.get("kick", {})
+    kick = _section(config, "kick", {})
     recipe = _kick_recipe(kick)
     strengths = kick.get("f", [0.0, 0.01, 0.02, 0.03, 0.04])
     if not isinstance(strengths, list):
         raise ConfigError("extract-energy needs a list of kick strengths 'f'")
     strengths = [_kick_strength(f) for f in strengths]
+    # regress only over the small-f head of the sweep; large strengths leave
+    # the linear-response regime by design (the saturation diagnostic)
+    small_count = _positive_int(config, "small_f_count", 5)
+    order = np.argsort(strengths)
+    head = order[:max(2, min(small_count, len(order)))]
+    if len(set(np.take(strengths, head))) < 2:
+        raise ConfigError("the small_f_count smallest kick strengths need two "
+                          "distinct values to fit a slope")
 
     free_traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
                                      t_stop, dt, stride)
@@ -337,35 +383,26 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
             "density rate vanishes at t_b; the kick has nothing to extract")
 
     # every nonzero strength advances in one batch against the free branch
+    kicked = [f for f in strengths if f != 0.0]
     gauges = [ev.build_kick_chi(free_traj, recipe, f, t_start, t_stop)
-              for f in strengths if f != 0.0]
-    reports = iter(ev.gauge_pair_sweep(state, gauges, t_start, t_stop, dt,
-                                       stride, free_branch=free_traj))
-    rows = []
-    for strength in strengths:
-        if strength == 0.0:
-            rows.append((0.0, free_traj.free_energy[i_stop],
-                         free_traj.free_energy[i_stop],
-                         free_traj.free_energy[i_stop], 0.0, 0.0, 0.0))
-            continue
-        report = next(reports)
-        rows.append((strength, report.free_energy_free_tb,
-                     report.free_energy_gauge_tb, report.predicted_gauge_tb,
-                     report.max_density_deviation,
-                     report.max_current_deviation,
-                     report.predicted_gauge_tb
-                     - report.predicted_gauge_tb_branch2))
+              for f in kicked]
+    reports = ev.gauge_pair_sweep(state, gauges, t_start, t_stop, dt, stride,
+                                  free_branch=free_traj)
+    # one row per strength; f = 0 rows repeat the free branch
+    xi_free = free_traj.free_energy[i_stop]
+    table = np.tile([0.0, xi_free, xi_free, xi_free, 0.0, 0.0, 0.0],
+                    (len(strengths), 1))
+    table[np.array(strengths) != 0.0] = np.reshape([
+        (f, r.free_energy_free_tb, r.free_energy_gauge_tb, r.predicted_gauge_tb,
+         r.max_density_deviation, r.max_current_deviation,
+         r.predicted_gauge_tb - r.predicted_gauge_tb_branch2)
+        for f, r in zip(kicked, reports)], (-1, 7))
     csv_path = out_dir / "extract_energy.csv"
     _write_csv(csv_path, ["f", "xi0_1_tb", "xi0_2_tb", "xi0_2_predicted",
-                          "max_rho_dev", "max_J_dev", "prediction_gap"], rows)
+                          "max_rho_dev", "max_J_dev", "prediction_gap"],
+               list(table.T))
 
-    strengths_arr = np.array([r[0] for r in rows])
-    energies = np.array([r[2] for r in rows])
-    # regress only over the small-f head of the sweep; large strengths leave
-    # the linear-response regime by design (the saturation diagnostic)
-    small_count = int(config.get("small_f_count", 5))
-    order = np.argsort(strengths_arr)
-    head = order[:max(2, min(small_count, len(order)))]
+    strengths_arr, energies = table[:, 0], table[:, 2]
     slope_measured = float(np.polyfit(strengths_arr[head], energies[head], 1)[0])
     occ_energies = np.sort(basis.lam * basis.energy)
     floor = float(np.sum(occ_energies[:state.orbital_count])
@@ -396,12 +433,15 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
         commutator = sw.commutator_kernel(basis, spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    chi_cfg = config.get("chi", {"k": 1, "amplitude": 0.3})
-    harmonic = int(chi_cfg.get("k", 1))
-    amplitude = float(chi_cfg.get("amplitude", 0.3))
+    chi_cfg = _section(config, "chi", {"k": 1, "amplitude": 0.3})
+    harmonic = _integer(chi_cfg.get("k", 1), "chi.k")
+    amplitude = _number(chi_cfg.get("amplitude", 0.3), "chi.amplitude")
     t_start, t_stop = _window_from(config, basis)
     n_times = _positive_int(config, "n_times", 5)
     smearing = config.get("smearing", "fourier")
+    if smearing not in rs.SMEARINGS:
+        raise ConfigError(
+            f"smearing must be one of {rs.SMEARINGS}, got {smearing!r}")
 
     cfg = basis.config
     profile = amplitude * np.cos(2.0 * np.pi * harmonic * cfg.grid
@@ -412,23 +452,22 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
     kernel = rs.vacuum_response_kernel(basis, spec)
 
     times = np.linspace(t_start, t_stop, n_times + 1)[1:]
-    rows = []
-    worst = 0.0
+    direct = np.concatenate([rs.first_order_current(kernel, potential, t,
+                                                    t_start, smearing=smearing)
+                             for t in times])
+    contraction = np.concatenate([rs.gauge_variation_response(commutator,
+                                                              gauge, t)
+                                  for t in times])
     width = spec.band_width if spec.kind == "band" else ""
-    for t in times:
-        direct = rs.first_order_current(kernel, potential, t, t_start,
-                                        smearing=smearing)
-        contraction = rs.gauge_variation_response(commutator, gauge, t)
-        worst = max(worst, float(np.abs(direct - contraction).max()))
-        for j, x in enumerate(cfg.grid):
-            rows.append((t, x, direct[j], contraction[j], spec.kind,
-                         cfg.site_count, width))
     csv_path = out_dir / "response.csv"
     _write_csv(csv_path, ["t", "x", "J1_direct", "J1_gauge_variation",
-                          "vacuum", "N", "delta_Ew"], rows)
+                          "vacuum", "N", "delta_Ew"],
+               [np.repeat(times, cfg.site_count), np.tile(cfg.grid, n_times),
+                direct, contraction, spec.kind, cfg.site_count, width])
     summary_path = out_dir / "response_summary.json"
-    _write_json(summary_path, {"max_path_difference": worst,
-                               "smearing": smearing})
+    _write_json(summary_path, {
+        "max_path_difference": float(np.abs(direct - contraction).max()),
+        "smearing": smearing})
     return [csv_path, summary_path]
 
 
@@ -470,25 +509,40 @@ def _set_by_path(config: dict, dotted: str, value):
     node[keys[-1]] = value
 
 
-def _sweep_point(args):
+def _sweep_point(args) -> dict | None:
+    """Error report of one point run like its own subcommand, None if it ran."""
     experiment, config, out_dir, seed = args
     out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
-    files = RUNNERS[experiment](config, out_path, seed)
-    _write_manifest(out_path, experiment, config, seed, files)
-    return str(out_path)
+    try:
+        out_path.mkdir(parents=True, exist_ok=True)
+        files = RUNNERS[experiment](config, out_path, seed)
+        _write_manifest(out_path, experiment, config, seed, files)
+    except Exception as exc:  # reported in the index; the other points run
+        return _failure(exc)
+    return None
 
 
 def run_sweep(config: dict, out_dir: Path, seed: int, jobs: int) -> list[Path]:
+    """Run every point, index each one's exit code, then fail with the worst.
+
+    Errors in the sweep section itself are config errors before any point
+    runs.
+    """
+    sweep = _section(config, "sweep", {})
     try:
-        sweep = config["sweep"]
         experiment = sweep["experiment"]
         parameter = sweep["parameter"]
         values = sweep["values"]
     except KeyError as exc:
         raise ConfigError(f"sweep config missing key {exc}") from exc
-    if experiment not in RUNNERS or experiment == "sweep":
+    if not isinstance(experiment, str) or experiment not in RUNNERS \
+            or experiment == "sweep":
         raise ConfigError(f"cannot sweep unknown experiment {experiment!r}")
+    if not isinstance(parameter, str):
+        raise ConfigError(
+            f"sweep parameter must be a dotted path, got {parameter!r}")
+    if not isinstance(values, list):
+        raise ConfigError(f"sweep values must be a list, got {values!r}")
 
     tasks = []
     for i, value in enumerate(values):
@@ -500,18 +554,25 @@ def run_sweep(config: dict, out_dir: Path, seed: int, jobs: int) -> list[Path]:
 
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(_sweep_point, tasks))
+            outcomes = list(pool.map(_sweep_point, tasks))
     else:
-        for task in tasks:
-            _sweep_point(task)
+        outcomes = [_sweep_point(task) for task in tasks]
 
     index_path = out_dir / "sweep_index.json"
     _write_json(index_path, {
         "experiment": experiment,
         "parameter": parameter,
-        "values": list(values),
+        "values": values,
         "points": [t[2] for t in tasks],
+        "exit_codes": [error["exit_code"] if error else 0 for error in outcomes],
+        "errors": outcomes,
     })
+    failed = [f"{Path(task[2]).name} (exit {error['exit_code']}: {error['error']})"
+              for task, error in zip(tasks, outcomes) if error]
+    if failed:
+        raise SweepError(f"{len(failed)} of {len(tasks)} sweep points failed: "
+                         + "; ".join(failed),
+                         max(error["exit_code"] for error in outcomes if error))
     return [index_path]
 
 
@@ -562,12 +623,10 @@ def main(argv=None) -> int:
         else:
             files = RUNNERS[args.command](config, out_dir, args.seed)
         _write_manifest(out_dir, args.command, config, args.seed, files)
-    except ConfigError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": 1}), file=sys.stderr)
-        return 1
-    except InvariantError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": 2}), file=sys.stderr)
-        return 2
+    except Exception as exc:  # catch-all: one JSON line, never a raw traceback
+        report = _failure(exc)
+        print(json.dumps(report), file=sys.stderr)
+        return report["exit_code"]
     return 0
 
 

@@ -205,6 +205,7 @@ class Snapshot:
     density: np.ndarray
     current: np.ndarray
     free_energy: float
+    density_rate: np.ndarray
 
 
 @dataclass
@@ -365,36 +366,25 @@ def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
 def apply_hamiltonian(basis: ModeBasis, orbitals: np.ndarray,
                       potential: Potential | None = None,
                       t: float = 0.0) -> np.ndarray:
-    """h(t) applied to site-major orbitals (2N, n_orb) without forming h.
+    """h(t) applied to site-major orbitals without forming h.
 
-    Applies h0 alone when no potential is given.
+    ``orbitals`` is (2N, n_orb), or one field of shape (2N,) or (N, 2); the
+    result has the same shape.  Applies h0 alone when no potential is given.
     """
     v0, v1 = _couplings(basis.config, potential, t)
     psi = _grid_last(orbitals, basis.config.site_count)
-    return _site_major(_hamiltonian(basis, v0, v1)(psi))
+    return _site_major(_hamiltonian(basis, v0, v1)(psi)).reshape(orbitals.shape)
 
 
-def step(state: SlaterState, potential: Potential, dt: float) -> SlaterState:
-    """One midpoint-exponential step: psi -> exp(-i h(t + dt/2) dt) psi.
+def observables(state: SlaterState,
+                potential: Potential | None = None) -> Snapshot:
+    """Vacuum-subtracted density, current, free-field energy and density rate.
 
-    The exponential is unitary up to rounding and second-order accurate in
-    dt.  It is evaluated matrix-free as a Chebyshev series in h, or as the
-    exact per-momentum rotation of h0 when the midpoint potential vanishes.
-    Raises ValueError for a non-positive dt or a non-finite potential.
+    The density rate d rho/dt = 2 q Im sum_o psi_o^dag (h psi_o) per site uses
+    the instantaneous h = h0 + q A0 - q alpha A (h0 when no potential is
+    given), assembled from the h0 psi that the energy needs; this avoids
+    differencing sampled densities.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    config = state.basis.config
-    v0, v1 = _couplings(config, potential, state.time + 0.5 * dt)
-    # a batch of one, so that steps and run_trajectory agree bitwise
-    psi = _grid_last(state.orbitals, config.site_count)[None]
-    psi = _propagate(state.basis, psi, v0[None], v1[None], dt)
-    return SlaterState(state.basis, state.reference, _site_major(psi[0]),
-                       state.time + dt, state.subtractions)
-
-
-def observables(state: SlaterState) -> Snapshot:
-    """Vacuum-subtracted density, current and free-field energy."""
     n = state.basis.config.site_count
     a = state.basis.config.spacing
     q = state.basis.config.charge
@@ -404,21 +394,11 @@ def observables(state: SlaterState) -> Snapshot:
     current = q * np.einsum("jso,st,jto->j", psi.conj(), ALPHA, psi).real - sub.current
     h0_psi = apply_hamiltonian(state.basis, state.orbitals)
     energy = a * np.vdot(state.orbitals, h0_psi).real - sub.xi
-    return Snapshot(density, current, float(energy))
-
-
-def density_rate(state: SlaterState, potential: Potential | None = None) -> np.ndarray:
-    """Analytic d rho/dt = 2 q Im sum_o psi_o^dag (h psi_o) per site.
-
-    Uses the instantaneous Hamiltonian (h0 when no potential is given); this
-    avoids differencing sampled densities.
-    """
-    n = state.basis.config.site_count
-    q = state.basis.config.charge
-    psi = state.orbitals.reshape(n, 2, -1)
-    hpsi = apply_hamiltonian(state.basis, state.orbitals, potential,
-                             state.time).reshape(n, 2, -1)
-    return 2.0 * q * np.einsum("jso,jso->j", psi.conj(), hpsi).imag
+    v0, v1 = _couplings(state.basis.config, potential, state.time)
+    h_psi = (h0_psi.reshape(n, 2, -1) + v0[:, None, None] * psi
+             + v1[:, None, None] * psi[:, ::-1])
+    rate = 2.0 * q * np.einsum("jso,jso->j", psi.conj(), h_psi).imag
+    return Snapshot(density, current, float(energy), rate)
 
 
 def _step_count(state: SlaterState, t_final: float, dt: float,
@@ -445,12 +425,12 @@ class _Recorder:
         self.times, self.dens, self.cur, self.xi, self.rate = [], [], [], [], []
 
     def add(self, state: SlaterState):
-        snap = observables(state)
+        snap = observables(state, self.potential)
         self.times.append(state.time)
         self.dens.append(snap.density)
         self.cur.append(snap.current)
         self.xi.append(snap.free_energy)
-        self.rate.append(density_rate(state, self.potential))
+        self.rate.append(snap.density_rate)
 
     def trajectory(self) -> Trajectory:
         cur = np.array(self.cur)
@@ -657,11 +637,3 @@ def gauge_pair_sweep(state: SlaterState, gauges, t_start: float,
                                        float(traj2.free_energy[i_tb]),
                                        float(pred1), float(pred2)))
     return reports
-
-
-def gauge_pair_experiment(state: SlaterState, gauge: GaugeFunction,
-                          t_start: float, t_stop: float, dt: float,
-                          sample_stride: int = 1) -> GaugePairReport:
-    """``gauge_pair_sweep`` for a single gauge function."""
-    return gauge_pair_sweep(state, [gauge], t_start, t_stop, dt,
-                            sample_stride)[0]

@@ -15,14 +15,12 @@ on the grid up to rounding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 ALPHA = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-BETA = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -85,17 +83,6 @@ class LatticeConfig:
     @property
     def momenta(self) -> np.ndarray:
         return 2.0 * np.pi * self.momentum_indices / self.box_length
-
-    def to_dict(self) -> dict:
-        return {
-            "L": self.box_length,
-            "N": self.site_count,
-            "m": self.mass,
-            "q": self.charge,
-        }
-
-    def __str__(self):
-        return json.dumps(self.to_dict())
 
 
 def mode_energy(p: float, m: float) -> float:
@@ -225,22 +212,3 @@ def fourier_at(values: np.ndarray, transfers) -> np.ndarray:
     spectrum = np.fft.fft(values) / n
     return np.where(np.abs(transfers) <= (n - 1) // 2,
                     spectrum[transfers % n], 0.0)
-
-
-def apply_free_hamiltonian(basis: ModeBasis, psi: np.ndarray) -> np.ndarray:
-    """Apply h0 = -i alpha d/dx + m beta spectrally to a grid spinor field.
-
-    Accepts shape (N, 2) or flat (2N,); returns the same shape.
-    """
-    config = basis.config
-    N = config.site_count
-    if psi.size != 2 * N:
-        raise ValueError(f"field of size {psi.size} does not match grid N={N}")
-    flat_input = psi.ndim == 1
-    field = psi.reshape(N, 2)
-    p = 2.0 * np.pi * np.fft.fftfreq(N, d=config.spacing)
-    ft = np.fft.fft(field, axis=0)
-    kinetic = np.fft.ifft(p[:, None] * ft[:, ::-1], axis=0)  # alpha swaps components
-    mass_term = config.mass * field * np.array([1.0, -1.0])[None, :]
-    out = kinetic + mass_term
-    return out.ravel() if flat_input else out

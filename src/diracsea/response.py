@@ -28,6 +28,8 @@ from .lattice import ALPHA, ModeBasis, fourier_at
 from .schwinger import SchwingerKernel
 from .vacua import OccupationSet, VacuumSpec, occupation_set
 
+SMEARINGS = ("site", "fourier")
+
 
 @dataclass
 class ResponseKernel:
@@ -117,7 +119,7 @@ def first_order_current(kernel: ResponseKernel, potential, t: float,
     convention under which the pure-gauge response reduces to the
     commutator-kernel contraction.
     """
-    if smearing not in ("site", "fourier"):
+    if smearing not in SMEARINGS:
         raise ValueError(f"unknown smearing {smearing!r}")
     basis = kernel.basis
     n_sites = basis.config.site_count

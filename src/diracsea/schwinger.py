@@ -201,12 +201,17 @@ def f2_identity_check(basis: ModeBasis, spec: VacuumSpec) -> float:
     if len(in_band) == 0:
         return 0.0
     phi_band = basis.phi[:, :, in_band]  # (N, 2, B)
-    overlap = np.einsum("ysm,ysn->ymn", phi_band.conj(), phi_band)
-    current = np.einsum("xsn,st,xtm->xnm", phi_band.conj(), ALPHA, phi_band)
-    f2 = np.einsum("ymn,xnm->xy", overlap, current)
-    overlap_swapped = np.einsum("ysn,ysm->ynm", phi_band.conj(), phi_band)
-    current_swapped = np.einsum("xsm,st,xtn->xmn", phi_band.conj(), ALPHA, phi_band)
-    f2_dag = np.einsum("ynm,xmn->xy", overlap_swapped, current_swapped)
+    # optimize=True sums each band-pair contraction as one BLAS product; the
+    # residual is then exactly 0 when the two formulas agree term by term,
+    # where einsum's own loops left rounding that grew with N
+    sides = []
+    for overlap_ij, current_ij, pair_ij in (
+            ("ysm,ysn->ymn", "xsn,st,xtm->xnm", "ymn,xnm->xy"),    # F2
+            ("ysn,ysm->ynm", "xsm,st,xtn->xmn", "ynm,xmn->xy")):   # F2^dag
+        overlap = np.einsum(overlap_ij, phi_band.conj(), phi_band)
+        current = np.einsum(current_ij, phi_band.conj(), ALPHA, phi_band)
+        sides.append(np.einsum(pair_ij, overlap, current, optimize=True))
+    f2, f2_dag = sides
     return float(np.abs(f2 - f2_dag).max())
 
 

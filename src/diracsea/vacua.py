@@ -25,7 +25,7 @@ class VacuumSpec:
         if self.kind not in KINDS:
             raise ValueError(f"vacuum kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == "band":
-            if self.band_width is None or self.band_width < 0:
+            if self.band_width is None or not self.band_width >= 0:  # NaN too
                 raise ValueError("band vacuum requires a non-negative band_width")
         elif self.band_width is not None:
             raise ValueError("band_width is only meaningful for kind='band'")
@@ -37,12 +37,6 @@ class VacuumSpec:
         if kind == "band":
             return cls("band", float(d["delta_Ew"]))
         return cls(kind)
-
-    def to_dict(self) -> dict:
-        out = {"vacuum": self.kind}
-        if self.kind == "band":
-            out["delta_Ew"] = self.band_width
-        return out
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,8 @@ def test_criterion_8_energy_extraction():
     energies = []
     for f in tested:
         gauge = ev.build_kick_chi(free, "density_rate", f, 0.0, t_stop)
-        rep = ev.gauge_pair_experiment(state, gauge, 0.0, t_stop, dt,
-                                       sample_stride=20)
+        rep = ev.gauge_pair_sweep(state, [gauge], 0.0, t_stop, dt,
+                                  sample_stride=20)[0]
         assert rep.free_energy_gauge_tb < rep.free_energy_free_tb
         energies.append(rep.free_energy_gauge_tb)
     small = tested[:4]
@@ -201,8 +201,8 @@ def test_criterion_8_energy_extraction():
     saturated = []
     for f in huge:
         gauge = ev.build_kick_chi(free, "density_rate", f, 0.0, t_stop)
-        rep = ev.gauge_pair_experiment(state, gauge, 0.0, t_stop, dt,
-                                       sample_stride=50)
+        rep = ev.gauge_pair_sweep(state, [gauge], 0.0, t_stop, dt,
+                                  sample_stride=50)[0]
         saturated.append(rep.free_energy_gauge_tb)
         assert rep.free_energy_gauge_tb >= 0.0  # criterion-5 floor
     linear_extrapolation = xi_free + slope_predicted * np.array(huge)
@@ -229,8 +229,8 @@ def test_criterion_9_gauge_pair_residual_trend():
         profile = 0.2 * np.cos(TWO_PI * config.grid / config.box_length)
         gauge = ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0,
                                                 1.5, "fixed")
-        rep = ev.gauge_pair_experiment(state, gauge, 0.0, 1.5,
-                                       default_dt(basis), sample_stride=10)
+        rep = ev.gauge_pair_sweep(state, [gauge], 0.0, 1.5,
+                                  default_dt(basis), sample_stride=10)[0]
         deviations.append(max(rep.max_density_deviation,
                               rep.max_current_deviation))
         if n_sites == sweep[-1]:
@@ -238,9 +238,9 @@ def test_criterion_9_gauge_pair_residual_trend():
             # current deviation (its commutator kernel does not vanish)
             sea_state = ev.excite_wavepacket(
                 ev.vacuum_state(basis, VacuumSpec("standard")), 2.0, 0.2)
-            sea_rep = ev.gauge_pair_experiment(sea_state, gauge, 0.0, 1.5,
-                                               default_dt(basis),
-                                               sample_stride=10)
+            sea_rep = ev.gauge_pair_sweep(sea_state, [gauge], 0.0, 1.5,
+                                          default_dt(basis),
+                                          sample_stride=10)[0]
             sea_current_dev = sea_rep.max_current_deviation
     assert all(b < a for a, b in zip(deviations, deviations[1:])), deviations
     assert deviations[0] / deviations[-1] >= 2.0

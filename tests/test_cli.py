@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from diracsea import checks
+from diracsea import checks, cli
+from diracsea import evolution as ev
 from diracsea import schwinger as sw
 from diracsea.cli import main
 
@@ -228,6 +229,62 @@ def test_bad_evolution_input_is_config_error(tmp_path, capsys, command,
     assert json.loads(err)["exit_code"] == 1
 
 
+def single_error_line(capsys) -> dict:
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("command, config", [
+    ("evolve", dict(KICKED_PACKET, t_a="x")),
+    ("evolve", dict(KICKED_PACKET, t_b=None)),
+    ("evolve", dict(KICKED_PACKET, kick=[1])),
+    ("evolve", dict(KICKED_PACKET, packet=[1])),
+    ("response", {"lattice": BASE_LATTICE, "chi": [1]}),
+    ("response", {"lattice": BASE_LATTICE, "chi": {"k": "x"}}),
+    ("response", {"lattice": BASE_LATTICE, "smearing": "bogus"}),
+    ("schwinger", {"lattice": BASE_LATTICE, "vacuum": "band", "delta_Ew": None}),
+    ("schwinger", {"lattice": BASE_LATTICE, "vacuum": "band",
+                   "delta_Ew": float("nan")}),
+    ("extract-energy", dict(KICKED_PACKET, kick={"f": [0.0, 0.01]},
+                            small_f_count="x")),
+    ("extract-energy", dict(KICKED_PACKET, kick={"f": [0.01]})),
+    ("extract-energy", dict(KICKED_PACKET, kick={"f": [0.0, -0.0]})),
+    ("extract-energy", dict(KICKED_PACKET, kick={"f": [0.0, 0.0, 0.01]},
+                            small_f_count=1)),
+    ("sweep", {"lattice": BASE_LATTICE,
+               "sweep": {"experiment": "schwinger", "parameter": "lattice.N",
+                         "values": 5}}),
+    ("check-basis", [BASE_LATTICE]),
+], ids=["text-t_a", "null-t_b", "list-kick", "list-packet", "list-chi",
+        "text-chi-k", "unknown-smearing", "null-delta_Ew", "nan-delta_Ew",
+        "text-small_f_count", "one-strength", "equal-strengths",
+        "tied-small-f-head", "scalar-sweep-values", "list-config"])
+def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch,
+                                          command, config):
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolution ran before the config was checked")
+
+    monkeypatch.setattr(ev, "run_branches", no_evolution)
+    cfg = write_config(tmp_path / "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert single_error_line(capsys)["exit_code"] == 1
+
+
+def test_unforeseen_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(config, out_dir, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.RUNNERS, "check-basis", broken)
+    cfg = write_config(tmp_path / "cfg.json", {"lattice": BASE_LATTICE})
+    assert main(["check-basis", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 3
+    error = single_error_line(capsys)
+    assert error["exit_code"] == 3
+    assert error["error"] == "RuntimeError: boom"
+    assert "in broken" in error["traceback"]
+
+
 def test_response_paths(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {
         "lattice": BASE_LATTICE, "vacuum": "standard",
@@ -274,6 +331,27 @@ def test_sweep_parallel(tmp_path):
         manifest = read_manifest(point)
         assert manifest["config"]["lattice"]["N"] == n_sites
         assert (point / "schwinger.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_runs_and_reports_every_point(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "lattice": BASE_LATTICE, "vacuum": "standard",
+        "sweep": {"experiment": "schwinger", "parameter": "lattice.N",
+                  "values": [9, 8, 11]},
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--jobs", jobs]) == 1
+    error = single_error_line(capsys)
+    assert error["exit_code"] == 1
+    assert "point_001" in error["error"]
+    assert "point_000" not in error["error"]
+    index = json.loads((out / "sweep_index.json").read_text())
+    assert index["values"] == [9, 8, 11]
+    assert len(index["points"]) == 3
+    assert index["exit_codes"] == [0, 1, 0]
+    assert (out / "point_002" / "schwinger.csv").exists()
 
 
 def test_sweep_rejects_unknown_experiment(tmp_path):

@@ -25,6 +25,11 @@ def dense_propagator(h, dt):
     return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
+def one_step(state, potential, dt):
+    """One midpoint-exponential step, through the package's evolution loop."""
+    return ev.run_trajectory(state, potential, state.time + dt, dt)[1]
+
+
 def kicked_packet(basis, strength, sigma=0.2, t_stop=1.0):
     """Packet state and the pure-gauge potential of its density-rate kick."""
     state = packet_state(basis, sigma=sigma)
@@ -73,7 +78,7 @@ def test_unitarity_and_norms(basis_n9):
                                             0.0, 1.0, "fixed")
     final = state
     for _ in range(60):
-        final = ev.step(final, ev.PureGaugePotential(gauge), 1.0 / 60)
+        final = one_step(final, ev.PureGaugePotential(gauge), 1.0 / 60)
     assert final.gram_defect() < 1e-12
 
 
@@ -85,6 +90,19 @@ def test_matrix_free_hamiltonian_matches_dense(basis_n9):
     assert np.abs(matrix_free - dense).max() < 1e-13
     free = basis_n9.free_hamiltonian_matrix() @ state.orbitals
     assert np.abs(ev.apply_hamiltonian(basis_n9, state.orbitals) - free).max() < 1e-13
+
+
+def test_recorded_density_rate_matches_dense(basis_n9):
+    state, pot = kicked_packet(basis_n9, 0.3)
+    t = 0.4  # mid-window, where both A0 and A are nonzero
+    traj, final = ev.run_trajectory(state, pot, t, default_dt(basis_n9))
+    assert np.abs(pot.a0(t)).max() > 0 and np.abs(pot.a(t)).max() > 0
+    h = ev.single_particle_hamiltonian(basis_n9, pot, final.time)
+    h_psi = h @ final.orbitals
+    psi = final.orbitals.reshape(9, 2, -1)
+    dense = 2.0 * basis_n9.config.charge * np.einsum(
+        "jso,jso->j", psi.conj(), h_psi.reshape(9, 2, -1)).imag
+    assert np.abs(traj.density_rate[-1] - dense).max() < 1e-13
 
 
 @pytest.mark.parametrize("n_sites, sigma", [(9, 0.2), (27, 0.8)])
@@ -103,7 +121,7 @@ def test_step_matches_dense_midpoint_exponential(n_sites, sigma):
     for pot, dt in cases:
         h = ev.single_particle_hamiltonian(basis, pot, start.time + 0.5 * dt)
         expected = dense_propagator(h, dt) @ start.orbitals
-        stepped = ev.step(start, pot, dt)
+        stepped = one_step(start, pot, dt)
         assert np.abs(stepped.orbitals - expected).max() < 1e-13
         assert stepped.time == start.time + dt
 
@@ -113,9 +131,9 @@ def test_step_rejects_non_finite_input(basis_n9):
     for bad in (np.nan, np.inf):
         pot = ev.Potential(basis_n9.config, a_fn=lambda t: np.full(9, bad))
         with pytest.raises(ValueError):
-            ev.step(state, pot, 0.01)
+            one_step(state, pot, 0.01)
     with pytest.raises(ValueError):
-        ev.step(state, ev.ZeroPotential(basis_n9.config), np.nan)
+        one_step(state, ev.ZeroPotential(basis_n9.config), np.nan)
 
 
 def test_batched_branches_match_single_runs(basis_n9):
@@ -279,7 +297,7 @@ def test_zero_strength_kick_is_inert(basis_n9):
     traj1, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
                                  1.0, dt)
     gauge = ev.build_kick_chi(traj1, "density_rate", 0.0, 0.0, 1.0)
-    report = ev.gauge_pair_experiment(state, gauge, 0.0, 1.0, dt)
+    report = ev.gauge_pair_sweep(state, [gauge], 0.0, 1.0, dt)[0]
     assert report.max_density_deviation == 0.0
     assert report.max_current_deviation == 0.0
     assert report.free_energy_gauge_tb == pytest.approx(
@@ -304,8 +322,8 @@ def test_uniform_gauge_function_leaves_observables_alone(basis_n9):
     state = packet_state(basis_n9)
     gauge = ev.GaugeFunction.ramped_profile(
         basis_n9.config, np.full(9, 0.7), 1.0, 0.0, 1.0, "uniform")
-    report = ev.gauge_pair_experiment(state, gauge, 0.0, 1.0,
-                                      default_dt(basis_n9))
+    report = ev.gauge_pair_sweep(state, [gauge], 0.0, 1.0,
+                                 default_dt(basis_n9))[0]
     assert report.max_density_deviation < 1e-12
     assert report.max_current_deviation < 1e-12
     assert report.free_energy_gauge_tb == pytest.approx(
@@ -324,8 +342,8 @@ def test_density_rate_kick_extracts_energy(basis_n9):
     strengths = (0.01, 0.02, 0.04)
     for f in strengths:
         gauge = ev.build_kick_chi(traj1, "density_rate", f, 0.0, t_stop)
-        report = ev.gauge_pair_experiment(state, gauge, 0.0, t_stop, dt,
-                                          sample_stride=10)
+        report = ev.gauge_pair_sweep(state, [gauge], 0.0, t_stop, dt,
+                                     sample_stride=10)[0]
         energies.append(report.free_energy_gauge_tb)
         assert report.free_energy_gauge_tb < report.free_energy_free_tb
         assert report.predicted_gauge_tb == pytest.approx(
@@ -415,8 +433,8 @@ def test_band_vacuum_gauge_pair_residual_shrinks():
         profile = 0.2 * np.cos(TWO_PI * config.grid / config.box_length)
         gauge = ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0, 1.5,
                                                 "fixed")
-        report = ev.gauge_pair_experiment(state, gauge, 0.0, 1.5,
-                                          default_dt(basis), sample_stride=10)
+        report = ev.gauge_pair_sweep(state, [gauge], 0.0, 1.5,
+                                     default_dt(basis), sample_stride=10)[0]
         devs.append(max(report.max_density_deviation,
                         report.max_current_deviation))
     assert devs[1] < devs[0] / 2
@@ -427,4 +445,4 @@ def test_gauge_pair_requires_aligned_start(basis_n9):
     gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, np.zeros(9), 1.0,
                                             0.5, 1.0, "fixed")
     with pytest.raises(ValueError):
-        ev.gauge_pair_experiment(state, gauge, 0.5, 1.0, 0.01)
+        ev.gauge_pair_sweep(state, [gauge], 0.5, 1.0, 0.01)[0]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from diracsea.evolution import apply_hamiltonian
 from diracsea.lattice import (
     ALPHA,
     LatticeConfig,
-    apply_free_hamiltonian,
     build_basis,
     mode_energy,
     spectral_derivative,
@@ -85,7 +85,7 @@ def test_orthonormality_and_completeness():
 
 def test_free_hamiltonian_eigenrelation(basis_n9):
     for n in range(basis_n9.mode_count):
-        image = apply_free_hamiltonian(basis_n9, basis_n9.phi[:, :, n])
+        image = apply_hamiltonian(basis_n9, basis_n9.phi[:, :, n])
         target = basis_n9.lam[n] * basis_n9.energy[n] * basis_n9.phi[:, :, n]
         assert np.abs(image - target).max() < 1e-12
 
@@ -93,7 +93,7 @@ def test_free_hamiltonian_eigenrelation(basis_n9):
 def test_free_hamiltonian_constant_positive_spinor(basis_n9):
     field = np.zeros((9, 2), dtype=complex)
     field[:, 0] = 1.0  # p=0 positive-branch spinor at every site
-    image = apply_free_hamiltonian(basis_n9, field)
+    image = apply_hamiltonian(basis_n9, field)
     assert np.abs(image - field).max() < 1e-13  # m = 1 scales by +1
 
 
@@ -101,16 +101,16 @@ def test_free_hamiltonian_hermitian(basis_n9, rng):
     for _ in range(5):
         f = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
         g = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
-        left = basis_n9.inner(f, apply_free_hamiltonian(basis_n9, g))
-        right = np.conj(basis_n9.inner(g, apply_free_hamiltonian(basis_n9, f)))
+        left = basis_n9.inner(f, apply_hamiltonian(basis_n9, g))
+        right = np.conj(basis_n9.inner(g, apply_hamiltonian(basis_n9, f)))
         assert abs(left - right) < 1e-12
-        diag = basis_n9.inner(f, apply_free_hamiltonian(basis_n9, f))
+        diag = basis_n9.inner(f, apply_hamiltonian(basis_n9, f))
         assert abs(diag.imag) < 1e-12
 
 
 def test_free_hamiltonian_size_mismatch(basis_n9):
     with pytest.raises(ValueError):
-        apply_free_hamiltonian(basis_n9, np.zeros((7, 2), dtype=complex))
+        apply_hamiltonian(basis_n9, np.zeros((7, 2), dtype=complex))
 
 
 def test_h0_matrix_spectrum(basis_n9):
@@ -125,7 +125,7 @@ def test_h0_matrix_spectrum(basis_n9):
 def test_h0_matrix_matches_spectral_application(basis_n9, rng):
     h0 = basis_n9.free_hamiltonian_matrix()
     psi = rng.normal(size=18) + 1j * rng.normal(size=18)
-    assert np.abs(h0 @ psi - apply_free_hamiltonian(basis_n9, psi)).max() < 1e-12
+    assert np.abs(h0 @ psi - apply_hamiltonian(basis_n9, psi)).max() < 1e-12
 
 
 def test_mode_coefficient_roundtrip(basis_n9, rng):

@@ -202,6 +202,12 @@ def test_f2_identity(basis_n9):
         f2_identity_check(basis_n9, spec), abs=1e-15)
 
 
+def test_f2_identity_at_large_cutoff():
+    # the band runs of the `schwinger` gate reach N = 251 under 1e-12
+    basis = build_basis(LatticeConfig(TWO_PI, 251, 1.0, 1.0))
+    assert f2_identity_check(basis, coupled_band_spec(basis)) <= 1e-12
+
+
 def test_f2_single_mode_band_real_on_diagonal(basis_n9):
     # with one band mode the double sum is |phi|^2 (phi^dag alpha phi): real
     from diracsea.lattice import ALPHA
