@@ -34,6 +34,7 @@ from .operators import (
 )
 from .fock import (
     LadderSet,
+    apply_bilinears,
     bilinear_matrix,
     build_ladders,
     build_vacuum_vector,

@@ -563,7 +563,7 @@ def run_sweep(config: dict, out_dir: Path, seed: int, jobs: int) -> list[Path]:
         "experiment": experiment,
         "parameter": parameter,
         "values": values,
-        "points": [t[2] for t in tasks],
+        "points": [Path(t[2]).name for t in tasks],
         "exit_codes": [error["exit_code"] if error else 0 for error in outcomes],
         "errors": outcomes,
     })

@@ -13,11 +13,21 @@ elsewhere can be checked against literal operator algebra on the full
 Ladder operators are kept as scipy CSR matrices (each has 2^(M-1) entries;
 dense storage at the M = 14 cap would cost gigabytes per operator for no
 benefit).  Everything downstream treats them as plain matrices.
+
+Bilinears sum_nm K_nm a_n^dag a_m - c come from one pair table per ladder
+set, built on first use: every nonzero entry of a_n^dag a_m with n != m
+(pair index n * M + m, row, column, sign) plus the (2^M, M) occupation bits
+that give the diagonal.  This module is the only place that knows the sign
+convention.  ``bilinear_matrix`` assembles one operator from the table in a
+single pass; ``apply_bilinears`` applies many kernels to one state at once,
+as a sparse (2^M, M^2) hop image of the state times the stacked kernel
+coefficients plus the diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -26,6 +36,16 @@ from .operators import OneBodyKernel
 from .vacua import OccupationSet
 
 MAX_MODES = 14
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """Every nonzero entry of a_n^dag a_m with n != m, ordered by row, then pair."""
+
+    pair: np.ndarray   # n * M + m
+    row: np.ndarray
+    col: np.ndarray
+    sign: np.ndarray   # +-1.0
 
 
 @dataclass(frozen=True)
@@ -42,6 +62,26 @@ class LadderSet:
 
     def identity(self):
         return sparse.identity(self.dimension, dtype=complex, format="csr")
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """(2^M, M) occupation bits: row b, column n is (b >> n) & 1."""
+        states = np.arange(self.dimension)[:, None]
+        return (states >> np.arange(self.mode_count)) & 1
+
+    @cached_property
+    def pairs(self) -> PairTable:
+        """a_n^dag a_m maps col = row - 2^n + 2^m to row when row occupies n
+        and not m; a_m contributes the parity of col below m, a_n^dag that of
+        row below n."""
+        occ = self.occupations.astype(bool)
+        row, n, m = np.nonzero(occ[:, :, None] & ~occ[:, None, :])
+        col = row ^ (1 << n) ^ (1 << m)
+        # bitwise_count returns uint8, where 1 - 2 * parity would wrap to 255
+        parity = (np.bitwise_count(col & ((1 << m) - 1))
+                  + np.bitwise_count(row & ((1 << n) - 1))) & 1
+        return PairTable(n * self.mode_count + m, row, col,
+                         1.0 - 2.0 * parity)
 
 
 def build_ladders(mode_count: int) -> LadderSet:
@@ -82,24 +122,55 @@ def build_vacuum_vector(ladders: LadderSet, occ: OccupationSet) -> np.ndarray:
     return vec
 
 
-def bilinear_matrix(ladders: LadderSet, kernel: OneBodyKernel):
-    """sum_nm K_nm a_n^dag a_m - c * identity as a sparse matrix."""
+def _coefficients(ladders: LadderSet, kernel: OneBodyKernel) -> np.ndarray:
     k = kernel.coefficients
     if k.shape != (ladders.mode_count, ladders.mode_count):
         raise ValueError(
             f"kernel shape {k.shape} does not match M={ladders.mode_count}"
         )
-    out = -kernel.subtraction * ladders.identity()
+    return k
+
+
+def bilinear_matrix(ladders: LadderSet, kernel: OneBodyKernel):
+    """sum_nm K_nm a_n^dag a_m - c * identity as a sparse matrix.
+
+    Every off-diagonal entry is one signed kernel entry; the diagonal sums
+    -c, then K_nn occ_n for n = 0..M-1, so the matrix equals the ladder
+    product sum in that order bit for bit.
+    """
+    k = _coefficients(ladders, kernel)
+    table = ladders.pairs
+    occ = ladders.occupations
+    diagonal = np.full(ladders.dimension, -kernel.subtraction, dtype=complex)
     for n in range(ladders.mode_count):
-        row = None
-        for m in range(ladders.mode_count):
-            if k[n, m] == 0:
-                continue
-            term = k[n, m] * ladders.lowering[m]
-            row = term if row is None else row + term
-        if row is not None:
-            out = out + ladders.raising[n] @ row
-    return out.tocsr()
+        diagonal += k[n, n] * occ[:, n]
+    states = np.arange(ladders.dimension)
+    out = sparse.csr_matrix(
+        (np.concatenate([table.sign * k.ravel()[table.pair], diagonal]),
+         (np.concatenate([table.row, states]), np.concatenate([table.col, states]))),
+        shape=(ladders.dimension, ladders.dimension))
+    out.eliminate_zeros()
+    return out
+
+
+def apply_bilinears(ladders: LadderSet, kernels, state: np.ndarray) -> np.ndarray:
+    """(sum_nm K_nm a_n^dag a_m - c) state for each kernel, as (2^M, K) columns.
+
+    Column n * M + m of the sparse hop image is a_n^dag a_m state (n != m),
+    so one product with the stacked (M^2, K) coefficients applies every
+    off-diagonal part; the diagonal is the occupation bits times K_nn.
+    """
+    coefficients = np.stack([_coefficients(ladders, kernel) for kernel in kernels])
+    subtractions = np.array([kernel.subtraction for kernel in kernels])
+    m = ladders.mode_count
+    table = ladders.pairs
+    hop_image = sparse.csr_matrix(
+        (table.sign * state[table.col], (table.row, table.pair)),
+        shape=(ladders.dimension, m * m))
+    diagonal = (ladders.occupations @ np.diagonal(coefficients, axis1=1, axis2=2).T
+                - subtractions)
+    stacked = np.ascontiguousarray(coefficients.reshape(len(kernels), m * m).T)
+    return hop_image @ stacked + diagonal * state[:, None]
 
 
 def expectation(state: np.ndarray, operator) -> complex:
@@ -146,6 +217,4 @@ def spectrum_of_h0_sector(ladders: LadderSet, kernel: OneBodyKernel) -> np.ndarr
     through the subtraction attached to the kernel.
     """
     weights = np.real(np.diag(kernel.coefficients))
-    dim = 1 << ladders.mode_count
-    bits = (np.arange(dim)[:, None] >> np.arange(ladders.mode_count)[None, :]) & 1
-    return bits @ weights - kernel.subtraction
+    return ladders.occupations @ weights - kernel.subtraction

@@ -312,7 +312,7 @@ def test_response_rejects_bad_n_times(tmp_path, capsys, n_times):
 def test_verify_subcommand(tmp_path):
     assert main(["verify", "--out", str(tmp_path / "out")]) == 0
     payload = json.loads((tmp_path / "out" / "verify.json").read_text())
-    assert all(check["passed"] for check in payload["checks"])
+    assert all(check["passed"] is True for check in payload["checks"])
 
 
 def test_sweep_parallel(tmp_path):
@@ -331,6 +331,20 @@ def test_sweep_parallel(tmp_path):
         manifest = read_manifest(point)
         assert manifest["config"]["lattice"]["N"] == n_sites
         assert (point / "schwinger.csv").exists()
+
+
+def test_sweep_index_does_not_depend_on_out_path(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "lattice": BASE_LATTICE, "vacuum": "standard",
+        "sweep": {"experiment": "schwinger", "parameter": "lattice.N",
+                  "values": [5, 7]},
+    })
+    indexes = []
+    for out in (tmp_path / "a", tmp_path / "second" / "b"):
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        indexes.append((out / "sweep_index.json").read_bytes())
+    assert indexes[0] == indexes[1]
+    assert json.loads(indexes[0])["points"] == ["point_000", "point_001"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -1,12 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from diracsea import fock
+from diracsea import checks, fock
 from diracsea.checks import (
     anticommutator_defect,
     band_spectrum_negative_level,
     spectrum_positivity,
 )
+from diracsea.lattice import LatticeConfig, build_basis
 from diracsea.operators import OneBodyKernel, free_hamiltonian_kernel
 from diracsea.vacua import OccupationSet, VacuumSpec, occupation_set
 
@@ -82,6 +85,54 @@ def test_bilinear_shape_guard(basis_n3):
     ladders = fock.build_ladders(4)
     with pytest.raises(ValueError):
         fock.bilinear_matrix(ladders, OneBodyKernel(np.eye(6), 0.0, "bad"))
+    with pytest.raises(ValueError):
+        fock.apply_bilinears(ladders, [OneBodyKernel(np.eye(4), 0.0, "ok"),
+                                       OneBodyKernel(np.eye(6), 0.0, "bad")],
+                             np.ones(16, dtype=complex))
+
+
+def ladder_product_reference(ladders, kernel):
+    """-c I + sum_nm K_nm a_n^dag a_m from the ladder matrices, in the
+    summation order bilinear_matrix promises for the diagonal."""
+    k = kernel.coefficients
+    out = -kernel.subtraction * ladders.identity()
+    for n in range(ladders.mode_count):
+        for m in range(ladders.mode_count):
+            out = out + k[n, m] * (ladders.raising[n] @ ladders.lowering[m])
+    return out
+
+
+def random_kernel(rng, mode_count, subtraction):
+    k = (rng.normal(size=(mode_count, mode_count))
+         + 1j * rng.normal(size=(mode_count, mode_count)))
+    k[rng.random((mode_count, mode_count)) < 0.3] = 0.0
+    return OneBodyKernel(k, subtraction, "random")
+
+
+@pytest.mark.parametrize("mode_count", range(1, 9))
+def test_bilinear_matrix_equals_ladder_products_bit_for_bit(mode_count):
+    rng = np.random.default_rng(mode_count)
+    ladders = fock.build_ladders(mode_count)
+    kernel = random_kernel(rng, mode_count, 0.37)
+    built = fock.bilinear_matrix(ladders, kernel)
+    reference = ladder_product_reference(ladders, kernel)
+    assert built.shape == reference.shape
+    assert (built != reference).nnz == 0
+
+
+@pytest.mark.parametrize("mode_count", [6, 10])
+def test_apply_bilinears_matches_bilinear_matrix(mode_count):
+    rng = np.random.default_rng(100 + mode_count)
+    ladders = fock.build_ladders(mode_count)
+    state = (rng.normal(size=ladders.dimension)
+             + 1j * rng.normal(size=ladders.dimension))
+    state /= np.linalg.norm(state)
+    kernels = [random_kernel(rng, mode_count, c) for c in (0.0, 0.37, -1.5)]
+    columns = fock.apply_bilinears(ladders, kernels, state)
+    assert columns.shape == (ladders.dimension, len(kernels))
+    for column, kernel in zip(columns.T, kernels):
+        expected = fock.bilinear_matrix(ladders, kernel) @ state
+        assert np.abs(column - expected).max() <= 1e-13
 
 
 def test_bilinear_linearity(basis_n3, rng):
@@ -162,3 +213,28 @@ def test_orbital_creation_guard():
         fock.orbital_creation(ladders, np.zeros(3))
     with pytest.raises(ValueError):
         fock.orbital_creation(ladders, np.ones(4))
+
+
+@pytest.fixture(scope="module")
+def basis_n7():
+    return build_basis(LatticeConfig(TWO_PI, 7, 1.0))
+
+
+@pytest.mark.parametrize("spec", [VacuumSpec("standard"), VacuumSpec("band", 1.0)],
+                         ids=["filled-sea", "band"])
+def test_oracle_at_mode_cap(basis_n7, spec):
+    assert basis_n7.mode_count == fock.MAX_MODES
+    assert checks.oracle_commutator_defect(basis_n7, spec) <= 1e-10
+    assert checks.oracle_subtraction_defect(basis_n7, spec) <= 1e-12
+
+
+def test_oracle_at_mode_cap_sees_a_perturbed_kernel(basis_n7, monkeypatch):
+    exact = checks.commutator_kernel
+
+    def perturbed(*args, **kwargs):
+        values = exact(*args, **kwargs).values.copy()
+        values[2, 5] += 1e-6
+        return SimpleNamespace(values=values)
+
+    monkeypatch.setattr(checks, "commutator_kernel", perturbed)
+    assert checks.oracle_commutator_defect(basis_n7, VacuumSpec("standard")) >= 1e-7
