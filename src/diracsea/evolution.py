@@ -9,10 +9,11 @@ carried entirely by the single-particle orbitals:
 Each step applies the exponential of the midpoint Hamiltonian, which is
 unitary up to rounding and second-order accurate in dt.  The exponential is
 evaluated without forming h: as a Chebyshev series in h (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967 (1984)) whose terms each apply h once, by one FFT
-round trip for the kinetic term and site-local 2x2 matrices for the mass and
-the potentials; when the midpoint potential vanishes it is the exact
-per-momentum rotation cos(E dt) - i sin(E dt) h(p)/E.  Branches that share an
+J. Chem. Phys. 81, 3967 (1984)) whose terms each apply h once, by one product
+with the cached N x N kinetic matrix ``ModeBasis.kinetic_matrix`` and
+site-local 2x2 matrices for the mass and the potentials; when the midpoint
+potential vanishes it is the exact per-momentum rotation
+cos(E dt) - i sin(E dt) h(p)/E, applied by FFT.  Branches that share an
 initial state and step size advance together as one stacked tensor
 (``run_branches``).
 
@@ -28,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import jv
 
 from .lattice import ALPHA, LatticeConfig, ModeBasis, spectral_derivative
@@ -115,6 +115,10 @@ class GaugeFunction:
         The bump 4*g(1-g) (g the quintic ramp) vanishes with its derivative
         at both window ends, keeping chi compactly supported in the window.
         """
+        # Imported here, not at module level: scipy.interpolate is the largest
+        # part of the package's import time, and only this recipe needs it.
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(times, series, axis=0)
         rate = spline.derivative(series_derivative)
         rate2 = spline.derivative(series_derivative + 1)
@@ -302,20 +306,21 @@ def _hamiltonian(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray,
                  scale: float = 1.0):
     """psi -> scale * h psi for grid-last orbitals psi of shape (..., 2, n_orb, N).
 
-    The kinetic term -i alpha d/dx is one FFT round trip (alpha swaps the
-    spinor components); the mass, q A0 and -q alpha A terms are site-local.
-    The couplings v0 = q A0 and v1 = -q A have shape (..., N), their leading
-    axes matching those of psi.
+    The kinetic term -i alpha d/dx is one matrix product of every grid row
+    with the kinetic matrix K (alpha swaps the spinor components); the mass,
+    q A0 and -q alpha A terms are site-local.  The couplings v0 = q A0 and
+    v1 = -q A have shape (..., N), their leading axes matching those of psi.
     """
+    n = basis.config.site_count
     mass = basis.config.mass
-    p = scale * _fft_momenta(basis.config)
+    kt = scale * basis.kinetic_matrix.T
     v0 = v0[..., None, None, :]
     diag = scale * np.concatenate([v0 + mass, v0 - mass], axis=-3)
     off = scale * v1[..., None, None, :]
 
     def apply(psi: np.ndarray) -> np.ndarray:
         swapped = psi[..., ::-1, :, :]
-        out = np.fft.ifft(p * np.fft.fft(swapped, axis=-1), axis=-1)
+        out = (swapped.reshape(-1, n) @ kt).reshape(swapped.shape)
         out += diag * psi
         out += off * swapped
         return out

@@ -16,6 +16,7 @@ on the grid up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -168,6 +169,22 @@ class ModeBasis:
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         """Grid inner product a * sum_j f^dag g for flat or (N,2) fields."""
         return complex(self.config.spacing * np.vdot(f.ravel(), g.ravel()))
+
+    @cached_property
+    def kinetic_matrix(self) -> np.ndarray:
+        """K = -i d/dx on the grid, the N x N Hermitian circulant of spectral
+        differentiation: -i (2 pi/L) (1/2) (-1)^(j-k) csc((j-k) pi/N) off the
+        diagonal and 0 on it (Trefethen, Spectral Methods in MATLAB, ch. 3).
+
+        Built once per lattice as the spectral derivative of the identity,
+        antisymmetrized so that K is Hermitian exactly.  Read-only, since
+        every caller shares the cached array.
+        """
+        d = spectral_derivative(np.eye(self.config.site_count),
+                                self.config.box_length)
+        k = -0.5j * (d - d.T)
+        k.flags.writeable = False
+        return k
 
     def free_hamiltonian_matrix(self) -> np.ndarray:
         """Dense 2N x 2N matrix of h0 in the site-spinor basis."""

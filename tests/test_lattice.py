@@ -113,6 +113,35 @@ def test_free_hamiltonian_size_mismatch(basis_n9):
         apply_hamiltonian(basis_n9, np.zeros((7, 2), dtype=complex))
 
 
+def test_kinetic_matrix_is_the_closed_form_circulant():
+    """K = -i (2 pi/L) (1/2) (-1)^(j-k) csc((j-k) pi/N), zero diagonal."""
+    for n_sites in (1, 3, 5, 9, 27, 81):
+        for length in (TWO_PI, 3.7):
+            basis = build_basis(LatticeConfig(length, n_sites, 1.0))
+            k = basis.kinetic_matrix
+            d = np.subtract.outer(np.arange(n_sites), np.arange(n_sites))
+            off = d != 0
+            closed = np.zeros((n_sites, n_sites), dtype=complex)
+            closed[off] = (-1j * (TWO_PI / length) * 0.5 * (-1.0) ** d[off]
+                           / np.sin(d[off] * np.pi / n_sites))
+            assert k.shape == (n_sites, n_sites)
+            assert np.abs(k - closed).max() <= 1e-14 * max(1.0, np.abs(closed).max())
+            assert np.array_equal(k, k.conj().T)
+            assert np.all(np.diag(k) == 0)
+
+
+def test_apply_hamiltonian_uses_each_lattice_kinetic_matrix(rng):
+    """Interleaved lattices sharing N or L each get their own kinetic term."""
+    lattices = [LatticeConfig(TWO_PI, 9, 1.0), LatticeConfig(3.7, 9, 1.0),
+                LatticeConfig(TWO_PI, 9, 1.0), LatticeConfig(TWO_PI, 9, 2.5),
+                LatticeConfig(3.7, 9, 1.0)]
+    bases = [build_basis(config) for config in lattices]
+    for basis in bases + bases[::-1]:
+        psi = rng.normal(size=(18, 4)) + 1j * rng.normal(size=(18, 4))
+        dense = basis.free_hamiltonian_matrix() @ psi
+        assert np.abs(apply_hamiltonian(basis, psi) - dense).max() < 1e-12
+
+
 def test_h0_matrix_spectrum(basis_n9):
     h0 = basis_n9.free_hamiltonian_matrix()
     assert np.abs(h0 - h0.conj().T).max() < 1e-13
