@@ -1,10 +1,14 @@
 """Batch scenario runner: subcommand per experiment, CSV/JSON artifacts.
 
 Every run writes its outputs plus a manifest (config echo, package version,
-checksums) into the output directory.  Exit codes: 0 success, 1 config
-error, 2 numerical invariant violation, 3 any other failure.  A failed run
-prints one JSON line {"error", "exit_code"} to stderr (exit 3 adds the
-traceback as a "traceback" string), never a raw traceback.
+checksums) into the output directory.  Exit codes: 0 success, 1 config or
+argument error, 2 numerical invariant violation, 3 any other failure.  A
+failed run prints one JSON line {"error", "exit_code"} to stderr (exit 3 adds
+the traceback as a "traceback" string), never a raw traceback.
+
+Only this module knows the config format.  Each value is read by one reader
+per kind (``_section``, ``_number``, ``_integer``) that takes the section,
+the key and a default; every number must be a finite JSON number.
 """
 
 from __future__ import annotations
@@ -137,41 +141,48 @@ def _section(config: dict, key: str, default=None) -> dict | None:
     return value
 
 
-def _number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+_REQUIRED = object()
 
 
-def _integer(value, name: str, minimum: int | None = None) -> int:
-    """An integral number (9.0 reads as 9), at least ``minimum`` if given."""
+def _number(section: dict, key: str, default=_REQUIRED) -> float:
+    """``section[key]`` (``default`` if absent) as a finite JSON number: no
+    bool, string, NaN, infinity or integer too large for a float.  A key
+    without a default is required."""
+    value = section.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"config is missing the key {key!r}")
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()
-            or (minimum is not None and value < minimum)):
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(section: dict, key: str, default=_REQUIRED,
+             minimum: int | None = None) -> int:
+    """An integral ``_number`` (9.0 reads as 9), at least ``minimum`` if given."""
+    value = _number(section, key, default)
+    if not value.is_integer() or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+        raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
-def _positive_int(config: dict, key: str, default: int) -> int:
-    return _integer(config.get(key, default), key, minimum=1)
-
-
 def _basis_from(config: dict):
+    lattice = _section(config, "lattice", {})
+    values = (_number(lattice, "L"), _integer(lattice, "N"),
+              _number(lattice, "m"), _number(lattice, "q", 1.0))
     try:
-        lattice = LatticeConfig.from_dict(config["lattice"])
-    except KeyError:
-        raise ConfigError("config must contain a 'lattice' section")
+        return build_basis(LatticeConfig(*values))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return build_basis(lattice)
 
 
 def _vacuum_from(config: dict) -> VacuumSpec:
+    kind = config.get("vacuum", "standard")
+    width = _number(config, "delta_Ew") if kind == "band" else None
     try:
-        return VacuumSpec.from_dict(config)
-    except (KeyError, TypeError, ValueError) as exc:
+        return VacuumSpec(kind, width)
+    except ValueError as exc:
         raise ConfigError(f"invalid vacuum spec: {exc}") from exc
 
 
@@ -260,20 +271,16 @@ def _packet_from(config: dict, state):
     packet = _section(config, "packet")
     if packet is None:
         return state
+    p_center, sigma = _number(packet, "p_center"), _number(packet, "sigma")
     try:
-        return ev.excite_wavepacket(state,
-                                    _number(packet["p_center"], "p_center"),
-                                    _number(packet["sigma"], "sigma"))
-    except KeyError as exc:
-        raise ConfigError(f"packet config missing key {exc}") from exc
+        return ev.excite_wavepacket(state, p_center, sigma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _window_from(config: dict, basis):
-    t_start = _number(config.get("t_a", 0.0), "t_a")
-    t_stop = _number(config.get("t_b", t_start + 10.0 * _default_dt(basis) * 100),
-                     "t_b")
+    t_start = _number(config, "t_a", 0.0)
+    t_stop = _number(config, "t_b", t_start + 10.0 * _default_dt(basis) * 100)
     if not t_stop > t_start:
         raise ConfigError("need t_b > t_a")
     return t_start, t_stop
@@ -281,24 +288,17 @@ def _window_from(config: dict, basis):
 
 def _stepping_from(config: dict, basis):
     """Validated time step and sample stride of an evolution run."""
-    dt = _number(config.get("dt", _default_dt(basis)), "dt")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ConfigError(f"dt must be finite and positive, got {dt!r}")
-    return dt, _positive_int(config, "sample_stride", 1)
+    dt = _number(config, "dt", _default_dt(basis))
+    if not dt > 0:
+        raise ConfigError(f"dt must be positive, got {dt!r}")
+    return dt, _integer(config, "sample_stride", 1, minimum=1)
 
 
 def _kick_recipe(kick: dict) -> str:
-    recipe = KICK_RECIPES.get(kick.get("recipe", "density_rate"))
-    if recipe is None:
-        raise ConfigError(f"unknown kick recipe {kick.get('recipe')!r}")
-    return recipe
-
-
-def _kick_strength(value) -> float:
-    strength = _number(value, "kick strength")
-    if not np.isfinite(strength):
-        raise ConfigError(f"kick strength must be finite, got {value!r}")
-    return strength
+    recipe = kick.get("recipe", "density_rate")
+    if not isinstance(recipe, str) or recipe not in KICK_RECIPES:
+        raise ConfigError(f"unknown kick recipe {recipe!r}")
+    return KICK_RECIPES[recipe]
 
 
 def _trajectory_files(out_dir: Path, tag: str, traj, potential) -> list[Path]:
@@ -328,9 +328,7 @@ def run_evolve(config: dict, out_dir: Path, seed: int) -> list[Path]:
         potential = ev.ZeroPotential(basis.config)
     else:
         recipe = _kick_recipe(kick)
-        if "f" not in kick:
-            raise ConfigError("kick config missing key 'f'")
-        strength = _kick_strength(kick["f"])
+        strength = _number(kick, "f")
         free_traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
                                          t_stop, dt, stride)
         gauge = ev.build_kick_chi(free_traj, recipe, strength, t_start, t_stop)
@@ -362,10 +360,10 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
     strengths = kick.get("f", [0.0, 0.01, 0.02, 0.03, 0.04])
     if not isinstance(strengths, list):
         raise ConfigError("extract-energy needs a list of kick strengths 'f'")
-    strengths = [_kick_strength(f) for f in strengths]
+    strengths = [_number({"f": f}, "f") for f in strengths]
     # regress only over the small-f head of the sweep; large strengths leave
     # the linear-response regime by design (the saturation diagnostic)
-    small_count = _positive_int(config, "small_f_count", 5)
+    small_count = _integer(config, "small_f_count", 5, minimum=1)
     order = np.argsort(strengths)
     head = order[:max(2, min(small_count, len(order)))]
     if len(set(np.take(strengths, head))) < 2:
@@ -433,11 +431,11 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
         commutator = sw.commutator_kernel(basis, spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    chi_cfg = _section(config, "chi", {"k": 1, "amplitude": 0.3})
-    harmonic = _integer(chi_cfg.get("k", 1), "chi.k")
-    amplitude = _number(chi_cfg.get("amplitude", 0.3), "chi.amplitude")
+    chi_cfg = _section(config, "chi", {})
+    harmonic = _integer(chi_cfg, "k", 1)
+    amplitude = _number(chi_cfg, "amplitude", 0.3)
     t_start, t_stop = _window_from(config, basis)
-    n_times = _positive_int(config, "n_times", 5)
+    n_times = _integer(config, "n_times", 5, minimum=1)
     smearing = config.get("smearing", "fourier")
     if smearing not in rs.SMEARINGS:
         raise ConfigError(
@@ -529,12 +527,9 @@ def run_sweep(config: dict, out_dir: Path, seed: int, jobs: int) -> list[Path]:
     runs.
     """
     sweep = _section(config, "sweep", {})
-    try:
-        experiment = sweep["experiment"]
-        parameter = sweep["parameter"]
-        values = sweep["values"]
-    except KeyError as exc:
-        raise ConfigError(f"sweep config missing key {exc}") from exc
+    experiment = sweep.get("experiment")
+    parameter = sweep.get("parameter")
+    values = sweep.get("values")
     if not isinstance(experiment, str) or experiment not in RUNNERS \
             or experiment == "sweep":
         raise ConfigError(f"cannot sweep unknown experiment {experiment!r}")
@@ -586,8 +581,16 @@ RUNNERS.update({
 })
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as a config error, so that it exits 1 with one
+    JSON line instead of printing usage text and exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="diracsea",
         description="Batch experiments on Dirac sea vacua: mode-basis checks, "
                     "commutator kernels, gauge-kick evolution, linear response.")
@@ -604,19 +607,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON scenario config")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel sweep points")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized test vectors")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel sweep points")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    out_dir = Path(args.out)
     try:
+        args = _build_parser().parse_args(argv)
         config = {} if args.command == "verify" and args.config is None \
             else _load_config(args.config)
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "sweep":
             files = run_sweep(config, out_dir, args.seed, args.jobs)

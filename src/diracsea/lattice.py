@@ -47,27 +47,6 @@ class LatticeConfig:
         if not np.isfinite(self.charge):
             raise ValueError(f"charge must be finite, got {self.charge}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LatticeConfig":
-        """Build from the CLI JSON keys {"L", "N", "m", "q"}."""
-        if not isinstance(d, dict):
-            raise ValueError("lattice config must be an object")
-        try:
-            n_sites = d["N"]
-            if (isinstance(n_sites, bool) or not isinstance(n_sites, (int, float))
-                    or not float(n_sites).is_integer()):
-                raise ValueError(f"N must be an integer, got {n_sites!r}")
-            return cls(
-                box_length=float(d["L"]),
-                site_count=int(n_sites),
-                mass=float(d["m"]),
-                charge=float(d.get("q", 1.0)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"lattice config missing key {exc}") from exc
-        except TypeError as exc:
-            raise ValueError(f"lattice values must be numbers: {exc}") from exc
-
     @property
     def spacing(self) -> float:
         return self.box_length / self.site_count

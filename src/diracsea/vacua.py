@@ -30,14 +30,6 @@ class VacuumSpec:
         elif self.band_width is not None:
             raise ValueError("band_width is only meaningful for kind='band'")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "VacuumSpec":
-        """Build from the CLI JSON keys {"vacuum", "delta_Ew"}."""
-        kind = d.get("vacuum", "standard")
-        if kind == "band":
-            return cls("band", float(d["delta_Ew"]))
-        return cls(kind)
-
 
 @dataclass(frozen=True)
 class OccupationSet:

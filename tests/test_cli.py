@@ -1,8 +1,16 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracsea import checks, cli
 from diracsea import evolution as ev
@@ -24,7 +32,7 @@ def read_manifest(out_dir):
 
 
 def test_check_basis_ok(tmp_path):
-    for i, n_sites in enumerate((5, 9)):
+    for i, n_sites in enumerate((5, 9, 101)):
         lattice = dict(BASE_LATTICE, N=n_sites)
         cfg = write_config(tmp_path / f"cfg{i}.json",
                            {"lattice": lattice, "vacuum": "standard"})
@@ -74,8 +82,9 @@ def assert_config_error(argv, capsys):
     dict(BASE_LATTICE, q=float("nan")),
     dict(BASE_LATTICE, L=None),
     [TWO_PI, 9, 1.0],
+    {"L": TWO_PI, "N": 9},
 ], ids=["nan-L", "inf-L", "fractional-N", "inf-m", "nan-m", "nan-q", "null-L",
-        "list"])
+        "list", "missing-m"])
 def test_bad_lattice_is_config_error(tmp_path, capsys, lattice):
     cfg = write_config(tmp_path / "cfg.json", {"lattice": lattice})
     assert_config_error(["check-basis", "--config", cfg,
@@ -99,16 +108,18 @@ def test_nan_defect_fails_gate(tmp_path, monkeypatch, command, config, module,
 
 
 def test_schwinger_outputs(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json",
-                       {"lattice": BASE_LATTICE, "vacuum": "standard"})
+    # no "vacuum" key: the filled sea is the default
+    cfg = write_config(tmp_path / "cfg.json", {"lattice": BASE_LATTICE})
     out = tmp_path / "out"
     assert main(["schwinger", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "schwinger_summary.json").read_text())
     assert summary["div_I_diag_imag"] < 0
     assert summary["re_I_max"] < 1e-12
     assert summary["div_paths_rel_err"] < 1e-10
-    header = (out / "schwinger.csv").read_text().splitlines()[0]
+    header, first_row = (out / "schwinger.csv").read_text().splitlines()[:2]
     assert header == "j,k,x,y,re_I,im_I,re_divI,im_divI,vacuum,N,m,q,delta_Ew"
+    first_row = first_row.split(",")
+    assert (first_row[8], first_row[12]) == ("standard", "")
 
 
 def test_schwinger_band_outputs(tmp_path):
@@ -120,6 +131,8 @@ def test_schwinger_band_outputs(tmp_path):
     summary = json.loads((out / "schwinger_summary.json").read_text())
     assert summary["I_diag_abs_max"] < 1e-12
     assert summary["f2_residual"] < 1e-12
+    first_row = (out / "schwinger.csv").read_text().splitlines()[1].split(",")
+    assert (first_row[8], float(first_row[12])) == ("band", 1.5)
 
 
 def test_deterministic_output(tmp_path):
@@ -256,10 +269,18 @@ def single_error_line(capsys) -> dict:
                "sweep": {"experiment": "schwinger", "parameter": "lattice.N",
                          "values": 5}}),
     ("check-basis", [BASE_LATTICE]),
+    ("evolve", dict(KICKED_PACKET, t_b="1.5")),
+    ("extract-energy", dict(KICKED_PACKET, kick={"f": [0.0, 0.01]},
+                            packet={"p_center": float("nan"), "sigma": 0.2})),
+    ("response", {"lattice": BASE_LATTICE, "t_b": float("inf")}),
+    ("evolve", dict(KICKED_PACKET, kick={"recipe": ["eq39"], "f": 0.01})),
+    ("response", {"lattice": BASE_LATTICE, "chi": {"amplitude": float("nan")}}),
 ], ids=["text-t_a", "null-t_b", "list-kick", "list-packet", "list-chi",
         "text-chi-k", "unknown-smearing", "null-delta_Ew", "nan-delta_Ew",
         "text-small_f_count", "one-strength", "equal-strengths",
-        "tied-small-f-head", "scalar-sweep-values", "list-config"])
+        "tied-small-f-head", "scalar-sweep-values", "list-config",
+        "numeric-text-t_b", "nan-p_center", "inf-t_b", "list-recipe",
+        "nan-chi-amplitude"])
 def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch,
                                           command, config):
     def no_evolution(*args, **kwargs):
@@ -269,6 +290,29 @@ def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch,
     cfg = write_config(tmp_path / "cfg.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert single_error_line(capsys)["exit_code"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-basis", "--config", "CFG", "--out", "OUT", "--jobs", "2"],
+    ["sweep", "--config", "CFG", "--out", "OUT", "--jobs", "x"],
+    ["check-basis", "--config", "CFG", "--out", "OUT", "--seed", "1.5"],
+    ["check-basis", "--config", "CFG", "--out", "OUT", "--bogus"],
+    ["nope"],
+    [],
+], ids=["jobs-outside-sweep", "text-jobs", "fractional-seed", "unknown-option",
+        "unknown-subcommand", "no-subcommand"])
+def test_argument_error_is_config_error(tmp_path, capsys, argv):
+    paths = {"CFG": write_config(tmp_path / "cfg.json", {"lattice": BASE_LATTICE}),
+             "OUT": str(tmp_path / "out")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 1
+    assert single_error_line(capsys)["exit_code"] == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--help"])
+    assert exit_info.value.code == 0
+    assert "--jobs" in capsys.readouterr().out
 
 
 def test_unforeseen_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -385,3 +429,55 @@ def test_sweep_rejects_parameter_inside_a_scalar(tmp_path, capsys):
     })
     assert_config_error(["sweep", "--config", cfg,
                          "--out", str(tmp_path / "o")], capsys)
+
+
+# one valid N=9 config per subcommand that reads a config; the sweep's lattice
+# leaves out N, which each point sets, so that every key the fuzzer reaches is
+# read by the run
+FUZZ_BASES = {
+    "check-basis": {"lattice": BASE_LATTICE},
+    "schwinger": {"lattice": BASE_LATTICE, "vacuum": "band", "delta_Ew": 1.5},
+    "evolve": dict(KICKED_PACKET, dt=0.02,
+                   kick={"recipe": "density_rate", "f": 0.05}),
+    "extract-energy": dict(KICKED_PACKET, dt=0.02, small_f_count=3,
+                           kick={"recipe": "eq39", "f": [0.0, 0.02, 0.04]}),
+    "response": {"lattice": BASE_LATTICE, "vacuum": "standard",
+                 "chi": {"k": 1, "amplitude": 0.3}, "t_a": 0.0, "t_b": 1.5,
+                 "n_times": 3, "smearing": "fourier"},
+    "sweep": {"lattice": {"L": TWO_PI, "m": 1.0, "q": 1.0},
+              "vacuum": "standard",
+              "sweep": {"experiment": "schwinger", "parameter": "lattice.N",
+                        "values": [5, 9]}},
+}
+
+
+def dotted_paths(node: dict, prefix: str = ""):
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from dotted_paths(value, prefix + key + ".")
+
+
+FUZZ_CASES = [(command, path) for command, base in FUZZ_BASES.items()
+              for path in dotted_paths(base)]
+FUZZ_MENU = [math.nan, math.inf, -math.inf, None, "x", "1.5", True, [1],
+             {"a": 1}, -1, 0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(FUZZ_MENU))
+def test_fuzzed_config_fails_cleanly(case, value):
+    command, path = case
+    config = copy.deepcopy(FUZZ_BASES[command])
+    cli._set_by_path(config, path, value)
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        cfg = write_config(Path(tmp) / "cfg.json", config)
+        code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["exit_code"] == code
+    if isinstance(value, float) and not math.isfinite(value):
+        assert code == 1

@@ -27,8 +27,6 @@ def test_config_validation():
         LatticeConfig(0.0, 9, 1.0)      # L <= 0
     with pytest.raises(ValueError):
         LatticeConfig(TWO_PI, 9, -1.0)  # negative mass
-    with pytest.raises(ValueError):
-        LatticeConfig.from_dict({"L": TWO_PI, "N": 9})  # missing mass
 
 
 def test_config_grid_and_momenta():
