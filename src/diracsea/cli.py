@@ -158,12 +158,12 @@ def _number(section: dict, key: str, default=_REQUIRED) -> float:
 
 
 def _integer(section: dict, key: str, default=_REQUIRED,
-             minimum: int | None = None) -> int:
-    """An integral ``_number`` (9.0 reads as 9), at least ``minimum`` if given."""
+             minimum: float = -np.inf, maximum: float = np.inf) -> int:
+    """An integral ``_number`` (9.0 reads as 9) in [minimum, maximum]."""
     value = _number(section, key, default)
-    if not value.is_integer() or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
+    if not (value.is_integer() and minimum <= value <= maximum):
+        raise ConfigError(f"{key} must be an integer in [{minimum}, {maximum}], "
+                          f"got {value!r}")
     return int(value)
 
 
@@ -242,8 +242,7 @@ def run_schwinger(config: dict, out_dir: Path, seed: int) -> list[Path]:
     if spec.kind == "standard":
         closed = sw.divergence_diag_closed_form(basis)
         summary["div_I_diag_imag_closed_form"] = float(closed[0].imag)
-        summary["div_paths_rel_err"] = float(
-            np.abs(np.diag(divergence) - closed).max() / np.abs(closed[0]))
+        summary["div_paths_rel_err"] = sw.divergence_paths_error(divergence, closed)
     else:
         summary["I_diag_abs_max"] = float(np.abs(np.diag(values)).max())
         summary["f2_residual"] = sw.f2_identity_check(basis, spec)
@@ -286,12 +285,15 @@ def _window_from(config: dict, basis):
     return t_start, t_stop
 
 
-def _stepping_from(config: dict, basis):
-    """Validated time step and sample stride of an evolution run."""
+def _stepping_from(config: dict, basis, t_start: float, t_stop: float):
+    """Time step and sample stride, if evolution accepts them for the window."""
     dt = _number(config, "dt", _default_dt(basis))
-    if not dt > 0:
-        raise ConfigError(f"dt must be positive, got {dt!r}")
-    return dt, _integer(config, "sample_stride", 1, minimum=1)
+    stride = _integer(config, "sample_stride", 1, minimum=1)
+    try:
+        ev.step_count(t_start, t_stop, dt, stride)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return dt, stride
 
 
 def _kick_recipe(kick: dict) -> str:
@@ -320,7 +322,7 @@ def run_evolve(config: dict, out_dir: Path, seed: int) -> list[Path]:
     basis = _basis_from(config)
     spec = _vacuum_from(config)
     t_start, t_stop = _window_from(config, basis)
-    dt, stride = _stepping_from(config, basis)
+    dt, stride = _stepping_from(config, basis, t_start, t_stop)
     state = _packet_from(config, ev.vacuum_state(basis, spec, time=t_start))
 
     kick = _section(config, "kick")
@@ -351,7 +353,7 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
     basis = _basis_from(config)
     spec = _vacuum_from(config)
     t_start, t_stop = _window_from(config, basis)
-    dt, stride = _stepping_from(config, basis)
+    dt, stride = _stepping_from(config, basis, t_start, t_stop)
     state = _packet_from(config, ev.vacuum_state(basis, spec, time=t_start))
     if state.orbital_count == len(state.reference):
         raise ConfigError("extract-energy needs a packet on top of the vacuum")
@@ -427,19 +429,20 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
     del seed
     basis = _basis_from(config)
     spec = _vacuum_from(config)
-    try:
-        commutator = sw.commutator_kernel(basis, spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     chi_cfg = _section(config, "chi", {})
     harmonic = _integer(chi_cfg, "k", 1)
     amplitude = _number(chi_cfg, "amplitude", 0.3)
     t_start, t_stop = _window_from(config, basis)
-    n_times = _integer(config, "n_times", 5, minimum=1)
+    n_times = _integer(config, "n_times", 5, minimum=1, maximum=10**4)
     smearing = config.get("smearing", "fourier")
     if smearing not in rs.SMEARINGS:
         raise ConfigError(
             f"smearing must be one of {rs.SMEARINGS}, got {smearing!r}")
+    try:
+        rs.kubo_interval_count(basis, t_stop - t_start)  # the longest quadrature
+        commutator = sw.commutator_kernel(basis, spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     cfg = basis.config
     profile = amplitude * np.cos(2.0 * np.pi * harmonic * cfg.grid

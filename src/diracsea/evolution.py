@@ -14,8 +14,8 @@ with the cached N x N kinetic matrix ``ModeBasis.kinetic_matrix`` and
 site-local 2x2 matrices for the mass and the potentials; when the midpoint
 potential vanishes it is the exact per-momentum rotation
 cos(E dt) - i sin(E dt) h(p)/E, applied by FFT.  Branches that share an
-initial state and step size advance together as one stacked tensor
-(``run_branches``).
+initial state and step size advance, and are recorded, together as one
+stacked tensor (``run_branches``).
 
 The module also hosts the gauge-kick experiment: build a gauge function from
 the density rate of a potential-free trajectory, evolve a second branch under
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import jv
 
-from .lattice import ALPHA, LatticeConfig, ModeBasis, spectral_derivative
+from .lattice import LatticeConfig, ModeBasis, spectral_derivative
 from .operators import RenormalizationConstants, renorm_constants
 from .vacua import OccupationSet, VacuumSpec, occupation_set
 
@@ -217,9 +217,10 @@ class Trajectory:
     """Observable history of one evolution branch at uniform sample times.
 
     ``residual`` is the continuity residual L(x,t) = d rho/dt + div J: the
-    density rate is the analytic commutator form and the divergence the
-    N-point spectral derivative of the sampled current, so L measures the
-    aliasing of bilinears at the cutoff rather than integrator error.
+    density rate is the analytic form 2 q Im psi^dag h0 psi (``_observe``)
+    and the divergence the N-point spectral derivative of the sampled
+    current, so L measures the aliasing of bilinears at the cutoff rather
+    than integrator error.
     """
 
     basis: ModeBasis
@@ -286,10 +287,6 @@ def _site_major(psi: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(psi.transpose(2, 0, 1)).reshape(-1, psi.shape[1])
 
 
-def _fft_momenta(config: LatticeConfig) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(config.site_count, d=config.spacing)
-
-
 def _couplings(config: LatticeConfig, potential: Potential | None, t: float):
     """Site couplings (q A0, -q A) at time t; zeros without a potential."""
     if potential is None:
@@ -330,7 +327,7 @@ def _hamiltonian(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray,
 
 def _free_rotation(basis: ModeBasis, psi: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h0 dt) psi: cos(E dt) - i sin(E dt) h(p)/E at each momentum."""
-    p = _fft_momenta(basis.config)
+    p = 2.0 * np.pi * np.fft.fftfreq(basis.config.site_count, d=basis.config.spacing)
     mass = basis.config.mass
     energy = np.hypot(p, mass)
     cos = np.cos(energy * dt)
@@ -381,69 +378,56 @@ def apply_hamiltonian(basis: ModeBasis, orbitals: np.ndarray,
     return _site_major(_hamiltonian(basis, v0, v1)(psi)).reshape(orbitals.shape)
 
 
-def observables(state: SlaterState,
-                potential: Potential | None = None) -> Snapshot:
-    """Vacuum-subtracted density, current, free-field energy and density rate.
+def _observe(basis: ModeBasis, subtractions: RenormalizationConstants,
+             psi: np.ndarray):
+    """Vacuum-subtracted (density, current, free energy, density rate) of
+    grid-last orbitals psi (..., 2, n_orb, N), one entry per leading index.
 
-    The density rate d rho/dt = 2 q Im sum_o psi_o^dag (h psi_o) per site uses
-    the instantaneous h = h0 + q A0 - q alpha A (h0 when no potential is
-    given), assembled from the h0 psi that the energy needs; this avoids
-    differencing sampled densities.
+    The density rate d rho/dt = 2 q Im sum_o psi_o^dag (h psi_o) per site
+    takes h0 psi alone, the product the free energy needs: the couplings
+    q A0 and -q alpha A are hermitian 2x2 matrices at each site, so
+    psi_o^dag V psi_o is real there and drops out of the rate exactly.  This
+    avoids differencing sampled densities.
     """
-    n = state.basis.config.site_count
-    a = state.basis.config.spacing
-    q = state.basis.config.charge
-    psi = state.orbitals.reshape(n, 2, -1)
-    sub = state.subtractions
-    density = q * np.einsum("jso,jso->j", psi.conj(), psi).real - sub.rho
-    current = q * np.einsum("jso,st,jto->j", psi.conj(), ALPHA, psi).real - sub.current
-    h0_psi = apply_hamiltonian(state.basis, state.orbitals)
-    energy = a * np.vdot(state.orbitals, h0_psi).real - sub.xi
-    v0, v1 = _couplings(state.basis.config, potential, state.time)
-    h_psi = (h0_psi.reshape(n, 2, -1) + v0[:, None, None] * psi
-             + v1[:, None, None] * psi[:, ::-1])
-    rate = 2.0 * q * np.einsum("jso,jso->j", psi.conj(), h_psi).imag
+    config = basis.config
+    q = config.charge
+    zeros = np.zeros(config.site_count)
+    h0_psi = _hamiltonian(basis, zeros, zeros)(psi)
+    density = q * (np.abs(psi) ** 2).sum(axis=(-3, -2)) - subtractions.rho
+    up, down = psi[..., 0, :, :], psi[..., 1, :, :]  # psi^dag alpha psi = 2 Re up* down
+    current = 2.0 * q * (up.conj() * down).real.sum(axis=-2) - subtractions.current
+    weighted = (psi.conj() * h0_psi).sum(axis=(-3, -2))
+    energy = config.spacing * weighted.real.sum(axis=-1) - subtractions.xi
+    return density, current, energy, 2.0 * q * weighted.imag
+
+
+def observables(state: SlaterState) -> Snapshot:
+    """Vacuum-subtracted density, current, free-field energy and density rate
+    of one state; no potential enters the rate (see ``_observe``)."""
+    psi = _grid_last(state.orbitals, state.basis.config.site_count)
+    density, current, energy, rate = _observe(state.basis, state.subtractions, psi)
     return Snapshot(density, current, float(energy), rate)
 
 
-def _step_count(state: SlaterState, t_final: float, dt: float,
-                sample_stride: int) -> tuple[int, float]:
-    """Number of steps and the adjusted step that land samples on t_final."""
-    span = t_final - state.time
+MAX_STEPS = 10**6
+
+
+def step_count(t_start: float, t_final: float, dt: float,
+               sample_stride: int) -> tuple[int, float]:
+    """Number of steps and the adjusted step that land samples on t_final;
+    ValueError for a run of more than ``MAX_STEPS`` steps."""
+    span = t_final - t_start
     if not span > 0:
         raise ValueError("t_final must exceed the state time")
     if not dt > 0:
         raise ValueError("dt must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be a positive integer")
-    n_steps = max(1, int(round(span / dt)))
+    n_steps = max(1, round(min(span / dt, 2.0 * MAX_STEPS)))  # span/dt may be inf
     n_steps += (-n_steps) % sample_stride  # land samples on the final time
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"the run needs more than {MAX_STEPS} time steps")
     return n_steps, span / n_steps
-
-
-class _Recorder:
-    """Observable samples of one branch, assembled into a Trajectory."""
-
-    def __init__(self, basis: ModeBasis, potential: Potential):
-        self.basis = basis
-        self.potential = potential
-        self.times, self.dens, self.cur, self.xi, self.rate = [], [], [], [], []
-
-    def add(self, state: SlaterState):
-        snap = observables(state, self.potential)
-        self.times.append(state.time)
-        self.dens.append(snap.density)
-        self.cur.append(snap.current)
-        self.xi.append(snap.free_energy)
-        self.rate.append(snap.density_rate)
-
-    def trajectory(self) -> Trajectory:
-        cur = np.array(self.cur)
-        rate = np.array(self.rate)
-        residual = rate + spectral_derivative(cur.T, self.basis.config.box_length).T
-        return Trajectory(self.basis, self.potential.provenance,
-                          np.array(self.times), np.array(self.dens), cur,
-                          np.array(self.xi), rate, residual)
 
 
 def run_trajectory(state: SlaterState, potential: Potential, t_final: float,
@@ -461,42 +445,37 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
                  sample_stride: int = 1) -> list[tuple[Trajectory, SlaterState]]:
     """``run_trajectory`` for several potentials from one initial state.
 
-    The branches advance together as one stacked orbital tensor, each step
-    applying a single Chebyshev series shared by all of them; every branch
-    matches its own ``run_trajectory`` up to rounding.  Returns one
-    (trajectory, final_state) pair per potential.
+    The branches advance together as one stacked orbital tensor: each step
+    applies one Chebyshev series, and each sample one observation, to all of
+    them; every branch matches its own ``run_trajectory`` up to rounding.
+    Returns one (trajectory, final_state) pair per potential.
     """
-    n_steps, dt_eff = _step_count(state, t_final, dt, sample_stride)
+    n_steps, dt_eff = step_count(state.time, t_final, dt, sample_stride)
     potentials = list(potentials)
     if not potentials:
         return []
     basis = state.basis
     config = basis.config
-    recorders = [_Recorder(basis, potential) for potential in potentials]
-
-    def states(psi, time):
-        return [SlaterState(basis, state.reference, _site_major(branch), time,
-                            state.subtractions) for branch in psi]
-
-    def record(psi, time):
-        for branch_state, recorder in zip(states(psi, time), recorders):
-            recorder.add(branch_state)
-
     psi = np.stack([_grid_last(state.orbitals, config.site_count)]
                    * len(potentials))
     time = state.time
-    record(psi, time)
+    times, samples = [time], [_observe(basis, state.subtractions, psi)]
     for k in range(n_steps):
-        couplings = [_couplings(config, potential, time + 0.5 * dt_eff)
-                     for potential in potentials]
-        v0 = np.array([c[0] for c in couplings])
-        v1 = np.array([c[1] for c in couplings])
+        v0, v1 = map(np.array, zip(*(_couplings(config, p, time + 0.5 * dt_eff)
+                                     for p in potentials)))
         psi = _propagate(basis, psi, v0, v1, dt_eff)
         time = time + dt_eff
         if (k + 1) % sample_stride == 0:
-            record(psi, time)
-    return [(recorder.trajectory(), final)
-            for recorder, final in zip(recorders, states(psi, time))]
+            times.append(time)
+            samples.append(_observe(basis, state.subtractions, psi))
+    # each (n_t, n_branch, ...)
+    density, current, energy, rate = map(np.array, zip(*samples))
+    residual = rate + spectral_derivative(current.T, config.box_length).T
+    return [(Trajectory(basis, potential.provenance, np.array(times), density[:, b],
+                        current[:, b], energy[:, b], rate[:, b], residual[:, b]),
+             SlaterState(basis, state.reference, _site_major(psi[b]), time,
+                         state.subtractions))
+            for b, potential in enumerate(potentials)]
 
 
 def rate_identity_series(traj: Trajectory, potential: Potential) -> np.ndarray:

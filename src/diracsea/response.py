@@ -29,6 +29,7 @@ from .schwinger import SchwingerKernel
 from .vacua import OccupationSet, VacuumSpec, occupation_set
 
 SMEARINGS = ("site", "fourier")
+MAX_TIME_SAMPLES = 10**6  # per quadrature, that is per output time
 
 
 @dataclass
@@ -97,14 +98,26 @@ def _simpson_weights(n_samples: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _time_grid(t_start: float, t_stop: float, max_frequency: float,
-               samples_per_period: int):
-    span = t_stop - t_start
+def _interval_count(span: float, max_frequency: float,
+                    samples_per_period: int) -> int:
+    """Even Simpson interval count, at least 16, resolving max_frequency."""
     period = 2.0 * np.pi / max(max_frequency, 1e-12)
-    n_intervals = max(16, int(np.ceil(span / period * samples_per_period)))
-    n_intervals += n_intervals % 2  # Simpson needs an even interval count
+    count = max(16.0, np.ceil(span / period * samples_per_period))
+    if not count < MAX_TIME_SAMPLES - 1:
+        raise ValueError(f"the time quadrature needs {count + 1:.3g} samples, "
+                         f"more than {MAX_TIME_SAMPLES}")
+    return int(count) + int(count) % 2  # Simpson needs an even interval count
+
+
+def kubo_interval_count(basis: ModeBasis, span: float,
+                        samples_per_period: int = 40) -> int:
+    """Simpson intervals ``first_order_current`` takes for t - t_start = span."""
+    return _interval_count(span, 2.0 * basis.max_energy, samples_per_period)
+
+
+def _time_grid(t_start: float, t_stop: float, n_intervals: int):
     ts = np.linspace(t_start, t_stop, n_intervals + 1)
-    return ts, _simpson_weights(n_intervals + 1, span / n_intervals)
+    return ts, _simpson_weights(n_intervals + 1, (t_stop - t_start) / n_intervals)
 
 
 def first_order_current(kernel: ResponseKernel, potential, t: float,
@@ -125,8 +138,8 @@ def first_order_current(kernel: ResponseKernel, potential, t: float,
     n_sites = basis.config.site_count
     if t <= t_start:
         return np.zeros(n_sites)
-    fastest = 2.0 * basis.max_energy
-    ts, weights = _time_grid(t_start, t, fastest, samples_per_period)
+    ts, weights = _time_grid(
+        t_start, t, kubo_interval_count(basis, t - t_start, samples_per_period))
 
     jmat = kernel.current_pair_matrix()
     rmat = kernel.charge_pair_matrix()
@@ -205,7 +218,8 @@ def deep_state_coupling(basis: ModeBasis, potential_fn, t_span, packet,
     deep_eps = basis.lam[deep_mode] * basis.energy[deep_mode]
     packet_eps = basis.lam[idx] * basis.energy[idx]
     fastest = abs(deep_eps) + np.abs(packet_eps).max()
-    ts, weights = _time_grid(t0, t1, fastest, samples_per_period)
+    ts, weights = _time_grid(
+        t0, t1, _interval_count(t1 - t0, fastest, samples_per_period))
 
     total = 0.0 + 0.0j
     for t, w in zip(ts, weights):

@@ -189,6 +189,14 @@ def divergence_diag_closed_form(basis: ModeBasis, mode_indices=None) -> np.ndarr
     return np.full(basis.config.site_count, value, dtype=complex)
 
 
+def divergence_paths_error(divergence: np.ndarray, closed: np.ndarray) -> float:
+    """Max gap of the spectral divergence diagonal from the closed form,
+    relative to |closed|, or absolute where that is exactly 0 (q = 0)."""
+    gap = float(np.abs(np.diag(divergence) - closed).max())
+    scale = abs(closed[0])
+    return gap if scale == 0 else gap / scale
+
+
 def f2_identity_check(basis: ModeBasis, spec: VacuumSpec) -> float:
     """Max |F2 - F2^dag| over grid pairs for the intra-band double sum.
 

@@ -97,7 +97,8 @@ def test_bad_lattice_is_config_error(tmp_path, capsys, lattice):
      "divergence_diag_closed_form"),
     ("schwinger", {"lattice": BASE_LATTICE, "vacuum": "band", "delta_Ew": 1.5},
      sw, "f2_identity_check"),
-], ids=["check-basis", "schwinger-sea", "schwinger-band"])
+    ("verify", {}, checks, "completeness_defect"),
+], ids=["check-basis", "schwinger-sea", "schwinger-band", "verify"])
 def test_nan_defect_fails_gate(tmp_path, monkeypatch, command, config, module,
                                name):
     original = getattr(module, name)
@@ -120,6 +121,17 @@ def test_schwinger_outputs(tmp_path):
     assert header == "j,k,x,y,re_I,im_I,re_divI,im_divI,vacuum,N,m,q,delta_Ew"
     first_row = first_row.split(",")
     assert (first_row[8], first_row[12]) == ("standard", "")
+
+
+def test_schwinger_sea_at_zero_charge(tmp_path):
+    # the closed-form divergence is exactly 0, so the paths compare absolutely
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"lattice": dict(BASE_LATTICE, q=0.0)})
+    out = tmp_path / "out"
+    assert main(["schwinger", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "schwinger_summary.json").read_text())
+    assert summary["div_I_diag_imag_closed_form"] == 0.0
+    assert summary["div_paths_rel_err"] == 0.0
 
 
 def test_schwinger_band_outputs(tmp_path):
@@ -232,8 +244,13 @@ KICKED_PACKET = {
     ("extract-energy", {"dt": -0.01, "kick": {"f": [0.0, 0.01]}}),
     ("evolve", {"dt": float("nan")}),
     ("evolve", {"dt": 1.0, "sample_stride": 1}),
+    ("evolve", {"dt": 1e-300}),
+    ("evolve", {"sample_stride": 1e9}),
+    ("evolve", {"t_b": 1e9}),
+    ("extract-energy", {"t_b": 1e9, "kick": {"f": [0.0, 0.01]}}),
 ], ids=["evolve-nan-f", "evolve-list-f", "extract-energy-nan-f",
-        "zero-stride", "negative-dt", "nan-dt", "two-samples"])
+        "zero-stride", "negative-dt", "nan-dt", "two-samples", "tiny-dt",
+        "huge-stride", "huge-t_b", "extract-energy-huge-t_b"])
 def test_bad_evolution_input_is_config_error(tmp_path, capsys, command,
                                              overrides):
     cfg = write_config(tmp_path / "cfg.json", dict(KICKED_PACKET, **overrides))
@@ -275,12 +292,13 @@ def single_error_line(capsys) -> dict:
     ("response", {"lattice": BASE_LATTICE, "t_b": float("inf")}),
     ("evolve", dict(KICKED_PACKET, kick={"recipe": ["eq39"], "f": 0.01})),
     ("response", {"lattice": BASE_LATTICE, "chi": {"amplitude": float("nan")}}),
+    ("response", {"lattice": BASE_LATTICE, "t_b": 1e9}),
 ], ids=["text-t_a", "null-t_b", "list-kick", "list-packet", "list-chi",
         "text-chi-k", "unknown-smearing", "null-delta_Ew", "nan-delta_Ew",
         "text-small_f_count", "one-strength", "equal-strengths",
         "tied-small-f-head", "scalar-sweep-values", "list-config",
         "numeric-text-t_b", "nan-p_center", "inf-t_b", "list-recipe",
-        "nan-chi-amplitude"])
+        "nan-chi-amplitude", "huge-response-t_b"])
 def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch,
                                           command, config):
     def no_evolution(*args, **kwargs):
@@ -343,7 +361,7 @@ def test_response_paths(tmp_path):
     assert header == "t,x,J1_direct,J1_gauge_variation,vacuum,N,delta_Ew"
 
 
-@pytest.mark.parametrize("n_times", [0, -2, 2.5, "3", True])
+@pytest.mark.parametrize("n_times", [0, -2, 2.5, "3", True, 1e9, 10001])
 def test_response_rejects_bad_n_times(tmp_path, capsys, n_times):
     cfg = write_config(tmp_path / "cfg.json", {
         "lattice": BASE_LATTICE, "vacuum": "standard",

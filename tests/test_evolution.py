@@ -157,6 +157,18 @@ def test_batched_branches_match_single_runs(basis_n9):
         ev.gauge_pair_sweep(state, gauges, 0.0, 1.0, dt, 10, free_branch=free)
 
 
+def test_last_sample_observes_the_final_state(basis_n9):
+    state, kicked = kicked_packet(basis_n9, 0.3)
+    branches = ev.run_branches(state, [kicked, ev.ZeroPotential(basis_n9.config)],
+                               0.6, default_dt(basis_n9), sample_stride=7)
+    for traj, final in branches:
+        snap = ev.observables(final)
+        assert traj.times[-1] == final.time
+        for name in ("density", "current", "free_energy", "density_rate"):
+            assert np.abs(getattr(traj, name)[-1]
+                          - getattr(snap, name)).max() < 1e-13, name
+
+
 def test_step_is_second_order(basis_n9):
     state = packet_state(basis_n9)
     profile = 0.4 * np.cos(basis_n9.config.grid)
