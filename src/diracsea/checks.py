@@ -73,11 +73,11 @@ def eigenrelation_defect(basis: ModeBasis) -> float:
     return float(np.abs(image - basis.flat * (basis.lam * basis.energy)).max())
 
 
-def hermiticity_defect(basis: ModeBasis, rng: np.random.Generator,
-                       trials: int = 4) -> float:
+def hermiticity_defect(basis: ModeBasis, rng: np.random.Generator) -> float:
+    """Max |<f, h0 g> - <g, h0 f>*| over four random field pairs."""
     n = basis.config.site_count
     defects = []
-    for _ in range(trials):
+    for _ in range(4):
         f = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
         g = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
         left = basis.inner(f, apply_hamiltonian(basis, g))
@@ -202,7 +202,7 @@ def band_spectrum_negative_level(basis: ModeBasis, spec: VacuumSpec):
     return float(spectrum.min()), move, present
 
 
-def oracle_suite(seed: int = 0) -> list[CheckResult]:
+def oracle_suite() -> list[CheckResult]:
     """Fock-oracle comparisons at desk scale (M <= 10)."""
     results = []
 
@@ -242,8 +242,6 @@ def oracle_suite(seed: int = 0) -> list[CheckResult]:
         "band-vacuum negative level exists", 0.0 if minimum < 0 else 1.0, 0.5))
     results.append(CheckResult(
         "band-vacuum single-move level present", 0.0 if present else 1.0, 0.5))
-
-    del seed
     return results
 
 
@@ -280,6 +278,6 @@ def schwinger_suite() -> list[CheckResult]:
 def run_verification(seed: int = 0) -> list[CheckResult]:
     results = []
     results.extend(algebra_gate(seed=seed))
-    results.extend(oracle_suite(seed=seed))
+    results.extend(oracle_suite())
     results.extend(schwinger_suite())
     return results

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, checks
+from . import __version__
 from . import evolution as ev
 from . import response as rs
 from . import schwinger as sw
@@ -193,6 +193,10 @@ def _default_dt(basis) -> float:
 # ----------------------------------------------------------------- check-basis
 
 def run_check_basis(config: dict, out_dir: Path, seed: int) -> list[Path]:
+    # Imported here, not at module level: checks loads fock, and with it
+    # scipy.sparse, which only check-basis and verify use.
+    from . import checks
+
     basis = _basis_from(config)
     rng = np.random.default_rng(seed)
     report = {
@@ -336,7 +340,10 @@ def run_evolve(config: dict, out_dir: Path, seed: int) -> list[Path]:
         gauge = ev.build_kick_chi(free_traj, recipe, strength, t_start, t_stop)
         potential = ev.PureGaugePotential(gauge)
 
-    traj, final = ev.run_trajectory(state, potential, t_stop, dt, stride)
+    try:
+        traj, final = ev.run_trajectory(state, potential, t_stop, dt, stride)
+    except ValueError as exc:  # a kick too strong to evolve
+        raise ConfigError(str(exc)) from exc
     if len(traj.times) < 3:
         raise ConfigError(
             f"evolve records {len(traj.times)} samples and needs at least "
@@ -386,8 +393,11 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
     kicked = [f for f in strengths if f != 0.0]
     gauges = [ev.build_kick_chi(free_traj, recipe, f, t_start, t_stop)
               for f in kicked]
-    reports = ev.gauge_pair_sweep(state, gauges, t_start, t_stop, dt, stride,
-                                  free_branch=free_traj)
+    try:
+        reports = ev.gauge_pair_sweep(state, gauges, t_start, t_stop, dt,
+                                      stride, free_branch=free_traj)
+    except ValueError as exc:  # a kick too strong to evolve
+        raise ConfigError(str(exc)) from exc
     # one row per strength; f = 0 rows repeat the free branch
     xi_free = free_traj.free_energy[i_stop]
     table = np.tile([0.0, xi_free, xi_free, xi_free, 0.0, 0.0, 0.0],
@@ -447,8 +457,7 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
     cfg = basis.config
     profile = amplitude * np.cos(2.0 * np.pi * harmonic * cfg.grid
                                  / cfg.box_length)
-    gauge = ev.GaugeFunction.ramped_profile(cfg, profile, 1.0, t_start, t_stop,
-                                            "fixed")
+    gauge = ev.GaugeFunction.ramped_profile(cfg, profile, 1.0, t_start, t_stop)
     potential = ev.PureGaugePotential(gauge)
     kernel = rs.vacuum_response_kernel(basis, spec)
 
@@ -475,6 +484,7 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
 # ---------------------------------------------------------------------- verify
 
 def run_verify(config: dict, out_dir: Path, seed: int) -> list[Path]:
+    from . import checks  # see run_check_basis
     del config
     results = checks.run_verification(seed=seed)
     lines = [r.line() for r in results]

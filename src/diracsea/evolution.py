@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import jv
 
 from .lattice import LatticeConfig, ModeBasis, spectral_derivative
 from .operators import RenormalizationConstants, renorm_constants
@@ -57,15 +56,14 @@ class GaugeFunction:
     """
 
     def __init__(self, config: LatticeConfig, strength: float, t_start: float,
-                 t_stop: float, recipe: str, profile_fn, profile_rate_fn,
-                 envelope, envelope_rate, profile_dx_fn=None):
+                 t_stop: float, profile_fn, profile_rate_fn, envelope,
+                 envelope_rate, profile_dx_fn=None):
         if t_stop <= t_start:
             raise ValueError("gauge window must have t_stop > t_start")
         self.config = config
         self.strength = float(strength)
         self.t_start = float(t_start)
         self.t_stop = float(t_stop)
-        self.recipe = recipe
         self._profile = profile_fn
         self._profile_rate = profile_rate_fn
         self._envelope = envelope
@@ -94,23 +92,21 @@ class GaugeFunction:
 
     @classmethod
     def ramped_profile(cls, config: LatticeConfig, profile: np.ndarray,
-                       strength: float, t_start: float, t_stop: float,
-                       recipe: str = "density_rate") -> "GaugeFunction":
+                       strength: float, t_start: float,
+                       t_stop: float) -> "GaugeFunction":
         """chi(x,t) = strength * ramp(t) * profile(x), ramp(t_stop) = 1."""
         profile = np.array(profile, dtype=float)
         if profile.shape != (config.site_count,):
             raise ValueError("profile must be one sample per grid site")
         profile_dx = spectral_derivative(profile, config.box_length)
-        return cls(config, strength, t_start, t_stop, recipe,
-                   lambda t: profile, None, smoothstep, smoothstep_rate,
-                   lambda t: profile_dx)
+        return cls(config, strength, t_start, t_stop, lambda t: profile, None,
+                   smoothstep, smoothstep_rate, lambda t: profile_dx)
 
     @classmethod
     def bump_series(cls, config: LatticeConfig, times: np.ndarray,
                     series: np.ndarray, strength: float, t_start: float,
-                    t_stop: float, recipe: str = "continuity_rate",
-                    series_derivative: int = 1) -> "GaugeFunction":
-        """chi(x,t) = strength * bump(t) * d^k series/dt^k via a cubic spline.
+                    t_stop: float) -> "GaugeFunction":
+        """chi(x,t) = strength * bump(t) * d series/dt via a cubic spline.
 
         The bump 4*g(1-g) (g the quintic ramp) vanishes with its derivative
         at both window ends, keeping chi compactly supported in the window.
@@ -120,8 +116,8 @@ class GaugeFunction:
         from scipy.interpolate import CubicSpline
 
         spline = CubicSpline(times, series, axis=0)
-        rate = spline.derivative(series_derivative)
-        rate2 = spline.derivative(series_derivative + 1)
+        rate = spline.derivative(1)
+        rate2 = spline.derivative(2)
 
         def bump(s):
             g = smoothstep(s)
@@ -131,7 +127,7 @@ class GaugeFunction:
             g = smoothstep(s)
             return 4.0 * smoothstep_rate(s) * (1.0 - 2.0 * g)
 
-        return cls(config, strength, t_start, t_stop, recipe,
+        return cls(config, strength, t_start, t_stop,
                    lambda t: np.asarray(rate(t)), lambda t: np.asarray(rate2(t)),
                    bump, bump_rate)
 
@@ -347,14 +343,23 @@ def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
     Branch b feels the couplings v0[b], v1[b].  All branches share one
     Chebyshev series exp(-i h dt) = sum_k (2 - delta_k0) (-i)^k J_k(R dt)
     T_k(h / R), with R = E_max + max_b (max|v0[b]| + max|v1[b]|) bounding the
-    spectrum of every branch's h.
+    spectrum of every branch's h.  ValueError when the series would exceed
+    ``MAX_SERIES_TERMS`` terms.
     """
     if not (v0.any() or v1.any()):
         return _free_rotation(basis, psi, dt)
+    # Imported here, not at module level: scipy.special adds to the package's
+    # import time, and only a step under a potential needs it.
+    from scipy.special import jv
+
     radius = basis.max_energy + float(
         (np.abs(v0).max(axis=-1) + np.abs(v1).max(axis=-1)).max())
     z = radius * dt
-    weights = jv(np.arange(int(z + 20.0 * np.cbrt(z)) + 30), z)
+    length = z + 20.0 * np.cbrt(z)
+    if not length + 30 <= MAX_SERIES_TERMS:  # also a NaN or infinite R dt
+        raise ValueError(f"a time step needs over {MAX_SERIES_TERMS} Chebyshev "
+                         f"terms (R dt = {z:.3g}); lower the potential or dt")
+    weights = jv(np.arange(int(length) + 30), z)
     n_terms = max(2, int(np.nonzero(np.abs(weights) >= BESSEL_CUTOFF)[0][-1]) + 1)
     twice_x = _hamiltonian(basis, v0, v1, 2.0 / radius)  # 2 h / R
     prev, cur = psi, 0.5 * twice_x(psi)
@@ -410,6 +415,9 @@ def observables(state: SlaterState) -> Snapshot:
 
 
 MAX_STEPS = 10**6
+# Longest Chebyshev series one step may sum: it has about R dt terms, and R
+# grows with the potential, so a huge kick strength would never finish.
+MAX_SERIES_TERMS = 10**4
 
 
 def step_count(t_start: float, t_final: float, dt: float,
@@ -556,10 +564,10 @@ def build_kick_chi(traj: Trajectory, recipe: str, strength: float,
     if recipe == "density_rate":
         profile = traj.density_rate[traj.index_of(t_stop)]
         return GaugeFunction.ramped_profile(config, profile, strength,
-                                            t_start, t_stop, recipe)
+                                            t_start, t_stop)
     if recipe == "continuity_rate":
         return GaugeFunction.bump_series(config, traj.times, traj.residual,
-                                         -strength, t_start, t_stop, recipe)
+                                         -strength, t_start, t_stop)
     raise ValueError(f"unknown kick recipe {recipe!r}")
 
 

@@ -228,7 +228,7 @@ def test_criterion_9_gauge_pair_residual_trend():
             ev.vacuum_state(basis, coupled_band_spec(basis)), 2.0, 0.2)
         profile = 0.2 * np.cos(TWO_PI * config.grid / config.box_length)
         gauge = ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0,
-                                                1.5, "fixed")
+                                                1.5)
         rep = ev.gauge_pair_sweep(state, [gauge], 0.0, 1.5,
                                   default_dt(basis), sample_stride=10)[0]
         deviations.append(max(rep.max_density_deviation,
@@ -257,7 +257,7 @@ def test_criterion_10_response_equivalence():
     profile = 0.3 * np.cos(TWO_PI * basis.config.grid
                            / basis.config.box_length)
     gauge = ev.GaugeFunction.ramped_profile(basis.config, profile, 1.0, 0.0,
-                                            1.5, "fixed")
+                                            1.5)
     pot = ev.PureGaugePotential(gauge)
     kernel = rs.vacuum_response_kernel(basis, spec)
     worst = 0.0

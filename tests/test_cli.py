@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -248,9 +251,12 @@ KICKED_PACKET = {
     ("evolve", {"sample_stride": 1e9}),
     ("evolve", {"t_b": 1e9}),
     ("extract-energy", {"t_b": 1e9, "kick": {"f": [0.0, 0.01]}}),
+    ("evolve", {"kick": {"recipe": "density_rate", "f": 1e9}}),
+    ("extract-energy", {"kick": {"f": [0.0, 1e9]}}),
 ], ids=["evolve-nan-f", "evolve-list-f", "extract-energy-nan-f",
         "zero-stride", "negative-dt", "nan-dt", "two-samples", "tiny-dt",
-        "huge-stride", "huge-t_b", "extract-energy-huge-t_b"])
+        "huge-stride", "huge-t_b", "extract-energy-huge-t_b", "huge-kick",
+        "extract-energy-huge-kick"])
 def test_bad_evolution_input_is_config_error(tmp_path, capsys, command,
                                              overrides):
     cfg = write_config(tmp_path / "cfg.json", dict(KICKED_PACKET, **overrides))
@@ -499,3 +505,15 @@ def test_fuzzed_config_fails_cleanly(case, value):
         assert json.loads(lines[0])["exit_code"] == code
     if isinstance(value, float) and not math.isfinite(value):
         assert code == 1
+
+
+def test_cli_import_loads_neither_sparse_nor_special():
+    # fock (scipy.sparse) and the Chebyshev weights (scipy.special) load in
+    # the runners that use them, so a run's start-up costs numpy alone
+    src = str(Path(cli.__file__).parents[1])
+    code = ("import sys, diracsea.cli; print(sorted("
+            "{'scipy.sparse', 'scipy.special'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

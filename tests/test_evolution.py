@@ -75,7 +75,7 @@ def test_unitarity_and_norms(basis_n9):
     state = packet_state(basis_n9)
     profile = 0.4 * np.cos(basis_n9.config.grid)
     gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, profile, 1.0,
-                                            0.0, 1.0, "fixed")
+                                            0.0, 1.0)
     final = state
     for _ in range(60):
         final = one_step(final, ev.PureGaugePotential(gauge), 1.0 / 60)
@@ -173,7 +173,7 @@ def test_step_is_second_order(basis_n9):
     state = packet_state(basis_n9)
     profile = 0.4 * np.cos(basis_n9.config.grid)
     gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, profile, 1.0,
-                                            0.0, 0.8, "fixed")
+                                            0.0, 0.8)
     pot = ev.PureGaugePotential(gauge)
 
     def final_energy(dt):
@@ -292,7 +292,7 @@ def test_kick_requires_free_trajectory(basis_n9):
     state = packet_state(basis_n9)
     profile = 0.1 * np.cos(basis_n9.config.grid)
     gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, profile, 1.0,
-                                            0.0, 1.0, "fixed")
+                                            0.0, 1.0)
     traj, _ = ev.run_trajectory(state, ev.PureGaugePotential(gauge), 1.0,
                                 default_dt(basis_n9))
     with pytest.raises(ValueError):
@@ -333,7 +333,7 @@ def test_uniform_gauge_function_leaves_observables_alone(basis_n9):
     """Spatially constant chi only multiplies every orbital by one phase."""
     state = packet_state(basis_n9)
     gauge = ev.GaugeFunction.ramped_profile(
-        basis_n9.config, np.full(9, 0.7), 1.0, 0.0, 1.0, "uniform")
+        basis_n9.config, np.full(9, 0.7), 1.0, 0.0, 1.0)
     report = ev.gauge_pair_sweep(state, [gauge], 0.0, 1.0,
                                  default_dt(basis_n9))[0]
     assert report.max_density_deviation < 1e-12
@@ -443,8 +443,7 @@ def test_band_vacuum_gauge_pair_residual_shrinks():
         basis = build_basis(config)
         state = ev.vacuum_state(basis, coupled_band_spec(basis))
         profile = 0.2 * np.cos(TWO_PI * config.grid / config.box_length)
-        gauge = ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0, 1.5,
-                                                "fixed")
+        gauge = ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0, 1.5)
         report = ev.gauge_pair_sweep(state, [gauge], 0.0, 1.5,
                                      default_dt(basis), sample_stride=10)[0]
         devs.append(max(report.max_density_deviation,
@@ -455,6 +454,6 @@ def test_band_vacuum_gauge_pair_residual_shrinks():
 def test_gauge_pair_requires_aligned_start(basis_n9):
     state = packet_state(basis_n9)
     gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, np.zeros(9), 1.0,
-                                            0.5, 1.0, "fixed")
+                                            0.5, 1.0)
     with pytest.raises(ValueError):
         ev.gauge_pair_sweep(state, [gauge], 0.5, 1.0, 0.01)[0]

@@ -12,13 +12,12 @@ TWO_PI = 2.0 * np.pi
 
 def harmonic_gauge(config, amplitude=0.3, k=1, t_stop=1.5):
     profile = amplitude * np.cos(k * TWO_PI * config.grid / config.box_length)
-    return ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0, t_stop,
-                                           "fixed")
+    return ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0, t_stop)
 
 
 def test_zero_chi_zero_gauge_variation(basis_n9):
     gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, np.zeros(9), 1.0,
-                                            0.0, 1.0, "fixed")
+                                            0.0, 1.0)
     for spec in (VacuumSpec("standard"), coupled_band_spec(basis_n9)):
         out = rs.gauge_variation_response(commutator_kernel(basis_n9, spec),
                                           gauge, 0.7)
@@ -150,7 +149,7 @@ def test_path_equivalence_random_profiles(basis_n9, rng):
         profile = sum(c * np.cos((k + 1) * grid + rng.uniform(0, TWO_PI))
                       for k, c in enumerate(coeffs))
         gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, profile, 1.0,
-                                                0.0, 1.2, "fixed")
+                                                0.0, 1.2)
         pot = ev.PureGaugePotential(gauge)
         direct = rs.first_order_current(kernel, pot, 0.9, 0.0,
                                         smearing="fourier",
