@@ -152,8 +152,8 @@ def oracle_commutator_defect(basis: ModeBasis, spec: VacuumSpec,
     n_sites = basis.config.site_count
     kernels = ([charge_kernel(basis, k).restricted(subset) for k in range(n_sites)]
                + [current_kernel(basis, j).restricted(subset) for j in range(n_sites)])
-    adjoints = [OneBodyKernel(kernel.coefficients.conj().T, kernel.subtraction,
-                              kernel.label + "^dag") for kernel in kernels]
+    adjoints = [OneBodyKernel(kernel.coefficients.conj().T, kernel.subtraction)
+                for kernel in kernels]
     rho, cur, rho_dag, cur_dag = np.split(
         fock.apply_bilinears(ladders, kernels + adjoints, vacuum), 4, axis=1)
     # <v|rho_k J_j|v> - <v|J_j rho_k|v> = <rho_k^dag v|J_j v> - <J_j^dag v|rho_k v>

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
-import csv
 import hashlib
 import json
 import sys
@@ -32,8 +31,6 @@ from . import schwinger as sw
 from .lattice import LatticeConfig, build_basis
 from .operators import continuity_pair_residual
 from .vacua import VacuumSpec
-
-FLOAT_FORMAT = "{:.17e}"
 
 KICK_RECIPES = {
     # config tokens accepted for kick construction recipes
@@ -70,23 +67,30 @@ def _failure(exc: Exception) -> dict:
             "traceback": traceback.format_exc()}
 
 
-def _column_text(column, n_rows: int) -> list[str]:
-    """Cells of one column: an array entry by entry, or a scalar repeated."""
-    values = np.asarray(column)
-    fmt = FLOAT_FORMAT.format if values.dtype.kind == "f" else str
-    if values.ndim == 0:
-        return [fmt(values.item())] * n_rows
-    return list(map(fmt, values.tolist()))
+_QUOTED = frozenset(',"\r\n')  # the characters the csv module quotes
 
 
 def _write_csv(path: Path, header, columns):
-    """One array (one entry per row) or scalar (repeated) per header name."""
-    n_rows = max((len(c) for c in columns if np.ndim(c) > 0), default=1)
-    cells = [_column_text(column, n_rows) for column in columns]
+    """One array (one entry per row) or scalar (repeated) per header name.
+
+    Every row is one template, %.17e per float column and %s per other,
+    ending in CRLF.  Nothing is quoted: a text cell that the csv module
+    would quote (holding , " CR or LF, or a row's only cell and empty) is
+    refused.
+    """
+    values = [np.asarray(column) for column in columns]
+    texts = [header] + [map(str, v.ravel().tolist()) for v in values
+                        if v.dtype.kind in "OSU"]  # only text can need quotes
+    for cell in (cell for text in texts for cell in text):
+        if not _QUOTED.isdisjoint(cell) or (len(header) == 1 and cell == ""):
+            raise ValueError(f"CSV cell {cell!r} would need quoting")
+    n_rows = max((len(v) for v in values if v.ndim > 0), default=1)
+    template = ",".join("%.17e" if v.dtype.kind == "f" else "%s"
+                        for v in values) + "\r\n"
+    cells = [v.tolist() if v.ndim else [v.item()] * n_rows for v in values]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(*cells, strict=True))
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(template % row for row in zip(*cells, strict=True))
 
 
 def _write_json(path: Path, payload: dict):

@@ -23,6 +23,11 @@ import numpy as np
 
 ALPHA = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
+# Well above the 251 sites of the largest lattice any config, test or
+# benchmark builds, yet the dense basis fits in memory: phi alone is 64 N^2
+# bytes, 256 MB here.
+MAX_SITES = 2001
+
 
 @dataclass(frozen=True)
 class LatticeConfig:
@@ -37,10 +42,9 @@ class LatticeConfig:
         if not (np.isfinite(self.box_length) and self.box_length > 0):
             raise ValueError(
                 f"box_length must be finite and positive, got {self.box_length}")
-        if self.site_count < 1 or self.site_count % 2 == 0:
-            raise ValueError(
-                f"site_count must be an odd positive integer, got {self.site_count}"
-            )
+        if not (1 <= self.site_count <= MAX_SITES and self.site_count % 2):
+            raise ValueError(f"site_count must be an odd integer in "
+                             f"[1, {MAX_SITES}], got {self.site_count}")
         if not (np.isfinite(self.mass) and self.mass >= 0):
             raise ValueError(
                 f"mass must be finite and non-negative, got {self.mass}")
@@ -121,11 +125,6 @@ class ModeBasis:
             phase[:, None, :] * self.spinors[None, :, :] / np.sqrt(config.box_length)
         )
         self.flat = self.phi.reshape(2 * N, 2 * N)
-        # sqrt(a) * flat is unitary; h0 is exactly U diag(lam E) U^dag
-        self._unitary = np.sqrt(config.spacing) * self.flat
-
-    def __len__(self):
-        return len(self.modes)
 
     @property
     def mode_count(self) -> int:
@@ -167,7 +166,8 @@ class ModeBasis:
 
     def free_hamiltonian_matrix(self) -> np.ndarray:
         """Dense 2N x 2N matrix of h0 in the site-spinor basis."""
-        u = self._unitary
+        # sqrt(a) * flat is unitary; h0 is exactly U diag(lam E) U^dag
+        u = np.sqrt(self.config.spacing) * self.flat
         return (u * (self.lam * self.energy)) @ u.conj().T
 
     def mode_coefficients(self, psi: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ class OneBodyKernel:
 
     coefficients: np.ndarray
     subtraction: float
-    label: str
 
     def with_subtraction(self, c: float) -> "OneBodyKernel":
         return replace(self, subtraction=float(c))
@@ -30,9 +29,7 @@ class OneBodyKernel:
     def restricted(self, mode_indices) -> "OneBodyKernel":
         """Kernel restricted to a subset of modes (subtraction dropped)."""
         idx = np.asarray(mode_indices, dtype=int)
-        return OneBodyKernel(
-            self.coefficients[np.ix_(idx, idx)], 0.0, self.label + "|subset"
-        )
+        return OneBodyKernel(self.coefficients[np.ix_(idx, idx)], 0.0)
 
 
 @dataclass(frozen=True)
@@ -48,14 +45,14 @@ def charge_kernel(basis: ModeBasis, site: int) -> OneBodyKernel:
     """K_nm = q phi_n(x_j)^dag phi_m(x_j)."""
     f = basis.phi[site]  # (2, 2N)
     k = basis.config.charge * f.conj().T @ f
-    return OneBodyKernel(k, 0.0, f"charge(x_{site})")
+    return OneBodyKernel(k, 0.0)
 
 
 def current_kernel(basis: ModeBasis, site: int) -> OneBodyKernel:
     """K_nm = q phi_n(x_j)^dag alpha phi_m(x_j)."""
     f = basis.phi[site]
     k = basis.config.charge * f.conj().T @ ALPHA @ f
-    return OneBodyKernel(k, 0.0, f"current(x_{site})")
+    return OneBodyKernel(k, 0.0)
 
 
 def free_hamiltonian_kernel(basis: ModeBasis, occ: OccupationSet | None = None) -> OneBodyKernel:
@@ -64,7 +61,7 @@ def free_hamiltonian_kernel(basis: ModeBasis, occ: OccupationSet | None = None) 
     xi = 0.0
     if occ is not None:
         xi = float(np.sum(basis.lam[list(occ.indices)] * basis.energy[list(occ.indices)]))
-    return OneBodyKernel(k, xi, "free_energy")
+    return OneBodyKernel(k, xi)
 
 
 def renorm_constants(basis: ModeBasis, occ: OccupationSet) -> RenormalizationConstants:

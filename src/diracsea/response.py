@@ -37,7 +37,6 @@ class ResponseKernel:
     """Mode-pair data of the retarded current/charge response of a vacuum."""
 
     basis: ModeBasis
-    occupied: OccupationSet
     omega: np.ndarray            # (P,) energy differences e_n - e_m
     transfer: np.ndarray         # (P,) integer momentum transfers k_m - k_n
     current_weight: np.ndarray   # (P,) q u_n^dag alpha u_m / L
@@ -57,7 +56,7 @@ class ResponseKernel:
                     - basis.momentum_index[occupied, None])
         current = un.conj().T @ ALPHA @ um   # u_n^dag alpha u_m
         charge = un.conj().T @ um
-        return cls(basis, occ, omega.ravel(), transfer.ravel(),
+        return cls(basis, omega.ravel(), transfer.ravel(),
                    (current * q / length).ravel(), (charge * q / length).ravel())
 
     def _site_matrix(self, weights: np.ndarray) -> np.ndarray:
@@ -125,12 +124,15 @@ def first_order_current(kernel: ResponseKernel, potential, t: float,
                         samples_per_period: int = 40) -> np.ndarray:
     """Linear-in-potential vacuum current at time t on the grid.
 
-    ``smearing`` selects how the potential enters the spatial integrals:
-    "site" couples it site-diagonally, matching the evolution module's
-    Hamiltonian exactly; "fourier" evaluates the integrals of the pair
-    functions against the potential's bandlimited interpolant exactly, the
-    convention under which the pure-gauge response reduces to the
-    commutator-kernel contraction.
+    Each pair's source at a sample is a (conj(rho_p) A0_hat[d_p] - conj(j_p)
+    A_hat[d_p]), with a = L/N and A_hat the FFT of the potential's grid
+    samples, read at the pair's transfer d_p mod N.  ``smearing`` selects
+    which bins count: "site" reads every pair's aliased bin, the
+    site-diagonal coupling of the evolution module's Hamiltonian; "fourier"
+    keeps only |d_p| <= (N-1)/2, the exact integrals of the pair functions
+    against the potential's bandlimited interpolant, the convention under
+    which the pure-gauge response reduces to the commutator-kernel
+    contraction.
     """
     if smearing not in SMEARINGS:
         raise ValueError(f"unknown smearing {smearing!r}")
@@ -141,27 +143,23 @@ def first_order_current(kernel: ResponseKernel, potential, t: float,
     ts, weights = _time_grid(
         t_start, t, kubo_interval_count(basis, t - t_start, samples_per_period))
 
-    jmat = kernel.current_pair_matrix()
-    rmat = kernel.charge_pair_matrix()
     a = basis.config.spacing
-    length = basis.config.box_length
+    bins = kernel.transfer % n_sites
+    kept = a if smearing == "site" else a * (
+        np.abs(kernel.transfer) <= (n_sites - 1) // 2)
+    charge = kept * kernel.charge_weight.conj()
+    current = kept * kernel.current_weight.conj()
 
     integral = np.zeros(kernel.omega.shape, dtype=complex)
     for t_prime, w in zip(ts, weights):
-        a_vec = potential.a(t_prime)
-        a0_vec = potential.a0(t_prime)
-        if smearing == "site":
-            source = a * (jmat.conj().T @ (-a_vec) + rmat.conj().T @ a0_vec)
-        else:
-            source = length * (
-                -kernel.current_weight.conj() * fourier_at(a_vec, kernel.transfer)
-                + kernel.charge_weight.conj() * fourier_at(a0_vec, kernel.transfer))
+        source = (charge * np.fft.fft(potential.a0(t_prime))[bins]
+                  - current * np.fft.fft(potential.a(t_prime))[bins])
         integral += w * source * np.exp(-1j * kernel.omega * t_prime)
 
     # delta<J> = -i * int <[J_I(t), V_I(t')]> dt'; the sign is fixed by the
     # integrated dynamics (centered-difference linearization of the evolution
     # module reproduces it)
-    z = jmat @ (np.exp(1j * kernel.omega * t) * integral)
+    z = kernel.current_pair_matrix() @ (np.exp(1j * kernel.omega * t) * integral)
     return 2.0 * z.imag
 
 

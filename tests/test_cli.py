@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -299,12 +300,13 @@ def single_error_line(capsys) -> dict:
     ("evolve", dict(KICKED_PACKET, kick={"recipe": ["eq39"], "f": 0.01})),
     ("response", {"lattice": BASE_LATTICE, "chi": {"amplitude": float("nan")}}),
     ("response", {"lattice": BASE_LATTICE, "t_b": 1e9}),
+    ("check-basis", {"lattice": dict(BASE_LATTICE, N=200001)}),
 ], ids=["text-t_a", "null-t_b", "list-kick", "list-packet", "list-chi",
         "text-chi-k", "unknown-smearing", "null-delta_Ew", "nan-delta_Ew",
         "text-small_f_count", "one-strength", "equal-strengths",
         "tied-small-f-head", "scalar-sweep-values", "list-config",
         "numeric-text-t_b", "nan-p_center", "inf-t_b", "list-recipe",
-        "nan-chi-amplitude", "huge-response-t_b"])
+        "nan-chi-amplitude", "huge-response-t_b", "huge-N"])
 def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch,
                                           command, config):
     def no_evolution(*args, **kwargs):
@@ -517,3 +519,76 @@ def test_cli_import_loads_neither_sparse_nor_special():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+
+
+def reference_write_csv(path, header, columns):
+    """The csv-module writer that ``cli._write_csv`` replaced."""
+    n_rows = max((len(c) for c in columns if np.ndim(c) > 0), default=1)
+    cells = []
+    for column in columns:
+        values = np.asarray(column)
+        fmt = "{:.17e}".format if values.dtype.kind == "f" else str
+        cells.append([fmt(values.item())] * n_rows if values.ndim == 0
+                     else list(map(fmt, values.tolist())))
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(zip(*cells, strict=True))
+
+
+CSV_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.8e308]),
+    st.floats())
+CSV_INTS = st.integers(-2**63, 2**63 - 1)
+CSV_TEXT_CHARS = st.characters(blacklist_categories=("Cs",),
+                               blacklist_characters=',"\r\n')
+CSV_DTYPES = {"float": float, "int": np.int64, "text": str}
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, columns): scalar and array columns of floats, ints and text
+    that the csv module writes unquoted."""
+    n_rows = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 4))
+    # a row of one empty cell is the one unquoted-looking cell csv quotes
+    text = st.text(CSV_TEXT_CHARS, min_size=int(width == 1), max_size=6)
+    cells = {"float": CSV_FLOATS, "int": CSV_INTS, "text": text}
+    columns = []
+    for _ in range(width):
+        kind = draw(st.sampled_from(sorted(cells)))
+        if draw(st.booleans()):
+            columns.append(draw(cells[kind]))  # a scalar, repeated per row
+        else:
+            values = draw(st.lists(cells[kind], min_size=n_rows,
+                                   max_size=n_rows))
+            columns.append(np.array(values, dtype=CSV_DTYPES[kind]))
+    return draw(st.lists(text, min_size=width, max_size=width)), columns
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(table=csv_tables())
+def test_write_csv_matches_csv_module(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
+        cli._write_csv(ours, header, columns)
+        reference_write_csv(theirs, header, columns)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["x", "vacuum"], [np.zeros(2), "a,b"]),
+    (["x", "vacuum"], [np.zeros(2), 'say "sea"']),
+    (["x", "vacuum"], [np.zeros(2), np.array(["band", "two\nlines"])]),
+    (["x", "vacuum"], [np.zeros(2), "cr\r"]),
+    (["delta_Ew"], [""]),
+    (["x,y"], [np.zeros(2)]),
+], ids=["comma", "quote", "newline", "carriage-return", "lone-empty-cell",
+        "header-comma"])
+def test_write_csv_refuses_cells_csv_would_quote(tmp_path, header, columns):
+    reference_write_csv(tmp_path / "theirs.csv", header, columns)
+    assert '"' in (tmp_path / "theirs.csv").read_text()  # csv quotes this
+    with pytest.raises(ValueError, match="quoting"):
+        cli._write_csv(tmp_path / "ours.csv", header, columns)
+    assert not (tmp_path / "ours.csv").exists()

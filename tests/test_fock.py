@@ -76,7 +76,7 @@ def test_bilinear_number_operator(basis_n3):
     ladders = fock.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
     sea = fock.build_vacuum_vector(ladders, occ)
-    identity = OneBodyKernel(np.eye(6, dtype=complex), 0.0, "number")
+    identity = OneBodyKernel(np.eye(6, dtype=complex), 0.0)
     total = fock.bilinear_matrix(ladders, identity)
     assert fock.expectation(sea, total).real == pytest.approx(len(occ))
 
@@ -84,10 +84,10 @@ def test_bilinear_number_operator(basis_n3):
 def test_bilinear_shape_guard(basis_n3):
     ladders = fock.build_ladders(4)
     with pytest.raises(ValueError):
-        fock.bilinear_matrix(ladders, OneBodyKernel(np.eye(6), 0.0, "bad"))
+        fock.bilinear_matrix(ladders, OneBodyKernel(np.eye(6), 0.0))
     with pytest.raises(ValueError):
-        fock.apply_bilinears(ladders, [OneBodyKernel(np.eye(4), 0.0, "ok"),
-                                       OneBodyKernel(np.eye(6), 0.0, "bad")],
+        fock.apply_bilinears(ladders, [OneBodyKernel(np.eye(4), 0.0),
+                                       OneBodyKernel(np.eye(6), 0.0)],
                              np.ones(16, dtype=complex))
 
 
@@ -106,7 +106,7 @@ def random_kernel(rng, mode_count, subtraction):
     k = (rng.normal(size=(mode_count, mode_count))
          + 1j * rng.normal(size=(mode_count, mode_count)))
     k[rng.random((mode_count, mode_count)) < 0.3] = 0.0
-    return OneBodyKernel(k, subtraction, "random")
+    return OneBodyKernel(k, subtraction)
 
 
 @pytest.mark.parametrize("mode_count", range(1, 9))
@@ -140,9 +140,9 @@ def test_bilinear_linearity(basis_n3, rng):
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     combined = fock.bilinear_matrix(
-        ladders, OneBodyKernel(2.0 * a + b, 0.0, "combo"))
-    separate = (2.0 * fock.bilinear_matrix(ladders, OneBodyKernel(a, 0.0, "a"))
-                + fock.bilinear_matrix(ladders, OneBodyKernel(b, 0.0, "b")))
+        ladders, OneBodyKernel(2.0 * a + b, 0.0))
+    separate = (2.0 * fock.bilinear_matrix(ladders, OneBodyKernel(a, 0.0))
+                + fock.bilinear_matrix(ladders, OneBodyKernel(b, 0.0)))
     assert np.abs((combined - separate).toarray()).max() < 1e-12
 
 
@@ -151,9 +151,9 @@ def test_commutator_expectation_properties(basis_n3, rng):
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
     sea = fock.build_vacuum_vector(ladders, occ)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    op_a = fock.bilinear_matrix(ladders, OneBodyKernel(a + a.conj().T, 0.0, "a"))
+    op_a = fock.bilinear_matrix(ladders, OneBodyKernel(a + a.conj().T, 0.0))
     b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    op_b = fock.bilinear_matrix(ladders, OneBodyKernel(b + b.conj().T, 0.0, "b"))
+    op_b = fock.bilinear_matrix(ladders, OneBodyKernel(b + b.conj().T, 0.0))
     assert fock.commutator_expectation(sea, op_a, op_a) == pytest.approx(0.0)
     forward = fock.commutator_expectation(sea, op_a, op_b)
     backward = fock.commutator_expectation(sea, op_b, op_a)
