@@ -9,13 +9,13 @@ carried entirely by the single-particle orbitals:
 Each step applies the exponential of the midpoint Hamiltonian, which is
 unitary up to rounding and second-order accurate in dt.  The exponential is
 evaluated without forming h: as a Chebyshev series in h (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967 (1984)) whose terms each apply h once, by one product
-with the cached N x N kinetic matrix ``ModeBasis.kinetic_matrix`` and
+J. Chem. Phys. 81, 3967 (1984)) whose terms each apply h once, by one real
+product with the cached derivative matrix ``ModeBasis.derivative_matrix`` and
 site-local 2x2 matrices for the mass and the potentials; when the midpoint
 potential vanishes it is the exact per-momentum rotation
 cos(E dt) - i sin(E dt) h(p)/E, applied by FFT.  Branches that share an
 initial state and step size advance, and are recorded, together as one
-stacked tensor (``run_branches``).
+site-major tensor (N, n_branch, 2, n_orb) (``run_branches``).
 
 The module also hosts the gauge-kick experiment: build a gauge function from
 the density rate of a potential-free trajectory, evolve a second branch under
@@ -35,14 +35,19 @@ from .operators import RenormalizationConstants, renorm_constants
 from .vacua import OccupationSet, VacuumSpec, occupation_set
 
 
+def _unit_clamp(s):
+    """np.clip(s, 0, 1); for a float by min and max: same bits, NaN kept, faster."""
+    return min(max(s, 0.0), 1.0) if isinstance(s, float) else np.clip(s, 0.0, 1.0)
+
+
 def smoothstep(s):
     """Quintic ramp with two vanishing derivatives at both ends."""
-    s = np.clip(s, 0.0, 1.0)
+    s = _unit_clamp(s)
     return s**3 * (10.0 + s * (-15.0 + 6.0 * s))
 
 
 def smoothstep_rate(s):
-    s = np.clip(s, 0.0, 1.0)
+    s = _unit_clamp(s)
     return 30.0 * s**2 * (1.0 - s) ** 2
 
 
@@ -272,17 +277,6 @@ BESSEL_CUTOFF = 1e-18
 _MINUS_I_POWERS = (1.0, -1j, -1.0, 1j)
 
 
-def _grid_last(orbitals: np.ndarray, n_sites: int) -> np.ndarray:
-    """Site-major (2N, n_orb) orbitals as a contiguous (2, n_orb, N) array."""
-    return np.ascontiguousarray(
-        orbitals.reshape(n_sites, 2, -1).transpose(1, 2, 0))
-
-
-def _site_major(psi: np.ndarray) -> np.ndarray:
-    """Inverse of ``_grid_last``."""
-    return np.ascontiguousarray(psi.transpose(2, 0, 1)).reshape(-1, psi.shape[1])
-
-
 def _couplings(config: LatticeConfig, potential: Potential | None, t: float):
     """Site couplings (q A0, -q A) at time t; zeros without a potential."""
     if potential is None:
@@ -297,25 +291,26 @@ def _couplings(config: LatticeConfig, potential: Potential | None, t: float):
 
 def _hamiltonian(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray,
                  scale: float = 1.0):
-    """psi -> scale * h psi for grid-last orbitals psi of shape (..., 2, n_orb, N).
+    """psi -> scale * h psi for site-major orbitals psi of shape (N, ..., 2, n_orb).
 
-    The kinetic term -i alpha d/dx is one matrix product of every grid row
-    with the kinetic matrix K (alpha swaps the spinor components); the mass,
-    q A0 and -q alpha A terms are site-local.  The couplings v0 = q A0 and
-    v1 = -q A have shape (..., N), their leading axes matching those of psi.
+    The kinetic term -i alpha d/dx is one real product of the derivative
+    matrix D with a float view of psi (K = -i D; alpha swaps the spinor
+    components); the mass, q A0 and -q alpha A terms are site-local.  The
+    couplings v0 = q A0 and v1 = -q A have shape psi.shape[:-2].
     """
-    n = basis.config.site_count
+    d = scale * basis.derivative_matrix
+    v0 = v0[..., None, None]
     mass = basis.config.mass
-    kt = scale * basis.kinetic_matrix.T
-    v0 = v0[..., None, None, :]
-    diag = scale * np.concatenate([v0 + mass, v0 - mass], axis=-3)
-    off = scale * v1[..., None, None, :]
+    diag = (scale * np.concatenate([v0 + mass, v0 - mass], axis=-2)).astype(complex)
+    off = (scale * v1[..., None, None]).astype(complex)
 
     def apply(psi: np.ndarray) -> np.ndarray:
-        swapped = psi[..., ::-1, :, :]
-        out = (swapped.reshape(-1, n) @ kt).reshape(swapped.shape)
-        out += diag * psi
-        out += off * swapped
+        real = np.ascontiguousarray(psi).reshape(len(d), -1).view(float)
+        dpsi = (d @ real).view(complex).reshape(psi.shape)
+        dpsi *= -1j
+        dpsi += off * psi
+        out = diag * psi
+        out += dpsi[..., ::-1, :]
         return out
 
     return apply
@@ -324,27 +319,28 @@ def _hamiltonian(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray,
 def _free_rotation(basis: ModeBasis, psi: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h0 dt) psi: cos(E dt) - i sin(E dt) h(p)/E at each momentum."""
     p = 2.0 * np.pi * np.fft.fftfreq(basis.config.site_count, d=basis.config.spacing)
+    p = p[:, None, None]  # broadcast over branches and orbitals
     mass = basis.config.mass
     energy = np.hypot(p, mass)
     cos = np.cos(energy * dt)
     sin_over_e = dt * np.sinc(energy * dt / np.pi)  # dt at E = 0
-    ft = np.fft.fft(psi, axis=-1)
-    up, down = ft[..., 0, :, :], ft[..., 1, :, :]
+    ft = np.fft.fft(psi, axis=0)
+    up, down = ft[..., 0, :], ft[..., 1, :]
     out = np.empty_like(ft)
-    out[..., 0, :, :] = cos * up - 1j * sin_over_e * (mass * up + p * down)
-    out[..., 1, :, :] = cos * down - 1j * sin_over_e * (p * up - mass * down)
-    return np.fft.ifft(out, axis=-1)
+    out[..., 0, :] = cos * up - 1j * sin_over_e * (mass * up + p * down)
+    out[..., 1, :] = cos * down - 1j * sin_over_e * (p * up - mass * down)
+    return np.fft.ifft(out, axis=0)
 
 
 def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
                v1: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) psi for stacked grid-last orbitals psi (n_branch, 2, n_orb, N).
+    """exp(-i h dt) psi for stacked site-major orbitals psi (N, n_branch, 2, n_orb).
 
-    Branch b feels the couplings v0[b], v1[b].  All branches share one
+    Branch b feels the couplings v0[:, b], v1[:, b].  All branches share one
     Chebyshev series exp(-i h dt) = sum_k (2 - delta_k0) (-i)^k J_k(R dt)
-    T_k(h / R), with R = E_max + max_b (max|v0[b]| + max|v1[b]|) bounding the
-    spectrum of every branch's h.  ValueError when the series would exceed
-    ``MAX_SERIES_TERMS`` terms.
+    T_k(h / R), with R = E_max + max_b (max|v0[:, b]| + max|v1[:, b]|)
+    bounding the spectrum of every branch's h.  ValueError when the series
+    would exceed ``MAX_SERIES_TERMS`` terms.
     """
     if not (v0.any() or v1.any()):
         return _free_rotation(basis, psi, dt)
@@ -353,7 +349,7 @@ def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
     from scipy.special import jv
 
     radius = basis.max_energy + float(
-        (np.abs(v0).max(axis=-1) + np.abs(v1).max(axis=-1)).max())
+        (np.abs(v0).max(axis=0) + np.abs(v1).max(axis=0)).max())
     z = radius * dt
     length = z + 20.0 * np.cbrt(z)
     if not length + 30 <= MAX_SERIES_TERMS:  # also a NaN or infinite R dt
@@ -365,7 +361,9 @@ def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
     prev, cur = psi, 0.5 * twice_x(psi)
     out = weights[0] * psi + (-2j * weights[1]) * cur
     for k in range(2, n_terms):
-        prev, cur = cur, twice_x(cur) - prev  # T_{k} = 2 (h/R) T_{k-1} - T_{k-2}
+        nxt = twice_x(cur)  # T_k = 2 (h/R) T_{k-1} - T_{k-2}
+        nxt -= prev
+        prev, cur = cur, nxt
         out += (2.0 * _MINUS_I_POWERS[k % 4] * weights[k]) * cur
     return out
 
@@ -379,14 +377,14 @@ def apply_hamiltonian(basis: ModeBasis, orbitals: np.ndarray,
     result has the same shape.  Applies h0 alone when no potential is given.
     """
     v0, v1 = _couplings(basis.config, potential, t)
-    psi = _grid_last(orbitals, basis.config.site_count)
-    return _site_major(_hamiltonian(basis, v0, v1)(psi)).reshape(orbitals.shape)
+    psi = np.asarray(orbitals, dtype=complex).reshape(basis.config.site_count, 2, -1)
+    return _hamiltonian(basis, v0, v1)(psi).reshape(orbitals.shape)
 
 
 def _observe(basis: ModeBasis, subtractions: RenormalizationConstants,
              psi: np.ndarray):
     """Vacuum-subtracted (density, current, free energy, density rate) of
-    grid-last orbitals psi (..., 2, n_orb, N), one entry per leading index.
+    site-major orbitals psi (N, n_branch, 2, n_orb), one row per branch.
 
     The density rate d rho/dt = 2 q Im sum_o psi_o^dag (h psi_o) per site
     takes h0 psi alone, the product the free energy needs: the couplings
@@ -396,22 +394,22 @@ def _observe(basis: ModeBasis, subtractions: RenormalizationConstants,
     """
     config = basis.config
     q = config.charge
-    zeros = np.zeros(config.site_count)
+    zeros = np.zeros(psi.shape[:-2])
     h0_psi = _hamiltonian(basis, zeros, zeros)(psi)
-    density = q * (np.abs(psi) ** 2).sum(axis=(-3, -2)) - subtractions.rho
-    up, down = psi[..., 0, :, :], psi[..., 1, :, :]  # psi^dag alpha psi = 2 Re up* down
-    current = 2.0 * q * (up.conj() * down).real.sum(axis=-2) - subtractions.current
-    weighted = (psi.conj() * h0_psi).sum(axis=(-3, -2))
-    energy = config.spacing * weighted.real.sum(axis=-1) - subtractions.xi
-    return density, current, energy, 2.0 * q * weighted.imag
+    density = q * (np.abs(psi) ** 2).sum(axis=(-2, -1)).T - subtractions.rho
+    up, down = psi[..., 0, :], psi[..., 1, :]  # psi^dag alpha psi = 2 Re up* down
+    current = 2.0 * q * (up.conj() * down).real.sum(axis=-1).T - subtractions.current
+    weighted = (psi.conj() * h0_psi).sum(axis=(-2, -1))
+    energy = config.spacing * weighted.real.sum(axis=0) - subtractions.xi
+    return density, current, energy, 2.0 * q * weighted.imag.T
 
 
 def observables(state: SlaterState) -> Snapshot:
     """Vacuum-subtracted density, current, free-field energy and density rate
     of one state; no potential enters the rate (see ``_observe``)."""
-    psi = _grid_last(state.orbitals, state.basis.config.site_count)
+    psi = state.orbitals.reshape(state.basis.config.site_count, 1, 2, -1)
     density, current, energy, rate = _observe(state.basis, state.subtractions, psi)
-    return Snapshot(density, current, float(energy), rate)
+    return Snapshot(density[0], current[0], float(energy[0]), rate[0])
 
 
 MAX_STEPS = 10**6
@@ -464,13 +462,13 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
         return []
     basis = state.basis
     config = basis.config
-    psi = np.stack([_grid_last(state.orbitals, config.site_count)]
-                   * len(potentials))
+    psi = np.stack([state.orbitals.reshape(config.site_count, 2, -1)]
+                   * len(potentials), axis=1)
     time = state.time
     times, samples = [time], [_observe(basis, state.subtractions, psi)]
     for k in range(n_steps):
-        v0, v1 = map(np.array, zip(*(_couplings(config, p, time + 0.5 * dt_eff)
-                                     for p in potentials)))
+        v0, v1 = (np.stack(v, axis=-1) for v in zip(
+            *(_couplings(config, p, time + 0.5 * dt_eff) for p in potentials)))
         psi = _propagate(basis, psi, v0, v1, dt_eff)
         time = time + dt_eff
         if (k + 1) % sample_stride == 0:
@@ -481,7 +479,8 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
     residual = rate + spectral_derivative(current.T, config.box_length).T
     return [(Trajectory(basis, potential.provenance, np.array(times), density[:, b],
                         current[:, b], energy[:, b], rate[:, b], residual[:, b]),
-             SlaterState(basis, state.reference, _site_major(psi[b]), time,
+             SlaterState(basis, state.reference,
+                         psi[:, b].reshape(state.orbitals.shape), time,
                          state.subtractions))
             for b, potential in enumerate(potentials)]
 

@@ -149,18 +149,26 @@ class ModeBasis:
         return complex(self.config.spacing * np.vdot(f.ravel(), g.ravel()))
 
     @cached_property
-    def kinetic_matrix(self) -> np.ndarray:
-        """K = -i d/dx on the grid, the N x N Hermitian circulant of spectral
-        differentiation: -i (2 pi/L) (1/2) (-1)^(j-k) csc((j-k) pi/N) off the
-        diagonal and 0 on it (Trefethen, Spectral Methods in MATLAB, ch. 3).
+    def derivative_matrix(self) -> np.ndarray:
+        """D = d/dx on the grid, the real antisymmetric N x N circulant of
+        spectral differentiation: (2 pi/L) (1/2) (-1)^(j-k) csc((j-k) pi/N)
+        off the diagonal and 0 on it (Trefethen, Spectral Methods in MATLAB,
+        ch. 3; real because N is odd).
 
         Built once per lattice as the spectral derivative of the identity,
-        antisymmetrized so that K is Hermitian exactly.  Read-only, since
-        every caller shares the cached array.
+        antisymmetrized so that D^T = -D exactly.  Read-only, since every
+        caller shares the cached array.
         """
         d = spectral_derivative(np.eye(self.config.site_count),
                                 self.config.box_length)
-        k = -0.5j * (d - d.T)
+        d = 0.5 * (d - d.T)
+        d.flags.writeable = False
+        return d
+
+    @cached_property
+    def kinetic_matrix(self) -> np.ndarray:
+        """K = -i D, the Hermitian kinetic matrix -i d/dx; read-only."""
+        k = -1j * self.derivative_matrix
         k.flags.writeable = False
         return k
 

@@ -92,6 +92,22 @@ def test_matrix_free_hamiltonian_matches_dense(basis_n9):
     assert np.abs(ev.apply_hamiltonian(basis_n9, state.orbitals) - free).max() < 1e-13
 
 
+@pytest.mark.parametrize("n_sites", [125, 201])
+def test_matrix_free_hamiltonian_matches_dense_at_large_n(n_sites, rng):
+    """h psi under a potential at N = 5^3 and 3 * 67.  The tolerance is
+    relative: the dense reference, built as U diag(lam E) U^dag, itself
+    rounds to about 1e-12 absolute at N = 201, where |h psi| reaches 50."""
+    basis = build_basis(LatticeConfig(TWO_PI, n_sites, 1.0, 1.0))
+    x = basis.config.grid
+    pot = ev.Potential(basis.config, a0_fn=lambda t: 3.0 * np.cos(x + t),
+                       a_fn=lambda t: 2.0 * np.sin(2.0 * x - t))
+    psi = rng.normal(size=(2 * n_sites, 6)) + 1j * rng.normal(size=(2 * n_sites, 6))
+    psi /= np.sqrt(basis.config.spacing * (np.abs(psi) ** 2).sum(axis=0))
+    dense = ev.single_particle_hamiltonian(basis, pot, 0.3) @ psi
+    matrix_free = ev.apply_hamiltonian(basis, psi, pot, 0.3)
+    assert np.abs(matrix_free - dense).max() < 1e-12 * np.abs(dense).max()
+
+
 def test_recorded_density_rate_matches_dense(basis_n9):
     state, pot = kicked_packet(basis_n9, 0.3)
     t = 0.4  # mid-window, where both A0 and A are nonzero

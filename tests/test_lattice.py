@@ -128,6 +128,23 @@ def test_kinetic_matrix_is_the_closed_form_circulant():
             assert np.all(np.diag(k) == 0)
 
 
+def test_derivative_matrix_is_real_antisymmetric_and_read_only():
+    """D is real with D^T = -D exactly, K is -i D exactly, and neither cached
+    array can be written through."""
+    for n_sites in (1, 3, 9, 27, 125):
+        for length in (TWO_PI, 3.7):
+            basis = build_basis(LatticeConfig(length, n_sites, 1.0))
+            d = basis.derivative_matrix
+            assert d.dtype == np.float64 and d.shape == (n_sites, n_sites)
+            assert np.array_equal(d.T, -d)
+            assert np.array_equal(basis.kinetic_matrix, -1j * d)
+            for cached in (d, basis.kinetic_matrix):
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0, 0] = 1.0
+            assert basis.derivative_matrix is d
+
+
 def test_apply_hamiltonian_uses_each_lattice_kinetic_matrix(rng):
     """Interleaved lattices sharing N or L each get their own kinetic term."""
     lattices = [LatticeConfig(TWO_PI, 9, 1.0), LatticeConfig(3.7, 9, 1.0),
