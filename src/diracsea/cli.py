@@ -70,27 +70,51 @@ def _failure(exc: Exception) -> dict:
 _QUOTED = frozenset(',"\r\n')  # the characters the csv module quotes
 
 
-def _write_csv(path: Path, header, columns):
-    """One array (one entry per row) or scalar (repeated) per header name.
+def _formatted(values: np.ndarray) -> list[str]:
+    """Each entry as its CSV cell: %.17e for a float, str for anything else."""
+    cell = "%.17e".__mod__ if values.dtype.kind == "f" else str
+    return list(map(cell, values.ravel().tolist()))
 
-    Every row is one template, %.17e per float column and %s per other,
-    ending in CRLF.  Nothing is quoted: a text cell that the csv module
-    would quote (holding , " CR or LF, or a row's only cell and empty) is
-    refused.
+
+def _write_csv(path: Path, header, columns):
+    """One column per header name: an array (one cell per row), a scalar (the
+    same cell on every row) or a pair (values, index), the array
+    values[index].
+
+    Cells are %.17e for floats and str for the rest, and rows end in CRLF.
+    No cell is formatted twice: a scalar goes into the one row template (%
+    escaped as %%), a pair's values are formatted before the index picks
+    them, and an array's cells are the template's %.17e or %s fields.
+    Nothing is quoted: a text cell that the csv module would quote (holding
+    , " CR or LF, or a row's only cell and empty) is refused before the file
+    is opened.
     """
-    values = [np.asarray(column) for column in columns]
-    texts = [header] + [map(str, v.ravel().tolist()) for v in values
-                        if v.dtype.kind in "OSU"]  # only text can need quotes
+    fields, cells, texts = [], [], [header]
+    for column in columns:
+        pair = isinstance(column, tuple)
+        values = np.asarray(column[0] if pair else column)
+        if pair:
+            row_cells = list(map(_formatted(values).__getitem__,
+                                 np.ravel(column[1]).tolist()))
+            fields.append("%s")
+            cells.append(row_cells)
+        elif values.ndim == 0:
+            row_cells = _formatted(values)
+            fields.append(row_cells[0].replace("%", "%%"))
+        else:
+            row_cells = values.tolist()
+            fields.append("%.17e" if values.dtype.kind == "f" else "%s")
+            cells.append(row_cells)
+        if values.dtype.kind in "OSU":  # only text can need quotes
+            texts.append(map(str, row_cells))
     for cell in (cell for text in texts for cell in text):
         if not _QUOTED.isdisjoint(cell) or (len(header) == 1 and cell == ""):
             raise ValueError(f"CSV cell {cell!r} would need quoting")
-    n_rows = max((len(v) for v in values if v.ndim > 0), default=1)
-    template = ",".join("%.17e" if v.dtype.kind == "f" else "%s"
-                        for v in values) + "\r\n"
-    cells = [v.tolist() if v.ndim else [v.item()] * n_rows for v in values]
+    template = ",".join(fields) + "\r\n"
+    rows = zip(*cells, strict=True) if cells else [()]
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.writelines(template % row for row in zip(*cells, strict=True))
+        handle.writelines(template % row for row in rows)
 
 
 def _write_json(path: Path, payload: dict):
@@ -237,7 +261,7 @@ def run_schwinger(config: dict, out_dir: Path, seed: int) -> list[Path]:
     csv_path = out_dir / "schwinger.csv"
     _write_csv(csv_path, ["j", "k", "x", "y", "re_I", "im_I", "re_divI",
                           "im_divI", "vacuum", "N", "m", "q", "delta_Ew"],
-               [j, k, cfg.grid[j], cfg.grid[k], values.real.ravel(),
+               [j, k, (cfg.grid, j), (cfg.grid, k), values.real.ravel(),
                 values.imag.ravel(), divergence.real.ravel(),
                 divergence.imag.ravel(), spec.kind, cfg.site_count, cfg.mass,
                 cfg.charge, width])
@@ -314,11 +338,12 @@ def _kick_recipe(kick: dict) -> str:
 def _trajectory_files(out_dir: Path, tag: str, traj, potential) -> list[Path]:
     rate_series = ev.rate_identity_series(traj, potential)
     grid = traj.basis.config.grid
+    i, j = np.divmod(np.arange(traj.density.size), len(grid))  # row-major
     snap_path = out_dir / f"{tag}_snapshots.csv"
     run_path = out_dir / f"{tag}_series.csv"
     _write_csv(snap_path, ["t", "x", "rho_e", "J_e"],
-               [np.repeat(traj.times, len(grid)), np.tile(grid, len(traj.times)),
-                traj.density.ravel(), traj.current.ravel()])
+               [(traj.times, i), (grid, j), traj.density.ravel(),
+                traj.current.ravel()])
     _write_csv(run_path, ["t", "xi0", "rate_residual", "max_L"],
                [traj.times, traj.free_energy, rate_series,
                 np.abs(traj.residual).max(axis=1)])
@@ -466,18 +491,18 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
     kernel = rs.vacuum_response_kernel(basis, spec)
 
     times = np.linspace(t_start, t_stop, n_times + 1)[1:]
-    direct = np.concatenate([rs.first_order_current(kernel, potential, t,
-                                                    t_start, smearing=smearing)
-                             for t in times])
+    direct = rs.first_order_current(kernel, potential, times, t_start,
+                                    smearing=smearing).ravel()
     contraction = np.concatenate([rs.gauge_variation_response(commutator,
                                                               gauge, t)
                                   for t in times])
     width = spec.band_width if spec.kind == "band" else ""
+    i, j = np.divmod(np.arange(direct.size), cfg.site_count)  # row-major
     csv_path = out_dir / "response.csv"
     _write_csv(csv_path, ["t", "x", "J1_direct", "J1_gauge_variation",
                           "vacuum", "N", "delta_Ew"],
-               [np.repeat(times, cfg.site_count), np.tile(cfg.grid, n_times),
-                direct, contraction, spec.kind, cfg.site_count, width])
+               [(times, i), (cfg.grid, j), direct, contraction, spec.kind,
+                cfg.site_count, width])
     summary_path = out_dir / "response_summary.json"
     _write_json(summary_path, {
         "max_path_difference": float(np.abs(direct - contraction).max()),

@@ -216,3 +216,17 @@ def fourier_at(values: np.ndarray, transfers) -> np.ndarray:
     spectrum = np.fft.fft(values) / n
     return np.where(np.abs(transfers) <= (n - 1) // 2,
                     spectrum[transfers % n], 0.0)
+
+
+def transfer_sum(coefficients: np.ndarray, transfers, n: int) -> np.ndarray:
+    """sum_p c_p exp(i 2 pi d_p j / n) for j = 0 .. n-1.
+
+    The grid cannot tell d from d +- n, so the coefficients are summed onto
+    their transfers mod n (real and imaginary parts by ``np.bincount``) and
+    then by one n-point FFT: O(P + n log n) time and O(P) memory for P
+    coefficients.
+    """
+    bins = np.asarray(transfers) % n
+    folded = (np.bincount(bins, coefficients.real, n)
+              + 1j * np.bincount(bins, coefficients.imag, n))
+    return np.fft.ifft(folded, norm="forward")

@@ -16,6 +16,11 @@ surface term of the derivation vanishes identically on the periodic
 lattice.  The ``site`` smearing instead matches the site-diagonal coupling
 used by the evolution module and is the right convention for comparisons
 against finite-difference evolution.
+
+The direct path never forms a retarded kernel on the grid: one running
+Simpson sum per pair carries the integral from one output time to the next,
+and the pairs reach the grid through their momentum transfers with one
+N-point FFT, so its memory is O(pairs) rather than O(sites x pairs).
 """
 
 from __future__ import annotations
@@ -24,12 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ALPHA, ModeBasis, fourier_at
+from .lattice import ALPHA, ModeBasis, fourier_at, transfer_sum
 from .schwinger import SchwingerKernel
 from .vacua import OccupationSet, VacuumSpec, occupation_set
 
 SMEARINGS = ("site", "fourier")
-MAX_TIME_SAMPLES = 10**6  # per quadrature, that is per output time
+# per Simpson grid; a run of n output times over [t_a, t_b] takes at most
+# kubo_interval_count(t_b - t_a) + 17 n samples in all
+MAX_TIME_SAMPLES = 10**6
 
 
 @dataclass
@@ -58,36 +65,6 @@ class ResponseKernel:
         charge = un.conj().T @ um
         return cls(basis, omega.ravel(), transfer.ravel(),
                    (current * q / length).ravel(), (charge * q / length).ravel())
-
-    def _site_matrix(self, weights: np.ndarray) -> np.ndarray:
-        base = 2.0 * np.pi / self.basis.config.box_length
-        grid = self.basis.config.grid
-        return weights[None, :] * np.exp(
-            1j * base * np.outer(grid, self.transfer))
-
-    def current_pair_matrix(self) -> np.ndarray:
-        """J_p(x) over (site, pair)."""
-        return self._site_matrix(self.current_weight)
-
-    def charge_pair_matrix(self) -> np.ndarray:
-        return self._site_matrix(self.charge_weight)
-
-    def retarded_current_current(self, tau: float) -> np.ndarray:
-        """R_JJ(x, y; tau) = i <[J(x,tau), J(y,0)]>, zero for tau < 0."""
-        return self._retarded(self.current_pair_matrix(),
-                              self.current_pair_matrix(), tau)
-
-    def retarded_current_charge(self, tau: float) -> np.ndarray:
-        """R_Jrho(x, y; tau) = i <[J(x,tau), rho(y,0)]>, zero for tau < 0."""
-        return self._retarded(self.current_pair_matrix(),
-                              self.charge_pair_matrix(), tau)
-
-    def _retarded(self, amat, bmat, tau: float) -> np.ndarray:
-        n = self.basis.config.site_count
-        if tau < 0:
-            return np.zeros((n, n))
-        z = (amat * np.exp(1j * self.omega * tau)[None, :]) @ bmat.conj().T
-        return -2.0 * z.imag
 
 
 def _simpson_weights(n_samples: int, h: float) -> np.ndarray:
@@ -119,10 +96,11 @@ def _time_grid(t_start: float, t_stop: float, n_intervals: int):
     return ts, _simpson_weights(n_intervals + 1, (t_stop - t_start) / n_intervals)
 
 
-def first_order_current(kernel: ResponseKernel, potential, t: float,
+def first_order_current(kernel: ResponseKernel, potential, t,
                         t_start: float, smearing: str = "site",
                         samples_per_period: int = 40) -> np.ndarray:
-    """Linear-in-potential vacuum current at time t on the grid.
+    """Linear-in-potential vacuum current on the grid at time t, or at each
+    time of an ascending 1-D array t.
 
     Each pair's source at a sample is a (conj(rho_p) A0_hat[d_p] - conj(j_p)
     A_hat[d_p]), with a = L/N and A_hat the FFT of the potential's grid
@@ -133,16 +111,23 @@ def first_order_current(kernel: ResponseKernel, potential, t: float,
     against the potential's bandlimited interpolant, the convention under
     which the pure-gauge response reduces to the commutator-kernel
     contraction.
+
+    One running Simpson sum covers [t_start, t_1], [t_1, t_2], ..., each
+    segment on its own even grid of ``kubo_interval_count(segment)``
+    intervals, so the first output time gets exactly the grid of a scalar
+    call and no stretch of time is integrated twice.  The sum reaches the
+    grid at each output time through the pairs' transfers (``transfer_sum``),
+    with no (site, pair) array.  Returns (N,) for a scalar t and
+    (n_times, N) for an array; times <= t_start give zero rows.
     """
     if smearing not in SMEARINGS:
         raise ValueError(f"unknown smearing {smearing!r}")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.all(np.diff(times.ravel()) >= 0):
+        raise ValueError("output times must be one time or an ascending 1-D "
+                         "array")
     basis = kernel.basis
     n_sites = basis.config.site_count
-    if t <= t_start:
-        return np.zeros(n_sites)
-    ts, weights = _time_grid(
-        t_start, t, kubo_interval_count(basis, t - t_start, samples_per_period))
-
     a = basis.config.spacing
     bins = kernel.transfer % n_sites
     kept = a if smearing == "site" else a * (
@@ -150,17 +135,28 @@ def first_order_current(kernel: ResponseKernel, potential, t: float,
     charge = kept * kernel.charge_weight.conj()
     current = kept * kernel.current_weight.conj()
 
+    out = np.zeros((times.size, n_sites))
     integral = np.zeros(kernel.omega.shape, dtype=complex)
-    for t_prime, w in zip(ts, weights):
-        source = (charge * np.fft.fft(potential.a0(t_prime))[bins]
-                  - current * np.fft.fft(potential.a(t_prime))[bins])
-        integral += w * source * np.exp(-1j * kernel.omega * t_prime)
-
-    # delta<J> = -i * int <[J_I(t), V_I(t')]> dt'; the sign is fixed by the
-    # integrated dynamics (centered-difference linearization of the evolution
-    # module reproduces it)
-    z = kernel.current_pair_matrix() @ (np.exp(1j * kernel.omega * t) * integral)
-    return 2.0 * z.imag
+    reached = t_start
+    for row, t_out in enumerate(times.ravel()):
+        if t_out <= t_start:
+            continue
+        if t_out > reached:
+            ts, weights = _time_grid(reached, t_out, kubo_interval_count(
+                basis, t_out - reached, samples_per_period))
+            for t_prime, w in zip(ts, weights):
+                source = (charge * np.fft.fft(potential.a0(t_prime))[bins]
+                          - current * np.fft.fft(potential.a(t_prime))[bins])
+                integral += w * source * np.exp(-1j * kernel.omega * t_prime)
+            reached = t_out
+        # delta<J> = -i * int <[J_I(t), V_I(t')]> dt'; the sign is fixed by
+        # the integrated dynamics (centered-difference linearization of the
+        # evolution module reproduces it)
+        z = transfer_sum(kernel.current_weight
+                         * np.exp(1j * kernel.omega * t_out) * integral,
+                         kernel.transfer, n_sites)
+        out[row] = 2.0 * z.imag
+    return out.reshape(times.shape + (n_sites,))
 
 
 def vacuum_response_kernel(basis: ModeBasis, spec: VacuumSpec) -> ResponseKernel:

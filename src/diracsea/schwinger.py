@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import ALPHA, ModeBasis, fourier_at
+from .lattice import ALPHA, ModeBasis, fourier_at, transfer_sum
 from .vacua import VacuumSpec, classify_indices, occupation_set
 
 
@@ -86,15 +86,9 @@ class SchwingerKernel:
         return self.profile(xs[:, None] - ys[None, :])
 
     def on_grid(self, weights=1.0) -> np.ndarray:
-        """sum_d weights_d C_d exp(i 2 pi d j / N) for j = 0 .. N-1.
-
-        The grid cannot tell d from d +- N, so the coefficients are folded
-        mod N and summed by one N-point FFT.
-        """
-        n_sites = self.basis.config.site_count
-        folded = np.zeros(n_sites, dtype=complex)
-        np.add.at(folded, self.transfers % n_sites, weights * self.coefficients)
-        return np.fft.ifft(folded, norm="forward")
+        """sum_d weights_d C_d exp(i 2 pi d j / N) for j = 0 .. N-1."""
+        return transfer_sum(weights * self.coefficients, self.transfers,
+                            self.basis.config.site_count)
 
     @property
     def values(self) -> np.ndarray:

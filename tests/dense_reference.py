@@ -1,0 +1,44 @@
+"""Dense (site, pair) references for the response module's Kubo path.
+
+``response.first_order_current`` reaches the grid through each pair's
+momentum transfer and never forms these arrays; the tests compare it, and the
+Fock oracle, against them.  Every function takes a ``response.ResponseKernel``.
+"""
+
+import numpy as np
+
+
+def site_matrix(kernel, weights: np.ndarray) -> np.ndarray:
+    """weights_p exp(i 2 pi d_p x_j / L) over (site j, pair p)."""
+    base = 2.0 * np.pi / kernel.basis.config.box_length
+    grid = kernel.basis.config.grid
+    return weights[None, :] * np.exp(1j * base * np.outer(grid, kernel.transfer))
+
+
+def current_pair_matrix(kernel) -> np.ndarray:
+    """J_p(x) over (site, pair)."""
+    return site_matrix(kernel, kernel.current_weight)
+
+
+def charge_pair_matrix(kernel) -> np.ndarray:
+    return site_matrix(kernel, kernel.charge_weight)
+
+
+def retarded_current_current(kernel, tau: float) -> np.ndarray:
+    """R_JJ(x, y; tau) = i <[J(x,tau), J(y,0)]>, zero for tau < 0."""
+    return retarded(kernel, current_pair_matrix(kernel),
+                    current_pair_matrix(kernel), tau)
+
+
+def retarded_current_charge(kernel, tau: float) -> np.ndarray:
+    """R_Jrho(x, y; tau) = i <[J(x,tau), rho(y,0)]>, zero for tau < 0."""
+    return retarded(kernel, current_pair_matrix(kernel),
+                    charge_pair_matrix(kernel), tau)
+
+
+def retarded(kernel, amat, bmat, tau: float) -> np.ndarray:
+    n = kernel.basis.config.site_count
+    if tau < 0:
+        return np.zeros((n, n))
+    z = (amat * np.exp(1j * kernel.omega * tau)[None, :]) @ bmat.conj().T
+    return -2.0 * z.imag

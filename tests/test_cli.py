@@ -592,3 +592,71 @@ def test_write_csv_refuses_cells_csv_would_quote(tmp_path, header, columns):
     with pytest.raises(ValueError, match="quoting"):
         cli._write_csv(tmp_path / "ours.csv", header, columns)
     assert not (tmp_path / "ours.csv").exists()
+
+
+@st.composite
+def indexed_csv_tables(draw):
+    """(header, columns, plain): columns hold (values, index) pairs beside
+    scalars and arrays; ``plain`` is the same table with values[index]."""
+    n_rows = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 4))
+    text = st.text(CSV_TEXT_CHARS, min_size=int(width == 1), max_size=6)
+    cells = {"float": CSV_FLOATS, "int": CSV_INTS, "text": text}
+    columns, plain = [], []
+    for _ in range(width):
+        kind = draw(st.sampled_from(sorted(cells)))
+        shape = draw(st.sampled_from(["scalar", "array", "indexed"]))
+        if shape == "scalar":
+            columns.append(draw(cells[kind]))
+            plain.append(columns[-1])
+            continue
+        size = n_rows if shape == "array" else draw(st.integers(1, 4))
+        values = np.array(draw(st.lists(cells[kind], min_size=size,
+                                        max_size=size)), dtype=CSV_DTYPES[kind])
+        if shape == "array":
+            columns.append(values)
+        else:
+            index = np.array(draw(st.lists(st.integers(0, size - 1),
+                                           min_size=n_rows, max_size=n_rows)))
+            columns.append((values, index))
+            values = values[index]
+        plain.append(values)
+    return draw(st.lists(text, min_size=width, max_size=width)), columns, plain
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(table=indexed_csv_tables())
+def test_write_csv_indexed_columns_match_csv_module(table):
+    header, columns, plain = table
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
+        cli._write_csv(ours, header, columns)
+        reference_write_csv(theirs, header, plain)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+SPECIAL_FLOATS = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324])
+
+
+@pytest.mark.parametrize("header, columns, plain", [
+    (["x", "tag"], [np.zeros(2), "%"], [np.zeros(2), "%"]),
+    (["x", "tag"], [np.zeros(2), "%%"], [np.zeros(2), "%%"]),
+    (["x", "tag"], [np.zeros(2), "%s"], [np.zeros(2), "%s"]),
+    (["tag", "x"], ["100%", (SPECIAL_FLOATS, [5, 4, 3, 2, 1, 0, 0])],
+     ["100%", SPECIAL_FLOATS[[5, 4, 3, 2, 1, 0, 0]]]),
+    (["tag"], [(np.array(["%d", "%%", "a%sb"]), [2, 0, 1, 1])],
+     [np.array(["a%sb", "%d", "%%", "%%"])]),
+], ids=["percent", "double-percent", "percent-s", "special-floats",
+        "indexed-percent-text"])
+def test_write_csv_percent_and_special_cells(tmp_path, header, columns, plain):
+    cli._write_csv(tmp_path / "ours.csv", header, columns)
+    reference_write_csv(tmp_path / "theirs.csv", header, plain)
+    assert ((tmp_path / "ours.csv").read_bytes()
+            == (tmp_path / "theirs.csv").read_bytes())
+
+
+def test_write_csv_refuses_indexed_cells_csv_would_quote(tmp_path):
+    columns = [np.zeros(2), (np.array(["sea", "a,b"]), [0, 1])]
+    with pytest.raises(ValueError, match="quoting"):
+        cli._write_csv(tmp_path / "ours.csv", ["x", "vacuum"], columns)
+    assert not (tmp_path / "ours.csv").exists()

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from diracsea import evolution as ev
 from diracsea import response as rs
-from diracsea.lattice import LatticeConfig, build_basis
+from diracsea.lattice import LatticeConfig, build_basis, transfer_sum
 from diracsea.schwinger import commutator_kernel
 from diracsea.vacua import VacuumSpec, coupled_band_spec
 
@@ -57,11 +58,11 @@ def test_linearity(basis_n9):
 
 def test_retarded_kernels_causal_and_real(basis_n9):
     kernel = rs.vacuum_response_kernel(basis_n9, VacuumSpec("standard"))
-    assert np.abs(kernel.retarded_current_current(-0.1)).max() == 0.0
-    assert np.abs(kernel.retarded_current_charge(-2.0)).max() == 0.0
+    assert np.abs(dense.retarded_current_current(kernel, -0.1)).max() == 0.0
+    assert np.abs(dense.retarded_current_charge(kernel, -2.0)).max() == 0.0
     for tau in (0.0, 0.3, 1.1):
-        r_jj = kernel.retarded_current_current(tau)
-        r_jr = kernel.retarded_current_charge(tau)
+        r_jj = dense.retarded_current_current(kernel, tau)
+        r_jr = dense.retarded_current_charge(kernel, tau)
         assert np.isrealobj(r_jj) and np.isrealobj(r_jr)
         assert np.abs(r_jj).max() < 1e3  # finite
 
@@ -122,8 +123,8 @@ def test_retarded_kernels_match_fock_oracle(basis_n3):
                for j in range(3)]
         for tau in (0.0, 0.45):
             u = scipy.linalg.expm(1j * h0 * tau)
-            r_jj = kernel.retarded_current_current(tau)
-            r_jr = kernel.retarded_current_charge(tau)
+            r_jj = dense.retarded_current_current(kernel, tau)
+            r_jr = dense.retarded_current_charge(kernel, tau)
             for j in range(3):
                 cur_t = u @ cur[j] @ u.conj().T
                 for k in range(3):
@@ -205,11 +206,113 @@ def test_site_smearing_is_the_retarded_kernel_integral(basis_n9):
         ts, weights = rs._time_grid(
             t_start, t, rs.kubo_interval_count(basis_n9, t - t_start))
         expected = config.spacing * sum(
-            w * (kernel.retarded_current_current(t - s) @ pot.a(s)
-                 - kernel.retarded_current_charge(t - s) @ pot.a0(s))
+            w * (dense.retarded_current_current(kernel, t - s) @ pot.a(s)
+                 - dense.retarded_current_charge(kernel, t - s) @ pot.a0(s))
             for s, w in zip(ts, weights))
         assert np.abs(direct).max() > 1e-3  # visibly nonzero
         assert np.abs(direct - expected).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def basis_n41():
+    return build_basis(LatticeConfig(TWO_PI, 41, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("n_sites", [9, 41])
+def test_running_quadrature_matches_scalar_calls_and_contraction(
+        basis_n9, basis_n41, n_sites):
+    """One array call: row 0 is the scalar call at times[0] bit for bit,
+    later rows move only with their Simpson nodes, and every row keeps
+    criterion 10's agreement with the gauge-variation contraction."""
+    basis = {9: basis_n9, 41: basis_n41}[n_sites]
+    gauge = harmonic_gauge(basis.config)
+    pot = ev.PureGaugePotential(gauge)
+    times = np.linspace(0.0, 1.5, 6)[1:]
+    for spec in (VacuumSpec("standard"), coupled_band_spec(basis)):
+        kernel = rs.vacuum_response_kernel(basis, spec)
+        commutator = commutator_kernel(basis, spec)
+        for smearing in ("fourier", "site"):
+            rows = rs.first_order_current(kernel, pot, times, 0.0,
+                                          smearing=smearing)
+            single = np.array([rs.first_order_current(kernel, pot, t, 0.0,
+                                                      smearing=smearing)
+                               for t in times])
+            assert rows.shape == (len(times), n_sites)
+            assert np.array_equal(rows[0], single[0])
+            # measured: 3.1e-11 (fourier) and 5.0e-10 (site) at N=41
+            assert np.abs(rows - single).max() < 1e-9
+            if smearing == "fourier":  # criterion 10 at every output time
+                for t, row in zip(times, rows):
+                    contraction = rs.gauge_variation_response(commutator,
+                                                              gauge, t)
+                    assert np.abs(row - contraction).max() < 1e-6
+
+
+def test_running_quadrature_zero_rows_and_order(basis_n9):
+    kernel = rs.vacuum_response_kernel(basis_n9, VacuumSpec("standard"))
+    pot = ev.PureGaugePotential(harmonic_gauge(basis_n9.config))
+    rows = rs.first_order_current(kernel, pot, [-0.5, 0.2, 0.2, 0.7, 1.1],
+                                  0.2)
+    assert np.abs(rows[:3]).max() == 0.0
+    assert np.array_equal(rows[3], rs.first_order_current(kernel, pot, 0.7,
+                                                          0.2))
+    assert np.abs(rows[4]).max() > 1e-5
+    for times in ([0.7, 0.3], [0.2, 1.1, 0.9], [[0.3, 0.7]]):
+        with pytest.raises(ValueError, match="ascending"):
+            rs.first_order_current(kernel, pot, times, 0.0)
+
+
+def test_running_quadrature_takes_each_sample_once(basis_n9, monkeypatch):
+    """n output times cost the longest quadrature plus at most 17 samples
+    per time, not one quadrature from t_start per time."""
+    kernel = rs.vacuum_response_kernel(basis_n9, VacuumSpec("standard"))
+    pot = ev.PureGaugePotential(harmonic_gauge(basis_n9.config))
+    grids = []
+    time_grid = rs._time_grid
+
+    def spy(*args):
+        ts, weights = time_grid(*args)
+        grids.append(ts)
+        return ts, weights
+
+    monkeypatch.setattr(rs, "_time_grid", spy)
+    t_start, t_stop, n_times = 0.0, 1.5, 50
+    times = np.linspace(t_start, t_stop, n_times + 1)[1:]
+    rs.first_order_current(kernel, pot, times, t_start)
+    assert len(grids) == n_times
+    assert sum(map(len, grids)) <= (
+        rs.kubo_interval_count(basis_n9, t_stop - t_start) + 17 * n_times)
+
+
+@pytest.mark.parametrize("n_sites", [9, 41])
+def test_transfer_sum_is_the_dense_pair_contraction(basis_n9, basis_n41,
+                                                    n_sites):
+    basis = {9: basis_n9, 41: basis_n41}[n_sites]
+    rng = np.random.default_rng(n_sites)
+    for spec in (VacuumSpec("standard"), coupled_band_spec(basis)):
+        kernel = rs.vacuum_response_kernel(basis, spec)
+        v = [1.0, 1j] @ rng.normal(size=(2, kernel.omega.size))
+        expected = dense.current_pair_matrix(kernel) @ v
+        ours = transfer_sum(kernel.current_weight * v, kernel.transfer,
+                            n_sites)
+        assert np.abs(ours - expected).max() < 1e-13 * np.abs(expected).max()
+
+
+def test_first_order_current_memory_is_linear_in_pairs():
+    """No (site, pair) array: one N=101 call peaks far below the 15.7 MiB
+    of one complex 101 x 10,201 (site, pair) matrix."""
+    import tracemalloc
+
+    basis = build_basis(LatticeConfig(TWO_PI, 101, 1.0, 1.0))
+    kernel = rs.vacuum_response_kernel(basis, VacuumSpec("standard"))
+    pot = ev.PureGaugePotential(harmonic_gauge(basis.config))
+    tracemalloc.start()
+    try:
+        rs.first_order_current(kernel, pot, 0.2, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_deep_state_coupling_zero_potential(basis_n9):
