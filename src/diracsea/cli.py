@@ -257,13 +257,17 @@ def run_schwinger(config: dict, out_dir: Path, seed: int) -> list[Path]:
     values = kernel.values
     divergence = sw.divergence_of_kernel(kernel)
 
+    # translation covariance: cell [j, k] of either matrix is its profile,
+    # column 0, at the separation (j - k) mod N, so each is formatted N times
+    profile, div_profile = values[:, 0], divergence[:, 0]
     j, k = np.divmod(np.arange(cfg.site_count**2), cfg.site_count)  # row-major
+    sep = (j - k) % cfg.site_count
     csv_path = out_dir / "schwinger.csv"
     _write_csv(csv_path, ["j", "k", "x", "y", "re_I", "im_I", "re_divI",
                           "im_divI", "vacuum", "N", "m", "q", "delta_Ew"],
-               [j, k, (cfg.grid, j), (cfg.grid, k), values.real.ravel(),
-                values.imag.ravel(), divergence.real.ravel(),
-                divergence.imag.ravel(), spec.kind, cfg.site_count, cfg.mass,
+               [j, k, (cfg.grid, j), (cfg.grid, k), (profile.real, sep),
+                (profile.imag, sep), (div_profile.real, sep),
+                (div_profile.imag, sep), spec.kind, cfg.site_count, cfg.mass,
                 cfg.charge, width])
 
     summary = {

@@ -115,10 +115,11 @@ def first_order_current(kernel: ResponseKernel, potential, t,
     One running Simpson sum covers [t_start, t_1], [t_1, t_2], ..., each
     segment on its own even grid of ``kubo_interval_count(segment)``
     intervals, so the first output time gets exactly the grid of a scalar
-    call and no stretch of time is integrated twice.  The sum reaches the
-    grid at each output time through the pairs' transfers (``transfer_sum``),
-    with no (site, pair) array.  Returns (N,) for a scalar t and
-    (n_times, N) for an array; times <= t_start give zero rows.
+    call and no stretch of time is integrated twice.  A segment's first node
+    is the one before's last, and its source is evaluated once.  The sum
+    reaches the grid at each output time through the pairs' transfers
+    (``transfer_sum``), with no (site, pair) array.  Returns (N,) for a
+    scalar t and (n_times, N) for an array; times <= t_start give zero rows.
     """
     if smearing not in SMEARINGS:
         raise ValueError(f"unknown smearing {smearing!r}")
@@ -138,6 +139,7 @@ def first_order_current(kernel: ResponseKernel, potential, t,
     out = np.zeros((times.size, n_sites))
     integral = np.zeros(kernel.omega.shape, dtype=complex)
     reached = t_start
+    sampled = None  # time of the last node's source and phase
     for row, t_out in enumerate(times.ravel()):
         if t_out <= t_start:
             continue
@@ -145,9 +147,12 @@ def first_order_current(kernel: ResponseKernel, potential, t,
             ts, weights = _time_grid(reached, t_out, kubo_interval_count(
                 basis, t_out - reached, samples_per_period))
             for t_prime, w in zip(ts, weights):
-                source = (charge * np.fft.fft(potential.a0(t_prime))[bins]
-                          - current * np.fft.fft(potential.a(t_prime))[bins])
-                integral += w * source * np.exp(-1j * kernel.omega * t_prime)
+                if t_prime != sampled:  # a segment starts on the last's end
+                    sampled = t_prime
+                    source = (charge * np.fft.fft(potential.a0(t_prime))[bins]
+                              - current * np.fft.fft(potential.a(t_prime))[bins])
+                    phase = np.exp(-1j * kernel.omega * t_prime)
+                integral += w * source * phase
             reached = t_out
         # delta<J> = -i * int <[J_I(t), V_I(t')]> dt'; the sign is fixed by
         # the integrated dynamics (centered-difference linearization of the

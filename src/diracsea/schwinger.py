@@ -191,6 +191,23 @@ def divergence_paths_error(divergence: np.ndarray, closed: np.ndarray) -> float:
     return gap if scale == 0 else gap / scale
 
 
+def _band_pair_tensors(phi_band: np.ndarray):
+    """overlap[y, a, b] = phi_a^dag(y) phi_b(y) and current[x, a, b] =
+    phi_a^dag(x) alpha phi_b(x) over band modes a, b of phi_band (N, 2, B).
+
+    Each is a sum of two spinor-component products, conj(up) up +
+    conj(down) down and, with alpha = sigma_x, conj(up) down + conj(down) up,
+    the second added in place, so at most three (N, B, B) tensors are live.
+    """
+    up, down = phi_band[:, 0, :, None], phi_band[:, 1, :, None]   # [x, a, 1]
+    up_b, down_b = up.transpose(0, 2, 1), down.transpose(0, 2, 1)  # [x, 1, b]
+    overlap = up.conj() * up_b
+    overlap += down.conj() * down_b
+    current = up.conj() * down_b
+    current += down.conj() * up_b
+    return overlap, current
+
+
 def f2_identity_check(basis: ModeBasis, spec: VacuumSpec) -> float:
     """Max |F2 - F2^dag| over grid pairs for the intra-band double sum.
 
@@ -203,17 +220,12 @@ def f2_identity_check(basis: ModeBasis, spec: VacuumSpec) -> float:
     if len(in_band) == 0:
         return 0.0
     phi_band = basis.phi[:, :, in_band]  # (N, 2, B)
-    # optimize=True sums each band-pair contraction as one BLAS product; the
-    # residual is then exactly 0 when the two formulas agree term by term,
-    # where einsum's own loops left rounding that grew with N
-    sides = []
-    for overlap_ij, current_ij, pair_ij in (
-            ("ysm,ysn->ymn", "xsn,st,xtm->xnm", "ymn,xnm->xy"),    # F2
-            ("ysn,ysm->ynm", "xsm,st,xtn->xmn", "ynm,xmn->xy")):   # F2^dag
-        overlap = np.einsum(overlap_ij, phi_band.conj(), phi_band)
-        current = np.einsum(current_ij, phi_band.conj(), ALPHA, phi_band)
-        sides.append(np.einsum(pair_ij, overlap, current, optimize=True))
-    f2, f2_dag = sides
+    # each side builds its overlap and current tensors from spinor products
+    # and drops them after its one BLAS pair contraction (optimize=True)
+    f2, f2_dag = (
+        np.einsum(pair_ij, *_band_pair_tensors(phi_band), optimize=True)
+        for pair_ij in ("ymn,xnm->xy",    # F2
+                        "ynm,xmn->xy"))   # F2^dag
     return float(np.abs(f2 - f2_dag).max())
 
 

@@ -1,11 +1,16 @@
-"""Dense (site, pair) references for the response module's Kubo path.
+"""Dense references for paths that ``src`` computes another way.
 
 ``response.first_order_current`` reaches the grid through each pair's
-momentum transfer and never forms these arrays; the tests compare it, and the
-Fock oracle, against them.  Every function takes a ``response.ResponseKernel``.
+momentum transfer and never forms the (site, pair) arrays below; the tests
+compare it, and the Fock oracle, against them.  Those functions take a
+``response.ResponseKernel``.  ``band_pair_tensors`` is the ``einsum`` form of
+the intra-band double sum's tensors, which ``schwinger.f2_identity_check``
+builds from spinor products.
 """
 
 import numpy as np
+
+from diracsea.lattice import ALPHA
 
 
 def site_matrix(kernel, weights: np.ndarray) -> np.ndarray:
@@ -42,3 +47,11 @@ def retarded(kernel, amat, bmat, tau: float) -> np.ndarray:
         return np.zeros((n, n))
     z = (amat * np.exp(1j * kernel.omega * tau)[None, :]) @ bmat.conj().T
     return -2.0 * z.imag
+
+
+def band_pair_tensors(phi_band: np.ndarray):
+    """overlap[y, m, n] = phi_m^dag phi_n and current[x, n, m] =
+    phi_n^dag alpha phi_m over band modes of phi_band (N, 2, B)."""
+    overlap = np.einsum("ysm,ysn->ymn", phi_band.conj(), phi_band)
+    current = np.einsum("xsn,st,xtm->xnm", phi_band.conj(), ALPHA, phi_band)
+    return overlap, current

@@ -20,6 +20,8 @@ from diracsea import checks, cli
 from diracsea import evolution as ev
 from diracsea import schwinger as sw
 from diracsea.cli import main
+from diracsea.lattice import LatticeConfig, build_basis
+from diracsea.vacua import VacuumSpec, coupled_band_spec
 
 TWO_PI = 2.0 * np.pi
 
@@ -149,6 +151,38 @@ def test_schwinger_band_outputs(tmp_path):
     assert summary["f2_residual"] < 1e-12
     first_row = (out / "schwinger.csv").read_text().splitlines()[1].split(",")
     assert (first_row[8], float(first_row[12])) == ("band", 1.5)
+
+
+@pytest.mark.parametrize("n_sites", [9, 27])
+@pytest.mark.parametrize("kind", ["standard", "band"])
+def test_schwinger_csv_cells_are_the_kernel_matrices(tmp_path, n_sites, kind):
+    """Each row [j, k] holds the kernel and divergence matrices' own floats.
+
+    The divergence matrix is symmetric only to rounding, so only an exact
+    comparison catches a row written at the separation (k - j) mod N."""
+    lattice = dict(BASE_LATTICE, N=n_sites)
+    basis = build_basis(LatticeConfig(lattice["L"], n_sites, lattice["m"],
+                                      lattice["q"]))
+    spec = coupled_band_spec(basis) if kind == "band" else VacuumSpec(kind)
+    config = {"lattice": lattice, "vacuum": kind}
+    if kind == "band":
+        config["delta_Ew"] = spec.band_width
+    kernel = sw.commutator_kernel(basis, spec)
+    values, divergence = kernel.values, sw.divergence_of_kernel(kernel)
+    cfg = write_config(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    assert main(["schwinger", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "schwinger.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == n_sites**2
+    grid = basis.config.grid
+    for row, (j, k) in zip(rows, np.ndindex(n_sites, n_sites), strict=True):
+        assert (int(row["j"]), int(row["k"])) == (j, k)
+        assert (float(row["x"]), float(row["y"])) == (grid[j], grid[k])
+        assert float(row["re_I"]) == values[j, k].real
+        assert float(row["im_I"]) == values[j, k].imag
+        assert float(row["re_divI"]) == divergence[j, k].real
+        assert float(row["im_divI"]) == divergence[j, k].imag
 
 
 def test_deterministic_output(tmp_path):

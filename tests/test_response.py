@@ -284,6 +284,34 @@ def test_running_quadrature_takes_each_sample_once(basis_n9, monkeypatch):
         rs.kubo_interval_count(basis_n9, t_stop - t_start) + 17 * n_times)
 
 
+def test_running_quadrature_samples_each_node_once(basis_n9, monkeypatch):
+    """A segment's first node is the last node of the one before; the
+    potential is evaluated there once, so once per distinct node."""
+    kernel = rs.vacuum_response_kernel(basis_n9, VacuumSpec("standard"))
+    pot = ev.PureGaugePotential(harmonic_gauge(basis_n9.config))
+    grids, calls = [], []
+    time_grid, a0 = rs._time_grid, pot.a0
+
+    def grid_spy(*args):
+        ts, weights = time_grid(*args)
+        grids.append(ts)
+        return ts, weights
+
+    def a0_spy(t):
+        calls.append(t)
+        return a0(t)
+
+    monkeypatch.setattr(rs, "_time_grid", grid_spy)
+    monkeypatch.setattr(pot, "a0", a0_spy)
+    t_start, t_stop, n_times = 0.0, 1.5, 50
+    times = np.linspace(t_start, t_stop, n_times + 1)[1:]
+    rs.first_order_current(kernel, pot, times, t_start)
+    nodes = np.concatenate(grids)
+    assert len(grids) == n_times
+    assert len(calls) == len(np.unique(nodes)) == len(nodes) - (n_times - 1)
+    assert calls == sorted(set(calls))
+
+
 @pytest.mark.parametrize("n_sites", [9, 41])
 def test_transfer_sum_is_the_dense_pair_contraction(basis_n9, basis_n41,
                                                     n_sites):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from diracsea.checks import oracle_commutator_defect
 from diracsea.lattice import ALPHA, LatticeConfig, build_basis
 from diracsea.schwinger import (
+    _band_pair_tensors,
     divergence_diag_closed_form,
     divergence_of_kernel,
     f2_identity_check,
@@ -11,7 +13,7 @@ from diracsea.schwinger import (
     schwinger_standard,
     weak_limit_pairing,
 )
-from diracsea.vacua import VacuumSpec, coupled_band_spec
+from diracsea.vacua import VacuumSpec, classify_indices, coupled_band_spec
 
 TWO_PI = 2.0 * np.pi
 
@@ -206,6 +208,21 @@ def test_f2_identity_at_large_cutoff():
     # the band runs of the `schwinger` gate reach N = 251 under 1e-12
     basis = build_basis(LatticeConfig(TWO_PI, 251, 1.0, 1.0))
     assert f2_identity_check(basis, coupled_band_spec(basis)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [9, 27, 51])
+def test_band_pair_tensors_match_dense_einsum(n_sites):
+    """Both sides of the F2 check share these tensors, and the band-pair sum
+    cancels to rounding, so neither the residual nor F2 itself can see a
+    wrong overlap or current; the tensors are compared with einsum's."""
+    basis = build_basis(LatticeConfig(TWO_PI, n_sites, 1.0, 1.0))
+    _, in_band, _ = classify_indices(coupled_band_spec(basis), basis)
+    phi_band = basis.phi[:, :, in_band]
+    for ours, expected in zip(_band_pair_tensors(phi_band),
+                              dense.band_pair_tensors(phi_band), strict=True):
+        assert ours.shape == expected.shape
+        scale = np.abs(expected).max()
+        assert np.abs(ours - expected).max() <= 1e-13 * scale
 
 
 def test_f2_single_mode_band_real_on_diagonal(basis_n9):
