@@ -14,14 +14,13 @@ Ladder operators are kept as scipy CSR matrices (each has 2^(M-1) entries;
 dense storage at the M = 14 cap would cost gigabytes per operator for no
 benefit).  Everything downstream treats them as plain matrices.
 
-Bilinears sum_nm K_nm a_n^dag a_m - c come from one pair table per ladder
-set, built on first use: every nonzero entry of a_n^dag a_m with n != m
-(pair index n * M + m, row, column, sign) plus the (2^M, M) occupation bits
-that give the diagonal.  This module is the only place that knows the sign
-convention.  ``bilinear_matrix`` assembles one operator from the table in a
-single pass; ``apply_bilinears`` applies many kernels to one state at once,
-as a sparse (2^M, M^2) hop image of the state times the stacked kernel
-coefficients plus the diagonal.
+Bilinears sum_nm K_nm a_n^dag a_m - c act through a hop table built for the
+columns they are applied to: every nonzero entry of a_n^dag a_m with n != m
+in those columns (pair index n * M + m, row, column, sign).  This module is
+the only place that knows the sign convention.  ``apply_bilinears`` applies
+many kernels to one state at once, as a sparse (2^M, M^2) hop image of the
+state's support times the stacked kernel coefficients plus the diagonal, so
+a determinant, which is a single bitstring, costs M_occ * M_empty hops.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ MAX_MODES = 14
 
 
 @dataclass(frozen=True)
-class PairTable:
-    """Every nonzero entry of a_n^dag a_m with n != m, ordered by row, then pair."""
+class HopTable:
+    """Nonzero entries of a_n^dag a_m with n != m, ordered by column, then pair."""
 
     pair: np.ndarray   # n * M + m
     row: np.ndarray
@@ -66,22 +65,25 @@ class LadderSet:
     @cached_property
     def occupations(self) -> np.ndarray:
         """(2^M, M) occupation bits: row b, column n is (b >> n) & 1."""
-        states = np.arange(self.dimension)[:, None]
-        return (states >> np.arange(self.mode_count)) & 1
+        return _bits(np.arange(self.dimension), self.mode_count)
 
-    @cached_property
-    def pairs(self) -> PairTable:
-        """a_n^dag a_m maps col = row - 2^n + 2^m to row when row occupies n
-        and not m; a_m contributes the parity of col below m, a_n^dag that of
-        row below n."""
-        occ = self.occupations.astype(bool)
-        row, n, m = np.nonzero(occ[:, :, None] & ~occ[:, None, :])
-        col = row ^ (1 << n) ^ (1 << m)
-        # bitwise_count returns uint8, where 1 - 2 * parity would wrap to 255
-        parity = (np.bitwise_count(col & ((1 << m) - 1))
-                  + np.bitwise_count(row & ((1 << n) - 1))) & 1
-        return PairTable(n * self.mode_count + m, row, col,
-                         1.0 - 2.0 * parity)
+
+def _bits(columns: np.ndarray, mode_count: int) -> np.ndarray:
+    return (columns[:, None] >> np.arange(mode_count)) & 1
+
+
+def hops(mode_count: int, columns: np.ndarray) -> HopTable:
+    """a_n^dag a_m maps each column occupying m and not n to row = col ^ 2^n
+    ^ 2^m; a_m contributes the parity of col below m, a_n^dag that of row
+    below n."""
+    occ = _bits(columns, mode_count).astype(bool)
+    index, n, m = np.nonzero(~occ[:, :, None] & occ[:, None, :])
+    col = columns[index]
+    row = col ^ (1 << n) ^ (1 << m)
+    # bitwise_count returns uint8, where 1 - 2 * parity would wrap to 255
+    parity = (np.bitwise_count(col & ((1 << m) - 1))
+              + np.bitwise_count(row & ((1 << n) - 1))) & 1
+    return HopTable(n * mode_count + m, row, col, 1.0 - 2.0 * parity)
 
 
 def build_ladders(mode_count: int) -> LadderSet:
@@ -131,81 +133,34 @@ def _coefficients(ladders: LadderSet, kernel: OneBodyKernel) -> np.ndarray:
     return k
 
 
-def bilinear_matrix(ladders: LadderSet, kernel: OneBodyKernel):
-    """sum_nm K_nm a_n^dag a_m - c * identity as a sparse matrix.
-
-    Every off-diagonal entry is one signed kernel entry; the diagonal sums
-    -c, then K_nn occ_n for n = 0..M-1, so the matrix equals the ladder
-    product sum in that order bit for bit.
-    """
-    k = _coefficients(ladders, kernel)
-    table = ladders.pairs
-    occ = ladders.occupations
-    diagonal = np.full(ladders.dimension, -kernel.subtraction, dtype=complex)
-    for n in range(ladders.mode_count):
-        diagonal += k[n, n] * occ[:, n]
-    states = np.arange(ladders.dimension)
-    out = sparse.csr_matrix(
-        (np.concatenate([table.sign * k.ravel()[table.pair], diagonal]),
-         (np.concatenate([table.row, states]), np.concatenate([table.col, states]))),
-        shape=(ladders.dimension, ladders.dimension))
-    out.eliminate_zeros()
-    return out
-
-
 def apply_bilinears(ladders: LadderSet, kernels, state: np.ndarray) -> np.ndarray:
     """(sum_nm K_nm a_n^dag a_m - c) state for each kernel, as (2^M, K) columns.
 
-    Column n * M + m of the sparse hop image is a_n^dag a_m state (n != m),
-    so one product with the stacked (M^2, K) coefficients applies every
-    off-diagonal part; the diagonal is the occupation bits times K_nn.
+    Only the state's support is visited: column n * M + m of the sparse hop
+    image is a_n^dag a_m state (n != m), built from the hops out of nonzero
+    amplitudes, so one product with the stacked (M^2, K) coefficients applies
+    every off-diagonal part.  The diagonal, the support's occupation bits
+    times K_nn, lands on the support rows.  A NaN amplitude is nonzero and
+    so reaches the output.
     """
+    if state.shape != (ladders.dimension,):
+        raise ValueError(
+            f"state shape {state.shape} does not match 2^M={ladders.dimension}"
+        )
     coefficients = np.stack([_coefficients(ladders, kernel) for kernel in kernels])
     subtractions = np.array([kernel.subtraction for kernel in kernels])
     m = ladders.mode_count
-    table = ladders.pairs
+    support = np.flatnonzero(state)
+    table = hops(m, support)
     hop_image = sparse.csr_matrix(
         (table.sign * state[table.col], (table.row, table.pair)),
         shape=(ladders.dimension, m * m))
-    diagonal = (ladders.occupations @ np.diagonal(coefficients, axis1=1, axis2=2).T
-                - subtractions)
     stacked = np.ascontiguousarray(coefficients.reshape(len(kernels), m * m).T)
-    return hop_image @ stacked + diagonal * state[:, None]
-
-
-def expectation(state: np.ndarray, operator) -> complex:
-    return complex(np.vdot(state, operator @ state))
-
-
-def commutator_expectation(state: np.ndarray, op_a, op_b) -> complex:
-    """<state| [A, B] |state> via matrix-vector products."""
-    av = op_a @ (op_b @ state)
-    bv = op_b @ (op_a @ state)
-    return complex(np.vdot(state, av - bv))
-
-
-def orbital_creation(ladders: LadderSet, coefficients: np.ndarray):
-    """Creation operator of the orbital sum_n c_n a_n^dag."""
-    if len(coefficients) != ladders.mode_count:
-        raise ValueError("coefficient length does not match mode count")
-    out = None
-    for n, c in enumerate(coefficients):
-        if c == 0:
-            continue
-        term = c * ladders.raising[n]
-        out = term if out is None else out + term
-    if out is None:
-        raise ValueError("orbital coefficients are all zero")
+    out = hop_image @ stacked
+    diagonal = (_bits(support, m) @ np.diagonal(coefficients, axis1=1, axis2=2).T
+                - subtractions)
+    out[support] += diagonal * state[support, None]
     return out
-
-
-def slater_vector(ladders: LadderSet, orbitals: np.ndarray) -> np.ndarray:
-    """Determinant state from mode-basis orbital columns (M x k)."""
-    vec = np.zeros(ladders.dimension, dtype=complex)
-    vec[0] = 1.0
-    for col in reversed(range(orbitals.shape[1])):
-        vec = orbital_creation(ladders, orbitals[:, col]) @ vec
-    return vec
 
 
 def spectrum_of_h0_sector(ladders: LadderSet, kernel: OneBodyKernel) -> np.ndarray:

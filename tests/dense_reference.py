@@ -6,10 +6,17 @@ compare it, and the Fock oracle, against them.  Those functions take a
 ``response.ResponseKernel``.  ``band_pair_tensors`` is the ``einsum`` form of
 the intra-band double sum's tensors, which ``schwinger.f2_identity_check``
 builds from spinor products.
+
+The Fock helpers build whole many-body operators and states.  The oracle in
+``checks`` only applies bilinears to a vacuum vector through
+``fock.apply_bilinears``; the tests compare it, and the Wick mode sums of the
+other modules, against these.
 """
 
 import numpy as np
+import scipy.sparse as sparse
 
+from diracsea import fock
 from diracsea.lattice import ALPHA
 
 
@@ -55,3 +62,61 @@ def band_pair_tensors(phi_band: np.ndarray):
     overlap = np.einsum("ysm,ysn->ymn", phi_band.conj(), phi_band)
     current = np.einsum("xsn,st,xtm->xnm", phi_band.conj(), ALPHA, phi_band)
     return overlap, current
+
+
+def bilinear_matrix(ladders, kernel):
+    """sum_nm K_nm a_n^dag a_m - c * identity as a sparse matrix.
+
+    Every off-diagonal entry is one signed kernel entry from the hop table
+    over all 2^M columns; the diagonal sums -c, then K_nn occ_n for
+    n = 0..M-1, so the matrix equals the ladder product sum in that order
+    bit for bit.
+    """
+    k = fock._coefficients(ladders, kernel)
+    states = np.arange(ladders.dimension)
+    table = fock.hops(ladders.mode_count, states)
+    occ = ladders.occupations
+    diagonal = np.full(ladders.dimension, -kernel.subtraction, dtype=complex)
+    for n in range(ladders.mode_count):
+        diagonal += k[n, n] * occ[:, n]
+    out = sparse.csr_matrix(
+        (np.concatenate([table.sign * k.ravel()[table.pair], diagonal]),
+         (np.concatenate([table.row, states]), np.concatenate([table.col, states]))),
+        shape=(ladders.dimension, ladders.dimension))
+    out.eliminate_zeros()
+    return out
+
+
+def expectation(state: np.ndarray, operator) -> complex:
+    return complex(np.vdot(state, operator @ state))
+
+
+def commutator_expectation(state: np.ndarray, op_a, op_b) -> complex:
+    """<state| [A, B] |state> via matrix-vector products."""
+    av = op_a @ (op_b @ state)
+    bv = op_b @ (op_a @ state)
+    return complex(np.vdot(state, av - bv))
+
+
+def orbital_creation(ladders, coefficients: np.ndarray):
+    """Creation operator of the orbital sum_n c_n a_n^dag."""
+    if len(coefficients) != ladders.mode_count:
+        raise ValueError("coefficient length does not match mode count")
+    out = None
+    for n, c in enumerate(coefficients):
+        if c == 0:
+            continue
+        term = c * ladders.raising[n]
+        out = term if out is None else out + term
+    if out is None:
+        raise ValueError("orbital coefficients are all zero")
+    return out
+
+
+def slater_vector(ladders, orbitals: np.ndarray) -> np.ndarray:
+    """Determinant state from mode-basis orbital columns (M x k)."""
+    vec = np.zeros(ladders.dimension, dtype=complex)
+    vec[0] = 1.0
+    for col in reversed(range(orbitals.shape[1])):
+        vec = orbital_creation(ladders, orbitals[:, col]) @ vec
+    return vec

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from diracsea import evolution as ev
 from diracsea import fock
 from diracsea.lattice import LatticeConfig, build_basis
@@ -248,21 +249,21 @@ def test_observables_match_fock_oracle(basis_n3, rng):
     coeffs = np.stack([basis_n3.mode_coefficients(packet.orbitals[:, o])
                        for o in range(packet.orbital_count)], axis=1)
     ladders = fock.build_ladders(6)
-    vec = fock.slater_vector(ladders, coeffs)
+    vec = dense.slater_vector(ladders, coeffs)
     constants = renorm_constants(basis_n3, occ)
     snap = ev.observables(packet)
     for j in range(3):
-        rho_op = fock.bilinear_matrix(
+        rho_op = dense.bilinear_matrix(
             ladders, charge_kernel(basis_n3, j).with_subtraction(constants.rho[j]))
-        cur_op = fock.bilinear_matrix(
+        cur_op = dense.bilinear_matrix(
             ladders,
             current_kernel(basis_n3, j).with_subtraction(constants.current[j]))
-        assert fock.expectation(vec, rho_op).real == pytest.approx(
+        assert dense.expectation(vec, rho_op).real == pytest.approx(
             snap.density[j], abs=1e-11)
-        assert fock.expectation(vec, cur_op).real == pytest.approx(
+        assert dense.expectation(vec, cur_op).real == pytest.approx(
             snap.current[j], abs=1e-11)
-    h0_op = fock.bilinear_matrix(ladders, free_hamiltonian_kernel(basis_n3, occ))
-    assert fock.expectation(vec, h0_op).real == pytest.approx(
+    h0_op = dense.bilinear_matrix(ladders, free_hamiltonian_kernel(basis_n3, occ))
+    assert dense.expectation(vec, h0_op).real == pytest.approx(
         snap.free_energy, abs=1e-11)
 
 

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from diracsea import checks, fock
 from diracsea.checks import (
     anticommutator_defect,
@@ -68,7 +69,7 @@ def test_occupation_number_expectations(basis_n3):
     sea = fock.build_vacuum_vector(ladders, occ)
     for n in range(6):
         number = ladders.raising[n] @ ladders.lowering[n]
-        value = fock.expectation(sea, number).real
+        value = dense.expectation(sea, number).real
         assert value == pytest.approx(1.0 if n in occ else 0.0, abs=1e-14)
 
 
@@ -77,18 +78,21 @@ def test_bilinear_number_operator(basis_n3):
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
     sea = fock.build_vacuum_vector(ladders, occ)
     identity = OneBodyKernel(np.eye(6, dtype=complex), 0.0)
-    total = fock.bilinear_matrix(ladders, identity)
-    assert fock.expectation(sea, total).real == pytest.approx(len(occ))
+    total = dense.bilinear_matrix(ladders, identity)
+    assert dense.expectation(sea, total).real == pytest.approx(len(occ))
 
 
 def test_bilinear_shape_guard(basis_n3):
     ladders = fock.build_ladders(4)
     with pytest.raises(ValueError):
-        fock.bilinear_matrix(ladders, OneBodyKernel(np.eye(6), 0.0))
+        dense.bilinear_matrix(ladders, OneBodyKernel(np.eye(6), 0.0))
     with pytest.raises(ValueError):
         fock.apply_bilinears(ladders, [OneBodyKernel(np.eye(4), 0.0),
                                        OneBodyKernel(np.eye(6), 0.0)],
                              np.ones(16, dtype=complex))
+    for state in (np.ones(8, dtype=complex), np.ones((16, 1), dtype=complex)):
+        with pytest.raises(ValueError):
+            fock.apply_bilinears(ladders, [OneBodyKernel(np.eye(4), 0.0)], state)
 
 
 def ladder_product_reference(ladders, kernel):
@@ -114,7 +118,7 @@ def test_bilinear_matrix_equals_ladder_products_bit_for_bit(mode_count):
     rng = np.random.default_rng(mode_count)
     ladders = fock.build_ladders(mode_count)
     kernel = random_kernel(rng, mode_count, 0.37)
-    built = fock.bilinear_matrix(ladders, kernel)
+    built = dense.bilinear_matrix(ladders, kernel)
     reference = ladder_product_reference(ladders, kernel)
     assert built.shape == reference.shape
     assert (built != reference).nnz == 0
@@ -128,21 +132,55 @@ def test_apply_bilinears_matches_bilinear_matrix(mode_count):
              + 1j * rng.normal(size=ladders.dimension))
     state /= np.linalg.norm(state)
     kernels = [random_kernel(rng, mode_count, c) for c in (0.0, 0.37, -1.5)]
+    # the dense state, then one with about 10% support
+    sparse_state = state * (rng.random(ladders.dimension) < 0.1)
+    assert 0 < np.count_nonzero(sparse_state) < ladders.dimension // 5
+    for vector in (state, sparse_state):
+        columns = fock.apply_bilinears(ladders, kernels, vector)
+        assert columns.shape == (ladders.dimension, len(kernels))
+        for column, kernel in zip(columns.T, kernels):
+            expected = dense.bilinear_matrix(ladders, kernel) @ vector
+            assert np.abs(column - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("mode_count", [6, 10])
+def test_apply_bilinears_on_basis_vector_is_bit_exact(mode_count):
+    """One amplitude means one term per output row.  The kernels carry no
+    subtraction: bilinear_matrix adds -c before the K_nn, apply_bilinears
+    after them."""
+    rng = np.random.default_rng(300 + mode_count)
+    ladders = fock.build_ladders(mode_count)
+    kernels = [random_kernel(rng, mode_count, 0.0) for _ in range(3)]
+    for index in rng.integers(ladders.dimension, size=8):
+        state = np.zeros(ladders.dimension, dtype=complex)
+        state[index] = 1.0
+        columns = fock.apply_bilinears(ladders, kernels, state)
+        for column, kernel in zip(columns.T, kernels):
+            assert np.array_equal(column, dense.bilinear_matrix(ladders, kernel) @ state)
+
+
+@pytest.mark.parametrize("mode_count", [6, 10])
+def test_apply_bilinears_zero_and_nan_states(mode_count):
+    rng = np.random.default_rng(400 + mode_count)
+    ladders = fock.build_ladders(mode_count)
+    kernels = [random_kernel(rng, mode_count, c) for c in (0.0, 0.37)]
+    zero = fock.apply_bilinears(ladders, kernels, np.zeros(ladders.dimension, complex))
+    assert zero.shape == (ladders.dimension, len(kernels))
+    assert not zero.any()
+    state = np.zeros(ladders.dimension, dtype=complex)
+    state[3] = np.nan
     columns = fock.apply_bilinears(ladders, kernels, state)
-    assert columns.shape == (ladders.dimension, len(kernels))
-    for column, kernel in zip(columns.T, kernels):
-        expected = fock.bilinear_matrix(ladders, kernel) @ state
-        assert np.abs(column - expected).max() <= 1e-13
+    assert np.isnan(columns).any(axis=0).all()
 
 
 def test_bilinear_linearity(basis_n3, rng):
     ladders = fock.build_ladders(6)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    combined = fock.bilinear_matrix(
+    combined = dense.bilinear_matrix(
         ladders, OneBodyKernel(2.0 * a + b, 0.0))
-    separate = (2.0 * fock.bilinear_matrix(ladders, OneBodyKernel(a, 0.0))
-                + fock.bilinear_matrix(ladders, OneBodyKernel(b, 0.0)))
+    separate = (2.0 * dense.bilinear_matrix(ladders, OneBodyKernel(a, 0.0))
+                + dense.bilinear_matrix(ladders, OneBodyKernel(b, 0.0)))
     assert np.abs((combined - separate).toarray()).max() < 1e-12
 
 
@@ -151,12 +189,12 @@ def test_commutator_expectation_properties(basis_n3, rng):
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
     sea = fock.build_vacuum_vector(ladders, occ)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    op_a = fock.bilinear_matrix(ladders, OneBodyKernel(a + a.conj().T, 0.0))
+    op_a = dense.bilinear_matrix(ladders, OneBodyKernel(a + a.conj().T, 0.0))
     b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    op_b = fock.bilinear_matrix(ladders, OneBodyKernel(b + b.conj().T, 0.0))
-    assert fock.commutator_expectation(sea, op_a, op_a) == pytest.approx(0.0)
-    forward = fock.commutator_expectation(sea, op_a, op_b)
-    backward = fock.commutator_expectation(sea, op_b, op_a)
+    op_b = dense.bilinear_matrix(ladders, OneBodyKernel(b + b.conj().T, 0.0))
+    assert dense.commutator_expectation(sea, op_a, op_a) == pytest.approx(0.0)
+    forward = dense.commutator_expectation(sea, op_a, op_b)
+    backward = dense.commutator_expectation(sea, op_b, op_a)
     assert forward == pytest.approx(-backward, abs=1e-12)
 
 
@@ -165,11 +203,11 @@ def test_charge_charge_commutator_vanishes(basis_n3):
     ladders = fock.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
     sea = fock.build_vacuum_vector(ladders, occ)
-    ops = [fock.bilinear_matrix(ladders, charge_kernel(basis_n3, j))
+    ops = [dense.bilinear_matrix(ladders, charge_kernel(basis_n3, j))
            for j in range(3)]
     for j in range(3):
         for k in range(3):
-            value = fock.commutator_expectation(sea, ops[j], ops[k])
+            value = dense.commutator_expectation(sea, ops[j], ops[k])
             assert abs(value) < 1e-13
 
 
@@ -204,15 +242,15 @@ def test_slater_vector_matches_vacuum(basis_n3):
     columns = np.zeros((6, len(occ)), dtype=complex)
     for col, n in enumerate(sorted(occ.indices)):
         columns[n, col] = 1.0
-    assert np.abs(fock.slater_vector(ladders, columns) - direct).max() < 1e-14
+    assert np.abs(dense.slater_vector(ladders, columns) - direct).max() < 1e-14
 
 
 def test_orbital_creation_guard():
     ladders = fock.build_ladders(3)
     with pytest.raises(ValueError):
-        fock.orbital_creation(ladders, np.zeros(3))
+        dense.orbital_creation(ladders, np.zeros(3))
     with pytest.raises(ValueError):
-        fock.orbital_creation(ladders, np.ones(4))
+        dense.orbital_creation(ladders, np.ones(4))
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +264,23 @@ def test_oracle_at_mode_cap(basis_n7, spec):
     assert basis_n7.mode_count == fock.MAX_MODES
     assert checks.oracle_commutator_defect(basis_n7, spec) <= 1e-10
     assert checks.oracle_subtraction_defect(basis_n7, spec) <= 1e-12
+
+
+def test_oracle_hops_only_from_the_vacuum_bitstring(basis_n7, monkeypatch):
+    """The filled sea at M = 14 occupies 7 modes, so a_n^dag a_m has
+    7 * 7 = 49 nonzero entries on it, against 745,472 over all 2^14 rows."""
+    sizes = []
+    exact = fock.hops
+
+    def counted(mode_count, columns):
+        table = exact(mode_count, columns)
+        sizes.append(len(table.row))
+        return table
+
+    monkeypatch.setattr(fock, "hops", counted)
+    assert checks.oracle_subtraction_defect(basis_n7, VacuumSpec("standard")) <= 1e-12
+    assert checks.oracle_commutator_defect(basis_n7, VacuumSpec("standard")) <= 1e-10
+    assert sizes == [49, 49]
 
 
 def test_oracle_at_mode_cap_sees_a_perturbed_kernel(basis_n7, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from diracsea import fock
 from diracsea.checks import oracle_subtraction_defect
 from diracsea.lattice import LatticeConfig, build_basis
@@ -122,9 +123,9 @@ def test_charge_sum_counts_particles_above_vacuum(basis_n3):
     state = ladders.raising[added] @ fock.build_vacuum_vector(ladders, occ)
     total = 0.0
     for j in range(3):
-        op = fock.bilinear_matrix(
+        op = dense.bilinear_matrix(
             ladders, charge_kernel(basis_n3, j).with_subtraction(constants.rho[j]))
-        total += basis_n3.config.spacing * fock.expectation(state, op).real
+        total += basis_n3.config.spacing * dense.expectation(state, op).real
     assert total == pytest.approx(basis_n3.config.charge, abs=1e-12)
 
 

@@ -113,12 +113,12 @@ def test_retarded_kernels_match_fock_oracle(basis_n3):
         kernel = rs.ResponseKernel.build(basis_n3, occ)
         ladders = fock.build_ladders(6)
         vacuum = fock.build_vacuum_vector(ladders, occ)
-        h0 = fock.bilinear_matrix(
+        h0 = dense.bilinear_matrix(
             ladders, free_hamiltonian_kernel(basis_n3, occ)).toarray()
-        cur = [fock.bilinear_matrix(ladders,
+        cur = [dense.bilinear_matrix(ladders,
                                     current_kernel(basis_n3, j)).toarray()
                for j in range(3)]
-        rho = [fock.bilinear_matrix(ladders,
+        rho = [dense.bilinear_matrix(ladders,
                                     charge_kernel(basis_n3, j)).toarray()
                for j in range(3)]
         for tau in (0.0, 0.45):

@@ -271,15 +271,15 @@ def test_weak_pairing_constant_test_functions(basis_n9):
     ladders = fock.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis3)
     sea = fock.build_vacuum_vector(ladders, occ)
-    total_charge = basis3.config.spacing * fock.bilinear_matrix(
+    total_charge = basis3.config.spacing * dense.bilinear_matrix(
         ladders, charge_kernel(basis3, 0))
     for j in (1, 2):
         total_charge = total_charge + basis3.config.spacing * \
-            fock.bilinear_matrix(ladders, charge_kernel(basis3, j))
+            dense.bilinear_matrix(ladders, charge_kernel(basis3, j))
     from diracsea.operators import current_kernel
     for j in range(3):
-        current = fock.bilinear_matrix(ladders, current_kernel(basis3, j))
-        assert abs(fock.commutator_expectation(sea, total_charge,
+        current = dense.bilinear_matrix(ladders, current_kernel(basis3, j))
+        assert abs(dense.commutator_expectation(sea, total_charge,
                                                current)) < 1e-12
 
 
