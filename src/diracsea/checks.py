@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from . import fock
 from .evolution import apply_hamiltonian
@@ -87,22 +88,40 @@ def hermiticity_defect(basis: ModeBasis, rng: np.random.Generator) -> float:
 
 
 def anticommutator_defect(mode_count: int) -> float:
+    """Max |{a_i, a_j^dag} - delta_ij| and |{a_i, a_j}| over all mode pairs.
+
+    Every pair comes out of three sparse products of stacked ladders.  With
+    the lowering operators stacked vertically (L_v) and horizontally (L_h),
+    and the raising ones likewise (R_v, R_h), block (i, j) of L_v R_h is
+    a_i a_j^dag and block (j, i) of R_v L_h is a_j^dag a_i.  A block
+    transpose moves block (j, i) to (i, j) and keeps the offsets inside it,
+    so {a_i, a_j^dag} - delta_ij is block (i, j) of
+    L_v R_h + blockT(R_v L_h) - I, and {a_i, a_j} that of P + blockT(P)
+    with P = L_v L_h.  Entries are sums of +-1 products, hence exact; a NaN
+    entry stays NaN.
+    """
     ladders = fock.build_ladders(mode_count)
-    eye = ladders.identity()
-    worst = 0.0
+    lower_v, raise_v = (sparse.vstack(ops, format="csr")
+                        for ops in (ladders.lowering, ladders.raising))
+    lower_h, raise_h = (sparse.hstack(ops, format="csr")
+                        for ops in (ladders.lowering, ladders.raising))
+    inside = ladders.dimension - 1    # offset bits within a block
+
+    def block_transpose(matrix):
+        coo = matrix.tocoo()
+        return sparse.csr_matrix(
+            (coo.data, ((coo.col & ~inside) | (coo.row & inside),
+                        (coo.row & ~inside) | (coo.col & inside))),
+            shape=matrix.shape)
 
     def maxabs(matrix):
-        return 0.0 if matrix.nnz == 0 else float(np.abs(matrix.data).max())
+        return 0.0 if matrix.nnz == 0 else np.abs(matrix.data).max()
 
-    for i in range(mode_count):
-        for j in range(mode_count):
-            mixed = (ladders.lowering[i] @ ladders.raising[j]
-                     + ladders.raising[j] @ ladders.lowering[i])
-            worst = np.maximum(worst, maxabs((mixed - eye) if i == j else mixed))
-            both = (ladders.lowering[i] @ ladders.lowering[j]
-                    + ladders.lowering[j] @ ladders.lowering[i])
-            worst = np.maximum(worst, maxabs(both))
-    return float(worst)
+    pairs = lower_v @ lower_h
+    mixed = (lower_v @ raise_h + block_transpose(raise_v @ lower_h)
+             - sparse.identity(mode_count * ladders.dimension, format="csr"))
+    # np.max, unlike max, keeps a NaN
+    return float(np.max([maxabs(mixed), maxabs(pairs + block_transpose(pairs))]))
 
 
 def algebra_gate(site_counts=(5, 7, 9, 11), masses=(0.0, 1.0, 5.0),
@@ -143,10 +162,9 @@ def oracle_commutator_defect(basis: ModeBasis, spec: VacuumSpec,
     """
     subset = (np.arange(basis.mode_count) if mode_indices is None
               else np.asarray(mode_indices, dtype=int))
-    ladders = fock.build_ladders(len(subset))
     occupied = np.isin(subset, occupation_set(spec, basis).indices)
     occ = OccupationSet(tuple(np.flatnonzero(occupied).tolist()), len(subset))
-    vacuum = fock.build_vacuum_vector(ladders, occ)
+    vacuum = fock.build_vacuum_vector(occ)
     values = commutator_kernel(basis, spec, mode_indices=subset).values
 
     n_sites = basis.config.site_count
@@ -155,7 +173,7 @@ def oracle_commutator_defect(basis: ModeBasis, spec: VacuumSpec,
     adjoints = [OneBodyKernel(kernel.coefficients.conj().T, kernel.subtraction)
                 for kernel in kernels]
     rho, cur, rho_dag, cur_dag = np.split(
-        fock.apply_bilinears(ladders, kernels + adjoints, vacuum), 4, axis=1)
+        fock.apply_bilinears(len(subset), kernels + adjoints, vacuum), 4, axis=1)
     # <v|rho_k J_j|v> - <v|J_j rho_k|v> = <rho_k^dag v|J_j v> - <J_j^dag v|rho_k v>
     oracle = cur.T @ rho_dag.conj() - cur_dag.conj().T @ rho    # [j (x), k (y)]
     return float(np.abs(oracle - values).max())
@@ -164,24 +182,22 @@ def oracle_commutator_defect(basis: ModeBasis, spec: VacuumSpec,
 def oracle_subtraction_defect(basis: ModeBasis, spec: VacuumSpec) -> float:
     """Vacuum expectations of subtracted rho, J, H0 on the oracle vector."""
     occ = occupation_set(spec, basis)
-    ladders = fock.build_ladders(basis.mode_count)
-    vacuum = fock.build_vacuum_vector(ladders, occ)
+    vacuum = fock.build_vacuum_vector(occ)
     constants = renorm_constants(basis, occ)
     sites = range(basis.config.site_count)
     kernels = ([charge_kernel(basis, j).with_subtraction(constants.rho[j]) for j in sites]
                + [current_kernel(basis, j).with_subtraction(constants.current[j])
                   for j in sites]
                + [free_hamiltonian_kernel(basis, occ)])
-    expectations = vacuum.conj() @ fock.apply_bilinears(ladders, kernels, vacuum)
+    expectations = vacuum.conj() @ fock.apply_bilinears(basis.mode_count, kernels, vacuum)
     return float(np.abs(expectations).max())
 
 
 def spectrum_positivity(basis: ModeBasis) -> tuple[float, int]:
     """(most negative eigenvalue, number of zeros) of the sea-vacuum H0."""
     occ = occupation_set(VacuumSpec("standard"), basis)
-    ladders = fock.build_ladders(basis.mode_count)
     kernel = free_hamiltonian_kernel(basis, occ)
-    spectrum = fock.spectrum_of_h0_sector(ladders, kernel)
+    spectrum = fock.spectrum_of_h0_sector(basis.mode_count, kernel)
     zeros = int(np.sum(np.abs(spectrum) <= 1e-12))
     return float(spectrum.min()), zeros
 
@@ -189,9 +205,8 @@ def spectrum_positivity(basis: ModeBasis) -> tuple[float, int]:
 def band_spectrum_negative_level(basis: ModeBasis, spec: VacuumSpec):
     """(min eigenvalue, single-move level E_m - E_n, present-in-spectrum)."""
     occ = occupation_set(spec, basis)
-    ladders = fock.build_ladders(basis.mode_count)
     kernel = free_hamiltonian_kernel(basis, occ)
-    spectrum = fock.spectrum_of_h0_sector(ladders, kernel)
+    spectrum = fock.spectrum_of_h0_sector(basis.mode_count, kernel)
     _, in_band, below = classify_indices(spec, basis)
     band_energies = basis.energy[in_band]
     below_energies = basis.energy[below]

@@ -10,9 +10,12 @@ elsewhere can be checked against literal operator algebra on the full
   makes creation operators applied in descending mode order produce the
   bare product state with amplitude +1.
 
-Ladder operators are kept as scipy CSR matrices (each has 2^(M-1) entries;
-dense storage at the M = 14 cap would cost gigabytes per operator for no
-benefit).  Everything downstream treats them as plain matrices.
+Ladder operators are scipy CSR matrices (each has 2^(M-1) entries; dense
+storage at the M = 14 cap would cost gigabytes per operator for no benefit).
+They serve only the anticommutator gate in ``checks`` and the tests.  The
+oracle works on bitstrings: a vacuum vector is the one bitstring of its
+occupied set with amplitude +1, and a many-body spectrum of a diagonal
+operator is read off the occupation bits.
 
 Bilinears sum_nm K_nm a_n^dag a_m - c act through a hop table built for the
 columns they are applied to: every nonzero entry of a_n^dag a_m with n != m
@@ -26,7 +29,6 @@ a determinant, which is a single bitstring, costs M_occ * M_empty hops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -59,16 +61,18 @@ class LadderSet:
     def dimension(self) -> int:
         return 1 << self.mode_count
 
-    def identity(self):
-        return sparse.identity(self.dimension, dtype=complex, format="csr")
 
-    @cached_property
-    def occupations(self) -> np.ndarray:
-        """(2^M, M) occupation bits: row b, column n is (b >> n) & 1."""
-        return _bits(np.arange(self.dimension), self.mode_count)
+def _dimension(mode_count: int) -> int:
+    """2^M, once M is within the memory guard."""
+    if not 1 <= mode_count <= MAX_MODES:
+        raise ValueError(
+            f"mode_count must be in 1..{MAX_MODES} (memory guard), got {mode_count}"
+        )
+    return 1 << mode_count
 
 
 def _bits(columns: np.ndarray, mode_count: int) -> np.ndarray:
+    """Occupation bits: row i, column n is (columns[i] >> n) & 1."""
     return (columns[:, None] >> np.arange(mode_count)) & 1
 
 
@@ -88,11 +92,7 @@ def hops(mode_count: int, columns: np.ndarray) -> HopTable:
 
 def build_ladders(mode_count: int) -> LadderSet:
     """Ladder operators over the occupation-number basis."""
-    if not 1 <= mode_count <= MAX_MODES:
-        raise ValueError(
-            f"mode_count must be in 1..{MAX_MODES} (memory guard), got {mode_count}"
-        )
-    dim = 1 << mode_count
+    dim = _dimension(mode_count)
     states = np.arange(dim, dtype=np.uint64)
     lowering = []
     for n in range(mode_count):
@@ -109,31 +109,26 @@ def build_ladders(mode_count: int) -> LadderSet:
     return LadderSet(mode_count, tuple(lowering), raising)
 
 
-def build_vacuum_vector(ladders: LadderSet, occ: OccupationSet) -> np.ndarray:
+def build_vacuum_vector(occ: OccupationSet) -> np.ndarray:
     """Product of creation operators over the occupied set on the bare vacuum.
 
-    Operators are applied in descending mode order, which gives amplitude +1
-    on the corresponding bitstring.
+    Applied in descending mode order, the creation operators give amplitude
+    +1 on the bitstring sum_n 2^n over the occupied n, which is written
+    directly.
     """
-    if occ.mode_count != ladders.mode_count:
-        raise ValueError("occupation set and ladder set disagree on mode count")
-    vec = np.zeros(ladders.dimension, dtype=complex)
-    vec[0] = 1.0
-    for n in sorted(occ.indices, reverse=True):
-        vec = ladders.raising[n] @ vec
+    vec = np.zeros(_dimension(occ.mode_count), dtype=complex)
+    vec[sum(1 << n for n in occ.indices)] = 1.0
     return vec
 
 
-def _coefficients(ladders: LadderSet, kernel: OneBodyKernel) -> np.ndarray:
+def _coefficients(mode_count: int, kernel: OneBodyKernel) -> np.ndarray:
     k = kernel.coefficients
-    if k.shape != (ladders.mode_count, ladders.mode_count):
-        raise ValueError(
-            f"kernel shape {k.shape} does not match M={ladders.mode_count}"
-        )
+    if k.shape != (mode_count, mode_count):
+        raise ValueError(f"kernel shape {k.shape} does not match M={mode_count}")
     return k
 
 
-def apply_bilinears(ladders: LadderSet, kernels, state: np.ndarray) -> np.ndarray:
+def apply_bilinears(mode_count: int, kernels, state: np.ndarray) -> np.ndarray:
     """(sum_nm K_nm a_n^dag a_m - c) state for each kernel, as (2^M, K) columns.
 
     Only the state's support is visited: column n * M + m of the sparse hop
@@ -143,18 +138,16 @@ def apply_bilinears(ladders: LadderSet, kernels, state: np.ndarray) -> np.ndarra
     times K_nn, lands on the support rows.  A NaN amplitude is nonzero and
     so reaches the output.
     """
-    if state.shape != (ladders.dimension,):
-        raise ValueError(
-            f"state shape {state.shape} does not match 2^M={ladders.dimension}"
-        )
-    coefficients = np.stack([_coefficients(ladders, kernel) for kernel in kernels])
+    dim = _dimension(mode_count)
+    if state.shape != (dim,):
+        raise ValueError(f"state shape {state.shape} does not match 2^M={dim}")
+    coefficients = np.stack([_coefficients(mode_count, kernel) for kernel in kernels])
     subtractions = np.array([kernel.subtraction for kernel in kernels])
-    m = ladders.mode_count
+    m = mode_count
     support = np.flatnonzero(state)
     table = hops(m, support)
     hop_image = sparse.csr_matrix(
-        (table.sign * state[table.col], (table.row, table.pair)),
-        shape=(ladders.dimension, m * m))
+        (table.sign * state[table.col], (table.row, table.pair)), shape=(dim, m * m))
     stacked = np.ascontiguousarray(coefficients.reshape(len(kernels), m * m).T)
     out = hop_image @ stacked
     diagonal = (_bits(support, m) @ np.diagonal(coefficients, axis1=1, axis2=2).T
@@ -163,7 +156,7 @@ def apply_bilinears(ladders: LadderSet, kernels, state: np.ndarray) -> np.ndarra
     return out
 
 
-def spectrum_of_h0_sector(ladders: LadderSet, kernel: OneBodyKernel) -> np.ndarray:
+def spectrum_of_h0_sector(mode_count: int, kernel: OneBodyKernel) -> np.ndarray:
     """All 2^M eigenvalues of the subtracted many-body free Hamiltonian.
 
     The operator is diagonal in the occupation basis, so the eigenvalues are
@@ -171,5 +164,6 @@ def spectrum_of_h0_sector(ladders: LadderSet, kernel: OneBodyKernel) -> np.ndarr
     result is indexed by basis bitstring.  The reference vacuum enters only
     through the subtraction attached to the kernel.
     """
-    weights = np.real(np.diag(kernel.coefficients))
-    return ladders.occupations @ weights - kernel.subtraction
+    weights = np.real(np.diag(_coefficients(mode_count, kernel)))
+    occupations = _bits(np.arange(_dimension(mode_count)), mode_count)
+    return occupations @ weights - kernel.subtraction

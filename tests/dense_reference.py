@@ -7,10 +7,12 @@ compare it, and the Fock oracle, against them.  Those functions take a
 the intra-band double sum's tensors, which ``schwinger.f2_identity_check``
 builds from spinor products.
 
-The Fock helpers build whole many-body operators and states.  The oracle in
-``checks`` only applies bilinears to a vacuum vector through
-``fock.apply_bilinears``; the tests compare it, and the Wick mode sums of the
-other modules, against these.
+The Fock helpers build whole many-body operators and states from the ladder
+matrices.  The oracle in ``checks`` writes a vacuum vector as one bitstring
+and only applies bilinears to it through ``fock.apply_bilinears``; the tests
+compare it, and the Wick mode sums of the other modules, against these.
+``anticommutator_defect_per_pair`` is the pair-by-pair form of the stacked
+anticommutator gate in ``checks``.
 """
 
 import numpy as np
@@ -72,10 +74,10 @@ def bilinear_matrix(ladders, kernel):
     n = 0..M-1, so the matrix equals the ladder product sum in that order
     bit for bit.
     """
-    k = fock._coefficients(ladders, kernel)
+    k = fock._coefficients(ladders.mode_count, kernel)
     states = np.arange(ladders.dimension)
     table = fock.hops(ladders.mode_count, states)
-    occ = ladders.occupations
+    occ = fock._bits(states, ladders.mode_count)
     diagonal = np.full(ladders.dimension, -kernel.subtraction, dtype=complex)
     for n in range(ladders.mode_count):
         diagonal += k[n, n] * occ[:, n]
@@ -85,6 +87,36 @@ def bilinear_matrix(ladders, kernel):
         shape=(ladders.dimension, ladders.dimension))
     out.eliminate_zeros()
     return out
+
+
+def ladder_vacuum_vector(ladders, occ) -> np.ndarray:
+    """Creation operators of the occupied set applied to the bare vacuum in
+    descending mode order."""
+    vec = np.zeros(ladders.dimension, dtype=complex)
+    vec[0] = 1.0
+    for n in sorted(occ.indices, reverse=True):
+        vec = ladders.raising[n] @ vec
+    return vec
+
+
+def anticommutator_defect_per_pair(ladders) -> float:
+    """Max |{a_i, a_j^dag} - delta_ij| and |{a_i, a_j}|, two products per
+    anticommutator, one pair of modes at a time."""
+    eye = sparse.identity(ladders.dimension, dtype=complex, format="csr")
+    worst = 0.0
+
+    def maxabs(matrix):
+        return 0.0 if matrix.nnz == 0 else float(np.abs(matrix.data).max())
+
+    for i in range(ladders.mode_count):
+        for j in range(ladders.mode_count):
+            mixed = (ladders.lowering[i] @ ladders.raising[j]
+                     + ladders.raising[j] @ ladders.lowering[i])
+            worst = np.maximum(worst, maxabs((mixed - eye) if i == j else mixed))
+            both = (ladders.lowering[i] @ ladders.lowering[j]
+                    + ladders.lowering[j] @ ladders.lowering[i])
+            worst = np.maximum(worst, maxabs(both))
+    return float(worst)
 
 
 def expectation(state: np.ndarray, operator) -> complex:

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import dense_reference as dense
 from diracsea import checks, fock
@@ -36,6 +37,36 @@ def test_anticommutators_small():
         assert anticommutator_defect(mode_count) < 1e-12
 
 
+def mutant_ladders(ladders, rng, mutate):
+    """The ladders with one random lowering entry replaced by mutate(entry);
+    the raising operators are left as they were."""
+    mode = int(rng.integers(ladders.mode_count))
+    op = ladders.lowering[mode].copy()
+    entry = int(rng.integers(op.nnz))
+    op.data[entry] = mutate(op.data[entry])
+    lowering = ladders.lowering[:mode] + (op,) + ladders.lowering[mode + 1:]
+    return fock.LadderSet(ladders.mode_count, lowering, ladders.raising)
+
+
+@pytest.mark.parametrize("mode_count", range(1, 9))
+def test_stacked_gate_equals_per_pair_reference(mode_count, monkeypatch):
+    rng = np.random.default_rng(500 + mode_count)
+    intact = fock.build_ladders(mode_count)
+    flipped = mutant_ladders(intact, rng, lambda entry: -entry)
+    poisoned = mutant_ladders(intact, rng, lambda entry: np.nan)
+    defects = {}
+    for name, ladders in (("intact", intact), ("flipped", flipped),
+                          ("poisoned", poisoned)):
+        monkeypatch.setattr(fock, "build_ladders", lambda _, ladders=ladders: ladders)
+        defects[name] = anticommutator_defect(mode_count)
+        reference = dense.anticommutator_defect_per_pair(ladders)
+        assert np.array_equal(defects[name], reference, equal_nan=True), name
+    assert defects["intact"] == 0.0
+    assert defects["flipped"] >= 1.0
+    assert np.isnan(defects["poisoned"])
+    assert not checks.CheckResult("anticommutators", defects["poisoned"], 1e-12).passed
+
+
 def test_number_operator_idempotent():
     ladders = fock.build_ladders(4)
     for n in range(4):
@@ -47,26 +78,50 @@ def test_number_operator_idempotent():
 
 def test_bare_vacuum():
     ladders = fock.build_ladders(4)
-    bare = fock.build_vacuum_vector(ladders, OccupationSet((), 4))
+    bare = fock.build_vacuum_vector(OccupationSet((), 4))
     assert bare[0] == 1.0 and np.abs(bare[1:]).max() == 0.0
     for n in range(4):
         assert np.abs(ladders.lowering[n] @ bare).max() == 0.0
 
 
 def test_vacuum_vector_bitstring_and_sign():
-    ladders = fock.build_ladders(5)
     occ = OccupationSet((0, 2, 3), 5)
-    vec = fock.build_vacuum_vector(ladders, occ)
+    vec = fock.build_vacuum_vector(occ)
     index = (1 << 0) | (1 << 2) | (1 << 3)
     assert vec[index] == pytest.approx(1.0)
     assert np.abs(np.delete(vec, index)).max() == 0.0
     assert np.vdot(vec, vec) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("mode_count", range(1, 11))
+def test_vacuum_vector_equals_ladder_product(mode_count):
+    """The bitstring written directly carries the sign the descending-order
+    creation product gives it."""
+    rng = np.random.default_rng(600 + mode_count)
+    ladders = fock.build_ladders(mode_count)
+    sets = [(), tuple(range(mode_count))]
+    sets += [tuple(np.flatnonzero(rng.random(mode_count) < 0.5).tolist())
+             for _ in range(4)]
+    for indices in sets:
+        occ = OccupationSet(indices, mode_count)
+        assert np.array_equal(fock.build_vacuum_vector(occ),
+                              dense.ladder_vacuum_vector(ladders, occ)), indices
+
+
+@pytest.mark.parametrize("spec", [VacuumSpec("standard"), VacuumSpec("band", 0.2)],
+                         ids=["filled-sea", "band"])
+def test_physical_vacuum_vectors_equal_ladder_products(basis_n3, basis_n5, spec):
+    for basis in (basis_n3, basis_n5):
+        occ = occupation_set(spec, basis)
+        ladders = fock.build_ladders(basis.mode_count)
+        assert np.array_equal(fock.build_vacuum_vector(occ),
+                              dense.ladder_vacuum_vector(ladders, occ))
+
+
 def test_occupation_number_expectations(basis_n3):
     ladders = fock.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
-    sea = fock.build_vacuum_vector(ladders, occ)
+    sea = fock.build_vacuum_vector(occ)
     for n in range(6):
         number = ladders.raising[n] @ ladders.lowering[n]
         value = dense.expectation(sea, number).real
@@ -76,7 +131,7 @@ def test_occupation_number_expectations(basis_n3):
 def test_bilinear_number_operator(basis_n3):
     ladders = fock.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
-    sea = fock.build_vacuum_vector(ladders, occ)
+    sea = fock.build_vacuum_vector(occ)
     identity = OneBodyKernel(np.eye(6, dtype=complex), 0.0)
     total = dense.bilinear_matrix(ladders, identity)
     assert dense.expectation(sea, total).real == pytest.approx(len(occ))
@@ -87,19 +142,20 @@ def test_bilinear_shape_guard(basis_n3):
     with pytest.raises(ValueError):
         dense.bilinear_matrix(ladders, OneBodyKernel(np.eye(6), 0.0))
     with pytest.raises(ValueError):
-        fock.apply_bilinears(ladders, [OneBodyKernel(np.eye(4), 0.0),
-                                       OneBodyKernel(np.eye(6), 0.0)],
+        fock.apply_bilinears(ladders.mode_count, [OneBodyKernel(np.eye(4), 0.0),
+                                                  OneBodyKernel(np.eye(6), 0.0)],
                              np.ones(16, dtype=complex))
     for state in (np.ones(8, dtype=complex), np.ones((16, 1), dtype=complex)):
         with pytest.raises(ValueError):
-            fock.apply_bilinears(ladders, [OneBodyKernel(np.eye(4), 0.0)], state)
+            fock.apply_bilinears(ladders.mode_count, [OneBodyKernel(np.eye(4), 0.0)], state)
 
 
 def ladder_product_reference(ladders, kernel):
     """-c I + sum_nm K_nm a_n^dag a_m from the ladder matrices, in the
     summation order bilinear_matrix promises for the diagonal."""
     k = kernel.coefficients
-    out = -kernel.subtraction * ladders.identity()
+    out = -kernel.subtraction * sparse.identity(ladders.dimension, dtype=complex,
+                                                format="csr")
     for n in range(ladders.mode_count):
         for m in range(ladders.mode_count):
             out = out + k[n, m] * (ladders.raising[n] @ ladders.lowering[m])
@@ -136,7 +192,7 @@ def test_apply_bilinears_matches_bilinear_matrix(mode_count):
     sparse_state = state * (rng.random(ladders.dimension) < 0.1)
     assert 0 < np.count_nonzero(sparse_state) < ladders.dimension // 5
     for vector in (state, sparse_state):
-        columns = fock.apply_bilinears(ladders, kernels, vector)
+        columns = fock.apply_bilinears(ladders.mode_count, kernels, vector)
         assert columns.shape == (ladders.dimension, len(kernels))
         for column, kernel in zip(columns.T, kernels):
             expected = dense.bilinear_matrix(ladders, kernel) @ vector
@@ -154,7 +210,7 @@ def test_apply_bilinears_on_basis_vector_is_bit_exact(mode_count):
     for index in rng.integers(ladders.dimension, size=8):
         state = np.zeros(ladders.dimension, dtype=complex)
         state[index] = 1.0
-        columns = fock.apply_bilinears(ladders, kernels, state)
+        columns = fock.apply_bilinears(ladders.mode_count, kernels, state)
         for column, kernel in zip(columns.T, kernels):
             assert np.array_equal(column, dense.bilinear_matrix(ladders, kernel) @ state)
 
@@ -164,12 +220,13 @@ def test_apply_bilinears_zero_and_nan_states(mode_count):
     rng = np.random.default_rng(400 + mode_count)
     ladders = fock.build_ladders(mode_count)
     kernels = [random_kernel(rng, mode_count, c) for c in (0.0, 0.37)]
-    zero = fock.apply_bilinears(ladders, kernels, np.zeros(ladders.dimension, complex))
+    zero = fock.apply_bilinears(ladders.mode_count, kernels,
+                                np.zeros(ladders.dimension, complex))
     assert zero.shape == (ladders.dimension, len(kernels))
     assert not zero.any()
     state = np.zeros(ladders.dimension, dtype=complex)
     state[3] = np.nan
-    columns = fock.apply_bilinears(ladders, kernels, state)
+    columns = fock.apply_bilinears(ladders.mode_count, kernels, state)
     assert np.isnan(columns).any(axis=0).all()
 
 
@@ -187,7 +244,7 @@ def test_bilinear_linearity(basis_n3, rng):
 def test_commutator_expectation_properties(basis_n3, rng):
     ladders = fock.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
-    sea = fock.build_vacuum_vector(ladders, occ)
+    sea = fock.build_vacuum_vector(occ)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     op_a = dense.bilinear_matrix(ladders, OneBodyKernel(a + a.conj().T, 0.0))
     b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -202,7 +259,7 @@ def test_charge_charge_commutator_vanishes(basis_n3):
     from diracsea.operators import charge_kernel
     ladders = fock.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
-    sea = fock.build_vacuum_vector(ladders, occ)
+    sea = fock.build_vacuum_vector(occ)
     ops = [dense.bilinear_matrix(ladders, charge_kernel(basis_n3, j))
            for j in range(3)]
     for j in range(3):
@@ -218,10 +275,9 @@ def test_spectrum_standard_vacuum(basis_n5):
 
 
 def test_spectrum_single_particle(basis_n3):
-    ladders = fock.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
     kernel = free_hamiltonian_kernel(basis_n3, occ)
-    spectrum = fock.spectrum_of_h0_sector(ladders, kernel)
+    spectrum = fock.spectrum_of_h0_sector(6, kernel)
     for n in np.where(basis_n3.lam > 0)[0]:
         index = sum(1 << i for i in occ.indices) | (1 << int(n))
         assert spectrum[index] == pytest.approx(basis_n3.energy[n], abs=1e-12)
@@ -238,7 +294,7 @@ def test_spectrum_band_vacuum(basis_n5):
 def test_slater_vector_matches_vacuum(basis_n3):
     ladders = fock.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
-    direct = fock.build_vacuum_vector(ladders, occ)
+    direct = fock.build_vacuum_vector(occ)
     columns = np.zeros((6, len(occ)), dtype=complex)
     for col, n in enumerate(sorted(occ.indices)):
         columns[n, col] = 1.0
@@ -281,6 +337,24 @@ def test_oracle_hops_only_from_the_vacuum_bitstring(basis_n7, monkeypatch):
     assert checks.oracle_subtraction_defect(basis_n7, VacuumSpec("standard")) <= 1e-12
     assert checks.oracle_commutator_defect(basis_n7, VacuumSpec("standard")) <= 1e-10
     assert sizes == [49, 49]
+
+
+def test_oracle_builds_no_ladder_matrices(basis_n5, basis_n7, monkeypatch):
+    def refuse(mode_count):
+        raise AssertionError(f"build_ladders({mode_count}) called by the oracle")
+
+    monkeypatch.setattr(fock, "build_ladders", refuse)
+    for spec in (VacuumSpec("standard"), VacuumSpec("band", 1.0)):
+        assert checks.oracle_commutator_defect(basis_n7, spec) <= 1e-10
+        assert checks.oracle_subtraction_defect(basis_n7, spec) <= 1e-12
+    minimum, zeros = spectrum_positivity(basis_n5)
+    assert minimum >= -1e-12
+    assert zeros == 1
+    minimum, move, present = band_spectrum_negative_level(
+        basis_n5, VacuumSpec("band", 0.5))
+    assert minimum < 0
+    assert move < 0
+    assert present
 
 
 def test_oracle_at_mode_cap_sees_a_perturbed_kernel(basis_n7, monkeypatch):

@@ -120,7 +120,7 @@ def test_charge_sum_counts_particles_above_vacuum(basis_n3):
     ladders = fock.build_ladders(6)
     constants = renorm_constants(basis_n3, occ)
     added = np.where(basis_n3.lam > 0)[0][0]
-    state = ladders.raising[added] @ fock.build_vacuum_vector(ladders, occ)
+    state = ladders.raising[added] @ fock.build_vacuum_vector(occ)
     total = 0.0
     for j in range(3):
         op = dense.bilinear_matrix(

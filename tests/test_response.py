@@ -112,7 +112,7 @@ def test_retarded_kernels_match_fock_oracle(basis_n3):
         occ = occupation_set(spec, basis_n3)
         kernel = rs.ResponseKernel.build(basis_n3, occ)
         ladders = fock.build_ladders(6)
-        vacuum = fock.build_vacuum_vector(ladders, occ)
+        vacuum = fock.build_vacuum_vector(occ)
         h0 = dense.bilinear_matrix(
             ladders, free_hamiltonian_kernel(basis_n3, occ)).toarray()
         cur = [dense.bilinear_matrix(ladders,

@@ -270,7 +270,7 @@ def test_weak_pairing_constant_test_functions(basis_n9):
     basis3 = build_basis(LatticeConfig(TWO_PI, 3, 1.0))
     ladders = fock.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis3)
-    sea = fock.build_vacuum_vector(ladders, occ)
+    sea = fock.build_vacuum_vector(occ)
     total_charge = basis3.config.spacing * dense.bilinear_matrix(
         ladders, charge_kernel(basis3, 0))
     for j in (1, 2):

@@ -117,13 +117,12 @@ def test_vacuum_annihilation_conditions(basis_n3):
     """Oracle check of the defining conditions of each vacuum."""
     ladders = fock.build_ladders(basis_n3.mode_count)
 
-    bare = fock.build_vacuum_vector(ladders, occupation_set(VacuumSpec("bare"),
-                                                            basis_n3))
+    bare = fock.build_vacuum_vector(occupation_set(VacuumSpec("bare"), basis_n3))
     for n in range(basis_n3.mode_count):
         assert np.abs(ladders.lowering[n] @ bare).max() == 0.0
 
     standard_occ = occupation_set(VacuumSpec("standard"), basis_n3)
-    sea = fock.build_vacuum_vector(ladders, standard_occ)
+    sea = fock.build_vacuum_vector(standard_occ)
     for n in range(basis_n3.mode_count):
         if n in standard_occ:
             assert np.abs(ladders.raising[n] @ sea).max() < 1e-15
@@ -131,7 +130,7 @@ def test_vacuum_annihilation_conditions(basis_n3):
             assert np.abs(ladders.lowering[n] @ sea).max() < 1e-15
 
     band_occ = occupation_set(VacuumSpec("band", 0.2), basis_n3)
-    band = fock.build_vacuum_vector(ladders, band_occ)
+    band = fock.build_vacuum_vector(band_occ)
     _, in_band, below = classify_indices(VacuumSpec("band", 0.2), basis_n3)
     for n in np.where(basis_n3.lam > 0)[0]:
         assert np.abs(ladders.lowering[n] @ band).max() < 1e-15
