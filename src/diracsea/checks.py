@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import fock
 from .evolution import apply_hamiltonian
@@ -90,38 +89,30 @@ def hermiticity_defect(basis: ModeBasis, rng: np.random.Generator) -> float:
 def anticommutator_defect(mode_count: int) -> float:
     """Max |{a_i, a_j^dag} - delta_ij| and |{a_i, a_j}| over all mode pairs.
 
-    Every pair comes out of three sparse products of stacked ladders.  With
-    the lowering operators stacked vertically (L_v) and horizontally (L_h),
-    and the raising ones likewise (R_v, R_h), block (i, j) of L_v R_h is
-    a_i a_j^dag and block (j, i) of R_v L_h is a_j^dag a_i.  A block
-    transpose moves block (j, i) to (i, j) and keeps the offsets inside it,
-    so {a_i, a_j^dag} - delta_ij is block (i, j) of
-    L_v R_h + blockT(R_v L_h) - I, and {a_i, a_j} that of P + blockT(P)
-    with P = L_v L_h.  Entries are sums of +-1 products, hence exact; a NaN
-    entry stays NaN.
+    Worked on bitstrings with ``fock.ladder_sign``, the rule the oracle's
+    hops use, one mode i at a time.  Whichever ladder acts on mode j of b,
+    a_j or a_j^dag, maps it to b ^ 2^j, so both orderings of a pair land on
+    b ^ 2^i ^ 2^j.  For j != i an anticommutator's entry on b is then the
+    sign of the mode-i step after the mode-j one plus that of the reverse
+    order: {a_i, a_j^dag} acts where b holds i and not j, {a_i, a_j} where
+    it holds both, so row i is checked on every b that holds i.  For j = i
+    exactly one ordering of {a_i, a_i^dag} acts on each b, and its sign less
+    1 is the entry.  Entries are sums of +-1 products, hence exact; a NaN
+    sign stays NaN.
     """
-    ladders = fock.build_ladders(mode_count)
-    lower_v, raise_v = (sparse.vstack(ops, format="csr")
-                        for ops in (ladders.lowering, ladders.raising))
-    lower_h, raise_h = (sparse.hstack(ops, format="csr")
-                        for ops in (ladders.lowering, ladders.raising))
-    inside = ladders.dimension - 1    # offset bits within a block
-
-    def block_transpose(matrix):
-        coo = matrix.tocoo()
-        return sparse.csr_matrix(
-            (coo.data, ((coo.col & ~inside) | (coo.row & inside),
-                        (coo.row & ~inside) | (coo.col & inside))),
-            shape=matrix.shape)
-
-    def maxabs(matrix):
-        return 0.0 if matrix.nnz == 0 else np.abs(matrix.data).max()
-
-    pairs = lower_v @ lower_h
-    mixed = (lower_v @ raise_h + block_transpose(raise_v @ lower_h)
-             - sparse.identity(mode_count * ladders.dimension, format="csr"))
+    states = np.arange(fock._dimension(mode_count))
+    modes = np.arange(mode_count)
+    holds = fock._bits(states, mode_count).astype(bool)
+    first = fock.ladder_sign(states[:, None], modes)    # [b, j]: mode-j step on b
+    worst = []
+    for i in modes:
+        i_after_j = fock.ladder_sign(states[:, None] ^ (1 << modes), i) * first
+        j_after_i = fock.ladder_sign(states[:, None] ^ (1 << i), modes) * first[:, i, None]
+        acting = holds[:, i, None] & (modes != i)
+        worst += [np.abs(i_after_j[:, i] - 1.0).max(),
+                  np.abs(np.where(acting, i_after_j + j_after_i, 0.0)).max()]
     # np.max, unlike max, keeps a NaN
-    return float(np.max([maxabs(mixed), maxabs(pairs + block_transpose(pairs))]))
+    return float(np.max(worst))
 
 
 def algebra_gate(site_counts=(5, 7, 9, 11), masses=(0.0, 1.0, 5.0),

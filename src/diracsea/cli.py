@@ -18,6 +18,7 @@ import concurrent.futures
 import copy
 import hashlib
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -221,8 +222,8 @@ def _default_dt(basis) -> float:
 # ----------------------------------------------------------------- check-basis
 
 def run_check_basis(config: dict, out_dir: Path, seed: int) -> list[Path]:
-    # Imported here, not at module level: checks loads fock, and with it
-    # scipy.sparse, which only check-basis and verify use.
+    # Imported here, not at module level: checks and fock, which only
+    # check-basis and verify use, would add their import time to every command.
     from . import checks
 
     basis = _basis_from(config)
@@ -593,8 +594,10 @@ def run_sweep(config: dict, out_dir: Path, seed: int, jobs: int) -> list[Path]:
         point_dir = out_dir / f"point_{i:03d}"
         tasks.append((experiment, point, str(point_dir), seed))
 
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the executor forks all its workers at once, so ask for no idle ones
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_point, tasks))
     else:
         outcomes = [_sweep_point(task) for task in tasks]
@@ -657,13 +660,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seed for randomized test vectors")
         if name == "sweep":
             p.add_argument("--jobs", type=int, default=1,
-                           help="parallel sweep points")
+                           help="worker processes for the sweep points, at "
+                                "most one per point and per CPU")
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "sweep" and args.jobs < 1:
+            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
         config = {} if args.command == "verify" and args.config is None \
             else _load_config(args.config)
         out_dir = Path(args.out)

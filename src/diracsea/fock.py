@@ -1,29 +1,29 @@
 """Brute-force fermionic Fock space for small mode counts.
 
 This is the test instrument of the package: every Wick-theorem mode sum used
-elsewhere can be checked against literal operator algebra on the full
+elsewhere can be checked against literal operator algebra on the
 2^M-dimensional space.  Conventions:
 
 * basis vectors are occupation bitstrings, mode 0 in the least significant
   bit, so basis index b occupies mode n iff (b >> n) & 1;
-* a_n^dag carries the sign (-1)^(number of occupied modes below n), which
-  makes creation operators applied in descending mode order produce the
-  bare product state with amplitude +1.
+* a_n maps b to b ^ 2^n when b occupies n, a_n^dag does the same when it
+  does not, and both carry ``ladder_sign(b, n)``, (-1) to the number of
+  occupied modes of b below n.  This makes creation operators applied in
+  descending mode order produce the bare product state with amplitude +1.
 
-Ladder operators are scipy CSR matrices (each has 2^(M-1) entries; dense
-storage at the M = 14 cap would cost gigabytes per operator for no benefit).
-They serve only the anticommutator gate in ``checks`` and the tests.  The
-oracle works on bitstrings: a vacuum vector is the one bitstring of its
+``ladder_sign`` is the only place that knows the sign convention: the hop
+table below and the anticommutator gate in ``checks`` both read it, and no
+ladder matrix is ever built.  A vacuum vector is the one bitstring of its
 occupied set with amplitude +1, and a many-body spectrum of a diagonal
 operator is read off the occupation bits.
 
 Bilinears sum_nm K_nm a_n^dag a_m - c act through a hop table built for the
 columns they are applied to: every nonzero entry of a_n^dag a_m with n != m
-in those columns (pair index n * M + m, row, column, sign).  This module is
-the only place that knows the sign convention.  ``apply_bilinears`` applies
-many kernels to one state at once, as a sparse (2^M, M^2) hop image of the
-state's support times the stacked kernel coefficients plus the diagonal, so
-a determinant, which is a single bitstring, costs M_occ * M_empty hops.
+in those columns (pair index n * M + m, row, column, sign).
+``apply_bilinears`` applies many kernels to one state at once, one signed
+kernel row per hop out of the state's support, accumulated onto the hop's
+row, plus the diagonal, so a determinant, which is a single bitstring,
+costs M_occ * M_empty hops.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .operators import OneBodyKernel
 from .vacua import OccupationSet
@@ -49,19 +48,6 @@ class HopTable:
     sign: np.ndarray   # +-1.0
 
 
-@dataclass(frozen=True)
-class LadderSet:
-    """Annihilation/creation matrices for M fermionic modes."""
-
-    mode_count: int
-    lowering: tuple
-    raising: tuple
-
-    @property
-    def dimension(self) -> int:
-        return 1 << self.mode_count
-
-
 def _dimension(mode_count: int) -> int:
     """2^M, once M is within the memory guard."""
     if not 1 <= mode_count <= MAX_MODES:
@@ -76,37 +62,22 @@ def _bits(columns: np.ndarray, mode_count: int) -> np.ndarray:
     return (columns[:, None] >> np.arange(mode_count)) & 1
 
 
+def ladder_sign(bits, mode):
+    """The sign a_mode and a_mode^dag carry on bitstrings ``bits``: (-1) to
+    the number of occupied modes below ``mode``.  Broadcasts like ``&``."""
+    # bitwise_count returns uint8, where 1 - 2 * parity would wrap to 255
+    return 1.0 - 2.0 * (np.bitwise_count(bits & ((1 << mode) - 1)) & 1)
+
+
 def hops(mode_count: int, columns: np.ndarray) -> HopTable:
     """a_n^dag a_m maps each column occupying m and not n to row = col ^ 2^n
-    ^ 2^m; a_m contributes the parity of col below m, a_n^dag that of row
-    below n."""
+    ^ 2^m: a_m acts on col, then a_n^dag on col ^ 2^m."""
     occ = _bits(columns, mode_count).astype(bool)
     index, n, m = np.nonzero(~occ[:, :, None] & occ[:, None, :])
     col = columns[index]
-    row = col ^ (1 << n) ^ (1 << m)
-    # bitwise_count returns uint8, where 1 - 2 * parity would wrap to 255
-    parity = (np.bitwise_count(col & ((1 << m) - 1))
-              + np.bitwise_count(row & ((1 << n) - 1))) & 1
-    return HopTable(n * mode_count + m, row, col, 1.0 - 2.0 * parity)
-
-
-def build_ladders(mode_count: int) -> LadderSet:
-    """Ladder operators over the occupation-number basis."""
-    dim = _dimension(mode_count)
-    states = np.arange(dim, dtype=np.uint64)
-    lowering = []
-    for n in range(mode_count):
-        bit = np.uint64(1 << n)
-        below = np.uint64((1 << n) - 1)
-        src = states[(states & bit) != 0]
-        dst = (src ^ bit).astype(np.int64)
-        sign = 1.0 - 2.0 * (np.bitwise_count(src & below).astype(np.int64) % 2)
-        op = sparse.csr_matrix(
-            (sign.astype(complex), (dst, src.astype(np.int64))), shape=(dim, dim)
-        )
-        lowering.append(op)
-    raising = tuple(op.conj().T.tocsr() for op in lowering)
-    return LadderSet(mode_count, tuple(lowering), raising)
+    emptied = col ^ (1 << m)
+    return HopTable(n * mode_count + m, emptied ^ (1 << n), col,
+                    ladder_sign(col, m) * ladder_sign(emptied, n))
 
 
 def build_vacuum_vector(occ: OccupationSet) -> np.ndarray:
@@ -131,12 +102,11 @@ def _coefficients(mode_count: int, kernel: OneBodyKernel) -> np.ndarray:
 def apply_bilinears(mode_count: int, kernels, state: np.ndarray) -> np.ndarray:
     """(sum_nm K_nm a_n^dag a_m - c) state for each kernel, as (2^M, K) columns.
 
-    Only the state's support is visited: column n * M + m of the sparse hop
-    image is a_n^dag a_m state (n != m), built from the hops out of nonzero
-    amplitudes, so one product with the stacked (M^2, K) coefficients applies
-    every off-diagonal part.  The diagonal, the support's occupation bits
-    times K_nn, lands on the support rows.  A NaN amplitude is nonzero and
-    so reaches the output.
+    Only the state's support is visited: each hop out of a nonzero amplitude
+    adds sign * amplitude times the kernels' (n, m) entries to its row, which
+    applies every off-diagonal part.  The diagonal, the support's occupation
+    bits times K_nn, lands on the support rows.  A NaN amplitude is nonzero
+    and so reaches the output.
     """
     dim = _dimension(mode_count)
     if state.shape != (dim,):
@@ -146,10 +116,9 @@ def apply_bilinears(mode_count: int, kernels, state: np.ndarray) -> np.ndarray:
     m = mode_count
     support = np.flatnonzero(state)
     table = hops(m, support)
-    hop_image = sparse.csr_matrix(
-        (table.sign * state[table.col], (table.row, table.pair)), shape=(dim, m * m))
-    stacked = np.ascontiguousarray(coefficients.reshape(len(kernels), m * m).T)
-    out = hop_image @ stacked
+    out = np.zeros((dim, len(kernels)), dtype=np.result_type(state, coefficients))
+    entries = coefficients.reshape(len(kernels), m * m)[:, table.pair].T
+    np.add.at(out, table.row, (table.sign * state[table.col])[:, None] * entries)
     diagonal = (_bits(support, m) @ np.diagonal(coefficients, axis1=1, axis2=2).T
                 - subtractions)
     out[support] += diagonal * state[support, None]

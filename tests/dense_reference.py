@@ -7,19 +7,58 @@ compare it, and the Fock oracle, against them.  Those functions take a
 the intra-band double sum's tensors, which ``schwinger.f2_identity_check``
 builds from spinor products.
 
-The Fock helpers build whole many-body operators and states from the ladder
-matrices.  The oracle in ``checks`` writes a vacuum vector as one bitstring
-and only applies bilinears to it through ``fock.apply_bilinears``; the tests
-compare it, and the Wick mode sums of the other modules, against these.
-``anticommutator_defect_per_pair`` is the pair-by-pair form of the stacked
-anticommutator gate in ``checks``.
+The Fock helpers build whole many-body operators and states from ladder
+matrices.  ``build_ladders`` writes the sign rule out again, independently
+of ``fock.ladder_sign``, as scipy CSR matrices, and ``src`` builds no
+ladder matrix: the oracle in ``checks`` writes a vacuum vector as one
+bitstring and only applies bilinears to it through ``fock.apply_bilinears``,
+and the anticommutator gate works on bitstrings.  The tests compare both,
+and the Wick mode sums of the other modules, against these.
+``anticommutator_defect_per_pair`` is the pair-by-pair matrix form of that
+gate.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
 
 from diracsea import fock
 from diracsea.lattice import ALPHA
+
+
+@dataclass(frozen=True)
+class LadderSet:
+    """Annihilation/creation matrices for M fermionic modes."""
+
+    mode_count: int
+    lowering: tuple
+    raising: tuple
+
+    @property
+    def dimension(self) -> int:
+        return 1 << self.mode_count
+
+
+def parity_sign(bits, mode):
+    """(-1) to the number of occupied modes of ``bits`` below ``mode``."""
+    return 1.0 - 2.0 * (np.bitwise_count(bits & ((1 << mode) - 1)).astype(np.int64) % 2)
+
+
+def build_ladders(mode_count: int, sign=parity_sign) -> LadderSet:
+    """Ladder operators over the occupation-number basis: a_n maps each state
+    b holding n, and a_n^dag each state not holding it, to b ^ 2^n with
+    sign(b, n).  A ``sign`` other than the default builds mutants."""
+    dim = fock._dimension(mode_count)
+    states = np.arange(dim)
+    lowering, raising = [], []
+    for n in range(mode_count):
+        for ops, src in ((lowering, states[(states >> n) & 1 == 1]),
+                         (raising, states[(states >> n) & 1 == 0])):
+            ops.append(sparse.csr_matrix(
+                (np.asarray(sign(src, n), dtype=complex), (src ^ (1 << n), src)),
+                shape=(dim, dim)))
+    return LadderSet(mode_count, tuple(lowering), tuple(raising))
 
 
 def site_matrix(kernel, weights: np.ndarray) -> np.ndarray:

@@ -437,6 +437,69 @@ def test_sweep_parallel(tmp_path):
         assert (point / "schwinger.csv").exists()
 
 
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is started."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        RecordingExecutor.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("jobs, cpus, points, workers", [
+    ("5000", 8, 2, [2]),
+    ("5000", 2, 3, [2]),
+    ("2", 8, 3, [2]),
+    ("3", 1, 3, []),
+    ("1", 8, 3, []),
+])
+def test_sweep_workers_bounded_by_points_and_cpus(tmp_path, monkeypatch, jobs,
+                                                  cpus, points, workers):
+    monkeypatch.setattr(RecordingExecutor, "max_workers", [])
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    values = [5, 7, 9][:points]
+    cfg = write_config(tmp_path / "cfg.json", {
+        "lattice": BASE_LATTICE, "vacuum": "standard",
+        "sweep": {"experiment": "schwinger", "parameter": "lattice.N",
+                  "values": values},
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--jobs", jobs]) == 0
+    assert RecordingExecutor.max_workers == workers
+    index = json.loads((out / "sweep_index.json").read_text())
+    assert index["exit_codes"] == [0] * points
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    def no_point(task):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "lattice": BASE_LATTICE, "vacuum": "standard",
+        "sweep": {"experiment": "schwinger", "parameter": "lattice.N",
+                  "values": [5, 7]},
+    })
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--jobs", jobs]) == 1
+    assert "--jobs" in single_error_line(capsys)["error"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_index_does_not_depend_on_out_path(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {
         "lattice": BASE_LATTICE, "vacuum": "standard",
@@ -543,12 +606,18 @@ def test_fuzzed_config_fails_cleanly(case, value):
         assert code == 1
 
 
-def test_cli_import_loads_neither_sparse_nor_special():
-    # fock (scipy.sparse) and the Chebyshev weights (scipy.special) load in
-    # the runners that use them, so a run's start-up costs numpy alone
+@pytest.mark.parametrize("code", [
+    # fock and checks load in the runners that use them, and the Chebyshev
+    # weights (scipy.special) in the step that needs them, so a run's
+    # start-up costs numpy alone
+    "import sys, diracsea.cli; print(sorted("
+    "{'scipy.sparse', 'scipy.special'} & set(sys.modules)))",
+    # the oracle and its algebra gate work on bitstrings, not sparse matrices
+    "import sys; from diracsea import checks; checks.run_verification(); "
+    "print(sorted({'scipy.sparse'} & set(sys.modules)))",
+], ids=["cli-import", "run-verification"])
+def test_cli_import_loads_neither_sparse_nor_special(code):
     src = str(Path(cli.__file__).parents[1])
-    code = ("import sys, diracsea.cli; print(sorted("
-            "{'scipy.sparse', 'scipy.special'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))

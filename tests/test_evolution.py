@@ -248,7 +248,7 @@ def test_observables_match_fock_oracle(basis_n3, rng):
     # rotate into the mode basis and rebuild the state in Fock space
     coeffs = np.stack([basis_n3.mode_coefficients(packet.orbitals[:, o])
                        for o in range(packet.orbital_count)], axis=1)
-    ladders = fock.build_ladders(6)
+    ladders = dense.build_ladders(6)
     vec = dense.slater_vector(ladders, coeffs)
     constants = renorm_constants(basis_n3, occ)
     snap = ev.observables(packet)

@@ -21,11 +21,11 @@ TWO_PI = 2.0 * np.pi
 def test_mode_count_guard():
     for bad in (0, 15, -3):
         with pytest.raises(ValueError):
-            fock.build_ladders(bad)
+            fock.build_vacuum_vector(OccupationSet((), bad))
 
 
 def test_single_mode_matrices():
-    ladders = fock.build_ladders(1)
+    ladders = dense.build_ladders(1)
     lower = ladders.lowering[0].toarray()
     raise_ = ladders.raising[0].toarray()
     assert np.allclose(lower, [[0, 1], [0, 0]])
@@ -37,38 +37,61 @@ def test_anticommutators_small():
         assert anticommutator_defect(mode_count) < 1e-12
 
 
-def mutant_ladders(ladders, rng, mutate):
-    """The ladders with one random lowering entry replaced by mutate(entry);
-    the raising operators are left as they were."""
-    mode = int(rng.integers(ladders.mode_count))
-    op = ladders.lowering[mode].copy()
-    entry = int(rng.integers(op.nnz))
-    op.data[entry] = mutate(op.data[entry])
-    lowering = ladders.lowering[:mode] + (op,) + ladders.lowering[mode + 1:]
-    return fock.LadderSet(ladders.mode_count, lowering, ladders.raising)
+def mutant_sign(target, value):
+    """fock.ladder_sign with its sign on one (bitstring, mode) replaced by
+    value(sign); every other sign is left as it was."""
+    exact = fock.ladder_sign
+    bits, mode = target
+
+    def mutant(states, modes):
+        sign = exact(states, modes)
+        return np.where((states == bits) & (modes == mode), value(sign), sign)
+
+    return mutant
+
+
+def unsigned_sign(bits, mode):
+    """No Jordan-Wigner string: a_i and a_j commute for i != j."""
+    return np.ones(np.broadcast(bits, mode).shape)
+
+
+def lowering_target(rng, mode_count):
+    """A random (b, n) with b holding n, and with an empty mode if M > 1, so
+    that a_n on b starts hops of a_m^dag a_n."""
+    mode = int(rng.integers(mode_count))
+    states = np.arange(1 << mode_count)
+    holding = states[((states >> mode) & 1 == 1)
+                     & ((states != states[-1]) | (mode_count == 1))]
+    return int(rng.choice(holding)), mode
 
 
 @pytest.mark.parametrize("mode_count", range(1, 9))
 def test_stacked_gate_equals_per_pair_reference(mode_count, monkeypatch):
     rng = np.random.default_rng(500 + mode_count)
-    intact = fock.build_ladders(mode_count)
-    flipped = mutant_ladders(intact, rng, lambda entry: -entry)
-    poisoned = mutant_ladders(intact, rng, lambda entry: np.nan)
-    defects = {}
-    for name, ladders in (("intact", intact), ("flipped", flipped),
-                          ("poisoned", poisoned)):
-        monkeypatch.setattr(fock, "build_ladders", lambda _, ladders=ladders: ladders)
+    flip = mutant_sign(lowering_target(rng, mode_count), lambda sign: -sign)
+    poison = mutant_sign(lowering_target(rng, mode_count), lambda sign: np.nan)
+    states = np.arange(1 << mode_count)
+    defects, hop_signs = {}, {}
+    for name, sign in (("intact", fock.ladder_sign), ("flipped", flip),
+                       ("poisoned", poison), ("unsigned", unsigned_sign)):
+        monkeypatch.setattr(fock, "ladder_sign", sign)
         defects[name] = anticommutator_defect(mode_count)
+        hop_signs[name] = fock.hops(mode_count, states).sign
+        ladders = (dense.build_ladders(mode_count) if name == "intact"
+                   else dense.build_ladders(mode_count, sign))
         reference = dense.anticommutator_defect_per_pair(ladders)
         assert np.array_equal(defects[name], reference, equal_nan=True), name
     assert defects["intact"] == 0.0
     assert defects["flipped"] >= 1.0
+    assert (defects["unsigned"] >= 1.0) == (mode_count > 1)
     assert np.isnan(defects["poisoned"])
     assert not checks.CheckResult("anticommutators", defects["poisoned"], 1e-12).passed
+    if mode_count > 1:  # the oracle's hops read the same rule; one mode has none
+        assert not np.array_equal(hop_signs["flipped"], hop_signs["intact"])
 
 
 def test_number_operator_idempotent():
-    ladders = fock.build_ladders(4)
+    ladders = dense.build_ladders(4)
     for n in range(4):
         number = (ladders.raising[n] @ ladders.lowering[n]).toarray()
         assert np.abs(number @ number - number).max() < 1e-14
@@ -77,7 +100,7 @@ def test_number_operator_idempotent():
 
 
 def test_bare_vacuum():
-    ladders = fock.build_ladders(4)
+    ladders = dense.build_ladders(4)
     bare = fock.build_vacuum_vector(OccupationSet((), 4))
     assert bare[0] == 1.0 and np.abs(bare[1:]).max() == 0.0
     for n in range(4):
@@ -98,7 +121,7 @@ def test_vacuum_vector_equals_ladder_product(mode_count):
     """The bitstring written directly carries the sign the descending-order
     creation product gives it."""
     rng = np.random.default_rng(600 + mode_count)
-    ladders = fock.build_ladders(mode_count)
+    ladders = dense.build_ladders(mode_count)
     sets = [(), tuple(range(mode_count))]
     sets += [tuple(np.flatnonzero(rng.random(mode_count) < 0.5).tolist())
              for _ in range(4)]
@@ -113,13 +136,13 @@ def test_vacuum_vector_equals_ladder_product(mode_count):
 def test_physical_vacuum_vectors_equal_ladder_products(basis_n3, basis_n5, spec):
     for basis in (basis_n3, basis_n5):
         occ = occupation_set(spec, basis)
-        ladders = fock.build_ladders(basis.mode_count)
+        ladders = dense.build_ladders(basis.mode_count)
         assert np.array_equal(fock.build_vacuum_vector(occ),
                               dense.ladder_vacuum_vector(ladders, occ))
 
 
 def test_occupation_number_expectations(basis_n3):
-    ladders = fock.build_ladders(6)
+    ladders = dense.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
     sea = fock.build_vacuum_vector(occ)
     for n in range(6):
@@ -129,7 +152,7 @@ def test_occupation_number_expectations(basis_n3):
 
 
 def test_bilinear_number_operator(basis_n3):
-    ladders = fock.build_ladders(6)
+    ladders = dense.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
     sea = fock.build_vacuum_vector(occ)
     identity = OneBodyKernel(np.eye(6, dtype=complex), 0.0)
@@ -138,7 +161,7 @@ def test_bilinear_number_operator(basis_n3):
 
 
 def test_bilinear_shape_guard(basis_n3):
-    ladders = fock.build_ladders(4)
+    ladders = dense.build_ladders(4)
     with pytest.raises(ValueError):
         dense.bilinear_matrix(ladders, OneBodyKernel(np.eye(6), 0.0))
     with pytest.raises(ValueError):
@@ -172,7 +195,7 @@ def random_kernel(rng, mode_count, subtraction):
 @pytest.mark.parametrize("mode_count", range(1, 9))
 def test_bilinear_matrix_equals_ladder_products_bit_for_bit(mode_count):
     rng = np.random.default_rng(mode_count)
-    ladders = fock.build_ladders(mode_count)
+    ladders = dense.build_ladders(mode_count)
     kernel = random_kernel(rng, mode_count, 0.37)
     built = dense.bilinear_matrix(ladders, kernel)
     reference = ladder_product_reference(ladders, kernel)
@@ -183,7 +206,7 @@ def test_bilinear_matrix_equals_ladder_products_bit_for_bit(mode_count):
 @pytest.mark.parametrize("mode_count", [6, 10])
 def test_apply_bilinears_matches_bilinear_matrix(mode_count):
     rng = np.random.default_rng(100 + mode_count)
-    ladders = fock.build_ladders(mode_count)
+    ladders = dense.build_ladders(mode_count)
     state = (rng.normal(size=ladders.dimension)
              + 1j * rng.normal(size=ladders.dimension))
     state /= np.linalg.norm(state)
@@ -205,7 +228,7 @@ def test_apply_bilinears_on_basis_vector_is_bit_exact(mode_count):
     subtraction: bilinear_matrix adds -c before the K_nn, apply_bilinears
     after them."""
     rng = np.random.default_rng(300 + mode_count)
-    ladders = fock.build_ladders(mode_count)
+    ladders = dense.build_ladders(mode_count)
     kernels = [random_kernel(rng, mode_count, 0.0) for _ in range(3)]
     for index in rng.integers(ladders.dimension, size=8):
         state = np.zeros(ladders.dimension, dtype=complex)
@@ -218,7 +241,7 @@ def test_apply_bilinears_on_basis_vector_is_bit_exact(mode_count):
 @pytest.mark.parametrize("mode_count", [6, 10])
 def test_apply_bilinears_zero_and_nan_states(mode_count):
     rng = np.random.default_rng(400 + mode_count)
-    ladders = fock.build_ladders(mode_count)
+    ladders = dense.build_ladders(mode_count)
     kernels = [random_kernel(rng, mode_count, c) for c in (0.0, 0.37)]
     zero = fock.apply_bilinears(ladders.mode_count, kernels,
                                 np.zeros(ladders.dimension, complex))
@@ -231,7 +254,7 @@ def test_apply_bilinears_zero_and_nan_states(mode_count):
 
 
 def test_bilinear_linearity(basis_n3, rng):
-    ladders = fock.build_ladders(6)
+    ladders = dense.build_ladders(6)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     combined = dense.bilinear_matrix(
@@ -242,7 +265,7 @@ def test_bilinear_linearity(basis_n3, rng):
 
 
 def test_commutator_expectation_properties(basis_n3, rng):
-    ladders = fock.build_ladders(6)
+    ladders = dense.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
     sea = fock.build_vacuum_vector(occ)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -257,7 +280,7 @@ def test_commutator_expectation_properties(basis_n3, rng):
 
 def test_charge_charge_commutator_vanishes(basis_n3):
     from diracsea.operators import charge_kernel
-    ladders = fock.build_ladders(6)
+    ladders = dense.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
     sea = fock.build_vacuum_vector(occ)
     ops = [dense.bilinear_matrix(ladders, charge_kernel(basis_n3, j))
@@ -292,7 +315,7 @@ def test_spectrum_band_vacuum(basis_n5):
 
 
 def test_slater_vector_matches_vacuum(basis_n3):
-    ladders = fock.build_ladders(6)
+    ladders = dense.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
     direct = fock.build_vacuum_vector(occ)
     columns = np.zeros((6, len(occ)), dtype=complex)
@@ -302,7 +325,7 @@ def test_slater_vector_matches_vacuum(basis_n3):
 
 
 def test_orbital_creation_guard():
-    ladders = fock.build_ladders(3)
+    ladders = dense.build_ladders(3)
     with pytest.raises(ValueError):
         dense.orbital_creation(ladders, np.zeros(3))
     with pytest.raises(ValueError):
@@ -339,11 +362,7 @@ def test_oracle_hops_only_from_the_vacuum_bitstring(basis_n7, monkeypatch):
     assert sizes == [49, 49]
 
 
-def test_oracle_builds_no_ladder_matrices(basis_n5, basis_n7, monkeypatch):
-    def refuse(mode_count):
-        raise AssertionError(f"build_ladders({mode_count}) called by the oracle")
-
-    monkeypatch.setattr(fock, "build_ladders", refuse)
+def test_oracle_builds_no_ladder_matrices(basis_n5, basis_n7):
     for spec in (VacuumSpec("standard"), VacuumSpec("band", 1.0)):
         assert checks.oracle_commutator_defect(basis_n7, spec) <= 1e-10
         assert checks.oracle_subtraction_defect(basis_n7, spec) <= 1e-12

@@ -117,7 +117,7 @@ def test_vacuum_expectations_vanish_after_subtraction(basis_n3):
 
 def test_charge_sum_counts_particles_above_vacuum(basis_n3):
     occ = occupation_set(VacuumSpec("standard"), basis_n3)
-    ladders = fock.build_ladders(6)
+    ladders = dense.build_ladders(6)
     constants = renorm_constants(basis_n3, occ)
     added = np.where(basis_n3.lam > 0)[0][0]
     state = ladders.raising[added] @ fock.build_vacuum_vector(occ)

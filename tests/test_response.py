@@ -111,7 +111,7 @@ def test_retarded_kernels_match_fock_oracle(basis_n3):
     for spec in (VacuumSpec("standard"), VacuumSpec("band", 0.2)):
         occ = occupation_set(spec, basis_n3)
         kernel = rs.ResponseKernel.build(basis_n3, occ)
-        ladders = fock.build_ladders(6)
+        ladders = dense.build_ladders(6)
         vacuum = fock.build_vacuum_vector(occ)
         h0 = dense.bilinear_matrix(
             ladders, free_hamiltonian_kernel(basis_n3, occ)).toarray()

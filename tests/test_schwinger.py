@@ -268,7 +268,7 @@ def test_weak_pairing_constant_test_functions(basis_n9):
     from diracsea.operators import charge_kernel
     from diracsea.vacua import occupation_set
     basis3 = build_basis(LatticeConfig(TWO_PI, 3, 1.0))
-    ladders = fock.build_ladders(6)
+    ladders = dense.build_ladders(6)
     occ = occupation_set(VacuumSpec("standard"), basis3)
     sea = fock.build_vacuum_vector(occ)
     total_charge = basis3.config.spacing * dense.bilinear_matrix(

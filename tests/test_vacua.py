@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from diracsea import fock
 from diracsea.vacua import (
     OccupationSet,
@@ -115,7 +116,7 @@ def test_coupled_band_spec(basis_n9):
 
 def test_vacuum_annihilation_conditions(basis_n3):
     """Oracle check of the defining conditions of each vacuum."""
-    ladders = fock.build_ladders(basis_n3.mode_count)
+    ladders = dense.build_ladders(basis_n3.mode_count)
 
     bare = fock.build_vacuum_vector(occupation_set(VacuumSpec("bare"), basis_n3))
     for n in range(basis_n3.mode_count):
