@@ -86,33 +86,37 @@ def hermiticity_defect(basis: ModeBasis, rng: np.random.Generator) -> float:
     return float(np.max(defects))  # np.max, unlike max, keeps a NaN
 
 
-def anticommutator_defect(mode_count: int) -> float:
-    """Max |{a_i, a_j^dag} - delta_ij| and |{a_i, a_j}| over all mode pairs.
+def _anticommutator_entries(mode_count: int):
+    """Per mode i, the (2^M, M) entries [b, j] of the anticommutators of a_i.
 
     Worked on bitstrings with ``fock.ladder_sign``, the rule the oracle's
-    hops use, one mode i at a time.  Whichever ladder acts on mode j of b,
-    a_j or a_j^dag, maps it to b ^ 2^j, so both orderings of a pair land on
-    b ^ 2^i ^ 2^j.  For j != i an anticommutator's entry on b is then the
-    sign of the mode-i step after the mode-j one plus that of the reverse
-    order: {a_i, a_j^dag} acts where b holds i and not j, {a_i, a_j} where
-    it holds both, so row i is checked on every b that holds i.  For j = i
-    exactly one ordering of {a_i, a_i^dag} acts on each b, and its sign less
-    1 is the entry.  Entries are sums of +-1 products, hence exact; a NaN
-    sign stays NaN.
+    hops use.  Whichever ladder acts on mode j of b, a_j or a_j^dag, maps it
+    to b ^ 2^j, so both orderings of a pair land on b ^ 2^i ^ 2^j.  For
+    j != i entry [b, j] is then the sign of the mode-i step after the mode-j
+    one plus that of the reverse order: {a_i, a_j^dag} acts where b holds i
+    and not j, {a_i, a_j} where it holds both, and neither where b lacks i,
+    so the entry is 0 there.  For j = i exactly one ordering of
+    {a_i, a_i^dag} acts on each b, and entry [b, i] is its sign less 1.
+    Entries are sums of +-1 products, hence exact; a NaN sign stays NaN.
     """
     states = np.arange(fock._dimension(mode_count))
     modes = np.arange(mode_count)
     holds = fock._bits(states, mode_count).astype(bool)
     first = fock.ladder_sign(states[:, None], modes)    # [b, j]: mode-j step on b
-    worst = []
     for i in modes:
         i_after_j = fock.ladder_sign(states[:, None] ^ (1 << modes), i) * first
         j_after_i = fock.ladder_sign(states[:, None] ^ (1 << i), modes) * first[:, i, None]
-        acting = holds[:, i, None] & (modes != i)
-        worst += [np.abs(i_after_j[:, i] - 1.0).max(),
-                  np.abs(np.where(acting, i_after_j + j_after_i, 0.0)).max()]
+        entries = np.where(holds[:, i, None], i_after_j + j_after_i, 0.0)
+        entries[:, i] = i_after_j[:, i] - 1.0
+        yield entries
+
+
+def anticommutator_defect(mode_count: int) -> float:
+    """Max |{a_i, a_j^dag} - delta_ij| and |{a_i, a_j}| over all mode pairs,
+    one mode i at a time (``_anticommutator_entries``)."""
     # np.max, unlike max, keeps a NaN
-    return float(np.max(worst))
+    return float(np.max([np.abs(entries).max()
+                         for entries in _anticommutator_entries(mode_count)]))
 
 
 def algebra_gate(site_counts=(5, 7, 9, 11), masses=(0.0, 1.0, 5.0),

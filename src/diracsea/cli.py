@@ -597,7 +597,10 @@ def run_sweep(config: dict, out_dir: Path, seed: int, jobs: int) -> list[Path]:
     # the executor forks all its workers at once, so ask for no idle ones
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # each worker's split evolution steps then run in turn (``ev.share_cpus``)
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=ev.share_cpus,
+                initargs=(workers,)) as pool:
             outcomes = list(pool.map(_sweep_point, tasks))
     else:
         outcomes = [_sweep_point(task) for task in tasks]

@@ -11,11 +11,15 @@ unitary up to rounding and second-order accurate in dt.  The exponential is
 evaluated without forming h: as a Chebyshev series in h (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)) whose terms each apply h once, by one real
 product with the cached derivative matrix ``ModeBasis.derivative_matrix`` and
-site-local 2x2 matrices for the mass and the potentials; when the midpoint
-potential vanishes it is the exact per-momentum rotation
-cos(E dt) - i sin(E dt) h(p)/E, applied by FFT.  Branches that share an
-initial state and step size advance, and are recorded, together as one
-site-major tensor (N, n_branch, 2, n_orb) (``run_branches``).
+site-local 2x2 matrices for the mass and the potentials, with Bessel weights
+from Miller's backward recurrence (numpy only); when the midpoint potential
+vanishes it is the exact per-momentum rotation
+cos(E dt) - i sin(E dt) h(p)/E, applied by FFT.  A run whose potentials are
+all ``ZeroPotential`` takes that rotation once per sample interval.  Branches
+that share an initial state and step size advance, and are recorded,
+together as one site-major tensor (N, n_branch, 2, n_orb) (``run_branches``);
+from ``SPLIT_SIZE`` entries on, the two halves of its orbital axis advance
+side by side on two threads, since every orbital evolves on its own.
 
 The module also hosts the gauge-kick experiment: build a gauge function from
 the density rate of a potential-free trajectory, evolve a second branch under
@@ -25,7 +29,10 @@ free-field energy of the two branches.
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +166,13 @@ class Potential:
 
 
 class ZeroPotential(Potential):
+    """No fields.  Takes no field functions, so ``run_branches`` may step it
+    by exact free rotations without evaluating couplings."""
+
     provenance = "zero"
+
+    def __init__(self, config: LatticeConfig):
+        super().__init__(config)
 
 
 class PureGaugePotential(Potential):
@@ -316,38 +329,68 @@ def _hamiltonian(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray,
     return apply
 
 
-def _free_rotation(basis: ModeBasis, psi: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h0 dt) psi: cos(E dt) - i sin(E dt) h(p)/E at each momentum."""
+def _free_rotation(basis: ModeBasis, dt: float):
+    """psi -> exp(-i h0 dt) psi: cos(E dt) - i sin(E dt) h(p)/E at each momentum."""
     p = 2.0 * np.pi * np.fft.fftfreq(basis.config.site_count, d=basis.config.spacing)
     p = p[:, None, None]  # broadcast over branches and orbitals
     mass = basis.config.mass
     energy = np.hypot(p, mass)
     cos = np.cos(energy * dt)
     sin_over_e = dt * np.sinc(energy * dt / np.pi)  # dt at E = 0
-    ft = np.fft.fft(psi, axis=0)
-    up, down = ft[..., 0, :], ft[..., 1, :]
-    out = np.empty_like(ft)
-    out[..., 0, :] = cos * up - 1j * sin_over_e * (mass * up + p * down)
-    out[..., 1, :] = cos * down - 1j * sin_over_e * (p * up - mass * down)
-    return np.fft.ifft(out, axis=0)
+
+    def rotate(psi: np.ndarray) -> np.ndarray:
+        ft = np.fft.fft(psi, axis=0)
+        up, down = ft[..., 0, :], ft[..., 1, :]
+        out = np.empty_like(ft)
+        out[..., 0, :] = cos * up - 1j * sin_over_e * (mass * up + p * down)
+        out[..., 1, :] = cos * down - 1j * sin_over_e * (p * up - mass * down)
+        return np.fft.ifft(out, axis=0)
+
+    return rotate
 
 
-def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
-               v1: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) psi for stacked site-major orbitals psi (N, n_branch, 2, n_orb).
+def _bessel_weights(z: float, count: int) -> np.ndarray:
+    """J_0(z) .. J_{count-1}(z) by Miller's backward recurrence.
+
+    J_{k-1} = (2k/z) J_k - J_{k+1} runs down from J_count = 0, J_{count-1} = 1
+    and is normalized by J_0 + 2 sum_k J_2k = 1 (Gautschi, SIAM Review 9
+    (1967) 24; Abramowitz & Stegun 9.1.27, 9.1.46).  The start error decays
+    like (J_count / J_k)^2, negligible here because ``_propagator`` asks for
+    ~30 orders past the last weight it keeps.  Against scipy.special.jv the
+    weights differ by 1.1e-16 at the shipped R dt (<= 0.09), 1.6e-15 at 60
+    and at most 1.1e-13 up to the largest R dt that ``MAX_SERIES_TERMS``
+    admits (about 9500), the size of the series' own rounding over that many
+    terms.  Unnormalized, the recurrence grows by about (2/z)^count count!;
+    below z = 1e-9 that would overflow, but there J_0 rounds to 1, J_1 to z/2
+    and J_2 < 1e-18 is dropped, so those are the weights.  From z = 1e-9 on,
+    where ``_propagator`` asks for 30 orders, the growth stays below
+    (2e9)^29 29! = 5e300.
+    """
+    if z < 1e-9:
+        return np.array([1.0, 0.5 * z] + [0.0] * (count - 2))
+    j = [0.0] * count
+    nxt, cur = 0.0, 1.0
+    j[-1] = cur
+    for k in range(count - 1, 0, -1):
+        nxt, cur = cur, 2.0 * k / z * cur - nxt
+        j[k - 1] = cur
+    return np.array(j) / (j[0] + 2.0 * sum(j[2::2]))
+
+
+def _propagator(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray, dt: float):
+    """psi -> exp(-i h dt) psi for stacked site-major orbitals psi
+    (N, n_branch, 2, n_orb), or any slice of their orbital axis.
 
     Branch b feels the couplings v0[:, b], v1[:, b].  All branches share one
     Chebyshev series exp(-i h dt) = sum_k (2 - delta_k0) (-i)^k J_k(R dt)
     T_k(h / R), with R = E_max + max_b (max|v0[:, b]| + max|v1[:, b]|)
-    bounding the spectrum of every branch's h.  ValueError when the series
-    would exceed ``MAX_SERIES_TERMS`` terms.
+    bounding the spectrum of every branch's h.  R, the weights and the term
+    count are fixed here, so every orbital slice sums the same series; each
+    orbital evolves on its own, so slices may run at the same time.
+    ValueError when the series would exceed ``MAX_SERIES_TERMS`` terms.
     """
     if not (v0.any() or v1.any()):
-        return _free_rotation(basis, psi, dt)
-    # Imported here, not at module level: scipy.special adds to the package's
-    # import time, and only a step under a potential needs it.
-    from scipy.special import jv
-
+        return _free_rotation(basis, dt)
     radius = basis.max_energy + float(
         (np.abs(v0).max(axis=0) + np.abs(v1).max(axis=0)).max())
     z = radius * dt
@@ -355,17 +398,21 @@ def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
     if not length + 30 <= MAX_SERIES_TERMS:  # also a NaN or infinite R dt
         raise ValueError(f"a time step needs over {MAX_SERIES_TERMS} Chebyshev "
                          f"terms (R dt = {z:.3g}); lower the potential or dt")
-    weights = jv(np.arange(int(length) + 30), z)
+    weights = _bessel_weights(z, int(length) + 30)
     n_terms = max(2, int(np.nonzero(np.abs(weights) >= BESSEL_CUTOFF)[0][-1]) + 1)
     twice_x = _hamiltonian(basis, v0, v1, 2.0 / radius)  # 2 h / R
-    prev, cur = psi, 0.5 * twice_x(psi)
-    out = weights[0] * psi + (-2j * weights[1]) * cur
-    for k in range(2, n_terms):
-        nxt = twice_x(cur)  # T_k = 2 (h/R) T_{k-1} - T_{k-2}
-        nxt -= prev
-        prev, cur = cur, nxt
-        out += (2.0 * _MINUS_I_POWERS[k % 4] * weights[k]) * cur
-    return out
+
+    def propagate(psi: np.ndarray) -> np.ndarray:
+        prev, cur = psi, 0.5 * twice_x(psi)
+        out = weights[0] * psi + (-2j * weights[1]) * cur
+        for k in range(2, n_terms):
+            nxt = twice_x(cur)  # T_k = 2 (h/R) T_{k-1} - T_{k-2}
+            nxt -= prev
+            prev, cur = cur, nxt
+            out += (2.0 * _MINUS_I_POWERS[k % 4] * weights[k]) * cur
+        return out
+
+    return propagate
 
 
 def apply_hamiltonian(basis: ModeBasis, orbitals: np.ndarray,
@@ -447,6 +494,69 @@ def run_trajectory(state: SlaterState, potential: Potential, t_final: float,
     return run_branches(state, [potential], t_final, dt, sample_stride)[0]
 
 
+# Orbital tensors of at least this many complex entries advance as two
+# halves of their orbital axis.  One kicked step with single-threaded BLAS on
+# two cores, serial against split, best of 30: N = 27 with ten branches
+# (15,120 entries) and N = 81 with one (13,284) gain nothing, N = 101 with
+# one (20,604) goes 3.7 -> 2.6 ms and N = 201 (81,204) 21.4 -> 11.7 ms.
+SPLIT_SIZE = 20_000
+
+
+def _orbital_halves(psi: np.ndarray) -> list[np.ndarray]:
+    """psi as two contiguous halves of its orbital axis, or [psi] when it has
+    fewer than ``SPLIT_SIZE`` entries; the choice reads the tensor alone."""
+    if psi.size < SPLIT_SIZE:
+        return [psi]
+    half = psi.shape[-1] // 2
+    return [np.ascontiguousarray(psi[..., :half]),
+            np.ascontiguousarray(psi[..., half:])]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# How many processes run at once on this one's CPUs: 1, or the worker count
+# inside a parallel sweep's workers (``share_cpus``).
+_cpu_share = 1
+
+
+def share_cpus(process_count: int) -> None:
+    """Marks this process as one of ``process_count`` that run at once on
+    the same CPUs, as a parallel sweep's workers do."""
+    global _cpu_share
+    _cpu_share = process_count
+
+
+@contextmanager
+def _part_mapper(part_count: int):
+    """Yields map(fn, parts) -> list for one part or two.
+
+    Two parts run side by side when this process has two CPUs of its own:
+    the second on a worker thread, the first in the calling thread (numpy's
+    ufuncs, BLAS and FFTs release the GIL).  The worker lives for the
+    ``with`` block only, so none outlives a run or reaches a forked sweep
+    worker.  Otherwise, and for one part, the parts run one after the other.
+    Each part's arithmetic is the same either way.  A kicked N = 201
+    ``evolve`` in a fresh process on a 2-core Xeon, medians of 6-8: two
+    threads 0.76 s against 0.98 s in turn with single-threaded BLAS, but
+    0.91 against 0.82 s pinned to one CPU; a ``sweep --jobs 2`` of two such
+    points with OpenBLAS's default threads takes 5.2 s on threads against
+    2.5 s in turn.
+    """
+    if part_count < 2 or _usable_cpus() < 2 * _cpu_share:
+        yield lambda fn, parts: [fn(part) for part in parts]
+        return
+    with ThreadPoolExecutor(1) as pool:
+        def run(fn, parts):
+            second = pool.submit(fn, parts[1])
+            return [fn(parts[0]), second.result()]
+        yield run
+
+
 def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
                  sample_stride: int = 1) -> list[tuple[Trajectory, SlaterState]]:
     """``run_trajectory`` for several potentials from one initial state.
@@ -454,6 +564,10 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
     The branches advance together as one stacked orbital tensor: each step
     applies one Chebyshev series, and each sample one observation, to all of
     them; every branch matches its own ``run_trajectory`` up to rounding.
+    When every potential is a ``ZeroPotential`` the run takes one exact free
+    rotation by ``sample_stride`` steps per sample interval.  A tensor of at
+    least ``SPLIT_SIZE`` entries advances as two halves of its orbital axis
+    (``_orbital_halves``, ``_part_mapper``), joined only to be observed.
     Returns one (trajectory, final_state) pair per potential.
     """
     n_steps, dt_eff = step_count(state.time, t_final, dt, sample_stride)
@@ -466,12 +580,22 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
                    * len(potentials), axis=1)
     time = state.time
     times, samples = [time], [_observe(basis, state.subtractions, psi)]
-    for k in range(n_steps):
-        v0, v1 = (np.stack(v, axis=-1) for v in zip(
-            *(_couplings(config, p, time + 0.5 * dt_eff) for p in potentials)))
-        psi = _propagate(basis, psi, v0, v1, dt_eff)
-        time = time + dt_eff
-        if (k + 1) % sample_stride == 0:
+    # exp(-i h0 dt)^stride = exp(-i h0 stride dt): one rotation per sample
+    free = (_free_rotation(basis, sample_stride * dt_eff)
+            if all(isinstance(p, ZeroPotential) for p in potentials) else None)
+    parts = _orbital_halves(psi)
+    with _part_mapper(len(parts)) as map_parts:
+        for _ in range(n_steps // sample_stride):
+            if free is not None:
+                parts = map_parts(free, parts)
+            for _ in range(sample_stride):
+                if free is None:
+                    v0, v1 = (np.stack(v, axis=-1) for v in zip(
+                        *(_couplings(config, p, time + 0.5 * dt_eff)
+                          for p in potentials)))
+                    parts = map_parts(_propagator(basis, v0, v1, dt_eff), parts)
+                time = time + dt_eff
+            psi = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
             times.append(time)
             samples.append(_observe(basis, state.subtractions, psi))
     # each (n_t, n_branch, ...)

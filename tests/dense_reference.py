@@ -158,6 +158,26 @@ def anticommutator_defect_per_pair(ladders) -> float:
     return float(worst)
 
 
+def anticommutator_entries_per_pair(ladders) -> np.ndarray:
+    """[i, b, j]: the anticommutator of a_i with mode j's ladders read at its
+    one possible row, b ^ 2^i ^ 2^j, in column b: {a_i, a_j^dag} - delta_ij
+    plus {a_i, a_j}, which act on disjoint columns.  Two products per
+    anticommutator, one pair of modes at a time."""
+    count = ladders.mode_count
+    eye = sparse.identity(ladders.dimension, dtype=complex, format="csr")
+    states = np.arange(ladders.dimension)
+    out = np.zeros((count, ladders.dimension, count))
+    for i in range(count):
+        for j in range(count):
+            mixed = (ladders.lowering[i] @ ladders.raising[j]
+                     + ladders.raising[j] @ ladders.lowering[i])
+            both = (ladders.lowering[i] @ ladders.lowering[j]
+                    + ladders.lowering[j] @ ladders.lowering[i])
+            matrix = (mixed - eye if i == j else mixed + both).toarray()
+            out[i, :, j] = matrix[states ^ (1 << i) ^ (1 << j), states].real
+    return out
+
+
 def expectation(state: np.ndarray, operator) -> complex:
     return complex(np.vdot(state, operator @ state))
 

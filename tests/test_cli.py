@@ -438,13 +438,15 @@ def test_sweep_parallel(tmp_path):
 
 
 class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no worker is started."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the worker
+    initializer, and maps in this process, so no worker is started."""
 
     max_workers = []
+    initializers = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         RecordingExecutor.max_workers.append(max_workers)
+        RecordingExecutor.initializers.append((initializer, initargs))
 
     def __enter__(self):
         return self
@@ -466,6 +468,7 @@ class RecordingExecutor:
 def test_sweep_workers_bounded_by_points_and_cpus(tmp_path, monkeypatch, jobs,
                                                   cpus, points, workers):
     monkeypatch.setattr(RecordingExecutor, "max_workers", [])
+    monkeypatch.setattr(RecordingExecutor, "initializers", [])
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
                         RecordingExecutor)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -479,6 +482,8 @@ def test_sweep_workers_bounded_by_points_and_cpus(tmp_path, monkeypatch, jobs,
     assert main(["sweep", "--config", cfg, "--out", str(out),
                  "--jobs", jobs]) == 0
     assert RecordingExecutor.max_workers == workers
+    # workers that share the CPUs run split evolution halves in turn
+    assert RecordingExecutor.initializers == [(ev.share_cpus, (w,)) for w in workers]
     index = json.loads((out / "sweep_index.json").read_text())
     assert index["exit_codes"] == [0] * points
 
@@ -607,19 +612,28 @@ def test_fuzzed_config_fails_cleanly(case, value):
 
 
 @pytest.mark.parametrize("code", [
-    # fock and checks load in the runners that use them, and the Chebyshev
-    # weights (scipy.special) in the step that needs them, so a run's
+    # fock and checks load in the runners that use them, so a run's
     # start-up costs numpy alone
     "import sys, diracsea.cli; print(sorted("
     "{'scipy.sparse', 'scipy.special'} & set(sys.modules)))",
     # the oracle and its algebra gate work on bitstrings, not sparse matrices
     "import sys; from diracsea import checks; checks.run_verification(); "
     "print(sorted({'scipy.sparse'} & set(sys.modules)))",
-], ids=["cli-import", "run-verification"])
-def test_cli_import_loads_neither_sparse_nor_special(code):
+    # the Chebyshev step takes its Bessel weights from a recurrence, not
+    # scipy.special, so a density_rate kicked evolve loads no scipy module
+    # at all (run in the test's temporary directory)
+    "import json, sys; from diracsea import cli; "
+    "open('cfg.json', 'w').write(json.dumps({'lattice': {'L': 6.283185307179586, "
+    "'N': 9, 'm': 1.0, 'q': 1.0}, 'vacuum': 'standard', "
+    "'packet': {'p_center': 2.0, 'sigma': 0.2}, 't_a': 0.0, 't_b': 0.5, "
+    "'sample_stride': 10, 'kick': {'recipe': 'density_rate', 'f': 0.05}})); "
+    "assert cli.main(['evolve', '--config', 'cfg.json', '--out', 'out']) == 0; "
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+], ids=["cli-import", "run-verification", "kicked-evolve"])
+def test_cli_import_loads_neither_sparse_nor_special(code, tmp_path):
     src = str(Path(cli.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
+                         text=True, check=True, cwd=tmp_path,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
 
@@ -643,8 +657,10 @@ CSV_FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.8e308]),
     st.floats())
 CSV_INTS = st.integers(-2**63, 2**63 - 1)
+# no NUL: numpy's str arrays drop trailing NULs, so "\x00" would become the
+# lone empty cell that csv quotes
 CSV_TEXT_CHARS = st.characters(blacklist_categories=("Cs",),
-                               blacklist_characters=',"\r\n')
+                               blacklist_characters=',"\r\n\x00')
 CSV_DTYPES = {"float": float, "int": np.int64, "text": str}
 
 

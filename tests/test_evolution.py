@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -474,3 +476,194 @@ def test_gauge_pair_requires_aligned_start(basis_n9):
                                             0.5, 1.0)
     with pytest.raises(ValueError):
         ev.gauge_pair_sweep(state, [gauge], 0.5, 1.0, 0.01)[0]
+
+
+@pytest.fixture(scope="module")
+def basis_n201():
+    return build_basis(LatticeConfig(TWO_PI, 201, 1.0, 1.0))
+
+
+def weak_potential(config):
+    x = config.grid
+    return ev.Potential(config, a0_fn=lambda t: 0.05 * np.cos(x + t),
+                        a_fn=lambda t: 0.03 * np.sin(2.0 * x - t))
+
+
+def kept_terms(weights):
+    """The Chebyshev term count ``_propagator`` keeps for these weights."""
+    return max(2, int(np.flatnonzero(np.abs(weights) >= ev.BESSEL_CUTOFF)[-1]) + 1)
+
+
+def test_bessel_weights_match_scipy():
+    """Miller's recurrence against scipy.special.jv, from z = 0 to the largest
+    R dt that ``MAX_SERIES_TERMS`` admits, with the same kept term count."""
+    from scipy.special import jv
+
+    largest = 9540.0  # z + 20 z^(1/3) + 30 <= 10^4
+    assert int(largest + 20.0 * np.cbrt(largest)) + 30 <= ev.MAX_SERIES_TERMS
+    grid = np.concatenate([[0.0, 1e-300, 1e-12, 1e-9, 1e-8, 1e-3, 0.0628, 0.085],
+                           np.logspace(-2, np.log10(largest), 120)])
+    for z in grid:
+        count = int(z + 20.0 * np.cbrt(z)) + 30  # the orders _propagator asks for
+        mine, ref = ev._bessel_weights(z, count), jv(np.arange(count), z)
+        bound = 2.3e-16 if z <= 1.0 else 2e-13  # 1.1e-13 measured near z = 9000
+        assert np.abs(mine - ref).max() <= bound, z
+        assert kept_terms(mine) == kept_terms(ref), z
+
+
+def test_split_step_equals_serial_halves(basis_n201):
+    """N = 201 is above ``SPLIT_SIZE``: one step on two threads is the
+    serial propagator applied to each half, bit for bit, and within 1e-14 of
+    the unsplit step (dgemm rounds by column block)."""
+    state = packet_state(basis_n201, sigma=0.8)
+    pot = weak_potential(basis_n201.config)
+    dt = default_dt(basis_n201)
+    _, final = ev.run_trajectory(state, pot, dt, dt)
+    psi = state.orbitals.reshape(201, 1, 2, -1)
+    halves = ev._orbital_halves(psi)
+    assert len(halves) == 2
+    v0, v1 = (v[:, None] for v in ev._couplings(basis_n201.config, pot, 0.5 * dt))
+    step = ev._propagator(basis_n201, v0, v1, dt)
+    split = np.concatenate([step(half) for half in halves], axis=-1)
+    assert np.array_equal(final.orbitals, split.reshape(final.orbitals.shape))
+    assert np.abs(split - step(psi)).max() < 1e-14
+
+
+@pytest.mark.parametrize("shape, parts", [
+    ((27, 10, 2, 28), 1),   # the shipped extract-energy sweep
+    ((81, 1, 2, 82), 1),
+    ((101, 1, 2, 102), 2),
+    ((201, 1, 2, 202), 2),
+])
+def test_split_depends_on_tensor_size_alone(shape, parts):
+    halves = ev._orbital_halves(np.zeros(shape, dtype=complex))
+    assert len(halves) == parts
+    assert all(h.flags.c_contiguous for h in halves)
+    assert sum(h.shape[-1] for h in halves) == shape[-1]
+
+
+def record_pools(monkeypatch):
+    opened = []
+
+    class Recording(ev.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "ThreadPoolExecutor", Recording)
+    return opened
+
+
+def test_halves_on_one_and_two_threads_are_byte_identical(basis_n9, monkeypatch):
+    """The same split runs with the second half on a worker thread (two
+    CPUs) and with both halves in the calling thread (one CPU) agree bit for
+    bit, and agree with the unsplit runs up to rounding."""
+    state, kicked = kicked_packet(basis_n9, 0.3)
+    potentials = [kicked, weak_potential(basis_n9.config),
+                  ev.ZeroPotential(basis_n9.config)]
+    dt = default_dt(basis_n9)
+
+    def both_runs(cpus):
+        monkeypatch.setattr(ev, "_usable_cpus", lambda: cpus)
+        return (ev.run_branches(state, potentials, 0.6, dt, 4)
+                + ev.run_branches(state, potentials[2:], 0.6, dt, 4))
+
+    opened = record_pools(monkeypatch)
+    whole = both_runs(2)  # N = 9 tensors stay below SPLIT_SIZE
+    monkeypatch.setattr(ev, "SPLIT_SIZE", 0)  # split even the N = 9 tensor
+    one_thread = both_runs(1)
+    assert opened == []
+    two_threads = both_runs(2)
+    assert len(opened) == 2  # one pool per split run
+    names = ("times", "density", "current", "free_energy", "density_rate",
+             "residual")
+    for (traj1, final1), (traj2, final2), (traj0, final0) in zip(
+            one_thread, two_threads, whole):
+        for name in names:
+            assert np.array_equal(getattr(traj1, name), getattr(traj2, name)), name
+            assert np.allclose(getattr(traj1, name), getattr(traj0, name),
+                               rtol=0.0, atol=1e-12), name
+        assert np.array_equal(final1.orbitals, final2.orbitals)
+        assert np.abs(final1.orbitals - final0.orbitals).max() < 1e-14
+
+
+@pytest.mark.parametrize("cpus, share, threaded", [
+    (1, 1, False),  # one CPU
+    (2, 1, True),
+    (2, 2, False),  # one of two sweep workers on two CPUs
+    (4, 2, True),
+])
+def test_halves_use_a_thread_only_with_two_cpus_per_process(cpus, share, threaded,
+                                                            monkeypatch):
+    monkeypatch.setattr(ev, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ev, "_cpu_share", share)
+    opened = record_pools(monkeypatch)
+    with ev._part_mapper(2) as map_parts:
+        assert map_parts(lambda x: 2 * x, [1, 3]) == [2, 6]
+    with ev._part_mapper(1) as map_parts:
+        assert map_parts(lambda x: 2 * x, [5]) == [10]
+    assert len(opened) == int(threaded)
+
+
+def test_no_thread_outlives_a_run(basis_n201, monkeypatch):
+    monkeypatch.setattr(ev, "_usable_cpus", lambda: 2)
+    opened = record_pools(monkeypatch)
+    state = packet_state(basis_n201, sigma=0.8)
+    before = threading.active_count()
+    ev.run_trajectory(state, weak_potential(basis_n201.config),
+                      2 * default_dt(basis_n201), default_dt(basis_n201))
+    assert opened and threading.active_count() == before
+
+
+def test_free_sample_times_accumulate_per_step(basis_n9):
+    state = packet_state(basis_n9)
+    dt, stride = default_dt(basis_n9), 7
+    traj, final = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+                                    1.0, dt, stride)
+    n_steps, dt_eff = ev.step_count(0.0, 1.0, dt, stride)
+    time, expected = 0.0, [0.0]
+    for k in range(n_steps):
+        time = time + dt_eff
+        if (k + 1) % stride == 0:
+            expected.append(time)
+    assert np.array_equal(traj.times, expected)
+    assert final.time == expected[-1]
+
+
+@pytest.mark.parametrize("n_sites", [27, 81, 201])
+def test_free_stretch_matches_per_step_rotations(n_sites, basis_n201):
+    """One rotation per sample interval against one per step: a plain
+    ``Potential`` with no fields has zero couplings, so it takes the
+    per-step free rotation.  The orbitals agree within 1e-13 (4e-15
+    measured); the observables sum about N orbitals weighted by up to
+    E_max (100 at N = 201), so they get 1e-10 (4.9e-11 measured in xi0)."""
+    basis = (basis_n201 if n_sites == 201
+             else build_basis(LatticeConfig(TWO_PI, n_sites, 1.0, 1.0)))
+    state = packet_state(basis, sigma=0.8)
+    dt = default_dt(basis)
+    stretch, per_step = (ev.run_trajectory(state, pot, 20 * dt, dt, 5)
+                         for pot in (ev.ZeroPotential(basis.config),
+                                     ev.Potential(basis.config)))
+    assert np.array_equal(stretch[0].times, per_step[0].times)
+    for name in ("density", "current", "free_energy", "density_rate"):
+        assert np.abs(getattr(stretch[0], name)
+                      - getattr(per_step[0], name)).max() < 1e-10, name
+    assert np.abs(stretch[1].orbitals - per_step[1].orbitals).max() < 1e-13
+
+
+def test_zero_potential_run_evaluates_no_couplings(basis_n9, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("couplings evaluated on a potential-free run")
+
+    monkeypatch.setattr(ev, "_couplings", forbidden)
+    state = packet_state(basis_n9)
+    zero = ev.ZeroPotential(basis_n9.config)
+    ev.run_branches(state, [zero, zero], 0.3, default_dt(basis_n9), 3)
+    with pytest.raises(AssertionError):
+        ev.run_branches(state, [zero, ev.Potential(basis_n9.config)], 0.3,
+                        default_dt(basis_n9), 3)
+
+
+def test_zero_potential_takes_no_fields(basis_n9):
+    with pytest.raises(TypeError):
+        ev.ZeroPotential(basis_n9.config, a0_fn=lambda t: np.ones(9))

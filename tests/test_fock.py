@@ -81,6 +81,11 @@ def test_stacked_gate_equals_per_pair_reference(mode_count, monkeypatch):
                    else dense.build_ladders(mode_count, sign))
         reference = dense.anticommutator_defect_per_pair(ladders)
         assert np.array_equal(defects[name], reference, equal_nan=True), name
+        # every entry, not only the maximum: a mask that drops or adds
+        # states can leave the maximum as it is
+        entries = np.stack(list(checks._anticommutator_entries(mode_count)))
+        assert np.array_equal(entries, dense.anticommutator_entries_per_pair(ladders),
+                              equal_nan=True), name
     assert defects["intact"] == 0.0
     assert defects["flipped"] >= 1.0
     assert (defects["unsigned"] >= 1.0) == (mode_count > 1)
