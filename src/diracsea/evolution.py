@@ -265,24 +265,6 @@ def vacuum_state(basis: ModeBasis, spec: VacuumSpec | OccupationSet,
     return SlaterState(basis, occ, orbitals, time)
 
 
-def single_particle_hamiltonian(basis: ModeBasis, potential: Potential,
-                                t: float) -> np.ndarray:
-    """h(t) = h0 - q alpha A(x,t) + q A0(x,t), dense and hermitian.
-
-    The reference for ``apply_hamiltonian``; evolution never forms it.
-    """
-    h = basis.free_hamiltonian_matrix().copy()
-    q = basis.config.charge
-    a0 = q * potential.a0(t)
-    a1 = -q * potential.a(t)
-    idx = np.arange(basis.config.site_count)
-    h[2 * idx, 2 * idx] += a0
-    h[2 * idx + 1, 2 * idx + 1] += a0
-    h[2 * idx, 2 * idx + 1] += a1
-    h[2 * idx + 1, 2 * idx] += a1
-    return h
-
-
 # Chebyshev terms whose Bessel weight |J_k(R dt)| is below this are dropped.
 # Each term's polynomial is bounded by 1 on the spectrum, so the truncation
 # error stays far below rounding.

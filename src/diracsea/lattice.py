@@ -165,22 +165,11 @@ class ModeBasis:
         d.flags.writeable = False
         return d
 
-    @cached_property
-    def kinetic_matrix(self) -> np.ndarray:
-        """K = -i D, the Hermitian kinetic matrix -i d/dx; read-only."""
-        k = -1j * self.derivative_matrix
-        k.flags.writeable = False
-        return k
-
     def free_hamiltonian_matrix(self) -> np.ndarray:
         """Dense 2N x 2N matrix of h0 in the site-spinor basis."""
         # sqrt(a) * flat is unitary; h0 is exactly U diag(lam E) U^dag
         u = np.sqrt(self.config.spacing) * self.flat
         return (u * (self.lam * self.energy)) @ u.conj().T
-
-    def mode_coefficients(self, psi: np.ndarray) -> np.ndarray:
-        """Expansion coefficients c with psi = sum_n c_n phi_n."""
-        return self.config.spacing * (self.flat.conj().T @ psi.ravel())
 
 
 def build_basis(config: LatticeConfig) -> ModeBasis:

@@ -134,8 +134,9 @@ def schwinger_band(
 ) -> SchwingerKernel:
     """Band-vacuum kernel: band -> positive plus band -> below-band pairs.
 
-    Intra-band pairs are omitted; the two orderings of those transitions
-    cancel identically (see ``f2_identity_check``).
+    Intra-band pairs are omitted: their double sum F2 vanishes for every
+    band, which is closed under p -> -p (derived and checked in
+    ``f2_identity_check``).
     """
     if spec.kind != "band":
         raise ValueError("schwinger_band requires a band vacuum spec")
@@ -191,42 +192,39 @@ def divergence_paths_error(divergence: np.ndarray, closed: np.ndarray) -> float:
     return gap if scale == 0 else gap / scale
 
 
-def _band_pair_tensors(phi_band: np.ndarray):
-    """overlap[y, a, b] = phi_a^dag(y) phi_b(y) and current[x, a, b] =
-    phi_a^dag(x) alpha phi_b(x) over band modes a, b of phi_band (N, 2, B).
-
-    Each is a sum of two spinor-component products, conj(up) up +
-    conj(down) down and, with alpha = sigma_x, conj(up) down + conj(down) up,
-    the second added in place, so at most three (N, B, B) tensors are live.
-    """
-    up, down = phi_band[:, 0, :, None], phi_band[:, 1, :, None]   # [x, a, 1]
-    up_b, down_b = up.transpose(0, 2, 1), down.transpose(0, 2, 1)  # [x, 1, b]
-    overlap = up.conj() * up_b
-    overlap += down.conj() * down_b
-    current = up.conj() * down_b
-    current += down.conj() * up_b
-    return overlap, current
-
-
 def f2_identity_check(basis: ModeBasis, spec: VacuumSpec) -> float:
-    """Max |F2 - F2^dag| over grid pairs for the intra-band double sum.
+    """Max |F2(x, y)| over grid pairs for the intra-band double sum.
 
     F2 sums (phi_m^dag(y) phi_n(y))(phi_n^dag(x) alpha phi_m(x)) over band
-    pairs; its conjugate partner is computed independently from its own
-    formula rather than by conjugation, and the two agree by a dummy-index
-    swap.  The charge prefactor is excluded, so the residual is q-independent.
+    pairs m, n.  With the 2x2 band projector kernel
+    P(x, y) = sum_{m in band} phi_m(x) phi_m(y)^dag it is
+    F2 = sum_{a,b,c} alpha_ca P_ab conj(P_cb) = tr(alpha P P^dag), so one
+    (2N x B)(B x 2N) product and an O(N^2) contraction give every grid pair.
+    It is real for Hermitian alpha; with alpha = sigma_x it is
+    2 Re sum_b P_1b conj(P_0b).
+
+    Why it vanishes: with alpha = sigma_x and beta = sigma_z the spinors u
+    are real, and u(-p) = +-sigma_z u(p), so u(-p) u(-p)^T equals
+    u(p) u(p)^T on the diagonal and its negative off it (at p = 0, u is a
+    sigma_z eigenvector and u u^T is diagonal).  Summed over a band that is
+    closed under p -> -p, the phases exp(+-i p (x - y)) then leave P_00 and
+    P_11 real and P_01 and P_10 imaginary, so Re sum_b P_1b conj(P_0b) = 0.
+    ``classify_indices`` selects by energy, which depends on |p| alone, so
+    every band vacuum is closed under p -> -p and F2 is zero up to rounding.
+    A band without that symmetry, or another alpha, leaves F2 of order one.
+    The charge prefactor is excluded, so the value is q-independent.
     """
     _, in_band, _ = classify_indices(spec, basis)
-    if len(in_band) == 0:
-        return 0.0
-    phi_band = basis.phi[:, :, in_band]  # (N, 2, B)
-    # each side builds its overlap and current tensors from spinor products
-    # and drops them after its one BLAS pair contraction (optimize=True)
-    f2, f2_dag = (
-        np.einsum(pair_ij, *_band_pair_tensors(phi_band), optimize=True)
-        for pair_ij in ("ymn,xnm->xy",    # F2
-                        "ynm,xmn->xy"))   # F2^dag
-    return float(np.abs(f2 - f2_dag).max())
+    return float(np.abs(_intra_band_f2(basis, in_band)).max())
+
+
+def _intra_band_f2(basis: ModeBasis, band) -> np.ndarray:
+    """F2[x, y] = sum_{a,b,c} alpha_ca P_ab(x, y) conj(P_cb(x, y)) over grid
+    pairs, P the projector kernel of the modes ``band``."""
+    n_sites = basis.config.site_count
+    flat = basis.flat[:, band]  # (2N, B), rows (site, spinor)
+    proj = (flat @ flat.conj().T).reshape(n_sites, 2, n_sites, 2)  # [x, a, y, b]
+    return np.einsum("ca,xayb,xcyb->xy", ALPHA, proj, proj.conj())
 
 
 def _test_function_samples(basis: ModeBasis, f) -> np.ndarray:

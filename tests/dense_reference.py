@@ -3,9 +3,12 @@
 ``response.first_order_current`` reaches the grid through each pair's
 momentum transfer and never forms the (site, pair) arrays below; the tests
 compare it, and the Fock oracle, against them.  Those functions take a
-``response.ResponseKernel``.  ``band_pair_tensors`` is the ``einsum`` form of
-the intra-band double sum's tensors, which ``schwinger.f2_identity_check``
-builds from spinor products.
+``response.ResponseKernel``.  ``band_pair_f2`` is the intra-band double sum
+as written, one (N, N) sum over band-mode pairs of ``band_pair_tensors``,
+which ``schwinger.f2_identity_check`` reaches through the band projector.
+``kinetic_matrix``, ``mode_coefficients`` and ``single_particle_hamiltonian``
+are the dense single-particle operators of a basis, which ``src`` applies
+without forming them.
 
 The Fock helpers build whole many-body operators and states from ladder
 matrices.  ``build_ladders`` writes the sign rule out again, independently
@@ -103,6 +106,41 @@ def band_pair_tensors(phi_band: np.ndarray):
     overlap = np.einsum("ysm,ysn->ymn", phi_band.conj(), phi_band)
     current = np.einsum("xsn,st,xtm->xnm", phi_band.conj(), ALPHA, phi_band)
     return overlap, current
+
+
+def band_pair_f2(phi_band: np.ndarray) -> np.ndarray:
+    """F2[x, y] = sum over band pairs m, n of (phi_m^dag(y) phi_n(y))
+    (phi_n^dag(x) alpha phi_m(x)), the O(N^2 B^2) double sum."""
+    return np.einsum("ymn,xnm->xy", *band_pair_tensors(phi_band))
+
+
+def kinetic_matrix(basis) -> np.ndarray:
+    """K = -i D, the Hermitian kinetic matrix -i d/dx; read-only."""
+    k = -1j * basis.derivative_matrix
+    k.flags.writeable = False
+    return k
+
+
+def mode_coefficients(basis, psi: np.ndarray) -> np.ndarray:
+    """Expansion coefficients c with psi = sum_n c_n phi_n."""
+    return basis.config.spacing * (basis.flat.conj().T @ psi.ravel())
+
+
+def single_particle_hamiltonian(basis, potential, t: float) -> np.ndarray:
+    """h(t) = h0 - q alpha A(x,t) + q A0(x,t), dense and hermitian.
+
+    The reference for ``evolution.apply_hamiltonian``; evolution never forms it.
+    """
+    h = basis.free_hamiltonian_matrix().copy()
+    q = basis.config.charge
+    a0 = q * potential.a0(t)
+    a1 = -q * potential.a(t)
+    idx = np.arange(basis.config.site_count)
+    h[2 * idx, 2 * idx] += a0
+    h[2 * idx + 1, 2 * idx + 1] += a0
+    h[2 * idx, 2 * idx + 1] += a1
+    h[2 * idx + 1, 2 * idx] += a1
+    return h
 
 
 def bilinear_matrix(ladders, kernel):

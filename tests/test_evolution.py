@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
+from dense_reference import single_particle_hamiltonian
 from diracsea import evolution as ev
 from diracsea import fock
 from diracsea.lattice import LatticeConfig, build_basis
@@ -88,7 +89,7 @@ def test_unitarity_and_norms(basis_n9):
 def test_matrix_free_hamiltonian_matches_dense(basis_n9):
     state, pot = kicked_packet(basis_n9, 0.3)
     t = 0.4
-    dense = ev.single_particle_hamiltonian(basis_n9, pot, t) @ state.orbitals
+    dense = single_particle_hamiltonian(basis_n9, pot, t) @ state.orbitals
     matrix_free = ev.apply_hamiltonian(basis_n9, state.orbitals, pot, t)
     assert np.abs(matrix_free - dense).max() < 1e-13
     free = basis_n9.free_hamiltonian_matrix() @ state.orbitals
@@ -106,7 +107,7 @@ def test_matrix_free_hamiltonian_matches_dense_at_large_n(n_sites, rng):
                        a_fn=lambda t: 2.0 * np.sin(2.0 * x - t))
     psi = rng.normal(size=(2 * n_sites, 6)) + 1j * rng.normal(size=(2 * n_sites, 6))
     psi /= np.sqrt(basis.config.spacing * (np.abs(psi) ** 2).sum(axis=0))
-    dense = ev.single_particle_hamiltonian(basis, pot, 0.3) @ psi
+    dense = single_particle_hamiltonian(basis, pot, 0.3) @ psi
     matrix_free = ev.apply_hamiltonian(basis, psi, pot, 0.3)
     assert np.abs(matrix_free - dense).max() < 1e-12 * np.abs(dense).max()
 
@@ -116,7 +117,7 @@ def test_recorded_density_rate_matches_dense(basis_n9):
     t = 0.4  # mid-window, where both A0 and A are nonzero
     traj, final = ev.run_trajectory(state, pot, t, default_dt(basis_n9))
     assert np.abs(pot.a0(t)).max() > 0 and np.abs(pot.a(t)).max() > 0
-    h = ev.single_particle_hamiltonian(basis_n9, pot, final.time)
+    h = single_particle_hamiltonian(basis_n9, pot, final.time)
     h_psi = h @ final.orbitals
     psi = final.orbitals.reshape(9, 2, -1)
     dense = 2.0 * basis_n9.config.charge * np.einsum(
@@ -138,7 +139,7 @@ def test_step_matches_dense_midpoint_exponential(n_sites, sigma):
              (ev.ZeroPotential(basis.config), default_dt(basis)),
              (strong, 0.1)]  # R dt near 10: about 30 Chebyshev terms
     for pot, dt in cases:
-        h = ev.single_particle_hamiltonian(basis, pot, start.time + 0.5 * dt)
+        h = single_particle_hamiltonian(basis, pot, start.time + 0.5 * dt)
         expected = dense_propagator(h, dt) @ start.orbitals
         stepped = one_step(start, pot, dt)
         assert np.abs(stepped.orbitals - expected).max() < 1e-13
@@ -218,7 +219,7 @@ def test_constant_scalar_potential_shifts_spectrum(basis_n9):
     shift = 0.37
     pot = ev.Potential(basis_n9.config,
                        a0_fn=lambda t: np.full(9, shift))
-    h = ev.single_particle_hamiltonian(basis_n9, pot, 0.0)
+    h = single_particle_hamiltonian(basis_n9, pot, 0.0)
     h0 = basis_n9.free_hamiltonian_matrix()
     shifted = np.sort(np.linalg.eigvalsh(h))
     base = np.sort(np.linalg.eigvalsh(h0)) + basis_n9.config.charge * shift
@@ -233,7 +234,7 @@ def test_pure_gauge_vanishes_at_start(basis_n9):
     assert np.abs(gauge.chi(0.0)).max() == 0.0
     assert np.abs(gauge.dchi_dt(0.0)).max() == 0.0
     pot = ev.PureGaugePotential(gauge)
-    h = ev.single_particle_hamiltonian(basis_n9, pot, 0.0)
+    h = single_particle_hamiltonian(basis_n9, pot, 0.0)
     assert np.abs(h - basis_n9.free_hamiltonian_matrix()).max() < 1e-13
 
 
@@ -248,7 +249,7 @@ def test_observables_match_fock_oracle(basis_n3, rng):
         basis_n3, occ,
         np.concatenate([state.orbitals, orbital[:, None]], axis=1), 0.0)
     # rotate into the mode basis and rebuild the state in Fock space
-    coeffs = np.stack([basis_n3.mode_coefficients(packet.orbitals[:, o])
+    coeffs = np.stack([dense.mode_coefficients(basis_n3, packet.orbitals[:, o])
                        for o in range(packet.orbital_count)], axis=1)
     ladders = dense.build_ladders(6)
     vec = dense.slater_vector(ladders, coeffs)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
+from diracsea import schwinger as sw
 from diracsea.checks import oracle_commutator_defect
 from diracsea.lattice import ALPHA, LatticeConfig, build_basis
 from diracsea.schwinger import (
-    _band_pair_tensors,
+    _intra_band_f2,
     divergence_diag_closed_form,
     divergence_of_kernel,
     f2_identity_check,
@@ -210,19 +211,58 @@ def test_f2_identity_at_large_cutoff():
     assert f2_identity_check(basis, coupled_band_spec(basis)) <= 1e-12
 
 
+def without_one_plus_p_mode(basis, band):
+    """``band`` less its first negative-branch mode of positive momentum, so
+    the set is no longer closed under p -> -p."""
+    plus_p = band[basis.momentum_index[band] > 0]
+    return band[band != plus_p[0]]
+
+
 @pytest.mark.parametrize("n_sites", [9, 27, 51])
-def test_band_pair_tensors_match_dense_einsum(n_sites):
-    """Both sides of the F2 check share these tensors, and the band-pair sum
-    cancels to rounding, so neither the residual nor F2 itself can see a
-    wrong overlap or current; the tensors are compared with einsum's."""
+def test_f2_projector_form_matches_pair_sum(n_sites):
+    """On a band closed under p -> -p, F2 cancels to rounding and could hide a
+    wrong contraction; without one +p mode it is of order one, and the
+    projector form must still equal the band-pair double sum everywhere."""
     basis = build_basis(LatticeConfig(TWO_PI, n_sites, 1.0, 1.0))
     _, in_band, _ = classify_indices(coupled_band_spec(basis), basis)
-    phi_band = basis.phi[:, :, in_band]
-    for ours, expected in zip(_band_pair_tensors(phi_band),
-                              dense.band_pair_tensors(phi_band), strict=True):
-        assert ours.shape == expected.shape
-        scale = np.abs(expected).max()
-        assert np.abs(ours - expected).max() <= 1e-13 * scale
+    band = without_one_plus_p_mode(basis, in_band)
+    expected = dense.band_pair_f2(basis.phi[:, :, band])
+    assert np.abs(expected).max() > 0.01
+    assert np.abs(_intra_band_f2(basis, band) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [9, 51])
+def test_f2_gate_fails_with_alpha_identity(monkeypatch, n_sites):
+    basis = build_basis(LatticeConfig(TWO_PI, n_sites, 1.0, 1.0))
+    monkeypatch.setattr(sw, "ALPHA", np.eye(2, dtype=complex))
+    assert f2_identity_check(basis, coupled_band_spec(basis)) > 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [9, 51])
+def test_f2_gate_fails_on_band_missing_a_plus_p_mode(monkeypatch, n_sites):
+    basis = build_basis(LatticeConfig(TWO_PI, n_sites, 1.0, 1.0))
+
+    def asymmetric(spec, basis):
+        positive, in_band, below = classify_indices(spec, basis)
+        return positive, without_one_plus_p_mode(basis, in_band), below
+
+    monkeypatch.setattr(sw, "classify_indices", asymmetric)
+    assert f2_identity_check(basis, coupled_band_spec(basis)) > 1e-12
+
+
+def test_f2_identity_memory_at_large_cutoff():
+    """One check at N = 251 holds the (2N, 2N) projector and an (N, N) F2,
+    not the (N, B, B) pair tensors: its tracemalloc peak stays below 16 MiB."""
+    import tracemalloc
+    basis = build_basis(LatticeConfig(TWO_PI, 251, 1.0, 1.0))
+    spec = coupled_band_spec(basis)
+    tracemalloc.start()
+    try:
+        f2_identity_check(basis, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_f2_single_mode_band_real_on_diagonal(basis_n9):
