@@ -362,6 +362,8 @@ def run_evolve(config: dict, out_dir: Path, seed: int) -> list[Path]:
     t_start, t_stop = _window_from(config, basis)
     dt, stride = _stepping_from(config, basis, t_start, t_stop)
     state = _packet_from(config, ev.vacuum_state(basis, spec, time=t_start))
+    if state.orbital_count == 0:
+        raise ConfigError("evolve needs an orbital: a packet or a filled vacuum")
 
     kick = _section(config, "kick")
     if kick is None:
@@ -674,6 +676,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "sweep" and args.jobs < 1:
             parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+        if args.seed < 0:
+            parser.error(f"argument --seed: must be non-negative, got {args.seed}")
         config = {} if args.command == "verify" and args.config is None \
             else _load_config(args.config)
         out_dir = Path(args.out)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +41,9 @@ class LatticeConfig:
         if not (np.isfinite(self.box_length) and self.box_length > 0):
             raise ValueError(
                 f"box_length must be finite and positive, got {self.box_length}")
-        if not (1 <= self.site_count <= MAX_SITES and self.site_count % 2):
+        if not (isinstance(self.site_count, (int, np.integer))
+                and not isinstance(self.site_count, bool)
+                and 1 <= self.site_count <= MAX_SITES and self.site_count % 2):
             raise ValueError(f"site_count must be an odd integer in "
                              f"[1, {MAX_SITES}], got {self.site_count}")
         if not (np.isfinite(self.mass) and self.mass >= 0):
@@ -69,66 +70,53 @@ class LatticeConfig:
         return 2.0 * np.pi * self.momentum_indices / self.box_length
 
 
-def mode_energy(p: float, m: float) -> float:
-    """Positive branch energy sqrt(p^2 + m^2)."""
-    return float(np.hypot(p, m))
-
-
-def _eigenspinors(p: float, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit eigenvectors (u_plus, u_minus) of p*sigma_x + m*sigma_z.
-
-    Phase convention: first nonzero component real positive.  The doubly
-    degenerate p = 0, m = 0 point is fixed to (1,0) / (0,1).
-    """
-    if p == 0.0 and m == 0.0:
-        return np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
-    h2 = np.array([[m, p], [p, -m]], dtype=float)
-    _, vec = np.linalg.eigh(h2)  # ascending: column 0 -> -E, column 1 -> +E
-    out = []
-    for col in (1, 0):
-        u = vec[:, col]
-        lead = u[0] if abs(u[0]) > 1e-12 else u[1]
-        out.append((u * np.sign(lead)).astype(complex))
-    return out[0], out[1]
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One plane-wave eigenstate of the free Dirac problem."""
-
-    momentum_index: int
-    momentum: float
-    lam: int           # +1 positive branch, -1 negative branch
-    energy: float
-    spinor: np.ndarray  # unit 2-vector, fixed phase
-
-
 class ModeBasis:
     """Complete orthonormal set of 2N plane-wave spinor modes on the grid.
 
-    Modes are ordered by (lam descending, |k|, k); the sampled wavefunctions
-    are exposed both as ``phi`` with shape (N, 2, 2N) (site, spinor, mode) and
-    flattened site-major as ``flat`` with shape (2N, 2N).
+    Each mode has a branch ``lam`` (+1 or -1), a momentum index k and momentum
+    p = 2 pi k/L, an energy E = sqrt(p^2 + m^2) and a unit spinor, the
+    eigenvector of h(p) = p sigma_x + m sigma_z with eigenvalue lam E:
+
+        u_+ = (E + m, p) / n,   u_- = (|p|, -(E + m)) / n for p > 0,
+                                u_- = (|p|, E + m) / n    for p <= 0,
+
+    with n = sqrt(2E (E + m)), so the first component is real and
+    non-negative at every p, and u(-p) = +-sigma_z u(p) exactly.
+    m >= 0, so E + m never cancels.  At p = m = 0, where E = 0 and every
+    spinor is an eigenvector, the pair is pinned to (1,0) / (0,1).
+
+    Modes are ordered by (lam descending, |k|, k); ``lam``, ``energy``,
+    ``momentum`` and ``momentum_index`` have shape (2N,) and ``spinors`` shape
+    (2, 2N).  The sampled wavefunctions are exposed both as ``phi`` with shape
+    (N, 2, 2N) (site, spinor, mode) and flattened site-major as ``flat`` with
+    shape (2N, 2N).
     """
 
-    def __init__(self, config: LatticeConfig, modes: Sequence[Mode]):
+    def __init__(self, config: LatticeConfig):
         self.config = config
-        self.modes = tuple(modes)
-        N = config.site_count
-        self.lam = np.array([md.lam for md in self.modes])
-        self.energy = np.array([md.energy for md in self.modes])
-        self.momentum = np.array([md.momentum for md in self.modes])
-        self.momentum_index = np.array([md.momentum_index for md in self.modes])
-        self.spinors = np.stack([md.spinor for md in self.modes], axis=1)  # (2, 2N)
-        phase = np.exp(1j * np.outer(config.grid, self.momentum))  # (N, 2N)
-        self.phi = (
-            phase[:, None, :] * self.spinors[None, :, :] / np.sqrt(config.box_length)
-        )
+        N, m = config.site_count, config.mass
+        k = np.tile(config.momentum_indices, 2)
+        lam = np.repeat([1, -1], N)
+        order = np.lexsort((k, np.abs(k), -lam))
+        self.lam = lam[order]
+        self.momentum_index = k[order]
+        self.momentum = p = np.tile(config.momenta, 2)[order]
+        self.energy = np.hypot(p, m)
+        top = self.energy + m
+        norm = np.sqrt(2.0 * self.energy) * np.sqrt(top)  # E^2 underflows at tiny E
+        pinned = self.energy == 0.0  # p = m = 0: u_+ = (1, 0), u_- = (0, 1)
+        top[pinned] = 1.0
+        norm[pinned] = 1.0
+        upper = self.lam > 0
+        spinors = [np.where(upper, top, np.abs(p)),
+                   np.where(upper, p, np.where(p > 0, -top, top))]
+        self.spinors = (np.stack(spinors) / norm).astype(complex)
+        self.phi = self.sample(config.grid)
         self.flat = self.phi.reshape(2 * N, 2 * N)
 
     @property
     def mode_count(self) -> int:
-        return len(self.modes)
+        return len(self.lam)
 
     @property
     def max_energy(self) -> float:
@@ -174,15 +162,7 @@ class ModeBasis:
 
 def build_basis(config: LatticeConfig) -> ModeBasis:
     """All 2N free modes of the lattice, sorted (lam desc, |k|, k)."""
-    modes = []
-    for k in config.momentum_indices:
-        p = 2.0 * np.pi * k / config.box_length
-        e = mode_energy(p, config.mass)
-        u_plus, u_minus = _eigenspinors(p, config.mass)
-        modes.append(Mode(int(k), p, +1, e, u_plus))
-        modes.append(Mode(int(k), p, -1, e, u_minus))
-    modes.sort(key=lambda md: (-md.lam, abs(md.momentum_index), md.momentum_index))
-    return ModeBasis(config, modes)
+    return ModeBasis(config)
 
 
 def spectral_derivative(values: np.ndarray, box_length: float) -> np.ndarray:

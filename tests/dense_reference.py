@@ -8,7 +8,9 @@ as written, one (N, N) sum over band-mode pairs of ``band_pair_tensors``,
 which ``schwinger.f2_identity_check`` reaches through the band projector.
 ``kinetic_matrix``, ``mode_coefficients`` and ``single_particle_hamiltonian``
 are the dense single-particle operators of a basis, which ``src`` applies
-without forming them.
+without forming them.  ``eigh_modes`` builds the mode arrays of a lattice
+one momentum at a time from a 2x2 ``eigh``, which ``lattice.ModeBasis``
+writes in closed form.
 
 The Fock helpers build whole many-body operators and states from ladder
 matrices.  ``build_ladders`` writes the sign rule out again, independently
@@ -112,6 +114,30 @@ def band_pair_f2(phi_band: np.ndarray) -> np.ndarray:
     """F2[x, y] = sum over band pairs m, n of (phi_m^dag(y) phi_n(y))
     (phi_n^dag(x) alpha phi_m(x)), the O(N^2 B^2) double sum."""
     return np.einsum("ymn,xnm->xy", *band_pair_tensors(phi_band))
+
+
+def eigh_modes(config):
+    """(lam, momentum_index, momentum, energy, spinors) of the 2N free modes,
+    sorted (lam desc, |k|, k), from the eigenvectors of [[m, p], [p, -m]].
+
+    Each spinor's first component above 1e-12 in magnitude, else its second,
+    is made positive; p = m = 0 is pinned to (1,0) / (0,1).
+    """
+    modes = []
+    for k in config.momentum_indices:
+        p = 2.0 * np.pi * k / config.box_length
+        e = float(np.hypot(p, config.mass))
+        if p == 0.0 and config.mass == 0.0:
+            vec = np.array([[0.0, 1.0], [1.0, 0.0]])
+        else:
+            _, vec = np.linalg.eigh([[config.mass, p], [p, -config.mass]])
+        for lam, u in ((+1, vec[:, 1]), (-1, vec[:, 0])):  # +E is column 1
+            lead = u[0] if abs(u[0]) > 1e-12 else u[1]
+            modes.append((lam, int(k), p, e, u * np.sign(lead)))
+    modes.sort(key=lambda md: (-md[0], abs(md[1]), md[1]))
+    lam, index, momentum, energy, spinors = zip(*modes)
+    return (np.array(lam), np.array(index), np.array(momentum),
+            np.array(energy), np.stack(spinors, axis=1).astype(complex))
 
 
 def kinetic_matrix(basis) -> np.ndarray:

@@ -335,12 +335,14 @@ def single_error_line(capsys) -> dict:
     ("response", {"lattice": BASE_LATTICE, "chi": {"amplitude": float("nan")}}),
     ("response", {"lattice": BASE_LATTICE, "t_b": 1e9}),
     ("check-basis", {"lattice": dict(BASE_LATTICE, N=200001)}),
+    ("evolve", {"lattice": BASE_LATTICE, "vacuum": "bare", "t_a": 0.0,
+                "t_b": 1.0, "kick": {"recipe": "density_rate", "f": 0.01}}),
 ], ids=["text-t_a", "null-t_b", "list-kick", "list-packet", "list-chi",
         "text-chi-k", "unknown-smearing", "null-delta_Ew", "nan-delta_Ew",
         "text-small_f_count", "one-strength", "equal-strengths",
         "tied-small-f-head", "scalar-sweep-values", "list-config",
         "numeric-text-t_b", "nan-p_center", "inf-t_b", "list-recipe",
-        "nan-chi-amplitude", "huge-response-t_b", "huge-N"])
+        "nan-chi-amplitude", "huge-response-t_b", "huge-N", "bare-no-packet"])
 def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch,
                                           command, config):
     def no_evolution(*args, **kwargs):
@@ -356,11 +358,12 @@ def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch,
     ["check-basis", "--config", "CFG", "--out", "OUT", "--jobs", "2"],
     ["sweep", "--config", "CFG", "--out", "OUT", "--jobs", "x"],
     ["check-basis", "--config", "CFG", "--out", "OUT", "--seed", "1.5"],
+    ["check-basis", "--config", "CFG", "--out", "OUT", "--seed", "-5"],
     ["check-basis", "--config", "CFG", "--out", "OUT", "--bogus"],
     ["nope"],
     [],
-], ids=["jobs-outside-sweep", "text-jobs", "fractional-seed", "unknown-option",
-        "unknown-subcommand", "no-subcommand"])
+], ids=["jobs-outside-sweep", "text-jobs", "fractional-seed", "negative-seed",
+        "unknown-option", "unknown-subcommand", "no-subcommand"])
 def test_argument_error_is_config_error(tmp_path, capsys, argv):
     paths = {"CFG": write_config(tmp_path / "cfg.json", {"lattice": BASE_LATTICE}),
              "OUT": str(tmp_path / "out")}

@@ -7,7 +7,6 @@ from diracsea.lattice import (
     ALPHA,
     LatticeConfig,
     build_basis,
-    mode_energy,
     spectral_derivative,
 )
 
@@ -15,10 +14,13 @@ TWO_PI = 2.0 * np.pi
 
 
 def test_mode_energy_values():
-    assert mode_energy(0.0, 1.0) == 1.0
-    assert mode_energy(3.0, 4.0) == pytest.approx(5.0, abs=1e-15)
-    for p in (-2.5, 0.0, 7.0):
-        assert mode_energy(p, 0.0) == pytest.approx(abs(p), abs=1e-15)
+    assert np.all(build_basis(LatticeConfig(TWO_PI, 1, 1.0)).energy == 1.0)
+    basis = build_basis(LatticeConfig(TWO_PI, 7, 4.0))  # p = k
+    at_3 = basis.energy[basis.momentum_index == 3]
+    assert at_3 == pytest.approx([5.0, 5.0], abs=1e-15)
+    basis = build_basis(LatticeConfig(TWO_PI / 2.5, 7, 0.0))  # p = 2.5 k
+    assert -2.5 in basis.momentum and 0.0 in basis.momentum
+    assert basis.energy == pytest.approx(np.abs(basis.momentum), abs=1e-15)
 
 
 def test_config_validation():
@@ -28,6 +30,10 @@ def test_config_validation():
         LatticeConfig(0.0, 9, 1.0)      # L <= 0
     with pytest.raises(ValueError):
         LatticeConfig(TWO_PI, 9, -1.0)  # negative mass
+    for site_count in (9.0, True):      # not an integer
+        with pytest.raises(ValueError):
+            LatticeConfig(TWO_PI, site_count, 1.0)
+    assert LatticeConfig(TWO_PI, np.int64(9), 1.0).site_count == 9
 
 
 def test_config_grid_and_momenta():
@@ -37,35 +43,91 @@ def test_config_grid_and_momenta():
     assert np.allclose(sorted(cfg.momenta), [-2, -1, 0, 1, 2])
 
 
+def spinor_at(basis, k, lam):
+    """Spinor of the mode with momentum index k on branch lam."""
+    (index,) = np.flatnonzero((basis.momentum_index == k) & (basis.lam == lam))
+    return basis.spinors[:, index]
+
+
 def test_zero_momentum_spinors_massive(basis_n3):
-    plus = [md for md in basis_n3.modes if md.momentum_index == 0 and md.lam > 0][0]
-    minus = [md for md in basis_n3.modes if md.momentum_index == 0 and md.lam < 0][0]
-    assert np.allclose(plus.spinor, [1.0, 0.0])
-    assert np.allclose(minus.spinor, [0.0, 1.0])
+    assert np.allclose(spinor_at(basis_n3, 0, +1), [1.0, 0.0])
+    assert np.allclose(spinor_at(basis_n3, 0, -1), [0.0, 1.0])
 
 
 def test_massless_energies_and_convention():
     basis = build_basis(LatticeConfig(TWO_PI, 3, 0.0))
     for lam in (+1, -1):
-        energies = sorted(md.energy for md in basis.modes if md.lam == lam)
+        energies = sorted(basis.energy[basis.lam == lam])
         assert energies == pytest.approx([0.0, 1.0, 1.0], abs=1e-15)
-    zero = [md for md in basis.modes if md.momentum_index == 0]
-    by_lam = {md.lam: md.spinor for md in zero}
-    assert np.allclose(by_lam[+1], [1.0, 0.0])
-    assert np.allclose(by_lam[-1], [0.0, 1.0])
+    assert np.allclose(spinor_at(basis, 0, +1), [1.0, 0.0])
+    assert np.allclose(spinor_at(basis, 0, -1), [0.0, 1.0])
 
 
 def test_mode_ordering(basis_n5):
-    lams = [md.lam for md in basis_n5.modes]
-    assert lams == [1] * 5 + [-1] * 5
-    ks = [md.momentum_index for md in basis_n5.modes[:5]]
-    assert ks == [0, -1, 1, -2, 2]
+    assert basis_n5.lam.tolist() == [1] * 5 + [-1] * 5
+    assert basis_n5.momentum_index[:5].tolist() == [0, -1, 1, -2, 2]
 
 
 def test_spinor_pair_orthogonality(basis_n9):
     for k in basis_n9.config.momentum_indices:
-        pair = [md for md in basis_n9.modes if md.momentum_index == k]
-        assert abs(np.vdot(pair[0].spinor, pair[1].spinor)) < 1e-14
+        pair = basis_n9.spinors[:, basis_n9.momentum_index == k]
+        assert abs(np.vdot(pair[:, 0], pair[:, 1])) < 1e-14
+
+
+@pytest.mark.parametrize("n_sites", [1, 3, 9, 27, 151])
+def test_closed_form_basis_matches_eigh_reference(n_sites):
+    """Mode order, momenta and energies are bit-identical to the per-mode
+    eigh construction, and spinors agree to two units in the last place.
+    ``flat`` stays a view of ``phi``, as with the eigh spinors."""
+    for mass in (0.0, 1.0, 5.0):
+        for length in (TWO_PI, 3.7):
+            config = LatticeConfig(length, n_sites, mass)
+            basis = build_basis(config)
+            lam, index, momentum, energy, spinors = dense.eigh_modes(config)
+            assert np.array_equal(basis.lam, lam)
+            assert np.array_equal(basis.momentum_index, index)
+            assert np.array_equal(basis.momentum, momentum)
+            assert np.array_equal(basis.energy, energy)
+            assert np.abs(basis.spinors - spinors).max() <= 4.4e-16
+            assert np.shares_memory(basis.flat, basis.phi)  # a view, no copy
+
+
+def test_spinor_first_component_nonnegative_in_huge_boxes():
+    """Even where |p| << m, as at L = 1e13, the first component is the one
+    made non-negative; at L = 1e200 and m = 0, E^2 underflows but the
+    spinors stay unit vectors."""
+    basis = build_basis(LatticeConfig(1e13, 3, 1.0))
+    assert np.all(basis.spinors.imag == 0)
+    assert np.all(basis.spinors.real[0] >= 0)
+    assert spinor_at(basis, 1, -1)[0] > 0
+    basis = build_basis(LatticeConfig(1e200, 3, 0.0))
+    norms = np.linalg.norm(basis.spinors, axis=0)
+    assert np.abs(norms - 1.0).max() < 1e-15
+
+
+def test_spinor_reflection_is_sigma_z():
+    """u(-p) = +-sigma_z u(p) bit for bit, the symmetry that makes the
+    intra-band F2 vanish."""
+    for n_sites in (1, 9, 151):
+        for mass in (0.0, 1.0, 5.0):
+            for length in (TWO_PI, 3.7, 1e13):
+                basis = build_basis(LatticeConfig(length, n_sites, mass))
+                modes = list(zip(basis.momentum_index.tolist(), basis.lam.tolist()))
+                position = {mode: n for n, mode in enumerate(modes)}
+                mirror = [position[-k, lam] for k, lam in modes]
+                image = np.array([[1.0], [-1.0]]) * basis.spinors[:, mirror]
+                same = np.all(image == basis.spinors, axis=0)
+                opposite = np.all(image == -basis.spinors, axis=0)
+                assert np.all(same | opposite)
+
+
+def test_build_basis_calls_no_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_basis called np.linalg.eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    basis = build_basis(LatticeConfig(TWO_PI, 201, 1.0))
+    assert basis.mode_count == 402
 
 
 def test_orthonormality_and_completeness():

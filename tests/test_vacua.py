@@ -38,25 +38,24 @@ def test_spec_validation():
 def test_classify_regions(basis_n9):
     mass = basis_n9.config.mass
     spec = VacuumSpec("band", 1.0)
-    for index, mode in enumerate(basis_n9.modes):
+    for index, (lam, energy) in enumerate(zip(basis_n9.lam, basis_n9.energy)):
         region = classify(basis_n9, index, spec)
-        if mode.lam > 0:
+        if lam > 0:
             assert region == POSITIVE
-        elif mode.energy <= mass + 1.0:
+        elif energy <= mass + 1.0:
             assert region == IN_BAND
         else:
             assert region == BELOW_BAND
     # p=0 negative mode is in the band for any width, including zero
-    rest = [i for i, md in enumerate(basis_n9.modes)
-            if md.momentum_index == 0 and md.lam < 0][0]
+    rest = np.flatnonzero((basis_n9.momentum_index == 0) & (basis_n9.lam < 0))[0]
     assert classify(basis_n9, rest, VacuumSpec("band", 0.0)) == IN_BAND
     # exact upper edge counts as inside
-    edge_mode = [i for i, md in enumerate(basis_n9.modes) if md.lam < 0][3]
+    edge_mode = np.flatnonzero(basis_n9.lam < 0)[3]
     width = basis_n9.energy[edge_mode] - mass
     assert classify(basis_n9, edge_mode, VacuumSpec("band", width)) == IN_BAND
     # standard vacuum: every negative mode is band-classified
-    for index, mode in enumerate(basis_n9.modes):
-        expected = POSITIVE if mode.lam > 0 else IN_BAND
+    for index, lam in enumerate(basis_n9.lam):
+        expected = POSITIVE if lam > 0 else IN_BAND
         assert classify(basis_n9, index, VacuumSpec("standard")) == expected
 
 
