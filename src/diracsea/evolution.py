@@ -9,17 +9,20 @@ carried entirely by the single-particle orbitals:
 Each step applies the exponential of the midpoint Hamiltonian, which is
 unitary up to rounding and second-order accurate in dt.  The exponential is
 evaluated without forming h: as a Chebyshev series in h (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967 (1984)) whose terms each apply h once, by one real
+J. Chem. Phys. 81, 3967 (1984)) whose terms each apply -i h once, by one real
 product with the cached derivative matrix ``ModeBasis.derivative_matrix`` and
 site-local 2x2 matrices for the mass and the potentials, with Bessel weights
-from Miller's backward recurrence (numpy only); when the midpoint potential
-vanishes it is the exact per-momentum rotation
-cos(E dt) - i sin(E dt) h(p)/E, applied by FFT.  A run whose potentials are
-all ``ZeroPotential`` takes that rotation once per sample interval.  Branches
-that share an initial state and step size advance, and are recorded,
-together as one site-major tensor (N, n_branch, 2, n_orb) (``run_branches``);
-from ``SPLIT_SIZE`` entries on, the two halves of its orbital axis advance
-side by side on two threads, since every orbital evolves on its own.
+from Miller's backward recurrence (numpy only), cut where the dropped tail
+falls below one rounding unit; when the midpoint potential vanishes it is
+the exact per-momentum rotation cos(E dt) - i sin(E dt) h(p)/E, applied by
+FFT.  A run whose potentials are all ``ZeroPotential`` takes that rotation
+once per sample interval.  Branches that share an initial state and step
+size advance, and are recorded, together as one site-major tensor
+(N, n_branch, 2, n_orb) (``run_branches``).  Every orbital evolves on its
+own, so a kicked run with enough work forks one child process that advances
+the second half of the orbital axis for the whole run, with BLAS on one
+thread in both processes (``_second_process``); elsewhere the run goes in
+turn, in this process.
 
 The module also hosts the gauge-kick experiment: build a gauge function from
 the density rate of a potential-free trajectory, evolve a second branch under
@@ -31,8 +34,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,13 +267,6 @@ def vacuum_state(basis: ModeBasis, spec: VacuumSpec | OccupationSet,
     return SlaterState(basis, occ, orbitals, time)
 
 
-# Chebyshev terms whose Bessel weight |J_k(R dt)| is below this are dropped.
-# Each term's polynomial is bounded by 1 on the spectrum, so the truncation
-# error stays far below rounding.
-BESSEL_CUTOFF = 1e-18
-_MINUS_I_POWERS = (1.0, -1j, -1.0, 1j)
-
-
 def _couplings(config: LatticeConfig, potential: Potential | None, t: float):
     """Site couplings (q A0, -q A) at time t; zeros without a potential."""
     if potential is None:
@@ -284,25 +279,26 @@ def _couplings(config: LatticeConfig, potential: Potential | None, t: float):
     return v0, v1
 
 
-def _hamiltonian(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray,
-                 scale: float = 1.0):
-    """psi -> scale * h psi for site-major orbitals psi of shape (N, ..., 2, n_orb).
+def _minus_i_h(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray,
+               scale: float = 1.0):
+    """psi -> -i scale h psi for site-major orbitals psi of shape (N, ..., 2, n_orb).
 
-    The kinetic term -i alpha d/dx is one real product of the derivative
-    matrix D with a float view of psi (K = -i D; alpha swaps the spinor
-    components); the mass, q A0 and -q alpha A terms are site-local.  The
-    couplings v0 = q A0 and v1 = -q A have shape psi.shape[:-2].
+    The kinetic term -i alpha (-i d/dx) = -alpha d/dx is one real product of
+    the derivative matrix -D with a float view of psi (alpha swaps the spinor
+    components); the mass, q A0 and -q alpha A terms are site-local, with the
+    -i folded into them.  The couplings v0 = q A0 and v1 = -q A have shape
+    psi.shape[:-2].  Multiplying by -i is exact, so the result is -i times
+    the rounded h psi, bit for bit.
     """
-    d = scale * basis.derivative_matrix
+    d = -scale * basis.derivative_matrix
     v0 = v0[..., None, None]
     mass = basis.config.mass
-    diag = (scale * np.concatenate([v0 + mass, v0 - mass], axis=-2)).astype(complex)
-    off = (scale * v1[..., None, None]).astype(complex)
+    diag = -1j * (scale * np.concatenate([v0 + mass, v0 - mass], axis=-2))
+    off = -1j * (scale * v1[..., None, None])
 
     def apply(psi: np.ndarray) -> np.ndarray:
         real = np.ascontiguousarray(psi).reshape(len(d), -1).view(float)
         dpsi = (d @ real).view(complex).reshape(psi.shape)
-        dpsi *= -1j
         dpsi += off * psi
         out = diag * psi
         out += dpsi[..., ::-1, :]
@@ -344,9 +340,9 @@ def _bessel_weights(z: float, count: int) -> np.ndarray:
     admits (about 9500), the size of the series' own rounding over that many
     terms.  Unnormalized, the recurrence grows by about (2/z)^count count!;
     below z = 1e-9 that would overflow, but there J_0 rounds to 1, J_1 to z/2
-    and J_2 < 1e-18 is dropped, so those are the weights.  From z = 1e-9 on,
-    where ``_propagator`` asks for 30 orders, the growth stays below
-    (2e9)^29 29! = 5e300.
+    and J_2 < 1.3e-19 falls in the dropped tail (``_kept_terms``), so those
+    are the weights.  From z = 1e-9 on, where ``_propagator`` asks for 30
+    orders, the growth stays below (2e9)^29 29! = 5e300.
     """
     if z < 1e-9:
         return np.array([1.0, 0.5 * z] + [0.0] * (count - 2))
@@ -357,6 +353,15 @@ def _bessel_weights(z: float, count: int) -> np.ndarray:
         nxt, cur = cur, 2.0 * k / z * cur - nxt
         j[k - 1] = cur
     return np.array(j) / (j[0] + 2.0 * sum(j[2::2]))
+
+
+def _kept_terms(weights: np.ndarray) -> int:
+    """How many of the Bessel weights J_0, J_1, ... the series sums: the
+    fewest k that leave a dropped tail 2 sum_{j >= k} |J_j| of at most one
+    rounding unit, eps / 2.  Each term's polynomial is bounded by 1 on the
+    spectrum, so the dropped terms change no orbital by more than that."""
+    tail = 2.0 * np.cumsum(np.abs(weights[::-1]))[::-1]  # non-increasing in k
+    return max(2, int(np.count_nonzero(tail > 0.5 * np.finfo(float).eps)))
 
 
 def _propagator(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray, dt: float):
@@ -381,17 +386,18 @@ def _propagator(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray, dt: float):
         raise ValueError(f"a time step needs over {MAX_SERIES_TERMS} Chebyshev "
                          f"terms (R dt = {z:.3g}); lower the potential or dt")
     weights = _bessel_weights(z, int(length) + 30)
-    n_terms = max(2, int(np.nonzero(np.abs(weights) >= BESSEL_CUTOFF)[0][-1]) + 1)
-    twice_x = _hamiltonian(basis, v0, v1, 2.0 / radius)  # 2 h / R
+    n_terms = _kept_terms(weights)
+    step = _minus_i_h(basis, v0, v1, 2.0 / radius)  # -2i h / R
 
     def propagate(psi: np.ndarray) -> np.ndarray:
-        prev, cur = psi, 0.5 * twice_x(psi)
-        out = weights[0] * psi + (-2j * weights[1]) * cur
+        # phi_k = (-i)^k T_k(h / R) psi = -2i (h / R) phi_{k-1} + phi_{k-2}
+        prev, cur = psi, 0.5 * step(psi)
+        out = weights[0] * psi + (2.0 * weights[1]) * cur
         for k in range(2, n_terms):
-            nxt = twice_x(cur)  # T_k = 2 (h/R) T_{k-1} - T_{k-2}
-            nxt -= prev
+            nxt = step(cur)
+            nxt += prev
             prev, cur = cur, nxt
-            out += (2.0 * _MINUS_I_POWERS[k % 4] * weights[k]) * cur
+            out += (2.0 * weights[k]) * cur
         return out
 
     return propagate
@@ -407,7 +413,7 @@ def apply_hamiltonian(basis: ModeBasis, orbitals: np.ndarray,
     """
     v0, v1 = _couplings(basis.config, potential, t)
     psi = np.asarray(orbitals, dtype=complex).reshape(basis.config.site_count, 2, -1)
-    return _hamiltonian(basis, v0, v1)(psi).reshape(orbitals.shape)
+    return 1j * _minus_i_h(basis, v0, v1)(psi).reshape(orbitals.shape)
 
 
 def _observe(basis: ModeBasis, subtractions: RenormalizationConstants,
@@ -424,13 +430,14 @@ def _observe(basis: ModeBasis, subtractions: RenormalizationConstants,
     config = basis.config
     q = config.charge
     zeros = np.zeros(psi.shape[:-2])
-    h0_psi = _hamiltonian(basis, zeros, zeros)(psi)
+    minus_i_h0_psi = _minus_i_h(basis, zeros, zeros)(psi)
     density = q * (np.abs(psi) ** 2).sum(axis=(-2, -1)).T - subtractions.rho
     up, down = psi[..., 0, :], psi[..., 1, :]  # psi^dag alpha psi = 2 Re up* down
     current = 2.0 * q * (up.conj() * down).real.sum(axis=-1).T - subtractions.current
-    weighted = (psi.conj() * h0_psi).sum(axis=(-2, -1))
-    energy = config.spacing * weighted.real.sum(axis=0) - subtractions.xi
-    return density, current, energy, 2.0 * q * weighted.imag.T
+    # -i sum_o psi_o^dag (h0 psi_o): its real part is the density rate's sum
+    weighted = (psi.conj() * minus_i_h0_psi).sum(axis=(-2, -1))
+    energy = -config.spacing * weighted.imag.sum(axis=0) - subtractions.xi
+    return density, current, energy, 2.0 * q * weighted.real.T
 
 
 def observables(state: SlaterState) -> Snapshot:
@@ -476,22 +483,37 @@ def run_trajectory(state: SlaterState, potential: Potential, t_final: float,
     return run_branches(state, [potential], t_final, dt, sample_stride)[0]
 
 
-# Orbital tensors of at least this many complex entries advance as two
-# halves of their orbital axis.  One kicked step with single-threaded BLAS on
-# two cores, serial against split, best of 30: N = 27 with ten branches
-# (15,120 entries) and N = 81 with one (13,284) gain nothing, N = 101 with
-# one (20,604) goes 3.7 -> 2.6 ms and N = 201 (81,204) 21.4 -> 11.7 ms.
-SPLIT_SIZE = 20_000
+# A kicked run splits across two processes from this many steps x tensor
+# entries on (``_splits``): the fork, the pipe and the child's exit cost a
+# few ms.  Whole kicked runs in turn against split, single-threaded BLAS on a
+# 2-core Xeon, medians of 7: N = 41, one branch, 60 steps (2.1e5 entry-steps)
+# 47 -> 50 ms and 100 steps (3.4e5) 73 -> 69 ms; N = 81, 10 steps (1.3e5)
+# 27 -> 25 ms and 20 steps (2.7e5) 47 -> 40 ms; N = 27 with ten branches,
+# 20 steps (3.0e5), 49 -> 42 ms; N = 201, 20 steps (1.6e6), 578 -> 269 ms.
+SPLIT_WORK = 300_000
+
+# The thread-count getter and setter that numpy's bundled OpenBLAS exports.
+_OPENBLAS_THREADS = ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_set_num_threads64_")
 
 
-def _orbital_halves(psi: np.ndarray) -> list[np.ndarray]:
-    """psi as two contiguous halves of its orbital axis, or [psi] when it has
-    fewer than ``SPLIT_SIZE`` entries; the choice reads the tensor alone."""
-    if psi.size < SPLIT_SIZE:
-        return [psi]
-    half = psi.shape[-1] // 2
-    return [np.ascontiguousarray(psi[..., :half]),
-            np.ascontiguousarray(psi[..., half:])]
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    where numpy links another BLAS or the library exports no such symbols."""
+    import ctypes  # here, not at module level: only a split run needs it
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        # dlsym on the extension searches the libraries it links, OpenBLAS too
+        library = ctypes.CDLL(_umath_linalg.__file__)
+        get_threads, set_threads = (getattr(library, name)
+                                    for name in _OPENBLAS_THREADS)
+    except (OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
 
 
 def _usable_cpus() -> int:
@@ -513,30 +535,80 @@ def share_cpus(process_count: int) -> None:
     _cpu_share = process_count
 
 
-@contextmanager
-def _part_mapper(part_count: int):
-    """Yields map(fn, parts) -> list for one part or two.
+def _splits(psi: np.ndarray, n_steps: int) -> bool:
+    """Whether a kicked run of ``n_steps`` steps on the tensor psi advances
+    half its orbitals in a second process: at least ``SPLIT_WORK``
+    entry-steps and two orbitals, two CPUs for each process that shares
+    them (so a parallel sweep's workers run in turn), ``os.fork``, and
+    numpy's OpenBLAS thread setter to pin BLAS with."""
+    return (psi.shape[-1] >= 2 and n_steps * psi.size >= SPLIT_WORK
+            and _usable_cpus() >= 2 * _cpu_share and hasattr(os, "fork")
+            and _openblas_threads() is not None)
 
-    Two parts run side by side when this process has two CPUs of its own:
-    the second on a worker thread, the first in the calling thread (numpy's
-    ufuncs, BLAS and FFTs release the GIL).  The worker lives for the
-    ``with`` block only, so none outlives a run or reaches a forked sweep
-    worker.  Otherwise, and for one part, the parts run one after the other.
-    Each part's arithmetic is the same either way.  A kicked N = 201
-    ``evolve`` in a fresh process on a 2-core Xeon, medians of 6-8: two
-    threads 0.76 s against 0.98 s in turn with single-threaded BLAS, but
-    0.91 against 0.82 s pinned to one CPU; a ``sweep --jobs 2`` of two such
-    points with OpenBLAS's default threads takes 5.2 s on threads against
-    2.5 s in turn.
+
+@contextmanager
+def _second_process(psi: np.ndarray, time: float, advance, intervals: int):
+    """Yields the first half of psi's orbital axis and ``receive``.
+
+    A forked child advances the second half through the run's sample
+    intervals, (part, time) = advance(part, time) ``intervals`` times, and
+    writes it to a pipe after each; ``receive()`` returns the next one, or
+    raises ChildProcessError with the child's exit status when the child
+    ended first.  Both processes run BLAS on one thread, so that neither's
+    BLAS threads compete with the other; the count is restored on leaving.
+    The child always ends in ``os._exit``, never returning into the caller.
+    On every way out the parent closes the pipe, kills the child if it still
+    runs and reaps it.
     """
-    if part_count < 2 or _usable_cpus() < 2 * _cpu_share:
-        yield lambda fn, parts: [fn(part) for part in parts]
-        return
-    with ThreadPoolExecutor(1) as pool:
-        def run(fn, parts):
-            second = pool.submit(fn, parts[1])
-            return [fn(parts[0]), second.result()]
-        yield run
+    import signal
+
+    get_threads, set_threads = _openblas_threads()
+    half = psi.shape[-1] // 2
+    second = np.ascontiguousarray(psi[..., half:])
+    threads = get_threads()
+    set_threads(1)
+    pid = None
+    try:
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_end)
+                with open(write_end, "wb") as pipe:
+                    for _ in range(intervals):
+                        second, time = advance(second, time)
+                        pipe.write(np.ascontiguousarray(second))
+                        pipe.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            def receive() -> np.ndarray:
+                nonlocal pid
+                part = np.empty_like(second)
+                if pipe.readinto(part) < part.nbytes:  # the pipe closed early
+                    _, status = os.waitpid(pid, 0)
+                    pid = None
+                    code = os.waitstatus_to_exitcode(status)
+                    raise ChildProcessError(
+                        "the process advancing the second orbital half ended "
+                        "early: " + (f"exit status {code}" if code >= 0
+                                     else f"killed by signal {-code}"))
+                return part
+
+            yield np.ascontiguousarray(psi[..., :half]), receive
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)  # harmless once it has exited
+            os.waitpid(pid, 0)
+        set_threads(threads)
 
 
 def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
@@ -547,9 +619,11 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
     applies one Chebyshev series, and each sample one observation, to all of
     them; every branch matches its own ``run_trajectory`` up to rounding.
     When every potential is a ``ZeroPotential`` the run takes one exact free
-    rotation by ``sample_stride`` steps per sample interval.  A tensor of at
-    least ``SPLIT_SIZE`` entries advances as two halves of its orbital axis
-    (``_orbital_halves``, ``_part_mapper``), joined only to be observed.
+    rotation by ``sample_stride`` steps per sample interval.  A kicked run
+    that ``_splits`` advances the second half of its orbital axis in a second
+    process (``_second_process``), with the same series in both; the halves
+    are joined only to be observed, and the outputs are those of the run in
+    turn up to dgemm's rounding by column block.
     Returns one (trajectory, final_state) pair per potential.
     """
     n_steps, dt_eff = step_count(state.time, t_final, dt, sample_stride)
@@ -560,24 +634,33 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
     config = basis.config
     psi = np.stack([state.orbitals.reshape(config.site_count, 2, -1)]
                    * len(potentials), axis=1)
-    time = state.time
-    times, samples = [time], [_observe(basis, state.subtractions, psi)]
     # exp(-i h0 dt)^stride = exp(-i h0 stride dt): one rotation per sample
     free = (_free_rotation(basis, sample_stride * dt_eff)
             if all(isinstance(p, ZeroPotential) for p in potentials) else None)
-    parts = _orbital_halves(psi)
-    with _part_mapper(len(parts)) as map_parts:
-        for _ in range(n_steps // sample_stride):
-            if free is not None:
-                parts = map_parts(free, parts)
-            for _ in range(sample_stride):
-                if free is None:
-                    v0, v1 = (np.stack(v, axis=-1) for v in zip(
-                        *(_couplings(config, p, time + 0.5 * dt_eff)
-                          for p in potentials)))
-                    parts = map_parts(_propagator(basis, v0, v1, dt_eff), parts)
-                time = time + dt_eff
-            psi = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+    def advance(part: np.ndarray, time: float):
+        """The tensor and the time one sample interval on; the time adds dt
+        one step at a time."""
+        if free is not None:
+            part = free(part)
+        for _ in range(sample_stride):
+            if free is None:
+                v0, v1 = (np.stack(v, axis=-1) for v in zip(
+                    *(_couplings(config, p, time + 0.5 * dt_eff)
+                      for p in potentials)))
+                part = _propagator(basis, v0, v1, dt_eff)(part)
+            time = time + dt_eff
+        return part, time
+
+    intervals = n_steps // sample_stride
+    time = state.time
+    times, samples = [time], [_observe(basis, state.subtractions, psi)]
+    split = free is None and _splits(psi, n_steps)
+    with (_second_process(psi, time, advance, intervals) if split
+          else nullcontext((psi, None))) as (part, receive):
+        for _ in range(intervals):
+            part, time = advance(part, time)
+            psi = part if receive is None else np.concatenate([part, receive()], axis=-1)
             times.append(time)
             samples.append(_observe(basis, state.subtractions, psi))
     # each (n_t, n_branch, ...)

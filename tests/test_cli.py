@@ -392,6 +392,30 @@ def test_unforeseen_error_exits_3(tmp_path, capsys, monkeypatch):
     assert "in broken" in error["traceback"]
 
 
+@pytest.mark.skipif(not hasattr(os, "fork") or ev._openblas_threads() is None,
+                    reason="no os.fork, or no OpenBLAS thread setter to split with")
+def test_dead_evolution_child_exits_3(tmp_path, capsys, monkeypatch):
+    """A split run whose child process dies is reported in the usual JSON
+    error, with the child's status, instead of waited on."""
+    monkeypatch.setattr(ev, "SPLIT_WORK", 0)
+    monkeypatch.setattr(ev, "_usable_cpus", lambda: 2)
+    parent, couplings = os.getpid(), ev._couplings
+
+    def dying(config, potential, t):
+        if os.getpid() != parent and t > 0.5:
+            os._exit(7)
+        return couplings(config, potential, t)
+
+    monkeypatch.setattr(ev, "_couplings", dying)
+    cfg = write_config(tmp_path / "cfg.json", dict(
+        KICKED_PACKET, kick={"recipe": "density_rate", "f": 0.05}))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    error = single_error_line(capsys)
+    assert error["exit_code"] == 3
+    assert error["error"].startswith("ChildProcessError: ")
+    assert error["error"].endswith("exit status 7")
+
+
 def test_response_paths(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {
         "lattice": BASE_LATTICE, "vacuum": "standard",

@@ -1,4 +1,5 @@
-import threading
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -490,11 +491,6 @@ def weak_potential(config):
                         a_fn=lambda t: 0.03 * np.sin(2.0 * x - t))
 
 
-def kept_terms(weights):
-    """The Chebyshev term count ``_propagator`` keeps for these weights."""
-    return max(2, int(np.flatnonzero(np.abs(weights) >= ev.BESSEL_CUTOFF)[-1]) + 1)
-
-
 def test_bessel_weights_match_scipy():
     """Miller's recurrence against scipy.special.jv, from z = 0 to the largest
     R dt that ``MAX_SERIES_TERMS`` admits, with the same kept term count."""
@@ -509,111 +505,205 @@ def test_bessel_weights_match_scipy():
         mine, ref = ev._bessel_weights(z, count), jv(np.arange(count), z)
         bound = 2.3e-16 if z <= 1.0 else 2e-13  # 1.1e-13 measured near z = 9000
         assert np.abs(mine - ref).max() <= bound, z
-        assert kept_terms(mine) == kept_terms(ref), z
+        assert ev._kept_terms(mine) == ev._kept_terms(ref), z
 
 
-def test_split_step_equals_serial_halves(basis_n201):
-    """N = 201 is above ``SPLIT_SIZE``: one step on two threads is the
-    serial propagator applied to each half, bit for bit, and within 1e-14 of
-    the unsplit step (dgemm rounds by column block)."""
-    state = packet_state(basis_n201, sigma=0.8)
-    pot = weak_potential(basis_n201.config)
-    dt = default_dt(basis_n201)
-    _, final = ev.run_trajectory(state, pot, dt, dt)
-    psi = state.orbitals.reshape(201, 1, 2, -1)
-    halves = ev._orbital_halves(psi)
-    assert len(halves) == 2
-    v0, v1 = (v[:, None] for v in ev._couplings(basis_n201.config, pot, 0.5 * dt))
-    step = ev._propagator(basis_n201, v0, v1, dt)
-    split = np.concatenate([step(half) for half in halves], axis=-1)
-    assert np.array_equal(final.orbitals, split.reshape(final.orbitals.shape))
-    assert np.abs(split - step(psi)).max() < 1e-14
+@pytest.mark.parametrize("z, terms", [(0.0, 2), (0.061, 8), (0.065, 8), (0.085, 9)])
+def test_series_stops_where_its_tail_drops_below_rounding(z, terms):
+    """At the bench's R dt the kept count is one term below the old
+    |J_k| >= 1e-18 cutoff."""
+    weights = ev._bessel_weights(z, int(z + 20.0 * np.cbrt(z)) + 30)
+    assert ev._kept_terms(weights) == terms
 
 
-@pytest.mark.parametrize("shape, parts", [
-    ((27, 10, 2, 28), 1),   # the shipped extract-energy sweep
-    ((81, 1, 2, 82), 1),
-    ((101, 1, 2, 102), 2),
-    ((201, 1, 2, 202), 2),
-])
-def test_split_depends_on_tensor_size_alone(shape, parts):
-    halves = ev._orbital_halves(np.zeros(shape, dtype=complex))
-    assert len(halves) == parts
-    assert all(h.flags.c_contiguous for h in halves)
-    assert sum(h.shape[-1] for h in halves) == shape[-1]
+def test_kept_terms_leave_a_tail_below_one_rounding_unit():
+    """The kept terms leave a tail 2 sum |J_j| of at most eps / 2, and one
+    term fewer would not (or only two terms are kept)."""
+    for z in np.concatenate([[0.0], np.logspace(-9, np.log10(9540.0), 400)]):
+        weights = ev._bessel_weights(z, int(z + 20.0 * np.cbrt(z)) + 30)
+        terms = ev._kept_terms(weights)
+        tail = 2.0 * np.abs(weights[terms:]).sum()
+        assert tail <= 0.5 * np.finfo(float).eps, z
+        assert terms == 2 or (tail + 2.0 * abs(weights[terms - 1])
+                              > 0.5 * np.finfo(float).eps), z
 
 
-def record_pools(monkeypatch):
-    opened = []
-
-    class Recording(ev.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(args)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(ev, "ThreadPoolExecutor", Recording)
-    return opened
+needs_split = pytest.mark.skipif(
+    not hasattr(os, "fork") or ev._openblas_threads() is None,
+    reason="no os.fork, or numpy's BLAS exports no OpenBLAS thread setter")
 
 
-def test_halves_on_one_and_two_threads_are_byte_identical(basis_n9, monkeypatch):
-    """The same split runs with the second half on a worker thread (two
-    CPUs) and with both halves in the calling thread (one CPU) agree bit for
-    bit, and agree with the unsplit runs up to rounding."""
+def split_any_run(monkeypatch):
+    """Lets every kicked run split, whatever its size and the machine's CPUs."""
+    monkeypatch.setattr(ev, "SPLIT_WORK", 0)
+    monkeypatch.setattr(ev, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ev, "_cpu_share", 1)
+
+
+def record_forks(monkeypatch) -> list[int]:
+    """The pids of the children that ``os.fork`` starts from here on."""
+    forked, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return forked
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no child of ours by that pid
+            os.waitpid(pid, os.WNOHANG)
+
+
+TRAJECTORY_FIELDS = ("times", "density", "current", "free_energy",
+                     "density_rate", "residual")
+
+
+@needs_split
+def test_split_run_is_byte_identical_to_the_run_in_turn(basis_n9, monkeypatch):
+    """The same multi-branch N = 9 run, in turn and with its second orbital
+    half in a child process, agrees bit for bit; a free run stays in turn."""
     state, kicked = kicked_packet(basis_n9, 0.3)
-    potentials = [kicked, weak_potential(basis_n9.config),
-                  ev.ZeroPotential(basis_n9.config)]
+    potentials = [kicked, weak_potential(basis_n9.config)]
     dt = default_dt(basis_n9)
-
-    def both_runs(cpus):
-        monkeypatch.setattr(ev, "_usable_cpus", lambda: cpus)
-        return (ev.run_branches(state, potentials, 0.6, dt, 4)
-                + ev.run_branches(state, potentials[2:], 0.6, dt, 4))
-
-    opened = record_pools(monkeypatch)
-    whole = both_runs(2)  # N = 9 tensors stay below SPLIT_SIZE
-    monkeypatch.setattr(ev, "SPLIT_SIZE", 0)  # split even the N = 9 tensor
-    one_thread = both_runs(1)
-    assert opened == []
-    two_threads = both_runs(2)
-    assert len(opened) == 2  # one pool per split run
-    names = ("times", "density", "current", "free_energy", "density_rate",
-             "residual")
-    for (traj1, final1), (traj2, final2), (traj0, final0) in zip(
-            one_thread, two_threads, whole):
-        for name in names:
+    forked = record_forks(monkeypatch)
+    in_turn = ev.run_branches(state, potentials, 0.6, dt, 4)
+    assert forked == []  # below SPLIT_WORK
+    split_any_run(monkeypatch)
+    split = ev.run_branches(state, potentials, 0.6, dt, 4)
+    assert len(forked) == 1
+    for (traj1, final1), (traj2, final2) in zip(in_turn, split):
+        for name in TRAJECTORY_FIELDS:
             assert np.array_equal(getattr(traj1, name), getattr(traj2, name)), name
-            assert np.allclose(getattr(traj1, name), getattr(traj0, name),
-                               rtol=0.0, atol=1e-12), name
         assert np.array_equal(final1.orbitals, final2.orbitals)
-        assert np.abs(final1.orbitals - final0.orbitals).max() < 1e-14
+    zero = ev.ZeroPotential(basis_n9.config)
+    ev.run_branches(state, [zero, zero], 0.6, dt, 4)
+    assert len(forked) == 1
+    assert_reaped(forked)
 
 
-@pytest.mark.parametrize("cpus, share, threaded", [
+@needs_split
+@pytest.mark.parametrize("cpus, share, splits", [
     (1, 1, False),  # one CPU
     (2, 1, True),
     (2, 2, False),  # one of two sweep workers on two CPUs
     (4, 2, True),
 ])
-def test_halves_use_a_thread_only_with_two_cpus_per_process(cpus, share, threaded,
-                                                            monkeypatch):
+def test_split_needs_two_cpus_per_process(cpus, share, splits, basis_n9,
+                                          monkeypatch):
+    split_any_run(monkeypatch)
     monkeypatch.setattr(ev, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(ev, "_cpu_share", share)
-    opened = record_pools(monkeypatch)
-    with ev._part_mapper(2) as map_parts:
-        assert map_parts(lambda x: 2 * x, [1, 3]) == [2, 6]
-    with ev._part_mapper(1) as map_parts:
-        assert map_parts(lambda x: 2 * x, [5]) == [10]
-    assert len(opened) == int(threaded)
+    forked = record_forks(monkeypatch)
+    dt = default_dt(basis_n9)
+    ev.run_trajectory(packet_state(basis_n9), weak_potential(basis_n9.config),
+                      8 * dt, dt, 2)
+    assert len(forked) == int(splits)
+    assert_reaped(forked)
 
 
-def test_no_thread_outlives_a_run(basis_n201, monkeypatch):
+@needs_split
+@pytest.mark.parametrize("shape, steps, splits", [
+    ((27, 10, 2, 28), 320, True),   # the shipped extract-energy sweep
+    ((81, 1, 2, 82), 40, True),     # the bench's kicked evolves
+    ((201, 1, 2, 202), 20, True),
+    ((81, 1, 2, 82), 10, False),    # 1.3e5 entry-steps
+    ((9, 3, 2, 10), 40, False),
+    ((201, 1, 2, 1), 20, False),    # one orbital has no halves
+])
+def test_split_needs_enough_work(shape, steps, splits, monkeypatch):
     monkeypatch.setattr(ev, "_usable_cpus", lambda: 2)
-    opened = record_pools(monkeypatch)
-    state = packet_state(basis_n201, sigma=0.8)
-    before = threading.active_count()
-    ev.run_trajectory(state, weak_potential(basis_n201.config),
-                      2 * default_dt(basis_n201), default_dt(basis_n201))
-    assert opened and threading.active_count() == before
+    assert ev._splits(np.zeros(shape, dtype=complex), steps) == splits
+
+
+@needs_split
+def test_no_child_outlives_a_run(basis_n9, monkeypatch):
+    """Reaped after a run, and after one that a kick past
+    ``MAX_SERIES_TERMS`` stops mid-run in both processes."""
+    split_any_run(monkeypatch)
+    forked = record_forks(monkeypatch)
+    dt = default_dt(basis_n9)
+    ev.run_trajectory(packet_state(basis_n9), weak_potential(basis_n9.config),
+                      8 * dt, dt, 2)
+    state, huge = kicked_packet(basis_n9, 1e9)
+    with pytest.raises(ValueError, match="Chebyshev terms"):
+        ev.run_trajectory(state, huge, 1.0, dt, 2)
+    assert len(forked) == 2
+    assert_reaped(forked)
+
+
+@needs_split
+def test_blas_threads_are_pinned_for_a_split_run_and_restored(basis_n9,
+                                                              monkeypatch):
+    """BLAS runs on one thread while the run is split, and the count it had
+    comes back after the run and after an error."""
+    get_threads, set_threads = ev._openblas_threads()
+    split_any_run(monkeypatch)
+    seen = []
+
+    def a0(t):  # the parent's couplings, read while the run is split
+        seen.append(get_threads())
+        return np.zeros(9)
+
+    dt = default_dt(basis_n9)
+    state, huge = kicked_packet(basis_n9, 1e9)
+    before = get_threads()
+    try:
+        set_threads(2)
+        ev.run_trajectory(state, ev.Potential(basis_n9.config, a0_fn=a0),
+                          8 * dt, dt, 2)
+        assert seen and set(seen) == {1}
+        assert get_threads() == 2
+        with pytest.raises(ValueError, match="Chebyshev terms"):
+            ev.run_trajectory(state, huge, 1.0, dt, 2)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_run_goes_in_turn_without_the_openblas_thread_setter(basis_n9,
+                                                             monkeypatch):
+    monkeypatch.setattr(ev, "_OPENBLAS_THREADS", ("no_such_get_threads",
+                                                  "no_such_set_threads"))
+    assert ev._openblas_threads() is None
+    split_any_run(monkeypatch)
+
+    def forbidden():
+        raise AssertionError("forked without a way to pin BLAS threads")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    state, kicked = kicked_packet(basis_n9, 0.3)
+    traj, final = ev.run_trajectory(state, kicked, 0.6, default_dt(basis_n9), 4)
+    assert abs(traj.times[-1] - 0.6) < 1e-12 and final.gram_defect() < 1e-12
+
+
+def die_in_child_after(monkeypatch, t_dead: float):
+    """Makes a split run's child kill itself once its steps pass t_dead."""
+    parent, couplings = os.getpid(), ev._couplings
+
+    def dying(config, potential, t):
+        if os.getpid() != parent and t > t_dead:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return couplings(config, potential, t)
+
+    monkeypatch.setattr(ev, "_couplings", dying)
+
+
+@needs_split
+def test_a_dead_child_is_reported_not_waited_on(basis_n9, monkeypatch):
+    split_any_run(monkeypatch)
+    die_in_child_after(monkeypatch, 0.3)
+    forked = record_forks(monkeypatch)
+    with pytest.raises(ChildProcessError, match="killed by signal 9"):
+        ev.run_trajectory(packet_state(basis_n9), weak_potential(basis_n9.config),
+                          0.6, default_dt(basis_n9), 4)
+    assert len(forked) == 1
+    assert_reaped(forked)
 
 
 def test_free_sample_times_accumulate_per_step(basis_n9):
