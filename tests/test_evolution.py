@@ -1,5 +1,6 @@
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -587,6 +588,26 @@ def test_split_run_is_byte_identical_to_the_run_in_turn(basis_n9, monkeypatch):
     assert_reaped(forked)
 
 
+def test_split_step_equals_serial_halves(basis_n201):
+    """One step on each half of the orbital axis, cut where a split run cuts
+    it, is the step on the whole within 1e-14 (dgemm rounds by column
+    block); a one-step N = 201 run, below ``SPLIT_WORK``, is the whole step
+    bit for bit."""
+    state = packet_state(basis_n201, sigma=0.8)
+    pot = weak_potential(basis_n201.config)
+    dt = default_dt(basis_n201)
+    _, final = ev.run_trajectory(state, pot, dt, dt)
+    psi = state.orbitals.reshape(201, 1, 2, -1)
+    half = psi.shape[-1] // 2
+    v0, v1 = (v[:, None] for v in ev._couplings(basis_n201.config, pot, 0.5 * dt))
+    step = ev._propagator(basis_n201, v0, v1, dt)
+    whole = step(psi)
+    split = np.concatenate([step(np.ascontiguousarray(psi[..., :half])),
+                            step(np.ascontiguousarray(psi[..., half:]))], axis=-1)
+    assert np.array_equal(final.orbitals, whole.reshape(final.orbitals.shape))
+    assert np.abs(split - whole).max() < 1e-14
+
+
 @needs_split
 @pytest.mark.parametrize("cpus, share, splits", [
     (1, 1, False),  # one CPU
@@ -635,6 +656,24 @@ def test_no_child_outlives_a_run(basis_n9, monkeypatch):
         ev.run_trajectory(state, huge, 1.0, dt, 2)
     assert len(forked) == 2
     assert_reaped(forked)
+
+
+def test_no_thread_outlives_a_run(basis_n9, monkeypatch):
+    """A run starts no thread, split or in turn: a split run's second half
+    runs in a child process."""
+    split_any_run(monkeypatch)
+    before = threading.enumerate()
+    seen = []
+
+    def a0(t):  # the parent's couplings, read during the run
+        seen.append(threading.enumerate())
+        return np.zeros(9)
+
+    dt = default_dt(basis_n9)
+    ev.run_trajectory(packet_state(basis_n9),
+                      ev.Potential(basis_n9.config, a0_fn=a0), 8 * dt, dt, 2)
+    assert seen and all(threads == before for threads in seen)
+    assert threading.enumerate() == before
 
 
 @needs_split
