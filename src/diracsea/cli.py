@@ -18,7 +18,6 @@ import concurrent.futures
 import copy
 import hashlib
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -259,10 +258,10 @@ def run_schwinger(config: dict, out_dir: Path, seed: int) -> list[Path]:
     divergence = sw.divergence_of_kernel(kernel)
 
     # translation covariance: cell [j, k] of either matrix is its profile,
-    # column 0, at the separation (j - k) mod N, so each is formatted N times
+    # column 0, at the cell's grid separation, so each is formatted N times
     profile, div_profile = values[:, 0], divergence[:, 0]
     j, k = np.divmod(np.arange(cfg.site_count**2), cfg.site_count)  # row-major
-    sep = (j - k) % cfg.site_count
+    sep = sw.over_pairs(np.arange(cfg.site_count)).ravel()
     csv_path = out_dir / "schwinger.csv"
     _write_csv(csv_path, ["j", "k", "x", "y", "re_I", "im_I", "re_divI",
                           "im_divI", "vacuum", "N", "m", "q", "delta_Ew"],
@@ -597,7 +596,7 @@ def run_sweep(config: dict, out_dir: Path, seed: int, jobs: int) -> list[Path]:
         tasks.append((experiment, point, str(point_dir), seed))
 
     # the executor forks all its workers at once, so ask for no idle ones
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), ev._usable_cpus())
     if workers > 1:
         # each worker's kicked runs then go in turn, unsplit (``ev.share_cpus``)
         with concurrent.futures.ProcessPoolExecutor(

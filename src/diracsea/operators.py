@@ -1,9 +1,12 @@
-"""One-body kernels of the charge density, current density and free energy.
+"""One-body kernels of the charge density, current density and free energy,
+and the mode-pair table ``mode_pairs`` that every mode-pair sum reads.
 
 Each observable is a fermion bilinear sum_{nm} K_nm a_n^dag a_m minus a
 c-number subtraction chosen so the reference vacuum expectation vanishes.
-Kernels are built per grid site; the subtraction constants depend on the
-vacuum, so they are kept separate from the kernels and attached on demand.
+Kernels are built per grid site from the sampled modes ``phi``, not from
+the pair table, so the Fock oracle built on them checks it independently;
+the subtraction constants depend on the vacuum, so they are kept separate
+from the kernels and attached on demand.
 """
 
 from __future__ import annotations
@@ -39,6 +42,23 @@ class RenormalizationConstants:
     rho: np.ndarray   # (N,)
     current: np.ndarray  # (N,)
     xi: float
+
+
+def mode_pairs(basis: ModeBasis, rows, cols):
+    """(overlap, flux, gap, transfer) of the pairs (n in rows, m in cols).
+
+    Each is a (rows, cols) array: u_n^dag u_m, u_n^dag alpha u_m, e_n - e_m
+    with e = lam E, and k_m - k_n, so phi_n(x)^dag phi_m(x) = overlap
+    exp(i 2 pi transfer x / L) / L, and likewise with alpha for the flux.
+    u_n^dag alpha u_m and u_m^dag alpha u_n differ in the last bit, so the
+    modes whose spinors are conjugated go in ``rows``.
+    """
+    ur = basis.spinors[:, rows].conj().T
+    uc = basis.spinors[:, cols]
+    eps = basis.lam * basis.energy
+    k = basis.momentum_index
+    return (ur @ uc, ur @ ALPHA @ uc, eps[rows, None] - eps[None, cols],
+            k[None, cols] - k[rows, None])
 
 
 def charge_kernel(basis: ModeBasis, site: int) -> OneBodyKernel:
@@ -93,12 +113,10 @@ def continuity_pair_residual(basis: ModeBasis) -> float:
     |(p_m - p_n) flux_nm + (e_n - e_m) overlap_nm|, with e_n = lam_n E_n.
     The identity is exact up to rounding.
     """
-    eps = basis.lam * basis.energy
+    modes = np.arange(basis.mode_count)
+    overlap, flux, gap, _ = mode_pairs(basis, modes, modes)
     p = basis.momentum
-    u = basis.spinors
     norm = basis.config.charge / basis.config.box_length
-    overlap = norm * (u.conj().T @ u)
-    flux = norm * (u.conj().T @ ALPHA @ u)
-    residual = ((p[None, :] - p[:, None]) * flux
-                + (eps[:, None] - eps[None, :]) * overlap)
+    residual = ((p[None, :] - p[:, None]) * (norm * flux)
+                + gap * (norm * overlap))
     return float(np.abs(residual).max())

@@ -17,10 +17,11 @@ lattice.  The ``site`` smearing instead matches the site-diagonal coupling
 used by the evolution module and is the right convention for comparisons
 against finite-difference evolution.
 
-The direct path never forms a retarded kernel on the grid: one running
-Simpson sum per pair carries the integral from one output time to the next,
-and the pairs reach the grid through their momentum transfers with one
-N-point FFT, so its memory is O(pairs) rather than O(sites x pairs).
+Its pairs are the occupied x unoccupied ``operators.mode_pairs`` table.  The
+direct path never forms a retarded kernel on the grid: one running Simpson
+sum per pair carries the integral from one output time to the next, and the
+pairs reach the grid through their momentum transfers with one N-point FFT,
+so its memory is O(pairs) rather than O(sites x pairs).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ALPHA, ModeBasis, fourier_at, transfer_sum
+from .lattice import ModeBasis, fourier_at, transfer_sum
+from .operators import mode_pairs
 from .schwinger import SchwingerKernel
 from .vacua import OccupationSet, VacuumSpec, occupation_set
 
@@ -53,16 +55,8 @@ class ResponseKernel:
     def build(cls, basis: ModeBasis, occ: OccupationSet) -> "ResponseKernel":
         occupied = np.array(sorted(occ.indices), dtype=int)
         unoccupied = np.array(sorted(occ.complement), dtype=int)
-        q = basis.config.charge
-        length = basis.config.box_length
-        un = basis.spinors[:, occupied]
-        um = basis.spinors[:, unoccupied]
-        eps = basis.lam * basis.energy
-        omega = eps[occupied, None] - eps[None, unoccupied]
-        transfer = (basis.momentum_index[None, unoccupied]
-                    - basis.momentum_index[occupied, None])
-        current = un.conj().T @ ALPHA @ um   # u_n^dag alpha u_m
-        charge = un.conj().T @ um
+        q, length = basis.config.charge, basis.config.box_length
+        charge, current, omega, transfer = mode_pairs(basis, occupied, unoccupied)
         return cls(basis, omega.ravel(), transfer.ravel(),
                    (current * q / length).ravel(), (charge * q / length).ravel())
 

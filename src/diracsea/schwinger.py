@@ -17,7 +17,9 @@ Nyquist window):
 
 Kernels are translation covariant, so each one is represented by the Fourier
 coefficients of its separation profile w(s) = I(x, x - s), held as one dense
-array over the momentum transfers d = -(N-1) .. N-1.
+array over the momentum transfers d = -(N-1) .. N-1.  One fold of the
+``operators.mode_pairs`` table builds it, and the intra-band F2 gate from
+the band x band pairs the band kernel leaves out.
 """
 
 from __future__ import annotations
@@ -26,30 +28,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import ALPHA, ModeBasis, fourier_at, transfer_sum
+from .lattice import ModeBasis, fourier_at, transfer_sum
+from .operators import mode_pairs
 from .vacua import VacuumSpec, classify_indices, occupation_set
 
 
-def _transfer_coefficients(basis: ModeBasis, occupied, partners) -> np.ndarray:
-    """Fourier coefficients C_d of the kernel profile, d = -(N-1) .. N-1.
-
-    Each ordered pair (m in occupied, n in partners) contributes
-    T = (u_m^dag u_n)(u_n^dag alpha u_m) q^2 / L^2 at transfer d = k_m - k_n;
-    the antihermitian profile has C_d = T_d - conj(T_{-d}).
-    """
-    q = basis.config.charge
-    length = basis.config.box_length
+def _pair_terms(basis: ModeBasis, occupied, partners,
+                charge: float) -> np.ndarray:
+    """T_d, d = -(N-1) .. N-1: the sum over the pairs (m in occupied, n in
+    partners) of charge^2 (u_m^dag u_n)(u_n^dag alpha u_m) / L^2 at
+    d = k_m - k_n, in (m, n) order.  The partners are the table's rows, so
+    the flux is u_n^dag alpha u_m as computed."""
     n_sites = basis.config.site_count
-    um = basis.spinors[:, occupied]
-    un = basis.spinors[:, partners]
-    overlap = um.conj().T @ un                  # u_m^dag u_n
-    current = (un.conj().T @ ALPHA @ um).T      # u_n^dag alpha u_m
-    amp = q * q * (overlap * current) / length**2
-    delta = (basis.momentum_index[occupied, None]
-             - basis.momentum_index[None, partners])
+    overlap, flux, _, transfer = mode_pairs(basis, partners, occupied)
+    amp = charge * charge * (overlap.conj() * flux) / basis.config.box_length**2
     terms = np.zeros(2 * n_sites - 1, dtype=complex)
-    np.add.at(terms, (delta + n_sites - 1).ravel(), amp.ravel())
-    return terms - terms[::-1].conj()
+    np.add.at(terms, (transfer + n_sites - 1).T.ravel(), amp.T.ravel())
+    return terms
 
 
 @dataclass
@@ -72,18 +67,14 @@ class SchwingerKernel:
         n_sites = self.basis.config.site_count
         return np.arange(1 - n_sites, n_sites)
 
-    def profile(self, separations: np.ndarray) -> np.ndarray:
-        """I evaluated at x - y = s, for arbitrary (possibly off-grid) s."""
-        s = np.asarray(separations, dtype=float)
+    def evaluate(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Kernel matrix I(x_a, y_b) at arbitrary, possibly off-grid,
+        positions: sum_d C_d exp(i 2 pi d (x_a - y_b) / L)."""
+        s = np.subtract.outer(np.asarray(xs, dtype=float),
+                              np.asarray(ys, dtype=float))
         base = 2.0 * np.pi / self.basis.config.box_length
         phases = np.exp(1j * base * np.multiply.outer(s, self.transfers))
         return phases @ self.coefficients
-
-    def evaluate(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Kernel matrix I(x_a, y_b) at arbitrary positions."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        return self.profile(xs[:, None] - ys[None, :])
 
     def on_grid(self, weights=1.0) -> np.ndarray:
         """sum_d weights_d C_d exp(i 2 pi d j / N) for j = 0 .. N-1."""
@@ -92,11 +83,12 @@ class SchwingerKernel:
 
     @property
     def values(self) -> np.ndarray:
-        return _over_pairs(self.on_grid())
+        return over_pairs(self.on_grid())
 
 
-def _over_pairs(profile: np.ndarray) -> np.ndarray:
-    """Matrix [j, k] of a profile sampled at the grid separations x_j - y_k."""
+def over_pairs(profile: np.ndarray) -> np.ndarray:
+    """Matrix [j, k] of a profile sampled at the grid separations x_j - y_k,
+    the entry (j - k) mod N; over_pairs(np.arange(N)) is that index."""
     j = np.arange(len(profile))
     return profile[(j[:, None] - j[None, :]) % len(profile)]
 
@@ -111,8 +103,9 @@ def _subset(indices, mode_indices) -> np.ndarray:
 def _kernel(basis: ModeBasis, occupied, partners, mode_indices) -> SchwingerKernel:
     occupied = _subset(occupied, mode_indices)
     partners = _subset(partners, mode_indices)
-    return SchwingerKernel(basis, occupied, partners,
-                           _transfer_coefficients(basis, occupied, partners))
+    terms = _pair_terms(basis, occupied, partners, basis.config.charge)
+    # the antihermitian profile: C_d = T_d - conj(T_{-d})
+    return SchwingerKernel(basis, occupied, partners, terms - terms[::-1].conj())
 
 
 def schwinger_standard(
@@ -162,7 +155,7 @@ def divergence_of_kernel(kernel: SchwingerKernel) -> np.ndarray:
     it is independent of the closed-form divergence.
     """
     base = 2.0 * np.pi / kernel.basis.config.box_length
-    return _over_pairs(kernel.on_grid(1j * base * kernel.transfers))
+    return over_pairs(kernel.on_grid(1j * base * kernel.transfers))
 
 
 def divergence_diag_closed_form(basis: ModeBasis, mode_indices=None) -> np.ndarray:
@@ -175,10 +168,9 @@ def divergence_diag_closed_form(basis: ModeBasis, mode_indices=None) -> np.ndarr
     """
     occupied = _subset(np.flatnonzero(basis.lam < 0), mode_indices)
     partners = _subset(np.flatnonzero(basis.lam > 0), mode_indices)
-    u = basis.spinors
-    overlap = u[:, occupied].conj().T @ u[:, partners]
-    energies = basis.energy[occupied, None] + basis.energy[None, partners]
-    total = float(np.sum(energies * np.abs(overlap) ** 2))
+    overlap, _, gap, _ = mode_pairs(basis, occupied, partners)
+    # the gap lam E of a sea mode less that of its partner is -(E + E')
+    total = float(np.sum(-gap * np.abs(overlap) ** 2))
     q = basis.config.charge
     value = -2j * q * q * total / basis.config.box_length**2
     return np.full(basis.config.site_count, value, dtype=complex)
@@ -195,36 +187,29 @@ def divergence_paths_error(divergence: np.ndarray, closed: np.ndarray) -> float:
 def f2_identity_check(basis: ModeBasis, spec: VacuumSpec) -> float:
     """Max |F2(x, y)| over grid pairs for the intra-band double sum.
 
-    F2 sums (phi_m^dag(y) phi_n(y))(phi_n^dag(x) alpha phi_m(x)) over band
-    pairs m, n.  With the 2x2 band projector kernel
-    P(x, y) = sum_{m in band} phi_m(x) phi_m(y)^dag it is
-    F2 = sum_{a,b,c} alpha_ca P_ab conj(P_cb) = tr(alpha P P^dag), so one
-    (2N x B)(B x 2N) product and an O(N^2) contraction give every grid pair.
-    It is real for Hermitian alpha; with alpha = sigma_x it is
-    2 Re sum_b P_1b conj(P_0b).
+    F2 sums (phi_m^dag(y) phi_n(y))(phi_n^dag(x) alpha phi_m(x)) over the
+    band pairs m, n, the pairs the band kernel leaves out.  The kernel's
+    fold gives it as sum_d T_d exp(i 2 pi d (x - y) / L), with charge 1 and
+    no antihermitian step, so the value is q-independent.
 
-    Why it vanishes: with alpha = sigma_x and beta = sigma_z the spinors u
-    are real, and u(-p) = +-sigma_z u(p), so u(-p) u(-p)^T equals
-    u(p) u(p)^T on the diagonal and its negative off it (at p = 0, u is a
-    sigma_z eigenvector and u u^T is diagonal).  Summed over a band that is
-    closed under p -> -p, the phases exp(+-i p (x - y)) then leave P_00 and
-    P_11 real and P_01 and P_10 imaginary, so Re sum_b P_1b conj(P_0b) = 0.
-    ``classify_indices`` selects by energy, which depends on |p| alone, so
-    every band vacuum is closed under p -> -p and F2 is zero up to rounding.
-    A band without that symmetry, or another alpha, leaves F2 of order one.
-    The charge prefactor is excluded, so the value is q-independent.
+    Why it vanishes: with alpha = sigma_x and beta = sigma_z the spinors
+    are real, so swapping m <-> n keeps a pair's term and negates its
+    transfer, T_{-d} = T_d.  Reflecting p -> -p maps u to +-sigma_z u, which
+    keeps the overlap and negates the flux (sigma_z sigma_x sigma_z =
+    -sigma_x), again at the negated transfer, T_{-d} = -T_d.  So every T_d
+    vanishes on a band closed under p -> -p, as every band vacuum is:
+    ``classify_indices`` selects by energy, a function of |p| alone.  A band
+    without that symmetry, or another alpha, leaves F2 of order one.
     """
     _, in_band, _ = classify_indices(spec, basis)
     return float(np.abs(_intra_band_f2(basis, in_band)).max())
 
 
 def _intra_band_f2(basis: ModeBasis, band) -> np.ndarray:
-    """F2[x, y] = sum_{a,b,c} alpha_ca P_ab(x, y) conj(P_cb(x, y)) over grid
-    pairs, P the projector kernel of the modes ``band``."""
-    n_sites = basis.config.site_count
-    flat = basis.flat[:, band]  # (2N, B), rows (site, spinor)
-    proj = (flat @ flat.conj().T).reshape(n_sites, 2, n_sites, 2)  # [x, a, y, b]
-    return np.einsum("ca,xayb,xcyb->xy", ALPHA, proj, proj.conj())
+    """F2[x, y] over grid pairs for the pairs of the modes ``band``."""
+    n = basis.config.site_count
+    terms = _pair_terms(basis, band, band, 1.0)
+    return over_pairs(transfer_sum(terms, np.arange(1 - n, n), n))
 
 
 def _test_function_samples(basis: ModeBasis, f) -> np.ndarray:

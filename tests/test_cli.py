@@ -498,7 +498,7 @@ def test_sweep_workers_bounded_by_points_and_cpus(tmp_path, monkeypatch, jobs,
     monkeypatch.setattr(RecordingExecutor, "initializers", [])
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
                         RecordingExecutor)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(ev, "_usable_cpus", lambda: cpus)
     values = [5, 7, 9][:points]
     cfg = write_config(tmp_path / "cfg.json", {
         "lattice": BASE_LATTICE, "vacuum": "standard",
@@ -513,6 +513,27 @@ def test_sweep_workers_bounded_by_points_and_cpus(tmp_path, monkeypatch, jobs,
     assert RecordingExecutor.initializers == [(ev.share_cpus, (w,)) for w in workers]
     index = json.loads((out / "sweep_index.json").read_text())
     assert index["exit_codes"] == [0] * points
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_sweep_workers_bounded_by_cpu_affinity(tmp_path, monkeypatch):
+    """Two CPUs in the machine but one in this process's affinity mask:
+    ``--jobs 2`` runs the points in turn, with no pool."""
+    monkeypatch.setattr(RecordingExecutor, "max_workers", [])
+    monkeypatch.setattr(RecordingExecutor, "initializers", [])
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cfg = write_config(tmp_path / "cfg.json", {
+        "lattice": BASE_LATTICE, "vacuum": "standard",
+        "sweep": {"experiment": "schwinger", "parameter": "lattice.N",
+                  "values": [5, 7]},
+    })
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--jobs", "2"]) == 0
+    assert RecordingExecutor.max_workers == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

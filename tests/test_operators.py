@@ -4,12 +4,13 @@ import pytest
 import dense_reference as dense
 from diracsea import fock
 from diracsea.checks import oracle_subtraction_defect
-from diracsea.lattice import LatticeConfig, build_basis
+from diracsea.lattice import ALPHA, LatticeConfig, build_basis
 from diracsea.operators import (
     charge_kernel,
     continuity_pair_residual,
     current_kernel,
     free_hamiltonian_kernel,
+    mode_pairs,
     renorm_constants,
 )
 from diracsea.vacua import OccupationSet, VacuumSpec, occupation_set
@@ -134,6 +135,40 @@ def test_continuity_identity_all_pairs():
         for mass in (0.0, 1.0, 5.0):
             basis = build_basis(LatticeConfig(TWO_PI, n_sites, mass))
             assert continuity_pair_residual(basis) < 1e-12
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_mode_pairs_are_the_sampled_pair_functions(mass):
+    """Each row mode n and column mode m of the table give the grid samples
+    phi_n(x_j)^dag phi_m(x_j) = overlap exp(i (p_m - p_n) x_j) / L, and the
+    same with alpha for the flux; the gap and transfer are e_n - e_m and
+    k_m - k_n.  Unequal row and column counts catch a transposed table,
+    L != 2 pi a lost box length, and a random phase on each mode, under
+    which the basis stays orthonormal, a lost complex conjugate."""
+    rng = np.random.default_rng(22)
+    basis = build_basis(LatticeConfig(3.7, 9, mass))
+    basis.spinors = basis.spinors * np.exp(
+        1j * rng.uniform(0.0, TWO_PI, basis.mode_count))
+    phi = basis.sample(basis.config.grid)
+    rows = rng.choice(basis.mode_count, size=7)
+    cols = rng.choice(basis.mode_count, size=5)
+    overlap, flux, gap, transfer = mode_pairs(basis, rows, cols)
+    length = basis.config.box_length
+    for a, n in enumerate(rows):
+        for b, m in enumerate(cols):
+            e_n = basis.lam[n] * basis.energy[n]
+            assert gap[a, b] == e_n - basis.lam[m] * basis.energy[m]
+            assert transfer[a, b] == round(
+                (basis.momentum[m] - basis.momentum[n]) * length / TWO_PI)
+
+    wave = np.exp(1j * (TWO_PI / length) * transfer[None]
+                  * basis.config.grid[:, None, None]) / length
+    phi_n = phi[:, :, rows].conj()
+    phi_m = phi[:, :, cols]
+    density = np.einsum("jsn,jsm->jnm", phi_n, phi_m)
+    current = np.einsum("jsn,st,jtm->jnm", phi_n, ALPHA, phi_m)
+    assert np.abs(overlap[None] * wave - density).max() < 1e-14
+    assert np.abs(flux[None] * wave - current).max() < 1e-14
 
 
 def test_kernel_restriction(basis_n9):

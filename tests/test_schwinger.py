@@ -234,7 +234,7 @@ def test_f2_projector_form_matches_pair_sum(n_sites):
 @pytest.mark.parametrize("n_sites", [9, 51])
 def test_f2_gate_fails_with_alpha_identity(monkeypatch, n_sites):
     basis = build_basis(LatticeConfig(TWO_PI, n_sites, 1.0, 1.0))
-    monkeypatch.setattr(sw, "ALPHA", np.eye(2, dtype=complex))
+    monkeypatch.setattr("diracsea.operators.ALPHA", np.eye(2, dtype=complex))
     assert f2_identity_check(basis, coupled_band_spec(basis)) > 1e-12
 
 
