@@ -31,7 +31,8 @@ from .schwinger import (
     schwinger_band,
     schwinger_standard,
 )
-from .vacua import OccupationSet, VacuumSpec, classify_indices, occupation_set
+from .vacua import (OccupationSet, VacuumSpec, classify_indices,
+                    coupled_band_spec, occupation_set)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def completeness_defect(basis: ModeBasis) -> float:
 def eigenrelation_defect(basis: ModeBasis) -> float:
     """Max |h0 phi_n - lam_n E_n phi_n| with evolution's matrix-free h0."""
     image = apply_hamiltonian(basis, basis.flat)
-    return float(np.abs(image - basis.flat * (basis.lam * basis.energy)).max())
+    return float(np.abs(image - basis.flat * basis.eigenvalue).max())
 
 
 def hermiticity_defect(basis: ModeBasis, rng: np.random.Generator) -> float:
@@ -274,7 +275,7 @@ def schwinger_suite() -> list[CheckResult]:
         "divergence diagonal imaginary part is negative",
         0.0 if closed[0].imag < 0 else 1.0, 0.5))
 
-    spec = VacuumSpec("band", 0.5 * (basis.max_energy - 1.0))
+    spec = coupled_band_spec(basis)
     band_kernel = schwinger_band(basis, spec)
     results.append(CheckResult(
         "band kernel coincident-point values",

@@ -417,12 +417,16 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
     free_traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
                                      t_stop, dt, stride)
     i_stop = free_traj.index_of(t_stop)
-    rate_profile = free_traj.density_rate[i_stop]
-    a = basis.config.spacing
-    slope_predicted = -a * float(np.sum(rate_profile**2))
+    # the slope of xi0_2_predicted in f: -a sum (d rho/dt)(t_b) chi_1(t_b),
+    # chi_1 the kick at f = 1
+    unit_chi = ev.build_kick_chi(free_traj, recipe, 1.0, t_start,
+                                 t_stop).chi(t_stop)
+    slope_predicted = -basis.config.spacing * float(
+        np.sum(free_traj.density_rate[i_stop] * unit_chi))
     if abs(slope_predicted) < 1e-14:
         raise InvariantError(
-            "density rate vanishes at t_b; the kick has nothing to extract")
+            "the density rate or the kick's chi vanishes at t_b (as a "
+            "continuity_rate kick's does); the kick has nothing to extract")
 
     # every nonzero strength advances in one batch against the free branch
     kicked = [f for f in strengths if f != 0.0]
@@ -449,7 +453,7 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
 
     strengths_arr, energies = table[:, 0], table[:, 2]
     slope_measured = float(np.polyfit(strengths_arr[head], energies[head], 1)[0])
-    occ_energies = np.sort(basis.lam * basis.energy)
+    occ_energies = np.sort(basis.eigenvalue)
     floor = float(np.sum(occ_energies[:state.orbital_count])
                   - state.subtractions.xi)
     summary = {

@@ -24,6 +24,11 @@ the second half of the orbital axis for the whole run, with BLAS on one
 thread in both processes (``_second_process``); elsewhere the run goes in
 turn, in this process.
 
+A potential gives both its fields at once, ``Potential.fields(t)`` ->
+(A0, A), so each step, the rate identity and the Kubo source ask once per
+time; a pure-gauge potential reads (d chi/dt, -d chi/dx) off one call of its
+gauge function's envelope and one of its profile.
+
 The module also hosts the gauge-kick experiment: build a gauge function from
 the density rate of a potential-free trajectory, evolve a second branch under
 the corresponding pure-gauge potential, and compare the observables and the
@@ -44,65 +49,40 @@ from .operators import RenormalizationConstants, renorm_constants
 from .vacua import OccupationSet, VacuumSpec, occupation_set
 
 
-def _unit_clamp(s):
-    """np.clip(s, 0, 1); for a float by min and max: same bits, NaN kept, faster."""
-    return min(max(s, 0.0), 1.0) if isinstance(s, float) else np.clip(s, 0.0, 1.0)
-
-
-def smoothstep(s):
-    """Quintic ramp with two vanishing derivatives at both ends."""
-    s = _unit_clamp(s)
-    return s**3 * (10.0 + s * (-15.0 + 6.0 * s))
-
-
-def smoothstep_rate(s):
-    s = _unit_clamp(s)
-    return 30.0 * s**2 * (1.0 - s) ** 2
+def ramp(s):
+    """Quintic ramp g(s) with two vanishing derivatives at both ends, and dg/ds."""
+    # a float is clamped by min and max: the bits of np.clip, NaN kept, faster
+    s = min(max(s, 0.0), 1.0) if isinstance(s, float) else np.clip(s, 0.0, 1.0)
+    return s**3 * (10.0 + s * (-15.0 + 6.0 * s)), 30.0 * s**2 * (1.0 - s) ** 2
 
 
 class GaugeFunction:
-    """Gauge scalar chi(x,t) with chi = 0 and d chi/dt = 0 at the start time.
+    """Gauge scalar chi(x,t) = strength * g(s) * P(x,t), s = (t - t_start) / span.
 
-    Two construction recipes are provided: a static spatial profile under a
-    quintic ramp reaching 1 at the end time, and a time-dependent profile
-    under a compactly supported bump envelope (used when the profile itself
-    is a measured time series).
+    ``envelope(s)`` returns (g, dg/ds) and ``profile(t)`` returns
+    (P, dP/dt, dP/dx) on the grid, dP/dt None for a static profile; so one
+    call of each gives chi's time and space derivatives together
+    (``PureGaugePotential.fields``).  chi = 0 and d chi/dt = 0 at the start
+    time.  Two recipes are provided: a static spatial profile under a quintic
+    ramp reaching 1 at the end time, and a time-dependent profile under a
+    compactly supported bump envelope (used when the profile itself is a
+    measured time series).
     """
 
     def __init__(self, config: LatticeConfig, strength: float, t_start: float,
-                 t_stop: float, profile_fn, profile_rate_fn, envelope,
-                 envelope_rate, profile_dx_fn=None):
+                 t_stop: float, envelope, profile):
         if t_stop <= t_start:
             raise ValueError("gauge window must have t_stop > t_start")
         self.config = config
         self.strength = float(strength)
         self.t_start = float(t_start)
         self.t_stop = float(t_stop)
-        self._profile = profile_fn
-        self._profile_rate = profile_rate_fn
-        self._envelope = envelope
-        self._envelope_rate = envelope_rate
-        if profile_dx_fn is None:
-            def profile_dx_fn(t):
-                return spectral_derivative(profile_fn(t), config.box_length)
-        self._profile_dx = profile_dx_fn
-
-    def _s(self, t: float) -> float:
-        return (t - self.t_start) / (self.t_stop - self.t_start)
+        self.envelope = envelope
+        self.profile = profile
 
     def chi(self, t: float) -> np.ndarray:
-        return self.strength * self._envelope(self._s(t)) * self._profile(t)
-
-    def dchi_dt(self, t: float) -> np.ndarray:
-        span = self.t_stop - self.t_start
-        s = self._s(t)
-        out = self.strength * self._envelope_rate(s) / span * self._profile(t)
-        if self._profile_rate is not None:
-            out = out + self.strength * self._envelope(s) * self._profile_rate(t)
-        return out
-
-    def dchi_dx(self, t: float) -> np.ndarray:
-        return self.strength * self._envelope(self._s(t)) * self._profile_dx(t)
+        s = (t - self.t_start) / (self.t_stop - self.t_start)
+        return self.strength * self.envelope(s)[0] * self.profile(t)[0]
 
     @classmethod
     def ramped_profile(cls, config: LatticeConfig, profile: np.ndarray,
@@ -112,9 +92,8 @@ class GaugeFunction:
         profile = np.array(profile, dtype=float)
         if profile.shape != (config.site_count,):
             raise ValueError("profile must be one sample per grid site")
-        profile_dx = spectral_derivative(profile, config.box_length)
-        return cls(config, strength, t_start, t_stop, lambda t: profile, None,
-                   smoothstep, smoothstep_rate, lambda t: profile_dx)
+        static = (profile, None, spectral_derivative(profile, config.box_length))
+        return cls(config, strength, t_start, t_stop, ramp, lambda t: static)
 
     @classmethod
     def bump_series(cls, config: LatticeConfig, times: np.ndarray,
@@ -134,16 +113,15 @@ class GaugeFunction:
         rate2 = spline.derivative(2)
 
         def bump(s):
-            g = smoothstep(s)
-            return 4.0 * g * (1.0 - g)
+            g, g_rate = ramp(s)
+            return 4.0 * g * (1.0 - g), 4.0 * g_rate * (1.0 - 2.0 * g)
 
-        def bump_rate(s):
-            g = smoothstep(s)
-            return 4.0 * smoothstep_rate(s) * (1.0 - 2.0 * g)
+        def profile(t):
+            p = np.asarray(rate(t))
+            return (p, np.asarray(rate2(t)),
+                    spectral_derivative(p, config.box_length))
 
-        return cls(config, strength, t_start, t_stop,
-                   lambda t: np.asarray(rate(t)), lambda t: np.asarray(rate2(t)),
-                   bump, bump_rate)
+        return cls(config, strength, t_start, t_stop, bump, profile)
 
 
 class Potential:
@@ -153,18 +131,13 @@ class Potential:
 
     def __init__(self, config: LatticeConfig, a0_fn=None, a_fn=None):
         self.config = config
-        self._a0 = a0_fn
-        self._a = a_fn
+        self._fns = (a0_fn, a_fn)
 
-    def a0(self, t: float) -> np.ndarray:
-        if self._a0 is None:
-            return np.zeros(self.config.site_count)
-        return np.asarray(self._a0(t), dtype=float)
-
-    def a(self, t: float) -> np.ndarray:
-        if self._a is None:
-            return np.zeros(self.config.site_count)
-        return np.asarray(self._a(t), dtype=float)
+    def fields(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(A0, A) at time t, each one sample per site; zeros where no
+        function was given."""
+        return tuple(np.zeros(self.config.site_count) if fn is None
+                     else np.asarray(fn(t), dtype=float) for fn in self._fns)
 
 
 class ZeroPotential(Potential):
@@ -186,11 +159,16 @@ class PureGaugePotential(Potential):
         super().__init__(gauge.config)
         self.gauge = gauge
 
-    def a0(self, t: float) -> np.ndarray:
-        return self.gauge.dchi_dt(t)
-
-    def a(self, t: float) -> np.ndarray:
-        return -self.gauge.dchi_dx(t)
+    def fields(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """chi's derivatives from one call of its envelope and its profile."""
+        gauge = self.gauge
+        span = gauge.t_stop - gauge.t_start
+        g, g_rate = gauge.envelope((t - gauge.t_start) / span)
+        p, p_rate, p_dx = gauge.profile(t)
+        a0 = gauge.strength * g_rate / span * p
+        if p_rate is not None:
+            a0 = a0 + gauge.strength * g * p_rate
+        return a0, -(gauge.strength * g * p_dx)
 
 
 @dataclass
@@ -272,8 +250,9 @@ def _couplings(config: LatticeConfig, potential: Potential | None, t: float):
     if potential is None:
         zeros = np.zeros(config.site_count)
         return zeros, zeros
-    v0 = config.charge * potential.a0(t)
-    v1 = -config.charge * potential.a(t)
+    a0, a = potential.fields(t)
+    v0 = config.charge * a0
+    v1 = -config.charge * a
     if not (np.isfinite(v0).all() and np.isfinite(v1).all()):
         raise ValueError(f"potential is not finite at t={t}")
     return v0, v1
@@ -692,7 +671,8 @@ def rate_identity_series(traj: Trajectory, potential: Potential) -> np.ndarray:
         dxi = (traj.free_energy[i + 1] - traj.free_energy[i - 1]) / (2 * h)
         dj = (traj.current[i + 1] - traj.current[i - 1]) / (2 * h)
         drho = (traj.density[i + 1] - traj.density[i - 1]) / (2 * h)
-        rhs = a * np.sum(dj * potential.a(t)) - a * np.sum(drho * potential.a0(t))
+        a0, vector = potential.fields(t)
+        rhs = a * np.sum(dj * vector) - a * np.sum(drho * a0)
         out[i] = abs(dxi - rhs)
     return out
 

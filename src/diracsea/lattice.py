@@ -86,6 +86,7 @@ class ModeBasis:
     spinor is an eigenvector, the pair is pinned to (1,0) / (0,1).
 
     Modes are ordered by (lam descending, |k|, k); ``lam``, ``energy``,
+    ``eigenvalue`` (the level lam E, the one copy every module reads),
     ``momentum`` and ``momentum_index`` have shape (2N,) and ``spinors`` shape
     (2, 2N).  The sampled wavefunctions are exposed both as ``phi`` with shape
     (N, 2, 2N) (site, spinor, mode) and flattened site-major as ``flat`` with
@@ -102,6 +103,7 @@ class ModeBasis:
         self.momentum_index = k[order]
         self.momentum = p = np.tile(config.momenta, 2)[order]
         self.energy = np.hypot(p, m)
+        self.eigenvalue = self.lam * self.energy
         top = self.energy + m
         norm = np.sqrt(2.0 * self.energy) * np.sqrt(top)  # E^2 underflows at tiny E
         pinned = self.energy == 0.0  # p = m = 0: u_+ = (1, 0), u_- = (0, 1)
@@ -157,7 +159,7 @@ class ModeBasis:
         """Dense 2N x 2N matrix of h0 in the site-spinor basis."""
         # sqrt(a) * flat is unitary; h0 is exactly U diag(lam E) U^dag
         u = np.sqrt(self.config.spacing) * self.flat
-        return (u * (self.lam * self.energy)) @ u.conj().T
+        return (u * self.eigenvalue) @ u.conj().T
 
 
 def build_basis(config: LatticeConfig) -> ModeBasis:

@@ -55,7 +55,7 @@ def mode_pairs(basis: ModeBasis, rows, cols):
     """
     ur = basis.spinors[:, rows].conj().T
     uc = basis.spinors[:, cols]
-    eps = basis.lam * basis.energy
+    eps = basis.eigenvalue
     k = basis.momentum_index
     return (ur @ uc, ur @ ALPHA @ uc, eps[rows, None] - eps[None, cols],
             k[None, cols] - k[rows, None])
@@ -77,10 +77,10 @@ def current_kernel(basis: ModeBasis, site: int) -> OneBodyKernel:
 
 def free_hamiltonian_kernel(basis: ModeBasis, occ: OccupationSet | None = None) -> OneBodyKernel:
     """Diagonal kernel lam_n E_n; subtraction = occupied-energy sum if given."""
-    k = np.diag((basis.lam * basis.energy).astype(complex))
+    k = np.diag(basis.eigenvalue.astype(complex))
     xi = 0.0
     if occ is not None:
-        xi = float(np.sum(basis.lam[list(occ.indices)] * basis.energy[list(occ.indices)]))
+        xi = float(np.sum(basis.eigenvalue[list(occ.indices)]))
     return OneBodyKernel(k, xi)
 
 
@@ -99,7 +99,7 @@ def renorm_constants(basis: ModeBasis, occ: OccupationSet) -> RenormalizationCon
     occ_phi = basis.phi[:, :, idx]  # (N, 2, n_occ)
     rho = q * np.einsum("jsn,jsn->j", occ_phi.conj(), occ_phi).real
     cur = q * np.einsum("jsn,st,jtn->j", occ_phi.conj(), ALPHA, occ_phi).real
-    xi = float(np.sum(basis.lam[idx] * basis.energy[idx]))
+    xi = float(np.sum(basis.eigenvalue[idx]))
     return RenormalizationConstants(rho, cur, xi)
 
 

@@ -143,8 +143,9 @@ def first_order_current(kernel: ResponseKernel, potential, t,
             for t_prime, w in zip(ts, weights):
                 if t_prime != sampled:  # a segment starts on the last's end
                     sampled = t_prime
-                    source = (charge * np.fft.fft(potential.a0(t_prime))[bins]
-                              - current * np.fft.fft(potential.a(t_prime))[bins])
+                    a0, vector = potential.fields(t_prime)
+                    source = (charge * np.fft.fft(a0)[bins]
+                              - current * np.fft.fft(vector)[bins])
                     phase = np.exp(-1j * kernel.omega * t_prime)
                 integral += w * source * phase
             reached = t_out
@@ -208,8 +209,8 @@ def deep_state_coupling(basis: ModeBasis, potential_fn, t_span, packet,
     deep = phi_fine[:, :, deep_mode]
     packet_modes = phi_fine[:, :, idx]
 
-    deep_eps = basis.lam[deep_mode] * basis.energy[deep_mode]
-    packet_eps = basis.lam[idx] * basis.energy[idx]
+    deep_eps = basis.eigenvalue[deep_mode]
+    packet_eps = basis.eigenvalue[idx]
     fastest = abs(deep_eps) + np.abs(packet_eps).max()
     ts, weights = _time_grid(
         t0, t1, _interval_count(t1 - t0, fastest, samples_per_period))

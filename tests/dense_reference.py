@@ -159,8 +159,9 @@ def single_particle_hamiltonian(basis, potential, t: float) -> np.ndarray:
     """
     h = basis.free_hamiltonian_matrix().copy()
     q = basis.config.charge
-    a0 = q * potential.a0(t)
-    a1 = -q * potential.a(t)
+    a0, a1 = potential.fields(t)
+    a0 = q * a0
+    a1 = -q * a1
     idx = np.arange(basis.config.site_count)
     h[2 * idx, 2 * idx] += a0
     h[2 * idx + 1, 2 * idx + 1] += a0

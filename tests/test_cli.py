@@ -267,6 +267,40 @@ def test_stationary_packet_violates_invariant(tmp_path):
     assert code == 2
 
 
+def test_continuity_rate_kick_is_refused_by_extract_energy(tmp_path, capsys):
+    # a continuity_rate kick's chi vanishes at t_b, so xi0_2_predicted does
+    # not move with f and there is no slope to extract: exit code 2
+    cfg = write_config(tmp_path / "cfg.json", {
+        "lattice": BASE_LATTICE, "vacuum": "standard",
+        "packet": {"p_center": 2.0, "sigma": 0.2},
+        "t_a": 0.0, "t_b": 1.5, "sample_stride": 10,
+        "kick": {"recipe": "continuity_rate",
+                 "f": [0.0, 0.01, 0.02, 0.03, 0.04]},
+    })
+    assert main(["extract-energy", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["exit_code"] == 2 and "chi" in err["error"]
+
+
+SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name, command, output, invariant", [
+    ("extract_energy.json", "extract-energy", "extract_energy_summary.json",
+     lambda s: s["slope_rel_err"] <= 0.05 and s["monotone_decreasing_small_f"]),
+    ("response_paths.json", "response", "response_summary.json",
+     lambda s: s["max_path_difference"] <= 1e-6),
+    ("schwinger_sweep.json", "sweep", "sweep_index.json",
+     lambda s: s["exit_codes"] and all(code == 0 for code in s["exit_codes"])),
+], ids=["extract_energy", "response_paths", "schwinger_sweep"])
+def test_shipped_config_runs(tmp_path, name, command, output, invariant):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(SHIPPED_CONFIGS / name),
+                 "--out", str(out)]) == 0
+    assert invariant(json.loads((out / output).read_text()))
+
+
 KICKED_PACKET = {
     "lattice": BASE_LATTICE, "vacuum": "standard",
     "packet": {"p_center": 2.0, "sigma": 0.2},

@@ -118,7 +118,8 @@ def test_recorded_density_rate_matches_dense(basis_n9):
     state, pot = kicked_packet(basis_n9, 0.3)
     t = 0.4  # mid-window, where both A0 and A are nonzero
     traj, final = ev.run_trajectory(state, pot, t, default_dt(basis_n9))
-    assert np.abs(pot.a0(t)).max() > 0 and np.abs(pot.a(t)).max() > 0
+    a0, a = pot.fields(t)
+    assert np.abs(a0).max() > 0 and np.abs(a).max() > 0
     h = single_particle_hamiltonian(basis_n9, pot, final.time)
     h_psi = h @ final.orbitals
     psi = final.orbitals.reshape(9, 2, -1)
@@ -234,8 +235,8 @@ def test_pure_gauge_vanishes_at_start(basis_n9):
                                  1.0, default_dt(basis_n9))
     gauge = ev.build_kick_chi(traj1, "density_rate", 0.5, 0.0, 1.0)
     assert np.abs(gauge.chi(0.0)).max() == 0.0
-    assert np.abs(gauge.dchi_dt(0.0)).max() == 0.0
     pot = ev.PureGaugePotential(gauge)
+    assert np.abs(pot.fields(0.0)[0]).max() == 0.0
     h = single_particle_hamiltonian(basis_n9, pot, 0.0)
     assert np.abs(h - basis_n9.free_hamiltonian_matrix()).max() < 1e-13
 
@@ -346,8 +347,9 @@ def test_continuity_rate_kick_is_compactly_supported(basis_n9):
     gauge = ev.build_kick_chi(traj1, "continuity_rate", 0.3, 0.0, 1.0)
     assert np.abs(gauge.chi(0.0)).max() == 0.0
     assert np.abs(gauge.chi(1.0)).max() == 0.0
-    assert np.abs(gauge.dchi_dt(0.0)).max() < 1e-12
-    assert np.abs(gauge.dchi_dt(1.0)).max() < 1e-12
+    pot = ev.PureGaugePotential(gauge)
+    assert np.abs(pot.fields(0.0)[0]).max() < 1e-12
+    assert np.abs(pot.fields(1.0)[0]).max() < 1e-12
     assert np.abs(gauge.chi(0.5)).max() >= 0.0  # defined inside the window
 
 
@@ -408,6 +410,40 @@ def test_rate_identity_second_order(basis_n9):
     assert -order > 1.9
 
 
+def synthetic_kicks(config):
+    """Each kick recipe on a synthetic input with a visible time dependence:
+    the ramp on cos x, and the bump on sin 3t cos x + t^2 sin 2x sampled at
+    41 knots over [0, 1]."""
+    x = config.grid
+    times = np.linspace(0.0, 1.0, 41)
+    series = (np.sin(3.0 * times)[:, None] * np.cos(x)
+              + (times**2)[:, None] * np.sin(2.0 * x))
+    return {
+        "ramped_profile": ev.GaugeFunction.ramped_profile(
+            config, np.cos(x), 0.7, 0.0, 1.0),
+        "bump_series": ev.GaugeFunction.bump_series(
+            config, times, series, 0.7, 0.0, 1.0),
+    }
+
+
+@pytest.mark.parametrize("recipe", ["ramped_profile", "bump_series"])
+def test_kick_recipe_is_pure_gauge(recipe):
+    """(A0, A) = (d chi/dt, -d chi/dx) at interior times off the knots: A0
+    against a centred difference of chi, A against chi's spectral
+    derivative, so the kick carries no electric field."""
+    config = LatticeConfig(TWO_PI, 9, 1.0)
+    gauge = synthetic_kicks(config)[recipe]
+    pot = ev.PureGaugePotential(gauge)
+    h = 1e-5
+    for t in (0.2137, 0.5311, 0.7777):
+        a0, a = pot.fields(t)
+        rate = (gauge.chi(t + h) - gauge.chi(t - h)) / (2.0 * h)
+        gradient = ev.spectral_derivative(gauge.chi(t), config.box_length)
+        assert np.abs(a0).max() > 1e-2 and np.abs(a).max() > 1e-2
+        assert np.abs(a0 - rate).max() < 1e-7 * np.abs(a0).max()
+        assert np.abs(a + gradient).max() < 1e-14 * np.abs(a).max()
+
+
 def test_rate_identity_static_scalar_potential(basis_n9):
     state = packet_state(basis_n9)
     pot = ev.Potential(basis_n9.config,
@@ -421,7 +457,7 @@ def test_rate_identity_static_scalar_potential(basis_n9):
     i = len(traj.times) // 2
     dxi = (traj.free_energy[i + 1] - traj.free_energy[i - 1]) / (2 * h)
     drho = (traj.density[i + 1] - traj.density[i - 1]) / (2 * h)
-    reduced = abs(dxi + a * np.sum(drho * pot.a0(traj.times[i])))
+    reduced = abs(dxi + a * np.sum(drho * pot.fields(traj.times[i])[0]))
     assert series[i] == pytest.approx(reduced, abs=1e-15)
     assert ev.rate_identity_residual(traj, pot) < 1e-6
 

@@ -205,10 +205,11 @@ def test_site_smearing_is_the_retarded_kernel_integral(basis_n9):
                                         smearing="site")
         ts, weights = rs._time_grid(
             t_start, t, rs.kubo_interval_count(basis_n9, t - t_start))
+        fields = [pot.fields(s) for s in ts]
         expected = config.spacing * sum(
-            w * (dense.retarded_current_current(kernel, t - s) @ pot.a(s)
-                 - dense.retarded_current_charge(kernel, t - s) @ pot.a0(s))
-            for s, w in zip(ts, weights))
+            w * (dense.retarded_current_current(kernel, t - s) @ a
+                 - dense.retarded_current_charge(kernel, t - s) @ a0)
+            for s, w, (a0, a) in zip(ts, weights, fields))
         assert np.abs(direct).max() > 1e-3  # visibly nonzero
         assert np.abs(direct - expected).max() < 1e-12
 
@@ -290,19 +291,19 @@ def test_running_quadrature_samples_each_node_once(basis_n9, monkeypatch):
     kernel = rs.vacuum_response_kernel(basis_n9, VacuumSpec("standard"))
     pot = ev.PureGaugePotential(harmonic_gauge(basis_n9.config))
     grids, calls = [], []
-    time_grid, a0 = rs._time_grid, pot.a0
+    time_grid, fields = rs._time_grid, pot.fields
 
     def grid_spy(*args):
         ts, weights = time_grid(*args)
         grids.append(ts)
         return ts, weights
 
-    def a0_spy(t):
+    def fields_spy(t):
         calls.append(t)
-        return a0(t)
+        return fields(t)
 
     monkeypatch.setattr(rs, "_time_grid", grid_spy)
-    monkeypatch.setattr(pot, "a0", a0_spy)
+    monkeypatch.setattr(pot, "fields", fields_spy)
     t_start, t_stop, n_times = 0.0, 1.5, 50
     times = np.linspace(t_start, t_stop, n_times + 1)[1:]
     rs.first_order_current(kernel, pot, times, t_start)
