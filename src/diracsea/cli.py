@@ -419,19 +419,20 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
     i_stop = free_traj.index_of(t_stop)
     # the slope of xi0_2_predicted in f: -a sum (d rho/dt)(t_b) chi_1(t_b),
     # chi_1 the kick at f = 1
-    unit_chi = ev.build_kick_chi(free_traj, recipe, 1.0, t_start,
-                                 t_stop).chi(t_stop)
+    unit = ev.build_kick_chi(free_traj, recipe, 1.0, t_start, t_stop)
     slope_predicted = -basis.config.spacing * float(
-        np.sum(free_traj.density_rate[i_stop] * unit_chi))
+        np.sum(free_traj.density_rate[i_stop] * unit.chi(t_stop)))
     if abs(slope_predicted) < 1e-14:
         raise InvariantError(
             "the density rate or the kick's chi vanishes at t_b (as a "
             "continuity_rate kick's does); the kick has nothing to extract")
 
-    # every nonzero strength advances in one batch against the free branch
+    # every nonzero strength advances in one batch against the free branch;
+    # the kicks share the unit kick's shape, so each step evaluates it once
+    # (f * unit.strength is f * +-1.0, exactly the strength of f's own kick)
     kicked = [f for f in strengths if f != 0.0]
-    gauges = [ev.build_kick_chi(free_traj, recipe, f, t_start, t_stop)
-              for f in kicked]
+    gauges = [ev.GaugeFunction(basis.config, f * unit.strength, t_start, t_stop,
+                               unit.envelope, unit.profile) for f in kicked]
     try:
         reports = ev.gauge_pair_sweep(state, gauges, t_start, t_stop, dt,
                                       stride, free_branch=free_traj)

@@ -25,9 +25,11 @@ thread in both processes (``_second_process``); elsewhere the run goes in
 turn, in this process.
 
 A potential gives both its fields at once, ``Potential.fields(t)`` ->
-(A0, A), so each step, the rate identity and the Kubo source ask once per
-time; a pure-gauge potential reads (d chi/dt, -d chi/dx) off one call of its
-gauge function's envelope and one of its profile.
+(A0, A), so the rate identity and the Kubo source ask once per time; a
+pure-gauge potential reads (d chi/dt, -d chi/dx) off one call of its gauge
+function's envelope and one of its profile.  Each step asks once for the
+couplings of the whole batch (``_couplings``), where pure-gauge kicks of one
+shape, as ``extract-energy`` builds its sweep, share those two calls.
 
 The module also hosts the gauge-kick experiment: build a gauge function from
 the density rate of a potential-free trajectory, evolve a second branch under
@@ -161,14 +163,21 @@ class PureGaugePotential(Potential):
 
     def fields(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """chi's derivatives from one call of its envelope and its profile."""
-        gauge = self.gauge
-        span = gauge.t_stop - gauge.t_start
-        g, g_rate = gauge.envelope((t - gauge.t_start) / span)
-        p, p_rate, p_dx = gauge.profile(t)
-        a0 = gauge.strength * g_rate / span * p
-        if p_rate is not None:
-            a0 = a0 + gauge.strength * g * p_rate
-        return a0, -(gauge.strength * g * p_dx)
+        return _gauge_fields(self.gauge, self.gauge.strength, t)
+
+
+def _gauge_fields(gauge: GaugeFunction, strengths, t: float):
+    """(A0, A) = (d chi/dt, -d chi/dx) of ``gauge``'s shape at ``strengths``,
+    a float (one value per site) or a (k, 1) column (a (k, N) array): one
+    envelope and one profile call serve every strength, and row j is, bit
+    for bit, the field at strength j alone."""
+    span = gauge.t_stop - gauge.t_start
+    g, g_rate = gauge.envelope((t - gauge.t_start) / span)
+    p, p_rate, p_dx = gauge.profile(t)
+    a0 = strengths * g_rate / span * p
+    if p_rate is not None:
+        a0 = a0 + strengths * g * p_rate
+    return a0, -(strengths * g * p_dx)
 
 
 @dataclass
@@ -245,12 +254,28 @@ def vacuum_state(basis: ModeBasis, spec: VacuumSpec | OccupationSet,
     return SlaterState(basis, occ, orbitals, time)
 
 
-def _couplings(config: LatticeConfig, potential: Potential | None, t: float):
-    """Site couplings (q A0, -q A) at time t; zeros without a potential."""
-    if potential is None:
-        zeros = np.zeros(config.site_count)
-        return zeros, zeros
-    a0, a = potential.fields(t)
+def _couplings(config: LatticeConfig, potentials, t: float):
+    """Site couplings v0 = q A0 and v1 = -q A at time t, (N, n_branch) with
+    one column per potential, each bit for bit that potential's own.
+
+    ``PureGaugePotential``s whose gauges share one envelope, one profile and
+    one window form a group that calls each once (``_gauge_fields``); any
+    other potential gives its own ``fields``.
+    """
+    a0 = np.empty((config.site_count, len(potentials)))
+    a = np.empty_like(a0)
+    groups = {}
+    for b, potential in enumerate(potentials):
+        if isinstance(potential, PureGaugePotential):
+            gauge = potential.gauge
+            key = (gauge.envelope, gauge.profile, gauge.t_start, gauge.t_stop)
+            groups.setdefault(key, []).append(b)
+        else:
+            a0[:, b], a[:, b] = potential.fields(t)
+    for columns in groups.values():
+        strengths = np.array([[potentials[b].gauge.strength] for b in columns])
+        rows0, rows = _gauge_fields(potentials[columns[0]].gauge, strengths, t)
+        a0[:, columns], a[:, columns] = rows0.T, rows.T
     v0 = config.charge * a0
     v1 = -config.charge * a
     if not (np.isfinite(v0).all() and np.isfinite(v1).all()):
@@ -390,8 +415,10 @@ def apply_hamiltonian(basis: ModeBasis, orbitals: np.ndarray,
     ``orbitals`` is (2N, n_orb), or one field of shape (2N,) or (N, 2); the
     result has the same shape.  Applies h0 alone when no potential is given.
     """
-    v0, v1 = _couplings(basis.config, potential, t)
-    psi = np.asarray(orbitals, dtype=complex).reshape(basis.config.site_count, 2, -1)
+    config = basis.config
+    v0, v1 = (_couplings(config, [potential], t) if potential is not None
+              else (np.zeros((config.site_count, 1)),) * 2)
+    psi = np.asarray(orbitals, dtype=complex).reshape(config.site_count, 1, 2, -1)
     return 1j * _minus_i_h(basis, v0, v1)(psi).reshape(orbitals.shape)
 
 
@@ -595,14 +622,15 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
     """``run_trajectory`` for several potentials from one initial state.
 
     The branches advance together as one stacked orbital tensor: each step
+    evaluates the couplings of all of them in one ``_couplings`` call and
     applies one Chebyshev series, and each sample one observation, to all of
     them; every branch matches its own ``run_trajectory`` up to rounding.
     When every potential is a ``ZeroPotential`` the run takes one exact free
     rotation by ``sample_stride`` steps per sample interval.  A kicked run
     that ``_splits`` advances the second half of its orbital axis in a second
-    process (``_second_process``), with the same series in both; the halves
-    are joined only to be observed, and the outputs are those of the run in
-    turn up to dgemm's rounding by column block.
+    process (``_second_process``), with the same couplings and series in
+    both; the halves are joined only to be observed, and the outputs are
+    those of the run in turn up to dgemm's rounding by column block.
     Returns one (trajectory, final_state) pair per potential.
     """
     n_steps, dt_eff = step_count(state.time, t_final, dt, sample_stride)
@@ -624,9 +652,7 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
             part = free(part)
         for _ in range(sample_stride):
             if free is None:
-                v0, v1 = (np.stack(v, axis=-1) for v in zip(
-                    *(_couplings(config, p, time + 0.5 * dt_eff)
-                      for p in potentials)))
+                v0, v1 = _couplings(config, potentials, time + 0.5 * dt_eff)
                 part = _propagator(basis, v0, v1, dt_eff)(part)
             time = time + dt_eff
         return part, time

@@ -1,12 +1,14 @@
 import os
 import signal
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dense_reference as dense
 from dense_reference import single_particle_hamiltonian
+from diracsea import cli
 from diracsea import evolution as ev
 from diracsea import fock
 from diracsea.lattice import LatticeConfig, build_basis
@@ -178,6 +180,120 @@ def test_batched_branches_match_single_runs(basis_n9):
                           - getattr(single, name)).max() < 1e-12, name
     with pytest.raises(ValueError):  # free branch sampled at another stride
         ev.gauge_pair_sweep(state, gauges, 0.0, 1.0, dt, 10, free_branch=free)
+
+
+def shared_shape(gauge, strengths):
+    """Pure-gauge potentials of ``gauge``'s shape and window at each strength
+    times its own, built as extract-energy builds its sweep."""
+    return [ev.PureGaugePotential(ev.GaugeFunction(
+        gauge.config, f * gauge.strength, gauge.t_start, gauge.t_stop,
+        gauge.envelope, gauge.profile)) for f in strengths]
+
+
+def per_potential_couplings(config, potentials, t):
+    """(q A0, -q A) of each potential's own ``fields``, stacked per branch."""
+    fields = [potential.fields(t) for potential in potentials]
+    return (np.stack([config.charge * a0 for a0, _ in fields], axis=-1),
+            np.stack([-config.charge * a for _, a in fields], axis=-1))
+
+
+SHIPPED_STRENGTHS = (0.01, 0.02, 0.03, 0.04, 0.1, 0.2, 0.4, 1.0, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("batch", ["ramped_profile", "bump_series", "mixed"])
+def test_batched_couplings_are_each_potentials_own(batch):
+    """A group of kicks sharing one shape, and a mixed batch (two shapes,
+    one of them also in another window, a plain ``Potential`` and a
+    ``ZeroPotential``), give each branch its own potential's couplings, bit
+    for bit."""
+    config = LatticeConfig(TWO_PI, 9, 1.0, -0.5)
+    kicks = synthetic_kicks(config)
+    if batch == "mixed":
+        x = config.grid
+        ramped, bump = (shared_shape(kicks[name], (0.3, -2.0))
+                        for name in ("ramped_profile", "bump_series"))
+        shape = kicks["ramped_profile"]
+        other_window = ev.PureGaugePotential(ev.GaugeFunction(
+            config, 0.5, 0.2, 0.8, shape.envelope, shape.profile))
+        potentials = [ramped[0], bump[0], ev.Potential(
+            config, a0_fn=lambda t: 0.2 * np.cos(x + t)),
+            ramped[1], other_window, ev.ZeroPotential(config), bump[1]]
+    else:
+        potentials = shared_shape(kicks[batch], SHIPPED_STRENGTHS + (-0.3,))
+    for t in (-0.2, 0.0, 0.2137, 0.5311, 1.0, 1.3):
+        v0, v1 = ev._couplings(config, potentials, t)
+        expected0, expected1 = per_potential_couplings(config, potentials, t)
+        assert v0.shape == v1.shape == (9, len(potentials))
+        assert np.array_equal(v0, expected0) and np.array_equal(v1, expected1), t
+        if 0.0 < t < 1.0:  # inside the kicks' window both fields act
+            assert np.abs(v0).max() > 0 and np.abs(v1).max() > 0
+
+
+def test_batched_couplings_refuse_a_nan_profile():
+    config = LatticeConfig(TWO_PI, 9, 1.0)
+    profile = np.cos(config.grid)
+    profile[4] = np.nan
+    gauge = ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^potential is not finite at t=0\.5$"):
+        ev._couplings(config, shared_shape(gauge, (0.01, 0.4)), 0.5)
+
+
+def test_shipped_sweep_evaluates_its_kick_shape_once_per_step(tmp_path,
+                                                             monkeypatch):
+    """In an in-turn run of the shipped extract-energy, each of its 320 steps
+    calls the kicks' one envelope and one profile once for all ten kicked
+    strengths."""
+    calls, per_step = [], []
+    build, couplings = ev.build_kick_chi, ev._couplings
+
+    def spied_kick(*args):
+        gauge = build(*args)
+        envelope, profile = gauge.envelope, gauge.profile
+        gauge.envelope = lambda s: calls.append("envelope") or envelope(s)
+        gauge.profile = lambda t: calls.append("profile") or profile(t)
+        return gauge
+
+    def counted(config, potentials, t):
+        before = len(calls)
+        out = couplings(config, potentials, t)
+        per_step.append(sorted(calls[before:]))
+        return out
+
+    monkeypatch.setattr(ev, "build_kick_chi", spied_kick)
+    monkeypatch.setattr(ev, "_couplings", counted)
+    monkeypatch.setattr(ev, "_splits", lambda psi, n_steps: False)
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "extract_energy.json"
+    assert cli.main(["extract-energy", "--config", str(shipped),
+                     "--out", str(tmp_path)]) == 0
+    assert len(per_step) == 320
+    assert all(step == ["envelope", "profile"] for step in per_step)
+
+
+@pytest.mark.parametrize("recipe", ["density_rate", "continuity_rate"])
+def test_kicks_sharing_the_unit_shape_change_no_report(recipe, basis_n9):
+    """Kicks built from one unit kick, as extract-energy builds them, report
+    exactly what kicks built one per strength do."""
+    state = packet_state(basis_n9)
+    dt = default_dt(basis_n9)
+    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
+                                dt, sample_stride=5)
+    strengths = (0.01, 0.4, 4.0)
+    unit = ev.build_kick_chi(free, recipe, 1.0, 0.0, 1.0)
+    shared = [potential.gauge for potential in shared_shape(unit, strengths)]
+    own = [ev.build_kick_chi(free, recipe, f, 0.0, 1.0) for f in strengths]
+    assert len({(g.envelope, g.profile) for g in shared}) == 1
+    assert len({g.profile for g in own}) == len(strengths)  # a shape each
+    reports = [ev.gauge_pair_sweep(state, gauges, 0.0, 1.0, dt, 5,
+                                   free_branch=free) for gauges in (shared, own)]
+    for report1, report2 in zip(*reports):
+        for name, value in vars(report1).items():
+            if isinstance(value, ev.Trajectory):
+                for field_name in TRAJECTORY_FIELDS:
+                    assert np.array_equal(getattr(value, field_name),
+                                          getattr(getattr(report2, name),
+                                                  field_name)), (name, field_name)
+            else:
+                assert value == getattr(report2, name), name
 
 
 def test_last_sample_observes_the_final_state(basis_n9):
@@ -635,7 +751,7 @@ def test_split_step_equals_serial_halves(basis_n201):
     _, final = ev.run_trajectory(state, pot, dt, dt)
     psi = state.orbitals.reshape(201, 1, 2, -1)
     half = psi.shape[-1] // 2
-    v0, v1 = (v[:, None] for v in ev._couplings(basis_n201.config, pot, 0.5 * dt))
+    v0, v1 = ev._couplings(basis_n201.config, [pot], 0.5 * dt)
     step = ev._propagator(basis_n201, v0, v1, dt)
     whole = step(psi)
     split = np.concatenate([step(np.ascontiguousarray(psi[..., :half])),
