@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -195,23 +196,29 @@ def _integer(section: dict, key: str, default=_REQUIRED,
     return int(value)
 
 
+@contextmanager
+def _config_error(prefix: str = ""):
+    """A ValueError raised inside, a value the package refuses, goes on as a
+    ConfigError with the same message after ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def _basis_from(config: dict):
     lattice = _section(config, "lattice", {})
     values = (_number(lattice, "L"), _integer(lattice, "N"),
               _number(lattice, "m"), _number(lattice, "q", 1.0))
-    try:
+    with _config_error():
         return build_basis(LatticeConfig(*values))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _vacuum_from(config: dict) -> VacuumSpec:
     kind = config.get("vacuum", "standard")
     width = _number(config, "delta_Ew") if kind == "band" else None
-    try:
+    with _config_error("invalid vacuum spec: "):
         return VacuumSpec(kind, width)
-    except ValueError as exc:
-        raise ConfigError(f"invalid vacuum spec: {exc}") from exc
 
 
 def _default_dt(basis) -> float:
@@ -249,10 +256,8 @@ def run_schwinger(config: dict, out_dir: Path, seed: int) -> list[Path]:
     basis = _basis_from(config)
     spec = _vacuum_from(config)
     cfg = basis.config
-    try:
+    with _config_error():
         kernel = sw.commutator_kernel(basis, spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     width = spec.band_width if spec.kind == "band" else ""
     values = kernel.values
     divergence = sw.divergence_of_kernel(kernel)
@@ -307,10 +312,8 @@ def _packet_from(config: dict, state):
     if packet is None:
         return state
     p_center, sigma = _number(packet, "p_center"), _number(packet, "sigma")
-    try:
+    with _config_error():
         return ev.excite_wavepacket(state, p_center, sigma)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _window_from(config: dict, basis):
@@ -325,10 +328,8 @@ def _stepping_from(config: dict, basis, t_start: float, t_stop: float):
     """Time step and sample stride, if evolution accepts them for the window."""
     dt = _number(config, "dt", _default_dt(basis))
     stride = _integer(config, "sample_stride", 1, minimum=1)
-    try:
+    with _config_error():
         ev.step_count(t_start, t_stop, dt, stride)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return dt, stride
 
 
@@ -375,10 +376,8 @@ def run_evolve(config: dict, out_dir: Path, seed: int) -> list[Path]:
         gauge = ev.build_kick_chi(free_traj, recipe, strength, t_start, t_stop)
         potential = ev.PureGaugePotential(gauge)
 
-    try:
+    with _config_error():  # a kick too strong to evolve
         traj, final = ev.run_trajectory(state, potential, t_stop, dt, stride)
-    except ValueError as exc:  # a kick too strong to evolve
-        raise ConfigError(str(exc)) from exc
     if len(traj.times) < 3:
         raise ConfigError(
             f"evolve records {len(traj.times)} samples and needs at least "
@@ -433,11 +432,9 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
     kicked = [f for f in strengths if f != 0.0]
     gauges = [ev.GaugeFunction(basis.config, f * unit.strength, t_start, t_stop,
                                unit.envelope, unit.profile) for f in kicked]
-    try:
+    with _config_error():  # a kick too strong to evolve
         reports = ev.gauge_pair_sweep(state, gauges, t_start, t_stop, dt,
                                       stride, free_branch=free_traj)
-    except ValueError as exc:  # a kick too strong to evolve
-        raise ConfigError(str(exc)) from exc
     # one row per strength; f = 0 rows repeat the free branch
     xi_free = free_traj.free_energy[i_stop]
     table = np.tile([0.0, xi_free, xi_free, xi_free, 0.0, 0.0, 0.0],
@@ -488,11 +485,9 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
     if smearing not in rs.SMEARINGS:
         raise ConfigError(
             f"smearing must be one of {rs.SMEARINGS}, got {smearing!r}")
-    try:
+    with _config_error():
         rs.kubo_interval_count(basis, t_stop - t_start)  # the longest quadrature
         commutator = sw.commutator_kernel(basis, spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     cfg = basis.config
     profile = amplitude * np.cos(2.0 * np.pi * harmonic * cfg.grid

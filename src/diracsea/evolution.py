@@ -6,7 +6,7 @@ carried entirely by the single-particle orbitals:
 
     i d/dt psi_o = [h0 - q alpha A(x,t) + q A0(x,t)] psi_o.
 
-Each step applies the exponential of the midpoint Hamiltonian, which is
+Each step (``_propagate``) applies the midpoint Hamiltonian's exponential,
 unitary up to rounding and second-order accurate in dt.  The exponential is
 evaluated without forming h: as a Chebyshev series in h (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)) whose terms each apply -i h once, by one real
@@ -52,9 +52,9 @@ from .vacua import OccupationSet, VacuumSpec, occupation_set
 
 
 def ramp(s):
-    """Quintic ramp g(s) with two vanishing derivatives at both ends, and dg/ds."""
-    # a float is clamped by min and max: the bits of np.clip, NaN kept, faster
-    s = min(max(s, 0.0), 1.0) if isinstance(s, float) else np.clip(s, 0.0, 1.0)
+    """Quintic ramp g(s) of a float s, with two vanishing derivatives at both
+    ends, and dg/ds; a NaN s stays NaN."""
+    s = min(max(s, 0.0), 1.0)
     return s**3 * (10.0 + s * (-15.0 + 6.0 * s)), 30.0 * s**2 * (1.0 - s) ** 2
 
 
@@ -73,8 +73,8 @@ class GaugeFunction:
 
     def __init__(self, config: LatticeConfig, strength: float, t_start: float,
                  t_stop: float, envelope, profile):
-        if t_stop <= t_start:
-            raise ValueError("gauge window must have t_stop > t_start")
+        if not (np.isfinite([t_start, t_stop]).all() and t_stop > t_start):
+            raise ValueError("gauge window must have finite t_stop > t_start")
         self.config = config
         self.strength = float(strength)
         self.t_start = float(t_start)
@@ -241,7 +241,7 @@ class Trajectory:
 
     def index_of(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 0.5 * self.sample_spacing + 1e-12:
+        if not abs(self.times[i] - t) <= 0.5 * self.sample_spacing + 1e-12:
             raise ValueError(f"time {t} not sampled in this trajectory")
         return i
 
@@ -337,7 +337,7 @@ def _bessel_weights(z: float, count: int) -> np.ndarray:
     J_{k-1} = (2k/z) J_k - J_{k+1} runs down from J_count = 0, J_{count-1} = 1
     and is normalized by J_0 + 2 sum_k J_2k = 1 (Gautschi, SIAM Review 9
     (1967) 24; Abramowitz & Stegun 9.1.27, 9.1.46).  The start error decays
-    like (J_count / J_k)^2, negligible here because ``_propagator`` asks for
+    like (J_count / J_k)^2, negligible here because ``_propagate`` asks for
     ~30 orders past the last weight it keeps.  Against scipy.special.jv the
     weights differ by 1.1e-16 at the shipped R dt (<= 0.09), 1.6e-15 at 60
     and at most 1.1e-13 up to the largest R dt that ``MAX_SERIES_TERMS``
@@ -345,7 +345,7 @@ def _bessel_weights(z: float, count: int) -> np.ndarray:
     terms.  Unnormalized, the recurrence grows by about (2/z)^count count!;
     below z = 1e-9 that would overflow, but there J_0 rounds to 1, J_1 to z/2
     and J_2 < 1.3e-19 falls in the dropped tail (``_kept_terms``), so those
-    are the weights.  From z = 1e-9 on, where ``_propagator`` asks for 30
+    are the weights.  From z = 1e-9 on, where ``_propagate`` asks for 30
     orders, the growth stays below (2e9)^29 29! = 5e300.
     """
     if z < 1e-9:
@@ -368,20 +368,21 @@ def _kept_terms(weights: np.ndarray) -> int:
     return max(2, int(np.count_nonzero(tail > 0.5 * np.finfo(float).eps)))
 
 
-def _propagator(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray, dt: float):
-    """psi -> exp(-i h dt) psi for stacked site-major orbitals psi
+def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
+               v1: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) psi for stacked site-major orbitals psi
     (N, n_branch, 2, n_orb), or any slice of their orbital axis.
 
     Branch b feels the couplings v0[:, b], v1[:, b].  All branches share one
     Chebyshev series exp(-i h dt) = sum_k (2 - delta_k0) (-i)^k J_k(R dt)
     T_k(h / R), with R = E_max + max_b (max|v0[:, b]| + max|v1[:, b]|)
     bounding the spectrum of every branch's h.  R, the weights and the term
-    count are fixed here, so every orbital slice sums the same series; each
-    orbital evolves on its own, so slices may run at the same time.
-    ValueError when the series would exceed ``MAX_SERIES_TERMS`` terms.
+    count depend on v0, v1 and dt alone, so every orbital slice sums the same
+    series; each orbital evolves on its own, so slices may run at the same
+    time.  ValueError when the series would exceed ``MAX_SERIES_TERMS`` terms.
     """
     if not (v0.any() or v1.any()):
-        return _free_rotation(basis, dt)
+        return _free_rotation(basis, dt)(psi)
     radius = basis.max_energy + float(
         (np.abs(v0).max(axis=0) + np.abs(v1).max(axis=0)).max())
     z = radius * dt
@@ -392,34 +393,27 @@ def _propagator(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray, dt: float):
     weights = _bessel_weights(z, int(length) + 30)
     n_terms = _kept_terms(weights)
     step = _minus_i_h(basis, v0, v1, 2.0 / radius)  # -2i h / R
-
-    def propagate(psi: np.ndarray) -> np.ndarray:
-        # phi_k = (-i)^k T_k(h / R) psi = -2i (h / R) phi_{k-1} + phi_{k-2}
-        prev, cur = psi, 0.5 * step(psi)
-        out = weights[0] * psi + (2.0 * weights[1]) * cur
-        for k in range(2, n_terms):
-            nxt = step(cur)
-            nxt += prev
-            prev, cur = cur, nxt
-            out += (2.0 * weights[k]) * cur
-        return out
-
-    return propagate
+    # phi_k = (-i)^k T_k(h / R) psi = -2i (h / R) phi_{k-1} + phi_{k-2}
+    prev, cur = psi, 0.5 * step(psi)
+    out = weights[0] * psi + (2.0 * weights[1]) * cur
+    for k in range(2, n_terms):
+        nxt = step(cur)
+        nxt += prev
+        prev, cur = cur, nxt
+        out += (2.0 * weights[k]) * cur
+    return out
 
 
-def apply_hamiltonian(basis: ModeBasis, orbitals: np.ndarray,
-                      potential: Potential | None = None,
-                      t: float = 0.0) -> np.ndarray:
-    """h(t) applied to site-major orbitals without forming h.
+def apply_hamiltonian(basis: ModeBasis, orbitals: np.ndarray) -> np.ndarray:
+    """h0 applied to site-major orbitals without forming it.
 
     ``orbitals`` is (2N, n_orb), or one field of shape (2N,) or (N, 2); the
-    result has the same shape.  Applies h0 alone when no potential is given.
+    result has the same shape.
     """
-    config = basis.config
-    v0, v1 = (_couplings(config, [potential], t) if potential is not None
-              else (np.zeros((config.site_count, 1)),) * 2)
-    psi = np.asarray(orbitals, dtype=complex).reshape(config.site_count, 1, 2, -1)
-    return 1j * _minus_i_h(basis, v0, v1)(psi).reshape(orbitals.shape)
+    n_sites = basis.config.site_count
+    zeros = np.zeros((n_sites, 1))
+    psi = np.asarray(orbitals, dtype=complex).reshape(n_sites, 1, 2, -1)
+    return 1j * _minus_i_h(basis, zeros, zeros)(psi).reshape(orbitals.shape)
 
 
 def _observe(basis: ModeBasis, subtractions: RenormalizationConstants,
@@ -622,14 +616,14 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
     """``run_trajectory`` for several potentials from one initial state.
 
     The branches advance together as one stacked orbital tensor: each step
-    evaluates the couplings of all of them in one ``_couplings`` call and
-    applies one Chebyshev series, and each sample one observation, to all of
-    them; every branch matches its own ``run_trajectory`` up to rounding.
+    makes one ``_couplings`` call and one ``_propagate`` call, one Chebyshev
+    series, for all of them, and each sample one observation; every branch
+    matches its own ``run_trajectory`` up to rounding.
     When every potential is a ``ZeroPotential`` the run takes one exact free
     rotation by ``sample_stride`` steps per sample interval.  A kicked run
     that ``_splits`` advances the second half of its orbital axis in a second
-    process (``_second_process``), with the same couplings and series in
-    both; the halves are joined only to be observed, and the outputs are
+    process (``_second_process``), which calls ``_propagate`` with the same
+    couplings; the halves are joined only to be observed, and the outputs are
     those of the run in turn up to dgemm's rounding by column block.
     Returns one (trajectory, final_state) pair per potential.
     """
@@ -653,7 +647,7 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
         for _ in range(sample_stride):
             if free is None:
                 v0, v1 = _couplings(config, potentials, time + 0.5 * dt_eff)
-                part = _propagator(basis, v0, v1, dt_eff)(part)
+                part = _propagate(basis, part, v0, v1, dt_eff)
             time = time + dt_eff
         return part, time
 
@@ -711,14 +705,16 @@ def rate_identity_residual(traj: Trajectory, potential: Potential) -> float:
 def gaussian_packet_coefficients(basis: ModeBasis, p_center: float,
                                  sigma: float):
     """Positive-branch mode indices and Gaussian weights for a wave packet."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     idx = np.where(basis.lam > 0)[0]
     p = basis.momentum[idx]
     weights = np.exp(-((p - p_center) ** 2) / (4.0 * sigma**2))
     edge = np.abs(p).max()
     edge_weight = weights[np.abs(p) == edge].max()
-    if edge_weight > 1e-8 * weights.max():
+    # false on NaN weights (a NaN p_center) and on weights that all underflow
+    # (an infinite or far p_center), so those are refused too
+    if not (weights.max() > 0 and edge_weight <= 1e-8 * weights.max()):
         raise ValueError(
             "packet support reaches the momentum cutoff; narrow sigma or "
             "recenter p_center"

@@ -155,7 +155,8 @@ def mode_coefficients(basis, psi: np.ndarray) -> np.ndarray:
 def single_particle_hamiltonian(basis, potential, t: float) -> np.ndarray:
     """h(t) = h0 - q alpha A(x,t) + q A0(x,t), dense and hermitian.
 
-    The reference for ``evolution.apply_hamiltonian``; evolution never forms it.
+    The reference for i times ``evolution._minus_i_h`` at the couplings of
+    ``evolution._couplings``; evolution never forms it.
     """
     h = basis.free_hamiltonian_matrix().copy()
     q = basis.config.charge

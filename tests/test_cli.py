@@ -371,12 +371,16 @@ def single_error_line(capsys) -> dict:
     ("check-basis", {"lattice": dict(BASE_LATTICE, N=200001)}),
     ("evolve", {"lattice": BASE_LATTICE, "vacuum": "bare", "t_a": 0.0,
                 "t_b": 1.0, "kick": {"recipe": "density_rate", "f": 0.01}}),
+    ("schwinger", {"lattice": BASE_LATTICE, "vacuum": "bare"}),
+    ("schwinger", {"lattice": BASE_LATTICE, "vacuum": "band", "delta_Ew": 50.0}),
+    ("evolve", dict(KICKED_PACKET, packet={"p_center": 1e3, "sigma": 0.5})),
 ], ids=["text-t_a", "null-t_b", "list-kick", "list-packet", "list-chi",
         "text-chi-k", "unknown-smearing", "null-delta_Ew", "nan-delta_Ew",
         "text-small_f_count", "one-strength", "equal-strengths",
         "tied-small-f-head", "scalar-sweep-values", "list-config",
         "numeric-text-t_b", "nan-p_center", "inf-t_b", "list-recipe",
-        "nan-chi-amplitude", "huge-response-t_b", "huge-N", "bare-no-packet"])
+        "nan-chi-amplitude", "huge-response-t_b", "huge-N", "bare-no-packet",
+        "bare-schwinger", "band-past-cutoff-schwinger", "far-p_center"])
 def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch,
                                           command, config):
     def no_evolution(*args, **kwargs):
@@ -386,6 +390,20 @@ def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch,
     cfg = write_config(tmp_path / "cfg.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert single_error_line(capsys)["exit_code"] == 1
+
+
+@pytest.mark.parametrize("read, config, prefix", [
+    (cli._vacuum_from, {"vacuum": "bogus"}, "invalid vacuum spec: "),
+    (cli._basis_from, {"lattice": dict(BASE_LATTICE, N=8)}, ""),
+], ids=["vacuum", "basis"])
+def test_refused_value_keeps_its_message_and_cause(read, config, prefix):
+    """A ValueError from the package goes on as a ConfigError with the same
+    message after the reader's prefix, chained to it."""
+    with pytest.raises(cli.ConfigError) as caught:
+        read(config)
+    cause = caught.value.__cause__
+    assert type(cause) is ValueError
+    assert str(caught.value) == prefix + str(cause)
 
 
 @pytest.mark.parametrize("argv", [

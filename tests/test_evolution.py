@@ -38,6 +38,13 @@ def one_step(state, potential, dt):
     return ev.run_trajectory(state, potential, state.time + dt, dt)[1]
 
 
+def apply_h(basis, orbitals, potential, t):
+    """h(t) orbitals, (2N, n_orb), with the couplings a step uses at t."""
+    psi = orbitals.reshape(basis.config.site_count, 1, 2, -1)
+    couplings = ev._couplings(basis.config, [potential], t)
+    return (1j * ev._minus_i_h(basis, *couplings)(psi)).reshape(orbitals.shape)
+
+
 def kicked_packet(basis, strength, sigma=0.2, t_stop=1.0):
     """Packet state and the pure-gauge potential of its density-rate kick."""
     state = packet_state(basis, sigma=sigma)
@@ -94,7 +101,7 @@ def test_matrix_free_hamiltonian_matches_dense(basis_n9):
     state, pot = kicked_packet(basis_n9, 0.3)
     t = 0.4
     dense = single_particle_hamiltonian(basis_n9, pot, t) @ state.orbitals
-    matrix_free = ev.apply_hamiltonian(basis_n9, state.orbitals, pot, t)
+    matrix_free = apply_h(basis_n9, state.orbitals, pot, t)
     assert np.abs(matrix_free - dense).max() < 1e-13
     free = basis_n9.free_hamiltonian_matrix() @ state.orbitals
     assert np.abs(ev.apply_hamiltonian(basis_n9, state.orbitals) - free).max() < 1e-13
@@ -112,7 +119,7 @@ def test_matrix_free_hamiltonian_matches_dense_at_large_n(n_sites, rng):
     psi = rng.normal(size=(2 * n_sites, 6)) + 1j * rng.normal(size=(2 * n_sites, 6))
     psi /= np.sqrt(basis.config.spacing * (np.abs(psi) ** 2).sum(axis=0))
     dense = single_particle_hamiltonian(basis, pot, 0.3) @ psi
-    matrix_free = ev.apply_hamiltonian(basis, psi, pot, 0.3)
+    matrix_free = apply_h(basis, psi, pot, 0.3)
     assert np.abs(matrix_free - dense).max() < 1e-12 * np.abs(dense).max()
 
 
@@ -236,6 +243,25 @@ def test_batched_couplings_refuse_a_nan_profile():
     gauge = ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"^potential is not finite at t=0\.5$"):
         ev._couplings(config, shared_shape(gauge, (0.01, 0.4)), 0.5)
+
+
+def test_couplings_refuse_a_nan_time():
+    """The ramp keeps a NaN time NaN, so its fields are refused, not clamped."""
+    config = LatticeConfig(TWO_PI, 9, 1.0)
+    gauge = ev.GaugeFunction.ramped_profile(config, np.cos(config.grid), 1.0,
+                                            0.0, 1.0)
+    assert np.isnan(ev.ramp(np.nan)).all()
+    with pytest.raises(ValueError, match=r"^potential is not finite at t=nan$"):
+        ev._couplings(config, [ev.PureGaugePotential(gauge)], np.float64(np.nan))
+
+
+@pytest.mark.parametrize("t_start, t_stop", [
+    (0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0), (1.0, 0.5)])
+def test_gauge_window_must_be_finite_and_ordered(t_start, t_stop):
+    config = LatticeConfig(TWO_PI, 9, 1.0)
+    with pytest.raises(ValueError, match="gauge window"):
+        ev.GaugeFunction.ramped_profile(config, np.cos(config.grid), 1.0,
+                                        t_start, t_stop)
 
 
 def test_shipped_sweep_evaluates_its_kick_shape_once_per_step(tmp_path,
@@ -393,6 +419,11 @@ def test_wavepacket_guards(basis_n9):
     state = ev.vacuum_state(basis_n9, VacuumSpec("standard"))
     with pytest.raises(ValueError):
         ev.excite_wavepacket(state, 3.9, 1.5)  # reaches the cutoff
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        ev.excite_wavepacket(state, 2.0, np.nan)
+    for p_center in (np.nan, np.inf, 1e3):  # 1e3: every weight underflows
+        with pytest.raises(ValueError, match="cutoff"):
+            ev.excite_wavepacket(state, p_center, 0.5)
     with pytest.warns(UserWarning):
         ev.excite_wavepacket(state, 2.0, 0.05)  # single-mode packet
     packet = ev.excite_wavepacket(state, 2.0, 0.2)
@@ -425,6 +456,18 @@ def test_density_rate_matches_finite_difference(basis_n9):
     i = len(traj.times) // 2
     fd = (traj.density[i + 1] - traj.density[i - 1]) / (2 * traj.sample_spacing)
     assert np.abs(traj.density_rate[i] - fd).max() < 5.0 * traj.sample_spacing**2
+
+
+def test_unsampled_time_is_refused(basis_n9):
+    free, _ = ev.run_trajectory(packet_state(basis_n9),
+                                ev.ZeroPotential(basis_n9.config), 1.0,
+                                default_dt(basis_n9), sample_stride=10)
+    assert free.index_of(1.0) == len(free.times) - 1
+    for t in (np.nan, np.inf, 1.5):
+        with pytest.raises(ValueError, match="not sampled"):
+            free.index_of(t)
+    with pytest.raises(ValueError, match="not sampled"):
+        ev.build_kick_chi(free, "density_rate", 0.1, 0.0, np.nan)
 
 
 def test_kick_requires_free_trajectory(basis_n9):
@@ -654,7 +697,7 @@ def test_bessel_weights_match_scipy():
     grid = np.concatenate([[0.0, 1e-300, 1e-12, 1e-9, 1e-8, 1e-3, 0.0628, 0.085],
                            np.logspace(-2, np.log10(largest), 120)])
     for z in grid:
-        count = int(z + 20.0 * np.cbrt(z)) + 30  # the orders _propagator asks for
+        count = int(z + 20.0 * np.cbrt(z)) + 30  # the orders _propagate asks for
         mine, ref = ev._bessel_weights(z, count), jv(np.arange(count), z)
         bound = 2.3e-16 if z <= 1.0 else 2e-13  # 1.1e-13 measured near z = 9000
         assert np.abs(mine - ref).max() <= bound, z
@@ -752,7 +795,9 @@ def test_split_step_equals_serial_halves(basis_n201):
     psi = state.orbitals.reshape(201, 1, 2, -1)
     half = psi.shape[-1] // 2
     v0, v1 = ev._couplings(basis_n201.config, [pot], 0.5 * dt)
-    step = ev._propagator(basis_n201, v0, v1, dt)
+    def step(part):
+        return ev._propagate(basis_n201, part, v0, v1, dt)
+
     whole = step(psi)
     split = np.concatenate([step(np.ascontiguousarray(psi[..., :half])),
                             step(np.ascontiguousarray(psi[..., half:]))], axis=-1)
