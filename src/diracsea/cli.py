@@ -426,15 +426,10 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
             "the density rate or the kick's chi vanishes at t_b (as a "
             "continuity_rate kick's does); the kick has nothing to extract")
 
-    # every nonzero strength advances in one batch against the free branch;
-    # the kicks share the unit kick's shape, so each step evaluates it once
-    # (f * unit.strength is f * +-1.0, exactly the strength of f's own kick)
+    # every nonzero strength advances in one batch against the free branch
     kicked = [f for f in strengths if f != 0.0]
-    gauges = [ev.GaugeFunction(basis.config, f * unit.strength, t_start, t_stop,
-                               unit.envelope, unit.profile) for f in kicked]
     with _config_error():  # a kick too strong to evolve
-        reports = ev.gauge_pair_sweep(state, gauges, t_start, t_stop, dt,
-                                      stride, free_branch=free_traj)
+        reports = ev.gauge_pair_sweep(state, unit, kicked, free_traj, dt, stride)
     # one row per strength; f = 0 rows repeat the free branch
     xi_free = free_traj.free_energy[i_stop]
     table = np.tile([0.0, xi_free, xi_free, xi_free, 0.0, 0.0, 0.0],
@@ -490,9 +485,12 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
         commutator = sw.commutator_kernel(basis, spec)
 
     cfg = basis.config
-    profile = amplitude * np.cos(2.0 * np.pi * harmonic * cfg.grid
-                                 / cfg.box_length)
-    gauge = ev.GaugeFunction.ramped_profile(cfg, profile, 1.0, t_start, t_stop)
+    with _config_error(), np.errstate(over="ignore", invalid="ignore"):
+        # a chi past the float range is refused by ``ramped_profile``, unwarned
+        profile = amplitude * np.cos(2.0 * np.pi * harmonic * cfg.grid
+                                     / cfg.box_length)
+        gauge = ev.GaugeFunction.ramped_profile(cfg, profile, 1.0, t_start,
+                                                t_stop)
     potential = ev.PureGaugePotential(gauge)
     kernel = rs.vacuum_response_kernel(basis, spec)
 

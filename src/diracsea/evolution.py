@@ -29,12 +29,12 @@ A potential gives both its fields at once, ``Potential.fields(t)`` ->
 pure-gauge potential reads (d chi/dt, -d chi/dx) off one call of its gauge
 function's envelope and one of its profile.  Each step asks once for the
 couplings of the whole batch (``_couplings``), where pure-gauge kicks of one
-shape, as ``extract-energy`` builds its sweep, share those two calls.
+shape share those two calls.
 
 The module also hosts the gauge-kick experiment: build a gauge function from
-the density rate of a potential-free trajectory, evolve a second branch under
-the corresponding pure-gauge potential, and compare the observables and the
-free-field energy of the two branches.
+the density rate of a potential-free trajectory, evolve branches of its
+shape at multiples of its strength (``gauge_pair_sweep``), and compare the
+observables and the free-field energy of each with the free branch.
 """
 
 from __future__ import annotations
@@ -90,11 +90,16 @@ class GaugeFunction:
     def ramped_profile(cls, config: LatticeConfig, profile: np.ndarray,
                        strength: float, t_start: float,
                        t_stop: float) -> "GaugeFunction":
-        """chi(x,t) = strength * ramp(t) * profile(x), ramp(t_stop) = 1."""
+        """chi(x,t) = strength * ramp(t) * profile(x), ramp(t_stop) = 1;
+        ValueError unless the profile and its derivative are finite."""
         profile = np.array(profile, dtype=float)
         if profile.shape != (config.site_count,):
             raise ValueError("profile must be one sample per grid site")
-        static = (profile, None, spectral_derivative(profile, config.box_length))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            dx = spectral_derivative(profile, config.box_length)
+        if not np.isfinite([profile, dx]).all():
+            raise ValueError("chi's profile and its derivative must be finite")
+        static = (profile, None, dx)
         return cls(config, strength, t_start, t_stop, ramp, lambda t: static)
 
     @classmethod
@@ -705,11 +710,14 @@ def rate_identity_residual(traj: Trajectory, potential: Potential) -> float:
 def gaussian_packet_coefficients(basis: ModeBasis, p_center: float,
                                  sigma: float):
     """Positive-branch mode indices and Gaussian weights for a wave packet."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not (sigma > 0 and 0.0 < sigma * sigma < np.inf):
+        raise ValueError("sigma must be positive, with a square that neither "
+                         "underflows to 0 nor overflows")
     idx = np.where(basis.lam > 0)[0]
     p = basis.momentum[idx]
-    weights = np.exp(-((p - p_center) ** 2) / (4.0 * sigma**2))
+    # a far p_center overflows the square: refused below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(-((p - p_center) ** 2) / (4.0 * sigma**2))
     edge = np.abs(p).max()
     edge_weight = weights[np.abs(p) == edge].max()
     # false on NaN weights (a NaN p_center) and on weights that all underflow
@@ -765,7 +773,6 @@ def build_kick_chi(traj: Trajectory, recipe: str, strength: float,
 class GaugePairReport:
     """Outcome of evolving the same state with and without a pure-gauge kick."""
 
-    free_branch: Trajectory
     gauge_branch: Trajectory
     max_density_deviation: float
     max_current_deviation: float
@@ -775,46 +782,46 @@ class GaugePairReport:
     predicted_gauge_tb_branch2: float
 
 
-def gauge_pair_sweep(state: SlaterState, gauges, t_start: float,
-                     t_stop: float, dt: float, sample_stride: int = 1,
-                     free_branch: Trajectory | None = None
-                     ) -> list[GaugePairReport]:
-    """Evolve one free branch and a pure-gauge branch per gauge function.
+def gauge_pair_sweep(state: SlaterState, kick: GaugeFunction, factors,
+                     free_branch: Trajectory, dt: float,
+                     sample_stride: int = 1) -> list[GaugePairReport]:
+    """One pure-gauge branch per factor f, each against ``free_branch``.
 
-    The gauge branches advance together (``run_branches``).  ``free_branch``
-    is the potential-free trajectory of ``state`` with the same window, step
-    and stride, when the caller has one; otherwise it is evolved here.  Each
+    Branch f is ``kick``'s envelope, profile and window at strength
+    f * ``kick.strength`` (for a unit kick, f * +-1.0, exactly the strength
+    of a kick built at f), so the branches share one shape: they advance
+    together (``run_branches``) and each step evaluates it once.  ``state``
+    is prepared at the kick's start; ``free_branch`` is its potential-free
+    trajectory with the kick's window and the same step and stride.  Each
     report holds the worst observable deviation between its branch and the
     free one, the final free-field energies, and the first-order prediction
     xi0_free(t_b) - int (d rho_free/dt)(x, t_b) chi(x, t_b) dx, evaluated
     with the density rate of either branch (both are reported; they agree
     exactly only when the lattice is exactly gauge covariant).
     """
-    if abs(state.time - t_start) > 1e-12:
-        raise ValueError("state must be prepared at t_start")
-    config = state.basis.config
-    if free_branch is None:
-        free_branch, _ = run_trajectory(state, ZeroPotential(config), t_stop,
-                                        dt, sample_stride)
-    elif free_branch.provenance != "zero":
+    if abs(state.time - kick.t_start) > 1e-12:
+        raise ValueError("state must be prepared at the kick's start")
+    if free_branch.provenance != "zero":
         raise ValueError("free_branch must be a potential-free trajectory")
-    gauges = list(gauges)
+    gauges = [GaugeFunction(kick.config, f * kick.strength, kick.t_start,
+                            kick.t_stop, kick.envelope, kick.profile)
+              for f in factors]
     branches = [traj for traj, _ in run_branches(
-        state, [PureGaugePotential(g) for g in gauges], t_stop, dt,
+        state, [PureGaugePotential(g) for g in gauges], kick.t_stop, dt,
         sample_stride)]
     traj1 = free_branch
     if branches and not np.array_equal(branches[0].times, traj1.times):
         raise ValueError("free_branch is not sampled at the branch times")
-    a = config.spacing
-    i_tb = traj1.index_of(t_stop)
+    a = state.basis.config.spacing
+    i_tb = traj1.index_of(kick.t_stop)
     reports = []
     for gauge, traj2 in zip(gauges, branches):
         dev_rho = float(np.abs(traj2.density - traj1.density).max())
         dev_cur = float(np.abs(traj2.current - traj1.current).max())
-        chi_tb = gauge.chi(t_stop)
+        chi_tb = gauge.chi(kick.t_stop)
         pred1 = traj1.free_energy[i_tb] - a * np.sum(traj1.density_rate[i_tb] * chi_tb)
         pred2 = traj1.free_energy[i_tb] - a * np.sum(traj2.density_rate[i_tb] * chi_tb)
-        reports.append(GaugePairReport(traj1, traj2, dev_rho, dev_cur,
+        reports.append(GaugePairReport(traj2, dev_rho, dev_cur,
                                        float(traj1.free_energy[i_tb]),
                                        float(traj2.free_energy[i_tb]),
                                        float(pred1), float(pred2)))

@@ -101,6 +101,10 @@ def _subset(indices, mode_indices) -> np.ndarray:
 
 
 def _kernel(basis: ModeBasis, occupied, partners, mode_indices) -> SchwingerKernel:
+    box_length = basis.config.box_length
+    if not 0.0 < box_length * box_length < np.inf:  # the pair sums divide by L^2
+        raise ValueError(f"box length L = {box_length:g} needs a square that "
+                         "is a finite, nonzero float")
     occupied = _subset(occupied, mode_indices)
     partners = _subset(partners, mode_indices)
     terms = _pair_terms(basis, occupied, partners, basis.config.charge)
@@ -108,18 +112,14 @@ def _kernel(basis: ModeBasis, occupied, partners, mode_indices) -> SchwingerKern
     return SchwingerKernel(basis, occupied, partners, terms - terms[::-1].conj())
 
 
-def schwinger_standard(
-    basis: ModeBasis, mode_indices=None, occupied_branch: int = -1
-) -> SchwingerKernel:
-    """Filled-sea kernel: transitions from the occupied branch to the other.
+def schwinger_standard(basis: ModeBasis, mode_indices=None) -> SchwingerKernel:
+    """Filled-sea kernel: transitions from the negative branch to the positive.
 
-    ``occupied_branch`` = -1 is the physical sea; +1 swaps which branch is
-    treated as filled (particle-hole flip), which negates the kernel.
     ``mode_indices`` restricts the mode sum to a subset (used by the Fock
     oracle comparisons, where subsets give nonvanishing grid values).
     """
-    return _kernel(basis, np.flatnonzero(basis.lam == occupied_branch),
-                   np.flatnonzero(basis.lam == -occupied_branch), mode_indices)
+    return _kernel(basis, np.flatnonzero(basis.lam < 0),
+                   np.flatnonzero(basis.lam > 0), mode_indices)
 
 
 def schwinger_band(
@@ -158,7 +158,7 @@ def divergence_of_kernel(kernel: SchwingerKernel) -> np.ndarray:
     return over_pairs(kernel.on_grid(1j * base * kernel.transfers))
 
 
-def divergence_diag_closed_form(basis: ModeBasis, mode_indices=None) -> np.ndarray:
+def divergence_diag_closed_form(basis: ModeBasis) -> np.ndarray:
     """Coincident-point divergence of the filled-sea kernel, per site.
 
     Equals -2i q^2 sum over sea->positive pairs of (E_n + E_m) |u_m^dag u_n|^2
@@ -166,9 +166,8 @@ def divergence_diag_closed_form(basis: ModeBasis, mode_indices=None) -> np.ndarr
     strictly negative whenever the charge and the spinor overlaps are.  The
     result is x-independent for plane waves, so all N entries coincide.
     """
-    occupied = _subset(np.flatnonzero(basis.lam < 0), mode_indices)
-    partners = _subset(np.flatnonzero(basis.lam > 0), mode_indices)
-    overlap, _, gap, _ = mode_pairs(basis, occupied, partners)
+    overlap, _, gap, _ = mode_pairs(basis, np.flatnonzero(basis.lam < 0),
+                                    np.flatnonzero(basis.lam > 0))
     # the gap lam E of a sea mode less that of its partner is -(E + E')
     total = float(np.sum(-gap * np.abs(overlap) ** 2))
     q = basis.config.charge

@@ -88,14 +88,12 @@ def occupation_set(spec: VacuumSpec, basis: ModeBasis) -> OccupationSet:
     return OccupationSet(tuple(in_band.tolist()), M)
 
 
-def coupled_band_spec(basis: ModeBasis, headroom_fraction: float = 0.5) -> VacuumSpec:
-    """Band spec with width tied to the cutoff: width = fraction * (E_max - m).
+def coupled_band_spec(basis: ModeBasis) -> VacuumSpec:
+    """Band spec with width tied to the cutoff: width = (E_max - m) / 2.
 
     This realizes the infinite-band limit as a family over growing cutoffs;
     at fixed truncation taking the width to the cutoff would collapse the band
     vacuum onto the filled sea and erase the distinction being studied.
     """
-    if not 0.0 < headroom_fraction < 1.0:
-        raise ValueError("headroom_fraction must lie strictly between 0 and 1")
-    width = headroom_fraction * (basis.max_energy - basis.config.mass)
+    width = 0.5 * (basis.max_energy - basis.config.mass)
     return VacuumSpec("band", width)

@@ -114,6 +114,41 @@ def test_nan_defect_fails_gate(tmp_path, monkeypatch, command, config, module,
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def nan_defect(values):
+    return np.nan * values
+
+
+def imaginary_diagonal(values):
+    return values + 1e-6j * np.eye(len(values))
+
+
+@pytest.mark.parametrize("command, config, owner, name, defect, message", [
+    ("schwinger", {"lattice": BASE_LATTICE}, sw.SchwingerKernel, "values",
+     nan_defect, "kernel developed a real part above 1e-12"),
+    ("schwinger", {"lattice": BASE_LATTICE}, sw, "divergence_of_kernel",
+     nan_defect, "coincident-point divergence lost its sign"),
+    ("schwinger", {"lattice": BASE_LATTICE, "vacuum": "band", "delta_Ew": 1.5},
+     sw.SchwingerKernel, "values", imaginary_diagonal,
+     "band kernel nonzero at coincident points"),
+    ("evolve", {"lattice": BASE_LATTICE, "packet": {"p_center": 2.0,
+                                                     "sigma": 0.2}},
+     ev.SlaterState, "gram_defect", nan_defect,
+     "orbital orthonormality drifted above 1e-10"),
+], ids=["real-part", "divergence-sign", "band-diagonal", "gram"])
+def test_gate_fails_with_its_message(tmp_path, capsys, monkeypatch, command,
+                                     config, owner, name, defect, message):
+    """Each gate, fed a defect only it checks, exits 2 with its message."""
+    original = vars(owner)[name]
+    if isinstance(original, property):
+        patched = property(lambda self: defect(original.fget(self)))
+    else:
+        patched = lambda *args: defect(original(*args))  # noqa: E731
+    monkeypatch.setattr(owner, name, patched)
+    cfg = write_config(tmp_path / "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert single_error_line(capsys) == {"error": message, "exit_code": 2}
+
+
 def test_schwinger_outputs(tmp_path):
     # no "vacuum" key: the filled sea is the default
     cfg = write_config(tmp_path / "cfg.json", {"lattice": BASE_LATTICE})
@@ -390,6 +425,45 @@ def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch,
     cfg = write_config(tmp_path / "cfg.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert single_error_line(capsys)["exit_code"] == 1
+
+
+RESPONSE = {"lattice": BASE_LATTICE, "t_a": 0.0, "t_b": 1.5, "n_times": 5}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, config, message", [
+    ("response", dict(RESPONSE, chi={"k": 1e308}), "chi's profile"),
+    ("response", dict(RESPONSE, chi={"amplitude": 1e308}), "chi's profile"),
+    ("schwinger", {"lattice": dict(BASE_LATTICE, L=1e160)}, "box length"),
+    ("schwinger", {"lattice": dict(BASE_LATTICE, L=1e300)}, "box length"),
+    ("schwinger", {"lattice": dict(BASE_LATTICE, L=1e-300)}, "box length"),
+    ("response", dict(RESPONSE, lattice=dict(BASE_LATTICE, L=1e160)),
+     "box length"),
+    ("evolve", dict(KICKED_PACKET, packet={"p_center": 1e200, "sigma": 0.2}),
+     "cutoff"),
+    ("evolve", dict(KICKED_PACKET, packet={"p_center": 2.0, "sigma": 1e-200}),
+     "sigma"),
+    ("evolve", dict(KICKED_PACKET, packet={"p_center": 2.0, "sigma": 1e200}),
+     "sigma"),
+], ids=["huge-chi-k", "huge-chi-amplitude", "L-1e160", "L-1e300", "L-1e-300",
+        "response-L-1e160", "huge-p_center", "tiny-sigma", "huge-sigma"])
+def test_value_past_float_range_is_one_config_error_line(tmp_path, capsys,
+                                                         command, config,
+                                                         message):
+    """A finite value whose arithmetic overflows or underflows is refused
+    with exit 1 and one JSON line: no warning, NaN output or traceback."""
+    cfg = write_config(tmp_path / "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert message in single_error_line(capsys)["error"]
+
+
+def test_check_basis_takes_a_box_the_kernel_refuses(tmp_path):
+    """L = 1e300 has no finite square for the kernel's pair sums, but the
+    basis checks do not divide by it."""
+    cfg = write_config(tmp_path / "cfg.json",
+                       {"lattice": dict(BASE_LATTICE, L=1e300)})
+    assert main(["check-basis", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("read, config, prefix", [

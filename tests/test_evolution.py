@@ -173,11 +173,11 @@ def test_batched_branches_match_single_runs(basis_n9):
     dt = default_dt(basis_n9)
     free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
                                 dt, sample_stride=5)
-    gauges = [ev.build_kick_chi(free, "density_rate", f, 0.0, 1.0)
-              for f in (0.01, 0.4, 4.0)]
-    reports = ev.gauge_pair_sweep(state, gauges, 0.0, 1.0, dt, 5,
-                                  free_branch=free)
-    for gauge, report in zip(gauges, reports):
+    strengths = (0.01, 0.4, 4.0)
+    unit = ev.build_kick_chi(free, "density_rate", 1.0, 0.0, 1.0)
+    reports = ev.gauge_pair_sweep(state, unit, strengths, free, dt, 5)
+    for f, report in zip(strengths, reports):
+        gauge = ev.build_kick_chi(free, "density_rate", f, 0.0, 1.0)
         single, _ = ev.run_trajectory(state, ev.PureGaugePotential(gauge), 1.0,
                                       dt, sample_stride=5)
         batched = report.gauge_branch
@@ -186,12 +186,12 @@ def test_batched_branches_match_single_runs(basis_n9):
             assert np.abs(getattr(batched, name)
                           - getattr(single, name)).max() < 1e-12, name
     with pytest.raises(ValueError):  # free branch sampled at another stride
-        ev.gauge_pair_sweep(state, gauges, 0.0, 1.0, dt, 10, free_branch=free)
+        ev.gauge_pair_sweep(state, unit, strengths, free, dt, 10)
 
 
 def shared_shape(gauge, strengths):
     """Pure-gauge potentials of ``gauge``'s shape and window at each strength
-    times its own, built as extract-energy builds its sweep."""
+    times its own, built as ``gauge_pair_sweep`` builds its branches."""
     return [ev.PureGaugePotential(ev.GaugeFunction(
         gauge.config, f * gauge.strength, gauge.t_start, gauge.t_stop,
         gauge.envelope, gauge.profile)) for f in strengths]
@@ -240,7 +240,9 @@ def test_batched_couplings_refuse_a_nan_profile():
     config = LatticeConfig(TWO_PI, 9, 1.0)
     profile = np.cos(config.grid)
     profile[4] = np.nan
-    gauge = ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0, 1.0)
+    # past ``ramped_profile``, which refuses a non-finite profile itself
+    static = (profile, None, np.zeros(9))
+    gauge = ev.GaugeFunction(config, 1.0, 0.0, 1.0, ev.ramp, lambda t: static)
     with pytest.raises(ValueError, match=r"^potential is not finite at t=0\.5$"):
         ev._couplings(config, shared_shape(gauge, (0.01, 0.4)), 0.5)
 
@@ -297,8 +299,8 @@ def test_shipped_sweep_evaluates_its_kick_shape_once_per_step(tmp_path,
 
 @pytest.mark.parametrize("recipe", ["density_rate", "continuity_rate"])
 def test_kicks_sharing_the_unit_shape_change_no_report(recipe, basis_n9):
-    """Kicks built from one unit kick, as extract-energy builds them, report
-    exactly what kicks built one per strength do."""
+    """The sweep's branches, which share the unit kick's shape, are bit for
+    bit the branches of kicks built one per strength, and so is chi(t_b)."""
     state = packet_state(basis_n9)
     dt = default_dt(basis_n9)
     free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
@@ -309,17 +311,14 @@ def test_kicks_sharing_the_unit_shape_change_no_report(recipe, basis_n9):
     own = [ev.build_kick_chi(free, recipe, f, 0.0, 1.0) for f in strengths]
     assert len({(g.envelope, g.profile) for g in shared}) == 1
     assert len({g.profile for g in own}) == len(strengths)  # a shape each
-    reports = [ev.gauge_pair_sweep(state, gauges, 0.0, 1.0, dt, 5,
-                                   free_branch=free) for gauges in (shared, own)]
-    for report1, report2 in zip(*reports):
-        for name, value in vars(report1).items():
-            if isinstance(value, ev.Trajectory):
-                for field_name in TRAJECTORY_FIELDS:
-                    assert np.array_equal(getattr(value, field_name),
-                                          getattr(getattr(report2, name),
-                                                  field_name)), (name, field_name)
-            else:
-                assert value == getattr(report2, name), name
+    reports = ev.gauge_pair_sweep(state, unit, strengths, free, dt, 5)
+    branches = ev.run_branches(state, [ev.PureGaugePotential(g) for g in own],
+                               1.0, dt, 5)
+    for report, (traj, _), gauge1, gauge2 in zip(reports, branches, shared, own):
+        for field_name in TRAJECTORY_FIELDS:
+            assert np.array_equal(getattr(report.gauge_branch, field_name),
+                                  getattr(traj, field_name)), field_name
+        assert np.array_equal(gauge1.chi(1.0), gauge2.chi(1.0))
 
 
 def test_last_sample_observes_the_final_state(basis_n9):
@@ -491,7 +490,7 @@ def test_zero_strength_kick_is_inert(basis_n9):
     traj1, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
                                  1.0, dt)
     gauge = ev.build_kick_chi(traj1, "density_rate", 0.0, 0.0, 1.0)
-    report = ev.gauge_pair_sweep(state, [gauge], 0.0, 1.0, dt)[0]
+    report = ev.gauge_pair_sweep(state, gauge, [1.0], traj1, dt)[0]
     assert report.max_density_deviation == 0.0
     assert report.max_current_deviation == 0.0
     assert report.free_energy_gauge_tb == pytest.approx(
@@ -515,10 +514,12 @@ def test_continuity_rate_kick_is_compactly_supported(basis_n9):
 def test_uniform_gauge_function_leaves_observables_alone(basis_n9):
     """Spatially constant chi only multiplies every orbital by one phase."""
     state = packet_state(basis_n9)
+    dt = default_dt(basis_n9)
     gauge = ev.GaugeFunction.ramped_profile(
         basis_n9.config, np.full(9, 0.7), 1.0, 0.0, 1.0)
-    report = ev.gauge_pair_sweep(state, [gauge], 0.0, 1.0,
-                                 default_dt(basis_n9))[0]
+    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
+                                dt)
+    report = ev.gauge_pair_sweep(state, gauge, [1.0], free, dt)[0]
     assert report.max_density_deviation < 1e-12
     assert report.max_current_deviation < 1e-12
     assert report.free_energy_gauge_tb == pytest.approx(
@@ -533,11 +534,13 @@ def test_density_rate_kick_extracts_energy(basis_n9):
                                  t_stop, dt)
     rate = traj1.density_rate[traj1.index_of(t_stop)]
     predicted_slope = -basis_n9.config.spacing * np.sum(rate**2)
+    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+                                t_stop, dt, sample_stride=10)
     energies = []
     strengths = (0.01, 0.02, 0.04)
     for f in strengths:
         gauge = ev.build_kick_chi(traj1, "density_rate", f, 0.0, t_stop)
-        report = ev.gauge_pair_sweep(state, [gauge], 0.0, t_stop, dt,
+        report = ev.gauge_pair_sweep(state, gauge, [1.0], free, dt,
                                      sample_stride=10)[0]
         energies.append(report.free_energy_gauge_tb)
         assert report.free_energy_gauge_tb < report.free_energy_free_tb
@@ -661,8 +664,11 @@ def test_band_vacuum_gauge_pair_residual_shrinks():
         state = ev.vacuum_state(basis, coupled_band_spec(basis))
         profile = 0.2 * np.cos(TWO_PI * config.grid / config.box_length)
         gauge = ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0, 1.5)
-        report = ev.gauge_pair_sweep(state, [gauge], 0.0, 1.5,
-                                     default_dt(basis), sample_stride=10)[0]
+        dt = default_dt(basis)
+        free, _ = ev.run_trajectory(state, ev.ZeroPotential(config), 1.5, dt,
+                                    sample_stride=10)
+        report = ev.gauge_pair_sweep(state, gauge, [1.0], free, dt,
+                                     sample_stride=10)[0]
         devs.append(max(report.max_density_deviation,
                         report.max_current_deviation))
     assert devs[1] < devs[0] / 2
@@ -672,8 +678,10 @@ def test_gauge_pair_requires_aligned_start(basis_n9):
     state = packet_state(basis_n9)
     gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, np.zeros(9), 1.0,
                                             0.5, 1.0)
+    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
+                                0.01)
     with pytest.raises(ValueError):
-        ev.gauge_pair_sweep(state, [gauge], 0.5, 1.0, 0.01)[0]
+        ev.gauge_pair_sweep(state, gauge, [1.0], free, 0.01)[0]
 
 
 @pytest.fixture(scope="module")

@@ -281,7 +281,9 @@ def test_f2_single_mode_band_real_on_diagonal(basis_n9):
 
 def test_particle_hole_flip_negates(basis_n9):
     kernel = schwinger_standard(basis_n9)
-    flipped = schwinger_standard(basis_n9, occupied_branch=+1)
+    positive, negative = (np.flatnonzero(basis_n9.lam > 0),
+                          np.flatnonzero(basis_n9.lam < 0))
+    flipped = sw._kernel(basis_n9, positive, negative, None)
     pts = fine_points(basis_n9)
     assert np.abs(kernel.evaluate(pts, pts)
                   + flipped.evaluate(pts, pts)).max() < 1e-12

@@ -109,8 +109,6 @@ def test_coupled_band_spec(basis_n9):
     assert spec.kind == "band"
     assert spec.band_width == pytest.approx(
         0.5 * (basis_n9.max_energy - basis_n9.config.mass))
-    with pytest.raises(ValueError):
-        coupled_band_spec(basis_n9, headroom_fraction=1.0)
 
 
 def test_vacuum_annihilation_conditions(basis_n3):
