@@ -14,7 +14,6 @@ the key and a default; every number must be a finite JSON number.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import hashlib
 import json
@@ -40,6 +39,16 @@ KICK_RECIPES = {
     "continuity_rate": "continuity_rate",
     "eq42": "continuity_rate",
 }
+
+
+def __getattr__(name: str):
+    """``concurrent`` (``concurrent.futures``) on first use.  Only a parallel
+    sweep needs it, and it loads ``logging``, which every other command
+    would pay for at start-up."""
+    if name == "concurrent":
+        import concurrent.futures
+        return concurrent
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -69,6 +78,7 @@ def _failure(exc: Exception) -> dict:
 
 
 _QUOTED = frozenset(',"\r\n')  # the characters the csv module quotes
+_CSV_CHUNK_ROWS = 512  # rows joined into one string per write
 
 
 def _formatted(values: np.ndarray) -> list[str]:
@@ -77,45 +87,75 @@ def _formatted(values: np.ndarray) -> list[str]:
     return list(map(cell, values.ravel().tolist()))
 
 
+def _glued(values: np.ndarray, end: str) -> np.ndarray:
+    """Each entry's cell followed by ``end``, as an object array."""
+    return np.array([cell + end for cell in _formatted(values)], dtype=object)
+
+
 def _write_csv(path: Path, header, columns):
     """One column per header name: an array (one cell per row), a scalar (the
     same cell on every row) or a pair (values, index), the array
     values[index].
 
     Cells are %.17e for floats and str for the rest, and rows end in CRLF.
-    No cell is formatted twice: a scalar goes into the one row template (%
-    escaped as %%), a pair's values are formatted before the index picks
-    them, and an array's cells are the template's %.17e or %s fields.
+    A scalar is formatted once per file and a pair's values once each, not
+    once per row: each cell is glued to the separator and the scalars that
+    follow it, up to the next non-scalar column or the row's end, and the
+    index picks the glued cells.  An array's cells are formatted a chunk of
+    rows at a time, and each chunk is one ``str.join`` of those pieces.
     Nothing is quoted: a text cell that the csv module would quote (holding
-    , " CR or LF, or a row's only cell and empty) is refused before the file
-    is opened.
+    , " CR or LF, or a row's only cell and empty) is refused before the
+    file is opened.
     """
-    fields, cells, texts = [], [], [header]
+    texts, parts = [header], []
     for column in columns:
         pair = isinstance(column, tuple)
         values = np.asarray(column[0] if pair else column)
-        if pair:
-            row_cells = list(map(_formatted(values).__getitem__,
-                                 np.ravel(column[1]).tolist()))
-            fields.append("%s")
-            cells.append(row_cells)
-        elif values.ndim == 0:
-            row_cells = _formatted(values)
-            fields.append(row_cells[0].replace("%", "%%"))
-        else:
-            row_cells = values.tolist()
-            fields.append("%.17e" if values.dtype.kind == "f" else "%s")
-            cells.append(row_cells)
+        index = np.ravel(column[1]) if pair else None
         if values.dtype.kind in "OSU":  # only text can need quotes
-            texts.append(map(str, row_cells))
+            cells = _formatted(values)
+            texts.append(cells if index is None
+                         else map(cells.__getitem__, index.tolist()))
+        parts.append((values, index))
     for cell in (cell for text in texts for cell in text):
         if not _QUOTED.isdisjoint(cell) or (len(header) == 1 and cell == ""):
             raise ValueError(f"CSV cell {cell!r} would need quoting")
-    template = ",".join(fields) + "\r\n"
-    rows = zip(*cells, strict=True) if cells else [()]
+
+    # lead: the scalars before the first non-scalar column; runs: each
+    # non-scalar column with the text that follows its cells
+    lead, runs = "", []
+    for (values, index), end in zip(parts, [","] * (len(parts) - 1) + ["\r\n"]):
+        if index is None and values.ndim == 0:
+            text = _formatted(values)[0] + end
+            if runs:
+                runs[-1][2] += text
+            else:
+                lead += text
+        else:
+            runs.append([values, index, end])
+    lengths = {values.size if index is None else index.size
+               for values, index, _ in runs}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns have different row counts {lengths}")
+    # a pair's values are glued once, an array's cells chunk by chunk
+    runs = [(values.ravel(), None, end) if index is None
+            else (_glued(values, end), index, end) for values, index, end in runs]
+
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.writelines(template % row for row in rows)
+        if not runs:
+            handle.write(lead)
+            return
+        n_rows = lengths.pop()
+        tokens = np.full((min(_CSV_CHUNK_ROWS, n_rows), len(runs) + bool(lead)),
+                         lead, dtype=object)
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, n_rows)
+            rows = tokens[:stop - start]
+            for col, (values, index, end) in enumerate(runs, bool(lead)):
+                rows[:, col] = (_glued(values[start:stop], end) if index is None
+                                else values[index[start:stop]])
+            handle.write("".join(rows.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict):
@@ -258,22 +298,24 @@ def run_schwinger(config: dict, out_dir: Path, seed: int) -> list[Path]:
     cfg = basis.config
     with _config_error():
         kernel = sw.commutator_kernel(basis, spec)
+        divergence = sw.divergence_of_kernel(kernel)
     width = spec.band_width if spec.kind == "band" else ""
     values = kernel.values
-    divergence = sw.divergence_of_kernel(kernel)
 
     # translation covariance: cell [j, k] of either matrix is its profile,
-    # column 0, at the cell's grid separation, so each is formatted N times
+    # column 0, at the cell's grid separation, so each value column is
+    # formatted N times, and so are j, k, x and y, from the N sites
     profile, div_profile = values[:, 0], divergence[:, 0]
+    sites = np.arange(cfg.site_count)
     j, k = np.divmod(np.arange(cfg.site_count**2), cfg.site_count)  # row-major
-    sep = sw.over_pairs(np.arange(cfg.site_count)).ravel()
+    sep = sw.over_pairs(sites).ravel()
     csv_path = out_dir / "schwinger.csv"
     _write_csv(csv_path, ["j", "k", "x", "y", "re_I", "im_I", "re_divI",
                           "im_divI", "vacuum", "N", "m", "q", "delta_Ew"],
-               [j, k, (cfg.grid, j), (cfg.grid, k), (profile.real, sep),
-                (profile.imag, sep), (div_profile.real, sep),
-                (div_profile.imag, sep), spec.kind, cfg.site_count, cfg.mass,
-                cfg.charge, width])
+               [(sites, j), (sites, k), (cfg.grid, j), (cfg.grid, k),
+                (profile.real, sep), (profile.imag, sep),
+                (div_profile.real, sep), (div_profile.imag, sep), spec.kind,
+                cfg.site_count, cfg.mass, cfg.charge, width])
 
     summary = {
         "re_I_max": float(np.abs(values.real).max()),
@@ -596,6 +638,8 @@ def run_sweep(config: dict, out_dir: Path, seed: int, jobs: int) -> list[Path]:
     # the executor forks all its workers at once, so ask for no idle ones
     workers = min(jobs, len(tasks), ev._usable_cpus())
     if workers > 1:
+        import concurrent.futures  # here, not at module level: see __getattr__
+
         # each worker's kicked runs then go in turn, unsplit (``ev.share_cpus``)
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=ev.share_cpus,

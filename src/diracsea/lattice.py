@@ -127,7 +127,10 @@ class ModeBasis:
     def sample(self, points: np.ndarray) -> np.ndarray:
         """Wavefunctions at arbitrary positions, shape (len(points), 2, 2N)."""
         points = np.asarray(points, dtype=float)
-        phase = np.exp(1j * np.outer(points, self.momentum))
+        # each momentum is on both branches: one exponential per momentum
+        config = self.config
+        phase = np.exp(1j * np.outer(points, config.momenta)).take(
+            self.momentum_index + (config.site_count - 1) // 2, axis=1)
         return (
             phase[:, None, :]
             * self.spinors[None, :, :]

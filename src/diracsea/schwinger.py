@@ -24,6 +24,7 @@ the band x band pairs the band kernel leaves out.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +101,19 @@ def _subset(indices, mode_indices) -> np.ndarray:
     return indices[np.isin(indices, mode_indices)]
 
 
+@contextmanager
+def _within_float_range(config, quantity: str):
+    """Refuse, as a ValueError naming the box length and the charge, a float
+    overflow or an invalid value in the arithmetic inside."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise ValueError(f"box length L = {config.box_length:g} and charge "
+                             f"q = {config.charge:g} put {quantity} past the "
+                             "float range") from None
+
+
 def _kernel(basis: ModeBasis, occupied, partners, mode_indices) -> SchwingerKernel:
     box_length = basis.config.box_length
     if not 0.0 < box_length * box_length < np.inf:  # the pair sums divide by L^2
@@ -107,7 +121,8 @@ def _kernel(basis: ModeBasis, occupied, partners, mode_indices) -> SchwingerKern
                          "is a finite, nonzero float")
     occupied = _subset(occupied, mode_indices)
     partners = _subset(partners, mode_indices)
-    terms = _pair_terms(basis, occupied, partners, basis.config.charge)
+    with _within_float_range(basis.config, "the pair sums, of order q^2 / L^2,"):
+        terms = _pair_terms(basis, occupied, partners, basis.config.charge)
     # the antihermitian profile: C_d = T_d - conj(T_{-d})
     return SchwingerKernel(basis, occupied, partners, terms - terms[::-1].conj())
 
@@ -154,8 +169,10 @@ def divergence_of_kernel(kernel: SchwingerKernel) -> np.ndarray:
     at the grid separations.  This path never touches the mode energies, so
     it is independent of the closed-form divergence.
     """
-    base = 2.0 * np.pi / kernel.basis.config.box_length
-    return over_pairs(kernel.on_grid(1j * base * kernel.transfers))
+    config = kernel.basis.config
+    base = 2.0 * np.pi / config.box_length
+    with _within_float_range(config, "the divergence, of order q^2 / L^3,"):
+        return over_pairs(kernel.on_grid(1j * base * kernel.transfers))
 
 
 def divergence_diag_closed_form(basis: ModeBasis) -> np.ndarray:

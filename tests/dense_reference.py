@@ -3,9 +3,12 @@
 ``response.first_order_current`` reaches the grid through each pair's
 momentum transfer and never forms the (site, pair) arrays below; the tests
 compare it, and the Fock oracle, against them.  Those functions take a
-``response.ResponseKernel``.  ``band_pair_f2`` is the intra-band double sum
-as written, one (N, N) sum over band-mode pairs of ``band_pair_tensors``,
-which ``schwinger.f2_identity_check`` reaches through the band projector.
+``response.ResponseKernel``.  ``first_order_current_per_pair`` is the same
+running quadrature with one phase exponential per pair and node, where
+``src`` takes one per distinct energy gap.  ``band_pair_f2`` is the
+intra-band double sum as written, one (N, N) sum over band-mode pairs of
+``band_pair_tensors``, which ``schwinger.f2_identity_check`` reaches through
+the band projector.
 ``kinetic_matrix``, ``mode_coefficients`` and ``single_particle_hamiltonian``
 are the dense single-particle operators of a basis, which ``src`` applies
 without forming them.  ``eigh_modes`` builds the mode arrays of a lattice
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from diracsea import fock
-from diracsea.lattice import ALPHA
+from diracsea import fock, response
+from diracsea.lattice import ALPHA, transfer_sum
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,43 @@ def retarded(kernel, amat, bmat, tau: float) -> np.ndarray:
         return np.zeros((n, n))
     z = (amat * np.exp(1j * kernel.omega * tau)[None, :]) @ bmat.conj().T
     return -2.0 * z.imag
+
+
+def first_order_current_per_pair(kernel, potential, times, t_start: float,
+                                 smearing: str) -> np.ndarray:
+    """``response.first_order_current`` at an ascending array of times, with
+    np.exp over every pair at each Simpson node: the same grids, products
+    and accumulation order, so the same floats."""
+    n_sites = kernel.basis.config.site_count
+    a = kernel.basis.config.spacing
+    bins = kernel.transfer % n_sites
+    kept = a if smearing == "site" else a * (
+        np.abs(kernel.transfer) <= (n_sites - 1) // 2)
+    charge = kept * kernel.charge_weight.conj()
+    current = kept * kernel.current_weight.conj()
+    out = np.zeros((len(times), n_sites))
+    integral = np.zeros(kernel.omega.shape, dtype=complex)
+    reached, sampled = t_start, None
+    for row, t_out in enumerate(times):
+        if t_out <= t_start:
+            continue
+        if t_out > reached:
+            ts, weights = response._time_grid(reached, t_out, (
+                response.kubo_interval_count(kernel.basis, t_out - reached)))
+            for t_prime, w in zip(ts, weights):
+                if t_prime != sampled:
+                    sampled = t_prime
+                    a0, vector = potential.fields(t_prime)
+                    source = (charge * np.fft.fft(a0)[bins]
+                              - current * np.fft.fft(vector)[bins])
+                    phase = np.exp(-1j * kernel.omega * t_prime)
+                integral += w * source * phase
+            reached = t_out
+        z = transfer_sum(kernel.current_weight
+                         * np.exp(1j * kernel.omega * t_out) * integral,
+                         kernel.transfer, n_sites)
+        out[row] = 2.0 * z.imag
+    return out
 
 
 def band_pair_tensors(phi_band: np.ndarray):

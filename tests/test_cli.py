@@ -437,6 +437,10 @@ RESPONSE = {"lattice": BASE_LATTICE, "t_a": 0.0, "t_b": 1.5, "n_times": 5}
     ("schwinger", {"lattice": dict(BASE_LATTICE, L=1e160)}, "box length"),
     ("schwinger", {"lattice": dict(BASE_LATTICE, L=1e300)}, "box length"),
     ("schwinger", {"lattice": dict(BASE_LATTICE, L=1e-300)}, "box length"),
+    ("schwinger", {"lattice": dict(BASE_LATTICE, L=1e-150)}, "box length"),
+    ("schwinger", {"lattice": dict(BASE_LATTICE, L=1e-155)}, "box length"),
+    ("response", dict(RESPONSE, lattice=dict(BASE_LATTICE, q=1e155)),
+     "box length"),
     ("response", dict(RESPONSE, lattice=dict(BASE_LATTICE, L=1e160)),
      "box length"),
     ("evolve", dict(KICKED_PACKET, packet={"p_center": 1e200, "sigma": 0.2}),
@@ -446,7 +450,8 @@ RESPONSE = {"lattice": BASE_LATTICE, "t_a": 0.0, "t_b": 1.5, "n_times": 5}
     ("evolve", dict(KICKED_PACKET, packet={"p_center": 2.0, "sigma": 1e200}),
      "sigma"),
 ], ids=["huge-chi-k", "huge-chi-amplitude", "L-1e160", "L-1e300", "L-1e-300",
-        "response-L-1e160", "huge-p_center", "tiny-sigma", "huge-sigma"])
+        "L-1e-150", "L-1e-155", "response-q-1e155", "response-L-1e160",
+        "huge-p_center", "tiny-sigma", "huge-sigma"])
 def test_value_past_float_range_is_one_config_error_line(tmp_path, capsys,
                                                          command, config,
                                                          message):
@@ -803,7 +808,10 @@ def test_fuzzed_config_fails_cleanly(case, value):
     "'sample_stride': 10, 'kick': {'recipe': 'density_rate', 'f': 0.05}})); "
     "assert cli.main(['evolve', '--config', 'cfg.json', '--out', 'out']) == 0; "
     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-], ids=["cli-import", "run-verification", "kicked-evolve"])
+    # only a parallel sweep imports concurrent.futures, and with it logging
+    "import sys, diracsea.cli; print(sorted("
+    "{'concurrent.futures', 'logging'} & set(sys.modules)))",
+], ids=["cli-import", "run-verification", "kicked-evolve", "cli-import-futures"])
 def test_cli_import_loads_neither_sparse_nor_special(code, tmp_path):
     src = str(Path(cli.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -953,3 +961,60 @@ def test_write_csv_refuses_indexed_cells_csv_would_quote(tmp_path):
     with pytest.raises(ValueError, match="quoting"):
         cli._write_csv(tmp_path / "ours.csv", ["x", "vacuum"], columns)
     assert not (tmp_path / "ours.csv").exists()
+
+
+def chunked_table(n_rows: int):
+    """(header, columns, plain) over ``n_rows`` rows: a leading scalar, an
+    array, two scalars, a pair and a trailing empty text cell."""
+    rng = np.random.default_rng(n_rows)
+    values = rng.normal(size=7)
+    index = rng.integers(0, 7, n_rows)
+    array = rng.normal(size=n_rows)
+    header = ["run", "x", "tag", "N", "y", "empty"]
+    columns = [3, array, "band", 151, (values, index), ""]
+    plain = [3, array, "band", 151, values[index], ""]
+    return header, columns, plain
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_write_csv_at_chunk_boundaries(tmp_path, offset):
+    """Rows go out in chunks of ``_CSV_CHUNK_ROWS``; one row short of a
+    chunk, a whole chunk and one row into the next write the same bytes."""
+    for chunks in (1, 2):
+        header, columns, plain = chunked_table(
+            chunks * cli._CSV_CHUNK_ROWS + offset)
+        cli._write_csv(tmp_path / "ours.csv", header, columns)
+        reference_write_csv(tmp_path / "theirs.csv", header, plain)
+        assert ((tmp_path / "ours.csv").read_bytes()
+                == (tmp_path / "theirs.csv").read_bytes())
+
+
+def test_write_csv_zero_rows_is_the_header(tmp_path):
+    header, columns, plain = chunked_table(0)
+    cli._write_csv(tmp_path / "ours.csv", header, columns)
+    reference_write_csv(tmp_path / "theirs.csv", header, plain)
+    assert (tmp_path / "ours.csv").read_bytes() == b"run,x,tag,N,y,empty\r\n"
+    assert ((tmp_path / "ours.csv").read_bytes()
+            == (tmp_path / "theirs.csv").read_bytes())
+
+
+def test_write_csv_schwinger_shaped_table(tmp_path):
+    """The N = 151 schwinger table: pair columns over j, k and the grid
+    separation, then five scalars; 22,801 rows."""
+    n_sites = 151
+    rng = np.random.default_rng(151)
+    sites = np.arange(n_sites)
+    grid = sites * (TWO_PI / n_sites)
+    j, k = np.divmod(np.arange(n_sites**2), n_sites)
+    sep = sw.over_pairs(sites).ravel()
+    profiles = rng.normal(size=(4, n_sites))
+    header = ["j", "k", "x", "y", "re_I", "im_I", "re_divI", "im_divI",
+              "vacuum", "N", "m", "q", "delta_Ew"]
+    scalars = ["standard", n_sites, 1.0, 1.0, ""]
+    columns = [(sites, j), (sites, k), (grid, j), (grid, k),
+               *[(profile, sep) for profile in profiles], *scalars]
+    plain = [j, k, grid[j], grid[k], *profiles[:, sep], *scalars]
+    cli._write_csv(tmp_path / "ours.csv", header, columns)
+    reference_write_csv(tmp_path / "theirs.csv", header, plain)
+    assert ((tmp_path / "ours.csv").read_bytes()
+            == (tmp_path / "theirs.csv").read_bytes())

@@ -246,6 +246,19 @@ def test_sample_matches_grid(basis_n9):
     assert np.abs(sampled - basis_n9.phi).max() < 1e-14
 
 
+@pytest.mark.parametrize("n_sites", [1, 41, 151, 201])
+def test_sample_takes_one_exponential_per_momentum(n_sites):
+    """Each momentum is on both branches; its one exponential, gathered to
+    the two modes, is the per-mode exponential bit for bit."""
+    config = LatticeConfig(TWO_PI, n_sites, 1.0)
+    basis = build_basis(config)
+    points = np.linspace(-1.0, 2.0 * TWO_PI, 3 * n_sites + 4)
+    per_mode = np.exp(1j * np.outer(points, basis.momentum))
+    expected = (per_mode[:, None, :] * basis.spinors[None, :, :]
+                / np.sqrt(config.box_length))
+    assert np.array_equal(basis.sample(points), expected)
+
+
 def test_spectral_derivative():
     n = 9
     x = np.arange(n) * TWO_PI / n

@@ -13,8 +13,12 @@ byte-identical on both sides and every exit code matches; 1 otherwise.
 The set: the shipped ``extract-energy``, ``response`` and Schwinger
 ``sweep`` configs; ``verify``; ``check-basis`` at N = 101; two kicked
 ``evolve`` runs on the shipped packet (N = 81 over 40 steps and N = 201 over
-20 steps, f = 0.02, sample stride 5); and a ``continuity_rate`` ``evolve``
-at N = 27 (f = 0.3, window [0, 1], stride 10).
+20 steps, f = 0.02, sample stride 5); a ``continuity_rate`` ``evolve`` at
+N = 27 (f = 0.3, window [0, 1], stride 10); and the kernel sizes: the
+Schwinger sweep over N = 9, 15, 21, 27, 51, 101, 151 on the filled sea,
+``schwinger`` on the coupled band (half the headroom below the cutoff) at
+N = 151, and the shipped ``response`` at N = 41 on the filled sea and on the
+coupled band.
 """
 
 from __future__ import annotations
@@ -40,6 +44,14 @@ def _kicked_evolve(shipped: dict, n_sites: int, steps: int) -> dict:
             "kick": {"recipe": "density_rate", "f": 0.02}}
 
 
+def _coupled_band(config: dict, n_sites: int) -> dict:
+    """``config`` at N = n_sites on the band half the headroom wide."""
+    lattice = dict(config["lattice"], N=n_sites)
+    p_max = math.pi * (n_sites - 1) / lattice["L"]
+    headroom = math.hypot(p_max, lattice["m"]) - lattice["m"]
+    return dict(config, lattice=lattice, vacuum="band", delta_Ew=0.5 * headroom)
+
+
 def commands(parent_root: Path) -> dict[str, tuple[str, dict | None]]:
     """Name -> (subcommand, config or None) of every command in the set."""
     shipped = {name: json.loads((parent_root / "configs" / f"{name}.json").read_text())
@@ -49,6 +61,12 @@ def commands(parent_root: Path) -> dict[str, tuple[str, dict | None]]:
                   "packet": energy["packet"], "t_a": 0.0, "t_b": 1.0,
                   "sample_stride": 10,
                   "kick": {"recipe": "continuity_rate", "f": 0.3}}
+    schwinger = shipped["schwinger_sweep"]
+    kernel_sweep = dict(schwinger, sweep=dict(
+        schwinger["sweep"], values=[9, 15, 21, 27, 51, 101, 151]))
+    response = shipped["response_paths"]
+    sea_n41 = dict(response, lattice=dict(response["lattice"], N=41),
+                   vacuum="standard")
     return {
         "extract-energy": ("extract-energy", energy),
         "response": ("response", shipped["response_paths"]),
@@ -59,6 +77,11 @@ def commands(parent_root: Path) -> dict[str, tuple[str, dict | None]]:
         "evolve-kick-N81": ("evolve", _kicked_evolve(energy, 81, 40)),
         "evolve-kick-N201": ("evolve", _kicked_evolve(energy, 201, 20)),
         "evolve-continuity-N27": ("evolve", continuity),
+        "schwinger-sweep-N151": ("sweep", kernel_sweep),
+        "schwinger-band-N151": ("schwinger", _coupled_band(
+            {"lattice": schwinger["lattice"]}, 151)),
+        "response-sea-N41": ("response", sea_n41),
+        "response-band-N41": ("response", _coupled_band(response, 41)),
     }
 
 
