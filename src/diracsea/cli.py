@@ -141,10 +141,10 @@ def _write_csv(path: Path, header, columns):
     runs = [(values.ravel(), None, end) if index is None
             else (_glued(values, end), index, end) for values, index, end in runs]
 
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
+    with _artifact(path) as write:
+        write(",".join(header) + "\r\n")
         if not runs:
-            handle.write(lead)
+            write(lead)
             return
         n_rows = lengths.pop()
         tokens = np.full((min(_CSV_CHUNK_ROWS, n_rows), len(runs) + bool(lead)),
@@ -155,34 +155,48 @@ def _write_csv(path: Path, header, columns):
             for col, (values, index, end) in enumerate(runs, bool(lead)):
                 rows[:, col] = (_glued(values[start:stop], end) if index is None
                                 else values[index[start:stop]])
-            handle.write("".join(rows.ravel().tolist()))
+            write("".join(rows.ravel().tolist()))
+
+
+# sha256 of each artifact's bytes as ``_artifact`` wrote them, by path, until
+# ``_write_manifest`` takes it
+_DIGESTS: dict[Path, str] = {}
+
+
+@contextmanager
+def _artifact(path: Path):
+    """Yields write(text) for the file at ``path``: the text goes to it
+    UTF-8 encoded, untranslated, and into its sha256 in ``_DIGESTS``."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as handle:
+        def write(text: str):
+            data = text.encode()
+            digest.update(data)
+            handle.write(data)
+
+        yield write
+    _DIGESTS[path] = digest.hexdigest()
 
 
 def _write_json(path: Path, payload: dict):
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=float)
-        handle.write("\n")
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    with _artifact(path) as write:
+        write(json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
                     files: list[Path]):
+    """The manifest of a run whose artifacts ``files`` were each written by
+    ``_write_csv`` or ``_write_json``, hashed from the bytes written."""
     manifest = {
         "command": command,
         "config": config,
         "package": "diracsea",
         "version": __version__,
         "seed": seed,
-        "files": {f.name: _sha256(f) for f in sorted(files)},
+        "files": {f.name: _DIGESTS.pop(f) for f in sorted(files)},
     }
     _write_json(out_dir / "manifest.json", manifest)
+    del _DIGESTS[out_dir / "manifest.json"]
 
 
 def _load_config(path: str | None) -> dict:

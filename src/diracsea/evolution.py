@@ -6,30 +6,35 @@ carried entirely by the single-particle orbitals:
 
     i d/dt psi_o = [h0 - q alpha A(x,t) + q A0(x,t)] psi_o.
 
-Each step (``_propagate``) applies the midpoint Hamiltonian's exponential,
-unitary up to rounding and second-order accurate in dt.  The exponential is
-evaluated without forming h: as a Chebyshev series in h (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967 (1984)) whose terms each apply -i h once, by one real
-product with the cached derivative matrix ``ModeBasis.derivative_matrix`` and
-site-local 2x2 matrices for the mass and the potentials, with Bessel weights
-from Miller's backward recurrence (numpy only), cut where the dropped tail
-falls below one rounding unit; when the midpoint potential vanishes it is
-the exact per-momentum rotation cos(E dt) - i sin(E dt) h(p)/E, applied by
-FFT.  A run whose potentials are all ``ZeroPotential`` takes that rotation
-once per sample interval.  Branches that share an initial state and step
-size advance, and are recorded, together as one site-major tensor
-(N, n_branch, 2, n_orb) (``run_branches``).  Every orbital evolves on its
-own, so a kicked run with enough work forks one child process that advances
-the second half of the orbital axis for the whole run, with BLAS on one
-thread in both processes (``_second_process``); elsewhere the run goes in
-turn, in this process.
+A kicked run steps with the commutator-free fourth-order Magnus integrator
+CFM4:2, two exponentials per step, over m dt at a time, where m up to 5
+divides the sample stride and leaves the run at least 8 such steps
+(``_magnus_multiple``); elsewhere (m = 1) each step applies the midpoint
+Hamiltonian's exponential over dt, second-order accurate (``_time_step``).
+Both are unitary up to rounding, and the sample times still add dt one step
+at a time.  Each exponential (``_propagate``) is evaluated without forming
+h: as a Chebyshev series in h (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+(1984)) whose terms each apply -i h once, by one real product with the
+cached derivative matrix ``ModeBasis.derivative_matrix`` and site-local 2x2
+matrices for the mass and the potentials, with Bessel weights from Miller's
+backward recurrence (numpy only), cut where the dropped tail falls below one
+rounding unit; when its couplings vanish it is the exact per-momentum
+rotation cos(E dt) - i sin(E dt) h(p)/E, applied by FFT.  A run whose
+potentials are all ``ZeroPotential`` takes that rotation once per sample
+interval.  Branches that share an initial state and step size advance, and
+are recorded, together as one site-major tensor (N, n_branch, 2, n_orb)
+(``run_branches``).  Every orbital evolves on its own, so a kicked run with
+enough work forks one child process that advances the second half of the
+orbital axis for the whole run, with BLAS on one thread in both processes
+(``_second_process``); elsewhere the run goes in turn, in this process.
 
 A potential gives both its fields at once, ``Potential.fields(t)`` ->
 (A0, A), so the rate identity and the Kubo source ask once per time; a
 pure-gauge potential reads (d chi/dt, -d chi/dx) off one call of its gauge
-function's envelope and one of its profile.  Each step asks once for the
-couplings of the whole batch (``_couplings``), where pure-gauge kicks of one
-shape share those two calls.
+function's envelope and one of its profile.  Each coupling time (one per
+midpoint step, two per CFM4 step) asks once for the couplings of the whole
+batch (``_couplings``), where pure-gauge kicks of one shape share those two
+calls.
 
 The module also hosts the gauge-kick experiment: build a gauge function from
 the density rate of a potential-free trajectory, evolve branches of its
@@ -344,7 +349,7 @@ def _bessel_weights(z: float, count: int) -> np.ndarray:
     (1967) 24; Abramowitz & Stegun 9.1.27, 9.1.46).  The start error decays
     like (J_count / J_k)^2, negligible here because ``_propagate`` asks for
     ~30 orders past the last weight it keeps.  Against scipy.special.jv the
-    weights differ by 1.1e-16 at the shipped R dt (<= 0.09), 1.6e-15 at 60
+    weights differ by 2.2e-16 at the shipped R dt (<= 0.22), 1.6e-15 at 60
     and at most 1.1e-13 up to the largest R dt that ``MAX_SERIES_TERMS``
     admits (about 9500), the size of the series' own rounding over that many
     terms.  Unnormalized, the recurrence grows by about (2/z)^count count!;
@@ -373,6 +378,20 @@ def _kept_terms(weights: np.ndarray) -> int:
     return max(2, int(np.count_nonzero(tail > 0.5 * np.finfo(float).eps)))
 
 
+def _series_radius(basis: ModeBasis, v0: np.ndarray, v1: np.ndarray) -> float:
+    """R = E_max + max_b (max|v0[:, b]| + max|v1[:, b]|), which bounds the
+    spectrum of every branch's h."""
+    return basis.max_energy + float(
+        (np.abs(v0).max(axis=0) + np.abs(v1).max(axis=0)).max())
+
+
+def _series_fits(z: float) -> bool:
+    """Whether the series at R dt = z, which asks for about z + 20 z^(1/3)
+    + 30 Bessel orders, stays within ``MAX_SERIES_TERMS``; false for a NaN
+    or infinite z."""
+    return z + 20.0 * np.cbrt(z) + 30 <= MAX_SERIES_TERMS
+
+
 def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
                v1: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) psi for stacked site-major orbitals psi
@@ -388,14 +407,12 @@ def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
     """
     if not (v0.any() or v1.any()):
         return _free_rotation(basis, dt)(psi)
-    radius = basis.max_energy + float(
-        (np.abs(v0).max(axis=0) + np.abs(v1).max(axis=0)).max())
+    radius = _series_radius(basis, v0, v1)
     z = radius * dt
-    length = z + 20.0 * np.cbrt(z)
-    if not length + 30 <= MAX_SERIES_TERMS:  # also a NaN or infinite R dt
+    if not _series_fits(z):
         raise ValueError(f"a time step needs over {MAX_SERIES_TERMS} Chebyshev "
                          f"terms (R dt = {z:.3g}); lower the potential or dt")
-    weights = _bessel_weights(z, int(length) + 30)
+    weights = _bessel_weights(z, int(z + 20.0 * np.cbrt(z)) + 30)
     n_terms = _kept_terms(weights)
     step = _minus_i_h(basis, v0, v1, 2.0 / radius)  # -2i h / R
     # phi_k = (-i)^k T_k(h / R) psi = -2i (h / R) phi_{k-1} + phi_{k-2}
@@ -407,6 +424,48 @@ def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
         prev, cur = cur, nxt
         out += (2.0 * weights[k]) * cur
     return out
+
+
+# CFM4:2, the commutator-free fourth-order Magnus step (Blanes & Moan, Appl.
+# Numer. Math. 56 (2006) 1519; Alvermann & Fehske, J. Comput. Phys. 230
+# (2011) 5930): the Gauss nodes, as fractions of the step, and a_1, a_2.
+_GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+_CFM4_WEIGHTS = ((3.0 - 2.0 * np.sqrt(3.0)) / 12.0,
+                 (3.0 + 2.0 * np.sqrt(3.0)) / 12.0)
+
+
+def _time_step(basis: ModeBasis, psi: np.ndarray, potentials, time: float,
+               dt: float, multiple: int) -> np.ndarray:
+    """psi advanced from ``time`` by h = multiple * dt.
+
+    For multiple > 1, one CFM4:2 step, fourth order in h: with v(t_1),
+    v(t_2) the couplings at the Gauss nodes t + (1/2 -+ sqrt(3)/6) h, two
+    exponentials of h/2, first with the couplings 2 (a_2 v(t_1) + a_1
+    v(t_2)), then with 2 (a_1 v(t_1) + a_2 v(t_2)), a_1,2 = (3 -+ 2 sqrt(3))
+    / 12; h0 enters each with weight a_1 + a_2 = 1/2.  For multiple = 1,
+    and where either CFM4 half-step's series would exceed
+    ``MAX_SERIES_TERMS``, ``multiple`` midpoint steps, each the exponential
+    of h(t + dt/2) over dt, second order in dt: so CFM4 refuses a kick only
+    where the midpoint rule would.
+    """
+    if multiple > 1:
+        h = multiple * dt
+        (v0a, v1a), (v0b, v1b) = (_couplings(basis.config, potentials,
+                                             time + node * h)
+                                  for node in _GAUSS_NODES)
+        a1, a2 = _CFM4_WEIGHTS
+        halves = [(2.0 * (a2 * v0a + a1 * v0b), 2.0 * (a2 * v1a + a1 * v1b)),
+                  (2.0 * (a1 * v0a + a2 * v0b), 2.0 * (a1 * v1a + a2 * v1b))]
+        if all(_series_fits(_series_radius(basis, v0, v1) * 0.5 * h)
+               for v0, v1 in halves):
+            for v0, v1 in halves:
+                psi = _propagate(basis, psi, v0, v1, 0.5 * h)
+            return psi
+    for _ in range(multiple):
+        v0, v1 = _couplings(basis.config, potentials, time + 0.5 * dt)
+        psi = _propagate(basis, psi, v0, v1, dt)
+        time = time + dt
+    return psi
 
 
 def apply_hamiltonian(basis: ModeBasis, orbitals: np.ndarray) -> np.ndarray:
@@ -477,6 +536,31 @@ def step_count(t_start: float, t_final: float, dt: float,
     return n_steps, span / n_steps
 
 
+# A kicked run takes CFM4 steps of up to this many steps of dt, and only
+# while that leaves it at least MIN_MAGNUS_STEPS of them (``_magnus_multiple``).
+MAX_MAGNUS_MULTIPLE = 5
+MIN_MAGNUS_STEPS = 8
+
+
+def _magnus_multiple(n_steps: int, sample_stride: int) -> int:
+    """How many steps of dt one step of a kicked run of ``n_steps`` spans:
+    the largest m <= ``MAX_MAGNUS_MULTIPLE`` that divides the stride, so
+    that samples fall between steps, and leaves at least
+    ``MIN_MAGNUS_STEPS`` CFM4 steps; else 1, the midpoint step.
+
+    Against CFM4 at dt/4 on the same sample times, CFM4 at 5 dt had 0.24 or
+    less of the midpoint's xi0 error on runs of 40 to 320 steps of dt
+    (N = 27, 81, 201; kick f = 0.02 and 2), but up to 1.9 times it on runs
+    of 20 steps (4 CFM4 steps); at 10 dt the shipped extract-energy's
+    density error was 3.5 times the midpoint's.  The midpoint step is also
+    the faster one wherever m would be 1: at dt, CFM4's two exponentials
+    cost 1.6 to 1.7 times the midpoint's one.
+    """
+    return max((m for m in range(2, MAX_MAGNUS_MULTIPLE + 1)
+                if sample_stride % m == 0 and n_steps >= MIN_MAGNUS_STEPS * m),
+               default=1)
+
+
 def run_trajectory(state: SlaterState, potential: Potential, t_final: float,
                    dt: float, sample_stride: int = 1):
     """Evolve to t_final, recording observables every ``sample_stride`` steps.
@@ -495,6 +579,11 @@ def run_trajectory(state: SlaterState, potential: Potential, t_final: float,
 # 47 -> 50 ms and 100 steps (3.4e5) 73 -> 69 ms; N = 81, 10 steps (1.3e5)
 # 27 -> 25 ms and 20 steps (2.7e5) 47 -> 40 ms; N = 27 with ten branches,
 # 20 steps (3.0e5), 49 -> 42 ms; N = 201, 20 steps (1.6e6), 578 -> 269 ms.
+# A CFM4 step counts as two steps, one per ``_propagate`` call.  Medians of
+# 15, in two sessions: N = 81, 40 dt in 8 CFM4 steps (2.1e5), 29-31 ->
+# 30-38 ms; N = 41, 100 dt in 20 (1.4e5), 18-20 -> 26-27 ms; N = 27 with ten
+# branches, 100 dt in 20 (6.0e5), 57-65 -> 41-42 ms, and the shipped
+# extract-energy, 320 dt in 64 (1.9e6), 149 -> 111 ms.
 SPLIT_WORK = 300_000
 
 # The thread-count getter and setter that numpy's bundled OpenBLAS exports.
@@ -620,10 +709,13 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
                  sample_stride: int = 1) -> list[tuple[Trajectory, SlaterState]]:
     """``run_trajectory`` for several potentials from one initial state.
 
-    The branches advance together as one stacked orbital tensor: each step
-    makes one ``_couplings`` call and one ``_propagate`` call, one Chebyshev
-    series, for all of them, and each sample one observation; every branch
-    matches its own ``run_trajectory`` up to rounding.
+    The branches advance together as one stacked orbital tensor, and each
+    sample makes one observation; every branch matches its own
+    ``run_trajectory`` up to rounding.  A kicked run takes CFM4 steps of
+    m dt, m = ``_magnus_multiple(n_steps, sample_stride)``, each two
+    ``_couplings`` calls and two ``_propagate`` calls (Chebyshev series) for
+    all branches; where m = 1, midpoint steps of dt, each one of each.  The
+    sample times add dt one step at a time either way.
     When every potential is a ``ZeroPotential`` the run takes one exact free
     rotation by ``sample_stride`` steps per sample interval.  A kicked run
     that ``_splits`` advances the second half of its orbital axis in a second
@@ -643,23 +735,25 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
     # exp(-i h0 dt)^stride = exp(-i h0 stride dt): one rotation per sample
     free = (_free_rotation(basis, sample_stride * dt_eff)
             if all(isinstance(p, ZeroPotential) for p in potentials) else None)
+    multiple = 1 if free is not None else _magnus_multiple(n_steps, sample_stride)
 
     def advance(part: np.ndarray, time: float):
         """The tensor and the time one sample interval on; the time adds dt
         one step at a time."""
         if free is not None:
             part = free(part)
-        for _ in range(sample_stride):
-            if free is None:
-                v0, v1 = _couplings(config, potentials, time + 0.5 * dt_eff)
-                part = _propagate(basis, part, v0, v1, dt_eff)
+        for k in range(sample_stride):
+            if free is None and k % multiple == 0:
+                part = _time_step(basis, part, potentials, time, dt_eff, multiple)
             time = time + dt_eff
         return part, time
 
     intervals = n_steps // sample_stride
     time = state.time
     times, samples = [time], [_observe(basis, state.subtractions, psi)]
-    split = free is None and _splits(psi, n_steps)
+    # the split's work is counted in ``_propagate`` calls, two per CFM4 step
+    split = free is None and _splits(
+        psi, n_steps if multiple == 1 else 2 * (n_steps // multiple))
     with (_second_process(psi, time, advance, intervals) if split
           else nullcontext((psi, None))) as (part, receive):
         for _ in range(intervals):

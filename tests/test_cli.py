@@ -233,6 +233,29 @@ def test_deterministic_output(tmp_path):
     assert read_manifest(out1)["files"] == read_manifest(out2)["files"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_manifests_hash_the_bytes_on_disk(tmp_path, jobs):
+    """Each manifest of a sweep, the points' (written by worker processes
+    at --jobs 2) and the sweep's own, gives each artifact the sha256 of its
+    bytes on disk, and no digest is left behind in this process."""
+    cfg = write_config(tmp_path / "cfg.json", {
+        "lattice": BASE_LATTICE, "vacuum": "standard",
+        "sweep": {"experiment": "schwinger", "parameter": "lattice.N",
+                  "values": [5, 7]},
+    })
+    out = tmp_path / "out"
+    before = dict(cli._DIGESTS)
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+    assert cli._DIGESTS == before
+    manifests = sorted(out.rglob("manifest.json"))
+    assert len(manifests) == 3
+    for path in manifests:
+        files = read_manifest(path.parent)["files"]
+        assert files
+        for name, digest in files.items():
+            assert hashlib.sha256((path.parent / name).read_bytes()).hexdigest() == digest
+
+
 def test_evolve_free_run(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {
         "lattice": BASE_LATTICE, "vacuum": "standard",

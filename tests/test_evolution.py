@@ -158,6 +158,79 @@ def test_step_matches_dense_midpoint_exponential(n_sites, sigma):
         assert stepped.time == start.time + dt
 
 
+def magnus_cases(basis):
+    """The kicked and strong cases of the midpoint test, from t = 0.5, each
+    with a step dt that a CFM4 step of 5 dt spans."""
+    state, kicked = kicked_packet(basis, 4.0, 0.2 if basis.config.site_count == 9
+                                  else 0.8)
+    start = ev.SlaterState(basis, state.reference, state.orbitals, 0.5,
+                           state.subtractions)
+    x = basis.config.grid
+    strong = ev.Potential(basis.config, a0_fn=lambda t: 50.0 * np.cos(x + t),
+                          a_fn=lambda t: 30.0 * np.sin(2.0 * x - t))
+    return start, [(kicked, default_dt(basis)), (strong, 0.02)]
+
+
+@pytest.mark.parametrize("n_sites", [9, 27])
+def test_magnus_step_matches_dense_product_of_its_exponentials(n_sites):
+    """One CFM4 step of h = 5 dt against the dense exp(-i H_2 h/2)
+    exp(-i H_1 h/2), H_1 = 2 (a_2 h(t_1) + a_1 h(t_2)) and H_2 = 2 (a_1
+    h(t_1) + a_2 h(t_2)) at the Gauss nodes t_1,2 = t + (1/2 -+ sqrt(3)/6) h."""
+    basis = build_basis(LatticeConfig(TWO_PI, n_sites, 1.0, 1.0))
+    start, cases = magnus_cases(basis)
+    a1, a2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+    psi = start.orbitals.reshape(n_sites, 1, 2, -1)
+    for pot, dt in cases:
+        h = 5 * dt
+        h1, h2 = (single_particle_hamiltonian(basis, pot, start.time + c * h)
+                  for c in (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0))
+        expected = (dense_propagator(2.0 * (a1 * h1 + a2 * h2), 0.5 * h)
+                    @ dense_propagator(2.0 * (a2 * h1 + a1 * h2), 0.5 * h)
+                    @ start.orbitals)
+        stepped = ev._time_step(basis, psi, [pot], start.time, dt, 5)
+        assert np.abs(stepped.reshape(expected.shape) - expected).max() < 1e-13
+
+
+def test_magnus_step_past_the_series_bound_takes_midpoint_steps(basis_n9,
+                                                                monkeypatch):
+    """Where a CFM4 half-step's series would exceed ``MAX_SERIES_TERMS``
+    and a midpoint step's would not, a run takes midpoint steps, bit for bit
+    the stride-1 run's, instead of refusing the kick."""
+    start, cases = magnus_cases(basis_n9)
+    strong, dt = cases[1]
+    times = start.time + dt * np.arange(40)
+
+    def orders(v0, v1, step):  # the Bessel orders ``_series_fits`` bounds
+        z = ev._series_radius(basis_n9, v0, v1) * step
+        return z + 20.0 * np.cbrt(z) + 30
+
+    config = basis_n9.config
+    midpoint = max(orders(*ev._couplings(config, [strong], t + 0.5 * dt), dt)
+                   for t in times)
+    half = min(orders(*ev._couplings(config, [strong], t + c * 5 * dt), 2.5 * dt)
+               for t in times[::5]
+               for c in (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0))
+    assert int(midpoint) + 1 < half and ev._magnus_multiple(40, 5) == 5
+    monkeypatch.setattr(ev, "MAX_SERIES_TERMS", int(midpoint) + 1)
+    _, coarse = ev.run_trajectory(start, strong, start.time + 40 * dt, dt, 5)
+    _, fine = ev.run_trajectory(start, strong, start.time + 40 * dt, dt, 1)
+    assert np.array_equal(coarse.orbitals, fine.orbitals)
+
+
+@pytest.mark.parametrize("n_steps, stride, multiple", [
+    (320, 10, 5),  # the shipped extract-energy: 64 CFM4 steps
+    (40, 5, 5),    # the bench's kick-large N = 81: 8 CFM4 steps
+    (20, 5, 1),    # its N = 201: 4 CFM4 steps would be too few
+    (320, 1, 1),   # every sample a step apart
+    (320, 7, 1),   # no divisor of the stride from 2 to 5
+    (36, 6, 3),
+    (32, 4, 4),
+    (24, 4, 2),    # 6 steps of 4 dt are too few, 12 of 2 dt are not
+])
+def test_magnus_multiple(n_steps, stride, multiple):
+    assert ev._magnus_multiple(n_steps, stride) == multiple
+
+
 def test_step_rejects_non_finite_input(basis_n9):
     state = packet_state(basis_n9)
     for bad in (np.nan, np.inf):
@@ -268,9 +341,9 @@ def test_gauge_window_must_be_finite_and_ordered(t_start, t_stop):
 
 def test_shipped_sweep_evaluates_its_kick_shape_once_per_step(tmp_path,
                                                              monkeypatch):
-    """In an in-turn run of the shipped extract-energy, each of its 320 steps
-    calls the kicks' one envelope and one profile once for all ten kicked
-    strengths."""
+    """In an in-turn run of the shipped extract-energy, each of the two
+    Gauss nodes of its 64 CFM4 steps calls the kicks' one envelope and one
+    profile once for all ten kicked strengths."""
     calls, per_step = [], []
     build, couplings = ev.build_kick_chi, ev._couplings
 
@@ -293,7 +366,7 @@ def test_shipped_sweep_evaluates_its_kick_shape_once_per_step(tmp_path,
     shipped = Path(__file__).resolve().parents[1] / "configs" / "extract_energy.json"
     assert cli.main(["extract-energy", "--config", str(shipped),
                      "--out", str(tmp_path)]) == 0
-    assert len(per_step) == 320
+    assert len(per_step) == 128
     assert all(step == ["envelope", "profile"] for step in per_step)
 
 
@@ -348,6 +421,26 @@ def test_step_is_second_order(basis_n9):
     errors = [abs(final_energy(0.8 / n) - reference) for n in (16, 32, 64)]
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(orders) > 1.8
+
+
+def test_magnus_steps_are_fourth_order(basis_n9):
+    """The second-order test's run, sampled every 5 steps, so that it takes
+    CFM4 steps of 5 dt: 8, 16 and 32 of them."""
+    state = packet_state(basis_n9)
+    profile = 0.4 * np.cos(basis_n9.config.grid)
+    gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, profile, 1.0,
+                                            0.0, 0.8)
+    pot = ev.PureGaugePotential(gauge)
+
+    def final_energy(n_steps):
+        assert ev._magnus_multiple(n_steps, 5) == 5
+        _, fin = ev.run_trajectory(state, pot, 0.8, 0.8 / n_steps, 5)
+        return ev.observables(fin).free_energy
+
+    reference = final_energy(1280)
+    errors = [abs(final_energy(n) - reference) for n in (40, 80, 160)]
+    orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
+    assert min(orders) > 3.5
 
 
 def test_zero_potential_conserves_free_energy(basis_n9):
@@ -845,6 +938,21 @@ def test_split_needs_two_cpus_per_process(cpus, share, splits, basis_n9,
 def test_split_needs_enough_work(shape, steps, splits, monkeypatch):
     monkeypatch.setattr(ev, "_usable_cpus", lambda: 2)
     assert ev._splits(np.zeros(shape, dtype=complex), steps) == splits
+
+
+@pytest.mark.parametrize("n_steps, stride, counted", [
+    (40, 5, 16),  # 8 CFM4 steps of 5 dt, two exponentials each
+    (20, 5, 20),  # midpoint steps
+])
+def test_split_counts_each_exponential_as_a_step(n_steps, stride, counted,
+                                                 basis_n9, monkeypatch):
+    seen = []
+    monkeypatch.setattr(ev, "_splits",
+                        lambda psi, steps: seen.append(steps) or False)
+    state, kicked = kicked_packet(basis_n9, 0.3)
+    dt = default_dt(basis_n9)
+    ev.run_trajectory(state, kicked, n_steps * dt, dt, stride)
+    assert seen == [counted]
 
 
 @needs_split

@@ -11,14 +11,16 @@ absolute difference per column.  Exit status 0 only when every file is
 byte-identical on both sides and every exit code matches; 1 otherwise.
 
 The set: the shipped ``extract-energy``, ``response`` and Schwinger
-``sweep`` configs; ``verify``; ``check-basis`` at N = 101; two kicked
-``evolve`` runs on the shipped packet (N = 81 over 40 steps and N = 201 over
-20 steps, f = 0.02, sample stride 5); a ``continuity_rate`` ``evolve`` at
-N = 27 (f = 0.3, window [0, 1], stride 10); and the kernel sizes: the
-Schwinger sweep over N = 9, 15, 21, 27, 51, 101, 151 on the filled sea,
-``schwinger`` on the coupled band (half the headroom below the cutoff) at
-N = 151, and the shipped ``response`` at N = 41 on the filled sea and on the
-coupled band.
+``sweep`` configs; ``verify``; ``check-basis`` at N = 101; three kicked
+``evolve`` runs on the shipped packet at sample stride 5 (N = 81 over 40
+steps at f = 0.02 and at f = 2, where the midpoint step's error is
+largest, and N = 201 over 20 steps at f = 0.02); a ``continuity_rate``
+``evolve`` at N = 27 (f = 0.3, window [0, 1], stride 10); and the kernel
+sizes: the Schwinger sweep over N = 9, 15, 21, 27, 51, 101, 151 on the
+filled sea, ``schwinger`` on the coupled band (half the headroom below the
+cutoff) at N = 151, and the shipped ``response`` at N = 41 on the filled
+sea and on the coupled band.  ``tools/step_accuracy.py`` reruns the
+evolving ones against a finer step.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import tempfile
 from pathlib import Path
 
 
-def _kicked_evolve(shipped: dict, n_sites: int, steps: int) -> dict:
+def _kicked_evolve(shipped: dict, n_sites: int, steps: int,
+                   strength: float = 0.02) -> dict:
     """A density-rate kicked ``evolve`` of ``steps`` steps at the default dt."""
     lattice = dict(shipped["lattice"], N=n_sites)
     p_max = math.pi * (n_sites - 1) / lattice["L"]  # largest |p| = 2 pi k / L
@@ -41,7 +44,7 @@ def _kicked_evolve(shipped: dict, n_sites: int, steps: int) -> dict:
     return {"lattice": lattice, "vacuum": "standard",
             "packet": shipped["packet"], "t_a": 0.0, "t_b": steps * dt,
             "dt": dt, "sample_stride": 5,
-            "kick": {"recipe": "density_rate", "f": 0.02}}
+            "kick": {"recipe": "density_rate", "f": strength}}
 
 
 def _coupled_band(config: dict, n_sites: int) -> dict:
@@ -75,6 +78,7 @@ def commands(parent_root: Path) -> dict[str, tuple[str, dict | None]]:
         "check-basis-N101": ("check-basis",
                              {"lattice": dict(energy["lattice"], N=101)}),
         "evolve-kick-N81": ("evolve", _kicked_evolve(energy, 81, 40)),
+        "evolve-kick-N81-f2": ("evolve", _kicked_evolve(energy, 81, 40, 2.0)),
         "evolve-kick-N201": ("evolve", _kicked_evolve(energy, 201, 20)),
         "evolve-continuity-N27": ("evolve", continuity),
         "schwinger-sweep-N151": ("sweep", kernel_sweep),
