@@ -32,13 +32,9 @@ from .lattice import LatticeConfig, build_basis
 from .operators import continuity_pair_residual
 from .vacua import VacuumSpec
 
-KICK_RECIPES = {
-    # config tokens accepted for kick construction recipes
-    "density_rate": "density_rate",
-    "eq39": "density_rate",
-    "continuity_rate": "continuity_rate",
-    "eq42": "continuity_rate",
-}
+# config tokens of the one kick recipe, and of the one refused
+KICK_RECIPES = ("density_rate", "eq39")
+REFUSED_RECIPES = ("continuity_rate", "eq42")
 
 
 def __getattr__(name: str):
@@ -389,11 +385,16 @@ def _stepping_from(config: dict, basis, t_start: float, t_stop: float):
     return dt, stride
 
 
-def _kick_recipe(kick: dict) -> str:
+def _kick_recipe(kick: dict) -> None:
+    """ConfigError unless the kick's recipe is a ``density_rate`` token."""
     recipe = kick.get("recipe", "density_rate")
-    if not isinstance(recipe, str) or recipe not in KICK_RECIPES:
+    if recipe in REFUSED_RECIPES:
+        raise ConfigError(
+            f"kick recipe {recipe!r} is refused: it builds chi from the "
+            "continuity residual, which on this spectral lattice measures "
+            "only aliasing at the momentum cutoff, so the kick vanishes")
+    if recipe not in KICK_RECIPES:
         raise ConfigError(f"unknown kick recipe {recipe!r}")
-    return KICK_RECIPES[recipe]
 
 
 def _trajectory_files(out_dir: Path, tag: str, traj, potential) -> list[Path]:
@@ -425,11 +426,11 @@ def run_evolve(config: dict, out_dir: Path, seed: int) -> list[Path]:
     if kick is None:
         potential = ev.ZeroPotential(basis.config)
     else:
-        recipe = _kick_recipe(kick)
+        _kick_recipe(kick)
         strength = _number(kick, "f")
         free_traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
                                          t_stop, dt, stride)
-        gauge = ev.build_kick_chi(free_traj, recipe, strength, t_start, t_stop)
+        gauge = ev.build_kick_chi(free_traj, strength, t_start, t_stop)
         potential = ev.PureGaugePotential(gauge)
 
     with _config_error():  # a kick too strong to evolve
@@ -455,7 +456,7 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
     if state.orbital_count == len(state.reference):
         raise ConfigError("extract-energy needs a packet on top of the vacuum")
     kick = _section(config, "kick", {})
-    recipe = _kick_recipe(kick)
+    _kick_recipe(kick)
     strengths = kick.get("f", [0.0, 0.01, 0.02, 0.03, 0.04])
     if not isinstance(strengths, list):
         raise ConfigError("extract-energy needs a list of kick strengths 'f'")
@@ -474,13 +475,12 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
     i_stop = free_traj.index_of(t_stop)
     # the slope of xi0_2_predicted in f: -a sum (d rho/dt)(t_b) chi_1(t_b),
     # chi_1 the kick at f = 1
-    unit = ev.build_kick_chi(free_traj, recipe, 1.0, t_start, t_stop)
+    unit = ev.build_kick_chi(free_traj, 1.0, t_start, t_stop)
     slope_predicted = -basis.config.spacing * float(
         np.sum(free_traj.density_rate[i_stop] * unit.chi(t_stop)))
     if abs(slope_predicted) < 1e-14:
-        raise InvariantError(
-            "the density rate or the kick's chi vanishes at t_b (as a "
-            "continuity_rate kick's does); the kick has nothing to extract")
+        raise InvariantError("the density rate or the kick's chi vanishes "
+                             "at t_b; the kick has nothing to extract")
 
     # every nonzero strength advances in one batch against the free branch
     kicked = [f for f in strengths if f != 0.0]

@@ -30,16 +30,17 @@ orbital axis for the whole run, with BLAS on one thread in both processes
 
 A potential gives both its fields at once, ``Potential.fields(t)`` ->
 (A0, A), so the rate identity and the Kubo source ask once per time; a
-pure-gauge potential reads (d chi/dt, -d chi/dx) off one call of its gauge
-function's envelope and one of its profile.  Each coupling time (one per
+pure-gauge potential reads (d chi/dt, -d chi/dx) off one call of the ramp
+and one of its gauge function's static profile.  Each coupling time (one per
 midpoint step, two per CFM4 step) asks once for the couplings of the whole
 batch (``_couplings``), where pure-gauge kicks of one shape share those two
 calls.
 
 The module also hosts the gauge-kick experiment: build a gauge function from
-the density rate of a potential-free trajectory, evolve branches of its
-shape at multiples of its strength (``gauge_pair_sweep``), and compare the
-observables and the free-field energy of each with the free branch.
+the density rate of a potential-free trajectory (``build_kick_chi``), evolve
+branches of its shape at multiples of its strength (``gauge_pair_sweep``),
+and compare the observables and the free-field energy of each with the free
+branch.
 """
 
 from __future__ import annotations
@@ -64,32 +65,27 @@ def ramp(s):
 
 
 class GaugeFunction:
-    """Gauge scalar chi(x,t) = strength * g(s) * P(x,t), s = (t - t_start) / span.
+    """Gauge scalar chi(x,t) = strength * g(s) * P(x), s = (t - t_start) / span.
 
-    ``envelope(s)`` returns (g, dg/ds) and ``profile(t)`` returns
-    (P, dP/dt, dP/dx) on the grid, dP/dt None for a static profile; so one
-    call of each gives chi's time and space derivatives together
-    (``PureGaugePotential.fields``).  chi = 0 and d chi/dt = 0 at the start
-    time.  Two recipes are provided: a static spatial profile under a quintic
-    ramp reaching 1 at the end time, and a time-dependent profile under a
-    compactly supported bump envelope (used when the profile itself is a
-    measured time series).
+    g is the quintic ``ramp``, reaching 1 at the end time, so chi = 0 and
+    d chi/dt = 0 at the start time.  ``profile(t)`` returns the static
+    (P, dP/dx) on the grid, so one call of it and one of the ramp give chi's
+    time and space derivatives together (``PureGaugePotential.fields``).
     """
 
     def __init__(self, config: LatticeConfig, strength: float, t_start: float,
-                 t_stop: float, envelope, profile):
+                 t_stop: float, profile):
         if not (np.isfinite([t_start, t_stop]).all() and t_stop > t_start):
             raise ValueError("gauge window must have finite t_stop > t_start")
         self.config = config
         self.strength = float(strength)
         self.t_start = float(t_start)
         self.t_stop = float(t_stop)
-        self.envelope = envelope
         self.profile = profile
 
     def chi(self, t: float) -> np.ndarray:
         s = (t - self.t_start) / (self.t_stop - self.t_start)
-        return self.strength * self.envelope(s)[0] * self.profile(t)[0]
+        return self.strength * ramp(s)[0] * self.profile(t)[0]
 
     @classmethod
     def ramped_profile(cls, config: LatticeConfig, profile: np.ndarray,
@@ -104,36 +100,8 @@ class GaugeFunction:
             dx = spectral_derivative(profile, config.box_length)
         if not np.isfinite([profile, dx]).all():
             raise ValueError("chi's profile and its derivative must be finite")
-        static = (profile, None, dx)
-        return cls(config, strength, t_start, t_stop, ramp, lambda t: static)
-
-    @classmethod
-    def bump_series(cls, config: LatticeConfig, times: np.ndarray,
-                    series: np.ndarray, strength: float, t_start: float,
-                    t_stop: float) -> "GaugeFunction":
-        """chi(x,t) = strength * bump(t) * d series/dt via a cubic spline.
-
-        The bump 4*g(1-g) (g the quintic ramp) vanishes with its derivative
-        at both window ends, keeping chi compactly supported in the window.
-        """
-        # Imported here, not at module level: scipy.interpolate is the largest
-        # part of the package's import time, and only this recipe needs it.
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(times, series, axis=0)
-        rate = spline.derivative(1)
-        rate2 = spline.derivative(2)
-
-        def bump(s):
-            g, g_rate = ramp(s)
-            return 4.0 * g * (1.0 - g), 4.0 * g_rate * (1.0 - 2.0 * g)
-
-        def profile(t):
-            p = np.asarray(rate(t))
-            return (p, np.asarray(rate2(t)),
-                    spectral_derivative(p, config.box_length))
-
-        return cls(config, strength, t_start, t_stop, bump, profile)
+        static = (profile, dx)
+        return cls(config, strength, t_start, t_stop, lambda t: static)
 
 
 class Potential:
@@ -172,22 +140,19 @@ class PureGaugePotential(Potential):
         self.gauge = gauge
 
     def fields(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """chi's derivatives from one call of its envelope and its profile."""
+        """chi's derivatives from one call of the ramp and one of its profile."""
         return _gauge_fields(self.gauge, self.gauge.strength, t)
 
 
 def _gauge_fields(gauge: GaugeFunction, strengths, t: float):
     """(A0, A) = (d chi/dt, -d chi/dx) of ``gauge``'s shape at ``strengths``,
     a float (one value per site) or a (k, 1) column (a (k, N) array): one
-    envelope and one profile call serve every strength, and row j is, bit
+    ``ramp`` and one profile call serve every strength, and row j is, bit
     for bit, the field at strength j alone."""
     span = gauge.t_stop - gauge.t_start
-    g, g_rate = gauge.envelope((t - gauge.t_start) / span)
-    p, p_rate, p_dx = gauge.profile(t)
-    a0 = strengths * g_rate / span * p
-    if p_rate is not None:
-        a0 = a0 + strengths * g * p_rate
-    return a0, -(strengths * g * p_dx)
+    g, g_rate = ramp((t - gauge.t_start) / span)
+    p, p_dx = gauge.profile(t)
+    return strengths * g_rate / span * p, -(strengths * g * p_dx)
 
 
 @dataclass
@@ -268,9 +233,9 @@ def _couplings(config: LatticeConfig, potentials, t: float):
     """Site couplings v0 = q A0 and v1 = -q A at time t, (N, n_branch) with
     one column per potential, each bit for bit that potential's own.
 
-    ``PureGaugePotential``s whose gauges share one envelope, one profile and
-    one window form a group that calls each once (``_gauge_fields``); any
-    other potential gives its own ``fields``.
+    ``PureGaugePotential``s whose gauges share one profile and one window
+    form a group that calls the ramp and the profile once
+    (``_gauge_fields``); any other potential gives its own ``fields``.
     """
     a0 = np.empty((config.site_count, len(potentials)))
     a = np.empty_like(a0)
@@ -278,7 +243,7 @@ def _couplings(config: LatticeConfig, potentials, t: float):
     for b, potential in enumerate(potentials):
         if isinstance(potential, PureGaugePotential):
             gauge = potential.gauge
-            key = (gauge.envelope, gauge.profile, gauge.t_start, gauge.t_stop)
+            key = (gauge.profile, gauge.t_start, gauge.t_stop)
             groups.setdefault(key, []).append(b)
         else:
             a0[:, b], a[:, b] = potential.fields(t)
@@ -841,26 +806,16 @@ def excite_wavepacket(state: SlaterState, p_center: float,
                        state.subtractions)
 
 
-def build_kick_chi(traj: Trajectory, recipe: str, strength: float,
-                   t_start: float, t_stop: float) -> GaugeFunction:
-    """Gauge function built from a potential-free trajectory.
-
-    recipe "density_rate": chi(x,t) = strength * ramp(t) * (d rho/dt)(x, t_stop),
-    the ramp reaching exactly 1 at t_stop.  recipe "continuity_rate":
-    chi(x,t) = -strength * bump(t) * (dL/dt)(x,t) with a compactly supported
-    bump.  Both satisfy chi = d chi/dt = 0 at t_start.
-    """
+def build_kick_chi(traj: Trajectory, strength: float, t_start: float,
+                   t_stop: float) -> GaugeFunction:
+    """The density-rate kick of a potential-free trajectory:
+    chi(x,t) = strength * ramp(t) * (d rho/dt)(x, t_stop), the ramp reaching
+    exactly 1 at t_stop, so chi = d chi/dt = 0 at t_start."""
     if traj.provenance != "zero":
         raise ValueError("kick construction requires a potential-free trajectory")
-    config = traj.basis.config
-    if recipe == "density_rate":
-        profile = traj.density_rate[traj.index_of(t_stop)]
-        return GaugeFunction.ramped_profile(config, profile, strength,
-                                            t_start, t_stop)
-    if recipe == "continuity_rate":
-        return GaugeFunction.bump_series(config, traj.times, traj.residual,
-                                         -strength, t_start, t_stop)
-    raise ValueError(f"unknown kick recipe {recipe!r}")
+    profile = traj.density_rate[traj.index_of(t_stop)]
+    return GaugeFunction.ramped_profile(traj.basis.config, profile, strength,
+                                        t_start, t_stop)
 
 
 @dataclass
@@ -881,7 +836,7 @@ def gauge_pair_sweep(state: SlaterState, kick: GaugeFunction, factors,
                      sample_stride: int = 1) -> list[GaugePairReport]:
     """One pure-gauge branch per factor f, each against ``free_branch``.
 
-    Branch f is ``kick``'s envelope, profile and window at strength
+    Branch f is ``kick``'s profile and window at strength
     f * ``kick.strength`` (for a unit kick, f * +-1.0, exactly the strength
     of a kick built at f), so the branches share one shape: they advance
     together (``run_branches``) and each step evaluates it once.  ``state``
@@ -898,7 +853,7 @@ def gauge_pair_sweep(state: SlaterState, kick: GaugeFunction, factors,
     if free_branch.provenance != "zero":
         raise ValueError("free_branch must be a potential-free trajectory")
     gauges = [GaugeFunction(kick.config, f * kick.strength, kick.t_start,
-                            kick.t_stop, kick.envelope, kick.profile)
+                            kick.t_stop, kick.profile)
               for f in factors]
     branches = [traj for traj, _ in run_branches(
         state, [PureGaugePotential(g) for g in gauges], kick.t_stop, dt,

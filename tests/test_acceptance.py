@@ -140,7 +140,7 @@ def test_criterion_6_rate_identity_order():
     dt0 = 4 * default_dt(basis)
     free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config), t_stop,
                                 dt0)
-    gauge = ev.build_kick_chi(free, "density_rate", 0.3, 0.0, t_stop)
+    gauge = ev.build_kick_chi(free, 0.3, 0.0, t_stop)
     pot = ev.PureGaugePotential(gauge)
     halvings = (2, 4, 8)
     residuals = []
@@ -186,7 +186,7 @@ def test_criterion_8_energy_extraction():
     free20, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
                                   t_stop, dt, sample_stride=20)
     for f in tested:
-        gauge = ev.build_kick_chi(free, "density_rate", f, 0.0, t_stop)
+        gauge = ev.build_kick_chi(free, f, 0.0, t_stop)
         rep = ev.gauge_pair_sweep(state, gauge, [1.0], free20, dt,
                                   sample_stride=20)[0]
         assert rep.free_energy_gauge_tb < rep.free_energy_free_tb
@@ -204,7 +204,7 @@ def test_criterion_8_energy_extraction():
     free50, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
                                   t_stop, dt, sample_stride=50)
     for f in huge:
-        gauge = ev.build_kick_chi(free, "density_rate", f, 0.0, t_stop)
+        gauge = ev.build_kick_chi(free, f, 0.0, t_stop)
         rep = ev.gauge_pair_sweep(state, gauge, [1.0], free50, dt,
                                   sample_stride=50)[0]
         saturated.append(rep.free_energy_gauge_tb)

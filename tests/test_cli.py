@@ -273,7 +273,7 @@ def test_evolve_free_run(tmp_path):
 
 
 def test_evolve_with_kick_and_recipe_alias(tmp_path):
-    for recipe in ("density_rate", "eq39", "continuity_rate", "eq42"):
+    for recipe in ("density_rate", "eq39"):
         cfg = write_config(tmp_path / f"cfg_{recipe}.json", {
             "lattice": BASE_LATTICE, "vacuum": "standard",
             "packet": {"p_center": 2.0, "sigma": 0.2},
@@ -325,20 +325,31 @@ def test_stationary_packet_violates_invariant(tmp_path):
     assert code == 2
 
 
-def test_continuity_rate_kick_is_refused_by_extract_energy(tmp_path, capsys):
-    # a continuity_rate kick's chi vanishes at t_b, so xi0_2_predicted does
-    # not move with f and there is no slope to extract: exit code 2
-    cfg = write_config(tmp_path / "cfg.json", {
-        "lattice": BASE_LATTICE, "vacuum": "standard",
-        "packet": {"p_center": 2.0, "sigma": 0.2},
-        "t_a": 0.0, "t_b": 1.5, "sample_stride": 10,
-        "kick": {"recipe": "continuity_rate",
-                 "f": [0.0, 0.01, 0.02, 0.03, 0.04]},
-    })
-    assert main(["extract-energy", "--config", cfg,
-                 "--out", str(tmp_path / "out")]) == 2
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["exit_code"] == 2 and "chi" in err["error"]
+@pytest.mark.parametrize("command, recipe", [
+    ("evolve", "continuity_rate"), ("evolve", "eq42"),
+    ("extract-energy", "continuity_rate"), ("extract-energy", "eq42"),
+    ("evolve", "eq40"),
+])
+def test_refused_kick_recipe_is_config_error(command, recipe, tmp_path, capsys,
+                                             monkeypatch):
+    """A continuity_rate kick (alias eq42) is refused before anything
+    evolves, and says why: its chi comes from the continuity residual, which
+    on this lattice is aliasing at the cutoff alone, so the kick vanishes.
+    An unknown token is refused as unknown."""
+    reason = ("continuity residual" if recipe in ("continuity_rate", "eq42")
+              else "unknown kick recipe")
+
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolution ran before the recipe was checked")
+
+    monkeypatch.setattr(ev, "run_branches", no_evolution)
+    f = 0.3 if command == "evolve" else [0.0, 0.01, 0.02]
+    cfg = write_config(tmp_path / "cfg.json",
+                       dict(KICKED_PACKET, kick={"recipe": recipe, "f": f}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = single_error_line(capsys)
+    assert err["exit_code"] == 1
+    assert repr(recipe) in err["error"] and reason in err["error"]
 
 
 SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -831,10 +842,25 @@ def test_fuzzed_config_fails_cleanly(case, value):
     "'sample_stride': 10, 'kick': {'recipe': 'density_rate', 'f': 0.05}})); "
     "assert cli.main(['evolve', '--config', 'cfg.json', '--out', 'out']) == 0; "
     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    # no command loads scipy: a refused continuity_rate kick (exit 1) and an
+    # extract-energy sweep, in one process
+    "import json, sys; from diracsea import cli; "
+    "base = {'lattice': {'L': 6.283185307179586, 'N': 9, 'm': 1.0, 'q': 1.0}, "
+    "'vacuum': 'standard', 'packet': {'p_center': 2.0, 'sigma': 0.2}, "
+    "'t_a': 0.0, 't_b': 0.5, 'sample_stride': 10}; "
+    "open('evolve.json', 'w').write(json.dumps(dict(base, kick={"
+    "'recipe': 'continuity_rate', 'f': 0.3}))); "
+    "open('energy.json', 'w').write(json.dumps(dict(base, kick={"
+    "'recipe': 'eq39', 'f': [0.0, 0.01, 0.02]}))); "
+    "assert cli.main(['evolve', '--config', 'evolve.json', '--out', 'a']) == 1; "
+    "assert cli.main(['extract-energy', '--config', 'energy.json', "
+    "'--out', 'b']) == 0; "
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     # only a parallel sweep imports concurrent.futures, and with it logging
     "import sys, diracsea.cli; print(sorted("
     "{'concurrent.futures', 'logging'} & set(sys.modules)))",
-], ids=["cli-import", "run-verification", "kicked-evolve", "cli-import-futures"])
+], ids=["cli-import", "run-verification", "kicked-evolve",
+        "refused-kick-and-extract-energy", "cli-import-futures"])
 def test_cli_import_loads_neither_sparse_nor_special(code, tmp_path):
     src = str(Path(cli.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

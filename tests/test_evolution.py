@@ -50,7 +50,7 @@ def kicked_packet(basis, strength, sigma=0.2, t_stop=1.0):
     state = packet_state(basis, sigma=sigma)
     free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config), t_stop,
                                 default_dt(basis), sample_stride=10)
-    gauge = ev.build_kick_chi(free, "density_rate", strength, 0.0, t_stop)
+    gauge = ev.build_kick_chi(free, strength, 0.0, t_stop)
     return state, ev.PureGaugePotential(gauge)
 
 
@@ -247,10 +247,10 @@ def test_batched_branches_match_single_runs(basis_n9):
     free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
                                 dt, sample_stride=5)
     strengths = (0.01, 0.4, 4.0)
-    unit = ev.build_kick_chi(free, "density_rate", 1.0, 0.0, 1.0)
+    unit = ev.build_kick_chi(free, 1.0, 0.0, 1.0)
     reports = ev.gauge_pair_sweep(state, unit, strengths, free, dt, 5)
     for f, report in zip(strengths, reports):
-        gauge = ev.build_kick_chi(free, "density_rate", f, 0.0, 1.0)
+        gauge = ev.build_kick_chi(free, f, 0.0, 1.0)
         single, _ = ev.run_trajectory(state, ev.PureGaugePotential(gauge), 1.0,
                                       dt, sample_stride=5)
         batched = report.gauge_branch
@@ -267,7 +267,7 @@ def shared_shape(gauge, strengths):
     times its own, built as ``gauge_pair_sweep`` builds its branches."""
     return [ev.PureGaugePotential(ev.GaugeFunction(
         gauge.config, f * gauge.strength, gauge.t_start, gauge.t_stop,
-        gauge.envelope, gauge.profile)) for f in strengths]
+        gauge.profile)) for f in strengths]
 
 
 def per_potential_couplings(config, potentials, t):
@@ -280,24 +280,22 @@ def per_potential_couplings(config, potentials, t):
 SHIPPED_STRENGTHS = (0.01, 0.02, 0.03, 0.04, 0.1, 0.2, 0.4, 1.0, 2.0, 4.0)
 
 
-@pytest.mark.parametrize("batch", ["ramped_profile", "bump_series", "mixed"])
+@pytest.mark.parametrize("batch", ["ramped_profile", "mixed"])
 def test_batched_couplings_are_each_potentials_own(batch):
-    """A group of kicks sharing one shape, and a mixed batch (two shapes,
-    one of them also in another window, a plain ``Potential`` and a
-    ``ZeroPotential``), give each branch its own potential's couplings, bit
-    for bit."""
+    """A group of kicks sharing one shape, and a mixed batch (that shape,
+    also in another window, a plain ``Potential`` and a ``ZeroPotential``),
+    give each branch its own potential's couplings, bit for bit."""
     config = LatticeConfig(TWO_PI, 9, 1.0, -0.5)
     kicks = synthetic_kicks(config)
     if batch == "mixed":
         x = config.grid
-        ramped, bump = (shared_shape(kicks[name], (0.3, -2.0))
-                        for name in ("ramped_profile", "bump_series"))
         shape = kicks["ramped_profile"]
+        ramped = shared_shape(shape, (0.3, -2.0))
         other_window = ev.PureGaugePotential(ev.GaugeFunction(
-            config, 0.5, 0.2, 0.8, shape.envelope, shape.profile))
-        potentials = [ramped[0], bump[0], ev.Potential(
+            config, 0.5, 0.2, 0.8, shape.profile))
+        potentials = [ramped[0], ev.Potential(
             config, a0_fn=lambda t: 0.2 * np.cos(x + t)),
-            ramped[1], other_window, ev.ZeroPotential(config), bump[1]]
+            ramped[1], other_window, ev.ZeroPotential(config)]
     else:
         potentials = shared_shape(kicks[batch], SHIPPED_STRENGTHS + (-0.3,))
     for t in (-0.2, 0.0, 0.2137, 0.5311, 1.0, 1.3):
@@ -314,8 +312,8 @@ def test_batched_couplings_refuse_a_nan_profile():
     profile = np.cos(config.grid)
     profile[4] = np.nan
     # past ``ramped_profile``, which refuses a non-finite profile itself
-    static = (profile, None, np.zeros(9))
-    gauge = ev.GaugeFunction(config, 1.0, 0.0, 1.0, ev.ramp, lambda t: static)
+    static = (profile, np.zeros(9))
+    gauge = ev.GaugeFunction(config, 1.0, 0.0, 1.0, lambda t: static)
     with pytest.raises(ValueError, match=r"^potential is not finite at t=0\.5$"):
         ev._couplings(config, shared_shape(gauge, (0.01, 0.4)), 0.5)
 
@@ -342,15 +340,14 @@ def test_gauge_window_must_be_finite_and_ordered(t_start, t_stop):
 def test_shipped_sweep_evaluates_its_kick_shape_once_per_step(tmp_path,
                                                              monkeypatch):
     """In an in-turn run of the shipped extract-energy, each of the two
-    Gauss nodes of its 64 CFM4 steps calls the kicks' one envelope and one
+    Gauss nodes of its 64 CFM4 steps calls the ramp and the kicks' one
     profile once for all ten kicked strengths."""
     calls, per_step = [], []
-    build, couplings = ev.build_kick_chi, ev._couplings
+    build, couplings, ramp = ev.build_kick_chi, ev._couplings, ev.ramp
 
     def spied_kick(*args):
         gauge = build(*args)
-        envelope, profile = gauge.envelope, gauge.profile
-        gauge.envelope = lambda s: calls.append("envelope") or envelope(s)
+        profile = gauge.profile
         gauge.profile = lambda t: calls.append("profile") or profile(t)
         return gauge
 
@@ -361,17 +358,17 @@ def test_shipped_sweep_evaluates_its_kick_shape_once_per_step(tmp_path,
         return out
 
     monkeypatch.setattr(ev, "build_kick_chi", spied_kick)
+    monkeypatch.setattr(ev, "ramp", lambda s: calls.append("ramp") or ramp(s))
     monkeypatch.setattr(ev, "_couplings", counted)
     monkeypatch.setattr(ev, "_splits", lambda psi, n_steps: False)
     shipped = Path(__file__).resolve().parents[1] / "configs" / "extract_energy.json"
     assert cli.main(["extract-energy", "--config", str(shipped),
                      "--out", str(tmp_path)]) == 0
     assert len(per_step) == 128
-    assert all(step == ["envelope", "profile"] for step in per_step)
+    assert all(step == ["profile", "ramp"] for step in per_step)
 
 
-@pytest.mark.parametrize("recipe", ["density_rate", "continuity_rate"])
-def test_kicks_sharing_the_unit_shape_change_no_report(recipe, basis_n9):
+def test_kicks_sharing_the_unit_shape_change_no_report(basis_n9):
     """The sweep's branches, which share the unit kick's shape, are bit for
     bit the branches of kicks built one per strength, and so is chi(t_b)."""
     state = packet_state(basis_n9)
@@ -379,10 +376,10 @@ def test_kicks_sharing_the_unit_shape_change_no_report(recipe, basis_n9):
     free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
                                 dt, sample_stride=5)
     strengths = (0.01, 0.4, 4.0)
-    unit = ev.build_kick_chi(free, recipe, 1.0, 0.0, 1.0)
+    unit = ev.build_kick_chi(free, 1.0, 0.0, 1.0)
     shared = [potential.gauge for potential in shared_shape(unit, strengths)]
-    own = [ev.build_kick_chi(free, recipe, f, 0.0, 1.0) for f in strengths]
-    assert len({(g.envelope, g.profile) for g in shared}) == 1
+    own = [ev.build_kick_chi(free, f, 0.0, 1.0) for f in strengths]
+    assert len({g.profile for g in shared}) == 1
     assert len({g.profile for g in own}) == len(strengths)  # a shape each
     reports = ev.gauge_pair_sweep(state, unit, strengths, free, dt, 5)
     branches = ev.run_branches(state, [ev.PureGaugePotential(g) for g in own],
@@ -467,7 +464,7 @@ def test_pure_gauge_vanishes_at_start(basis_n9):
     state = packet_state(basis_n9)
     traj1, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
                                  1.0, default_dt(basis_n9))
-    gauge = ev.build_kick_chi(traj1, "density_rate", 0.5, 0.0, 1.0)
+    gauge = ev.build_kick_chi(traj1, 0.5, 0.0, 1.0)
     assert np.abs(gauge.chi(0.0)).max() == 0.0
     pot = ev.PureGaugePotential(gauge)
     assert np.abs(pot.fields(0.0)[0]).max() == 0.0
@@ -559,7 +556,7 @@ def test_unsampled_time_is_refused(basis_n9):
         with pytest.raises(ValueError, match="not sampled"):
             free.index_of(t)
     with pytest.raises(ValueError, match="not sampled"):
-        ev.build_kick_chi(free, "density_rate", 0.1, 0.0, np.nan)
+        ev.build_kick_chi(free, 0.1, 0.0, np.nan)
 
 
 def test_kick_requires_free_trajectory(basis_n9):
@@ -570,11 +567,7 @@ def test_kick_requires_free_trajectory(basis_n9):
     traj, _ = ev.run_trajectory(state, ev.PureGaugePotential(gauge), 1.0,
                                 default_dt(basis_n9))
     with pytest.raises(ValueError):
-        ev.build_kick_chi(traj, "density_rate", 0.1, 0.0, 1.0)
-    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
-                                default_dt(basis_n9))
-    with pytest.raises(ValueError):
-        ev.build_kick_chi(free, "unknown", 0.1, 0.0, 1.0)
+        ev.build_kick_chi(traj, 0.1, 0.0, 1.0)
 
 
 def test_zero_strength_kick_is_inert(basis_n9):
@@ -582,26 +575,12 @@ def test_zero_strength_kick_is_inert(basis_n9):
     dt = default_dt(basis_n9)
     traj1, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
                                  1.0, dt)
-    gauge = ev.build_kick_chi(traj1, "density_rate", 0.0, 0.0, 1.0)
+    gauge = ev.build_kick_chi(traj1, 0.0, 0.0, 1.0)
     report = ev.gauge_pair_sweep(state, gauge, [1.0], traj1, dt)[0]
     assert report.max_density_deviation == 0.0
     assert report.max_current_deviation == 0.0
     assert report.free_energy_gauge_tb == pytest.approx(
         report.free_energy_free_tb, abs=1e-14)
-
-
-def test_continuity_rate_kick_is_compactly_supported(basis_n9):
-    state = packet_state(basis_n9)
-    dt = default_dt(basis_n9)
-    traj1, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
-                                 1.0, dt)
-    gauge = ev.build_kick_chi(traj1, "continuity_rate", 0.3, 0.0, 1.0)
-    assert np.abs(gauge.chi(0.0)).max() == 0.0
-    assert np.abs(gauge.chi(1.0)).max() == 0.0
-    pot = ev.PureGaugePotential(gauge)
-    assert np.abs(pot.fields(0.0)[0]).max() < 1e-12
-    assert np.abs(pot.fields(1.0)[0]).max() < 1e-12
-    assert np.abs(gauge.chi(0.5)).max() >= 0.0  # defined inside the window
 
 
 def test_uniform_gauge_function_leaves_observables_alone(basis_n9):
@@ -632,7 +611,7 @@ def test_density_rate_kick_extracts_energy(basis_n9):
     energies = []
     strengths = (0.01, 0.02, 0.04)
     for f in strengths:
-        gauge = ev.build_kick_chi(traj1, "density_rate", f, 0.0, t_stop)
+        gauge = ev.build_kick_chi(traj1, f, 0.0, t_stop)
         report = ev.gauge_pair_sweep(state, gauge, [1.0], free, dt,
                                      sample_stride=10)[0]
         energies.append(report.free_energy_gauge_tb)
@@ -655,7 +634,7 @@ def test_rate_identity_second_order(basis_n9):
     dt0 = 4 * default_dt(basis_n9)
     traj1, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
                                  1.5, dt0)
-    gauge = ev.build_kick_chi(traj1, "density_rate", 0.3, 0.0, 1.5)
+    gauge = ev.build_kick_chi(traj1, 0.3, 0.0, 1.5)
     pot = ev.PureGaugePotential(gauge)
     residuals = []
     for k in (2, 4, 8):
@@ -666,26 +645,16 @@ def test_rate_identity_second_order(basis_n9):
 
 
 def synthetic_kicks(config):
-    """Each kick recipe on a synthetic input with a visible time dependence:
-    the ramp on cos x, and the bump on sin 3t cos x + t^2 sin 2x sampled at
-    41 knots over [0, 1]."""
-    x = config.grid
-    times = np.linspace(0.0, 1.0, 41)
-    series = (np.sin(3.0 * times)[:, None] * np.cos(x)
-              + (times**2)[:, None] * np.sin(2.0 * x))
-    return {
-        "ramped_profile": ev.GaugeFunction.ramped_profile(
-            config, np.cos(x), 0.7, 0.0, 1.0),
-        "bump_series": ev.GaugeFunction.bump_series(
-            config, times, series, 0.7, 0.0, 1.0),
-    }
+    """The kick recipe on a synthetic input: the ramp on cos x."""
+    return {"ramped_profile": ev.GaugeFunction.ramped_profile(
+        config, np.cos(config.grid), 0.7, 0.0, 1.0)}
 
 
-@pytest.mark.parametrize("recipe", ["ramped_profile", "bump_series"])
+@pytest.mark.parametrize("recipe", ["ramped_profile"])
 def test_kick_recipe_is_pure_gauge(recipe):
-    """(A0, A) = (d chi/dt, -d chi/dx) at interior times off the knots: A0
-    against a centred difference of chi, A against chi's spectral
-    derivative, so the kick carries no electric field."""
+    """(A0, A) = (d chi/dt, -d chi/dx) at interior times: A0 against a
+    centred difference of chi, A against chi's spectral derivative, so the
+    kick carries no electric field."""
     config = LatticeConfig(TWO_PI, 9, 1.0)
     gauge = synthetic_kicks(config)[recipe]
     pot = ev.PureGaugePotential(gauge)
@@ -929,7 +898,7 @@ def test_split_needs_two_cpus_per_process(cpus, share, splits, basis_n9,
 @needs_split
 @pytest.mark.parametrize("shape, steps, splits", [
     ((27, 10, 2, 28), 320, True),   # the shipped extract-energy sweep
-    ((81, 1, 2, 82), 40, True),     # the bench's kicked evolves
+    ((81, 1, 2, 82), 40, True),     # 40 midpoint steps of an N = 81 packet
     ((201, 1, 2, 202), 20, True),
     ((81, 1, 2, 82), 10, False),    # 1.3e5 entry-steps
     ((9, 3, 2, 10), 40, False),

@@ -14,7 +14,7 @@ The set: the shipped ``extract-energy``, ``response`` and Schwinger
 ``sweep`` configs; ``verify``; ``check-basis`` at N = 101; three kicked
 ``evolve`` runs on the shipped packet at sample stride 5 (N = 81 over 40
 steps at f = 0.02 and at f = 2, where the midpoint step's error is
-largest, and N = 201 over 20 steps at f = 0.02); a ``continuity_rate``
+largest, and N = 201 over 20 steps at f = 0.02); a small kicked
 ``evolve`` at N = 27 (f = 0.3, window [0, 1], stride 10); and the kernel
 sizes: the Schwinger sweep over N = 9, 15, 21, 27, 51, 101, 151 on the
 filled sea, ``schwinger`` on the coupled band (half the headroom below the
@@ -60,10 +60,10 @@ def commands(parent_root: Path) -> dict[str, tuple[str, dict | None]]:
     shipped = {name: json.loads((parent_root / "configs" / f"{name}.json").read_text())
                for name in ("extract_energy", "response_paths", "schwinger_sweep")}
     energy = shipped["extract_energy"]
-    continuity = {"lattice": energy["lattice"], "vacuum": "standard",
+    small_kick = {"lattice": energy["lattice"], "vacuum": "standard",
                   "packet": energy["packet"], "t_a": 0.0, "t_b": 1.0,
                   "sample_stride": 10,
-                  "kick": {"recipe": "continuity_rate", "f": 0.3}}
+                  "kick": {"recipe": "density_rate", "f": 0.3}}
     schwinger = shipped["schwinger_sweep"]
     kernel_sweep = dict(schwinger, sweep=dict(
         schwinger["sweep"], values=[9, 15, 21, 27, 51, 101, 151]))
@@ -80,7 +80,7 @@ def commands(parent_root: Path) -> dict[str, tuple[str, dict | None]]:
         "evolve-kick-N81": ("evolve", _kicked_evolve(energy, 81, 40)),
         "evolve-kick-N81-f2": ("evolve", _kicked_evolve(energy, 81, 40, 2.0)),
         "evolve-kick-N201": ("evolve", _kicked_evolve(energy, 201, 20)),
-        "evolve-continuity-N27": ("evolve", continuity),
+        "evolve-kick-N27": ("evolve", small_kick),
         "schwinger-sweep-N151": ("sweep", kernel_sweep),
         "schwinger-band-N151": ("schwinger", _coupled_band(
             {"lattice": schwinger["lattice"]}, 151)),
