@@ -418,6 +418,10 @@ def run_evolve(config: dict, out_dir: Path, seed: int) -> list[Path]:
     spec = _vacuum_from(config)
     t_start, t_stop = _window_from(config, basis)
     dt, stride = _stepping_from(config, basis, t_start, t_stop)
+    samples = ev.step_count(t_start, t_stop, dt, stride)[0] // stride + 1
+    if samples < 3:
+        raise ConfigError(f"evolve records {samples} samples and needs at least "
+                          "three; lower dt or sample_stride")
     state = _packet_from(config, ev.vacuum_state(basis, spec, time=t_start))
     if state.orbital_count == 0:
         raise ConfigError("evolve needs an orbital: a packet or a filled vacuum")
@@ -430,15 +434,10 @@ def run_evolve(config: dict, out_dir: Path, seed: int) -> list[Path]:
         strength = _number(kick, "f")
         free_traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
                                          t_stop, dt, stride)
-        gauge = ev.build_kick_chi(free_traj, strength, t_start, t_stop)
-        potential = ev.PureGaugePotential(gauge)
+        potential = ev.build_kick_chi(free_traj, strength, t_start, t_stop)
 
     with _config_error():  # a kick too strong to evolve
         traj, final = ev.run_trajectory(state, potential, t_stop, dt, stride)
-    if len(traj.times) < 3:
-        raise ConfigError(
-            f"evolve records {len(traj.times)} samples and needs at least "
-            "three; lower dt or sample_stride")
     if not final.gram_defect() <= 1e-10:
         raise InvariantError("orbital orthonormality drifted above 1e-10")
     return _trajectory_files(out_dir, "evolve", traj, potential)
@@ -542,19 +541,17 @@ def run_response(config: dict, out_dir: Path, seed: int) -> list[Path]:
 
     cfg = basis.config
     with _config_error(), np.errstate(over="ignore", invalid="ignore"):
-        # a chi past the float range is refused by ``ramped_profile``, unwarned
+        # ``PureGaugePotential`` refuses a chi past the float range, unwarned
         profile = amplitude * np.cos(2.0 * np.pi * harmonic * cfg.grid
                                      / cfg.box_length)
-        gauge = ev.GaugeFunction.ramped_profile(cfg, profile, 1.0, t_start,
-                                                t_stop)
-    potential = ev.PureGaugePotential(gauge)
+        potential = ev.PureGaugePotential(cfg, profile, 1.0, t_start, t_stop)
     kernel = rs.vacuum_response_kernel(basis, spec)
 
     times = np.linspace(t_start, t_stop, n_times + 1)[1:]
     direct = rs.first_order_current(kernel, potential, times, t_start,
                                     smearing=smearing).ravel()
     contraction = np.concatenate([rs.gauge_variation_response(commutator,
-                                                              gauge, t)
+                                                              potential, t)
                                   for t in times])
     width = spec.band_width if spec.kind == "band" else ""
     i, j = np.divmod(np.arange(direct.size), cfg.site_count)  # row-major

@@ -30,17 +30,16 @@ orbital axis for the whole run, with BLAS on one thread in both processes
 
 A potential gives both its fields at once, ``Potential.fields(t)`` ->
 (A0, A), so the rate identity and the Kubo source ask once per time; a
-pure-gauge potential reads (d chi/dt, -d chi/dx) off one call of the ramp
-and one of its gauge function's static profile.  Each coupling time (one per
-midpoint step, two per CFM4 step) asks once for the couplings of the whole
-batch (``_couplings``), where pure-gauge kicks of one shape share those two
-calls.
+pure-gauge potential holds its static profile and the profile's derivative,
+and reads (d chi/dt, -d chi/dx) off one call of the ramp.  Each coupling
+time (one per midpoint step, two per CFM4 step) stacks every branch's own
+fields (``_couplings``).
 
-The module also hosts the gauge-kick experiment: build a gauge function from
-the density rate of a potential-free trajectory (``build_kick_chi``), evolve
-branches of its shape at multiples of its strength (``gauge_pair_sweep``),
-and compare the observables and the free-field energy of each with the free
-branch.
+The module also hosts the gauge-kick experiment: build a pure-gauge kick
+from the density rate of a potential-free trajectory (``build_kick_chi``),
+evolve branches of its shape at multiples of its strength
+(``gauge_pair_sweep``), and compare the observables and the free-field
+energy of each with the free branch.
 """
 
 from __future__ import annotations
@@ -62,46 +61,6 @@ def ramp(s):
     ends, and dg/ds; a NaN s stays NaN."""
     s = min(max(s, 0.0), 1.0)
     return s**3 * (10.0 + s * (-15.0 + 6.0 * s)), 30.0 * s**2 * (1.0 - s) ** 2
-
-
-class GaugeFunction:
-    """Gauge scalar chi(x,t) = strength * g(s) * P(x), s = (t - t_start) / span.
-
-    g is the quintic ``ramp``, reaching 1 at the end time, so chi = 0 and
-    d chi/dt = 0 at the start time.  ``profile(t)`` returns the static
-    (P, dP/dx) on the grid, so one call of it and one of the ramp give chi's
-    time and space derivatives together (``PureGaugePotential.fields``).
-    """
-
-    def __init__(self, config: LatticeConfig, strength: float, t_start: float,
-                 t_stop: float, profile):
-        if not (np.isfinite([t_start, t_stop]).all() and t_stop > t_start):
-            raise ValueError("gauge window must have finite t_stop > t_start")
-        self.config = config
-        self.strength = float(strength)
-        self.t_start = float(t_start)
-        self.t_stop = float(t_stop)
-        self.profile = profile
-
-    def chi(self, t: float) -> np.ndarray:
-        s = (t - self.t_start) / (self.t_stop - self.t_start)
-        return self.strength * ramp(s)[0] * self.profile(t)[0]
-
-    @classmethod
-    def ramped_profile(cls, config: LatticeConfig, profile: np.ndarray,
-                       strength: float, t_start: float,
-                       t_stop: float) -> "GaugeFunction":
-        """chi(x,t) = strength * ramp(t) * profile(x), ramp(t_stop) = 1;
-        ValueError unless the profile and its derivative are finite."""
-        profile = np.array(profile, dtype=float)
-        if profile.shape != (config.site_count,):
-            raise ValueError("profile must be one sample per grid site")
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            dx = spectral_derivative(profile, config.box_length)
-        if not np.isfinite([profile, dx]).all():
-            raise ValueError("chi's profile and its derivative must be finite")
-        static = (profile, dx)
-        return cls(config, strength, t_start, t_stop, lambda t: static)
 
 
 class Potential:
@@ -131,28 +90,45 @@ class ZeroPotential(Potential):
 
 
 class PureGaugePotential(Potential):
-    """(A0, A) = (d chi/dt, -d chi/dx): zero field strength by construction."""
+    """(A0, A) = (d chi/dt, -d chi/dx) of the gauge scalar
+    chi(x,t) = strength * g(s) * P(x), s = (t - t_start) / span: zero field
+    strength by construction.
+
+    g is the quintic ``ramp``, reaching 1 at t_stop, so chi = 0 and
+    d chi/dt = 0 at t_start.  P and dP/dx are stored on the grid once;
+    ValueError unless P is one finite sample per site with a finite
+    derivative and the window is finite and ordered.
+    """
 
     provenance = "pure_gauge"
 
-    def __init__(self, gauge: GaugeFunction):
-        super().__init__(gauge.config)
-        self.gauge = gauge
+    def __init__(self, config: LatticeConfig, profile: np.ndarray,
+                 strength: float, t_start: float, t_stop: float):
+        profile = np.array(profile, dtype=float)
+        if profile.shape != (config.site_count,):
+            raise ValueError("profile must be one sample per grid site")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            profile_dx = spectral_derivative(profile, config.box_length)
+        if not np.isfinite([profile, profile_dx]).all():
+            raise ValueError("chi's profile and its derivative must be finite")
+        if not (np.isfinite([t_start, t_stop]).all() and t_stop > t_start):
+            raise ValueError("gauge window must have finite t_stop > t_start")
+        super().__init__(config)
+        self.profile, self.profile_dx = profile, profile_dx
+        self.strength = float(strength)
+        self.t_start = float(t_start)
+        self.t_stop = float(t_stop)
+
+    def chi(self, t: float) -> np.ndarray:
+        s = (t - self.t_start) / (self.t_stop - self.t_start)
+        return self.strength * ramp(s)[0] * self.profile
 
     def fields(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """chi's derivatives from one call of the ramp and one of its profile."""
-        return _gauge_fields(self.gauge, self.gauge.strength, t)
-
-
-def _gauge_fields(gauge: GaugeFunction, strengths, t: float):
-    """(A0, A) = (d chi/dt, -d chi/dx) of ``gauge``'s shape at ``strengths``,
-    a float (one value per site) or a (k, 1) column (a (k, N) array): one
-    ``ramp`` and one profile call serve every strength, and row j is, bit
-    for bit, the field at strength j alone."""
-    span = gauge.t_stop - gauge.t_start
-    g, g_rate = ramp((t - gauge.t_start) / span)
-    p, p_dx = gauge.profile(t)
-    return strengths * g_rate / span * p, -(strengths * g * p_dx)
+        """chi's derivatives from one call of the ramp."""
+        span = self.t_stop - self.t_start
+        g, g_rate = ramp((t - self.t_start) / span)
+        return (self.strength * g_rate / span * self.profile,
+                -(self.strength * g * self.profile_dx))
 
 
 @dataclass
@@ -231,26 +207,11 @@ def vacuum_state(basis: ModeBasis, spec: VacuumSpec | OccupationSet,
 
 def _couplings(config: LatticeConfig, potentials, t: float):
     """Site couplings v0 = q A0 and v1 = -q A at time t, (N, n_branch) with
-    one column per potential, each bit for bit that potential's own.
-
-    ``PureGaugePotential``s whose gauges share one profile and one window
-    form a group that calls the ramp and the profile once
-    (``_gauge_fields``); any other potential gives its own ``fields``.
-    """
+    column b from potential b's own ``fields``."""
     a0 = np.empty((config.site_count, len(potentials)))
     a = np.empty_like(a0)
-    groups = {}
     for b, potential in enumerate(potentials):
-        if isinstance(potential, PureGaugePotential):
-            gauge = potential.gauge
-            key = (gauge.profile, gauge.t_start, gauge.t_stop)
-            groups.setdefault(key, []).append(b)
-        else:
-            a0[:, b], a[:, b] = potential.fields(t)
-    for columns in groups.values():
-        strengths = np.array([[potentials[b].gauge.strength] for b in columns])
-        rows0, rows = _gauge_fields(potentials[columns[0]].gauge, strengths, t)
-        a0[:, columns], a[:, columns] = rows0.T, rows.T
+        a0[:, b], a[:, b] = potential.fields(t)
     v0 = config.charge * a0
     v1 = -config.charge * a
     if not (np.isfinite(v0).all() and np.isfinite(v1).all()):
@@ -807,15 +768,15 @@ def excite_wavepacket(state: SlaterState, p_center: float,
 
 
 def build_kick_chi(traj: Trajectory, strength: float, t_start: float,
-                   t_stop: float) -> GaugeFunction:
+                   t_stop: float) -> PureGaugePotential:
     """The density-rate kick of a potential-free trajectory:
     chi(x,t) = strength * ramp(t) * (d rho/dt)(x, t_stop), the ramp reaching
     exactly 1 at t_stop, so chi = d chi/dt = 0 at t_start."""
     if traj.provenance != "zero":
         raise ValueError("kick construction requires a potential-free trajectory")
     profile = traj.density_rate[traj.index_of(t_stop)]
-    return GaugeFunction.ramped_profile(traj.basis.config, profile, strength,
-                                        t_start, t_stop)
+    return PureGaugePotential(traj.basis.config, profile, strength, t_start,
+                              t_stop)
 
 
 @dataclass
@@ -831,17 +792,17 @@ class GaugePairReport:
     predicted_gauge_tb_branch2: float
 
 
-def gauge_pair_sweep(state: SlaterState, kick: GaugeFunction, factors,
+def gauge_pair_sweep(state: SlaterState, kick: PureGaugePotential, factors,
                      free_branch: Trajectory, dt: float,
                      sample_stride: int = 1) -> list[GaugePairReport]:
     """One pure-gauge branch per factor f, each against ``free_branch``.
 
     Branch f is ``kick``'s profile and window at strength
     f * ``kick.strength`` (for a unit kick, f * +-1.0, exactly the strength
-    of a kick built at f), so the branches share one shape: they advance
-    together (``run_branches``) and each step evaluates it once.  ``state``
-    is prepared at the kick's start; ``free_branch`` is its potential-free
-    trajectory with the kick's window and the same step and stride.  Each
+    of a kick built at f); the branches advance together
+    (``run_branches``).  ``state`` is prepared at the kick's start;
+    ``free_branch`` is its potential-free trajectory with the kick's window
+    and the same step and stride.  Each
     report holds the worst observable deviation between its branch and the
     free one, the final free-field energies, and the first-order prediction
     xi0_free(t_b) - int (d rho_free/dt)(x, t_b) chi(x, t_b) dx, evaluated
@@ -852,22 +813,20 @@ def gauge_pair_sweep(state: SlaterState, kick: GaugeFunction, factors,
         raise ValueError("state must be prepared at the kick's start")
     if free_branch.provenance != "zero":
         raise ValueError("free_branch must be a potential-free trajectory")
-    gauges = [GaugeFunction(kick.config, f * kick.strength, kick.t_start,
-                            kick.t_stop, kick.profile)
-              for f in factors]
-    branches = [traj for traj, _ in run_branches(
-        state, [PureGaugePotential(g) for g in gauges], kick.t_stop, dt,
-        sample_stride)]
+    kicks = [PureGaugePotential(kick.config, kick.profile, f * kick.strength,
+                                kick.t_start, kick.t_stop) for f in factors]
+    branches = [traj for traj, _ in run_branches(state, kicks, kick.t_stop,
+                                                 dt, sample_stride)]
     traj1 = free_branch
     if branches and not np.array_equal(branches[0].times, traj1.times):
         raise ValueError("free_branch is not sampled at the branch times")
     a = state.basis.config.spacing
     i_tb = traj1.index_of(kick.t_stop)
     reports = []
-    for gauge, traj2 in zip(gauges, branches):
+    for branch_kick, traj2 in zip(kicks, branches):
         dev_rho = float(np.abs(traj2.density - traj1.density).max())
         dev_cur = float(np.abs(traj2.current - traj1.current).max())
-        chi_tb = gauge.chi(kick.t_stop)
+        chi_tb = branch_kick.chi(kick.t_stop)
         pred1 = traj1.free_energy[i_tb] - a * np.sum(traj1.density_rate[i_tb] * chi_tb)
         pred2 = traj1.free_energy[i_tb] - a * np.sum(traj2.density_rate[i_tb] * chi_tb)
         reports.append(GaugePairReport(traj2, dev_rho, dev_cur,

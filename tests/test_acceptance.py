@@ -140,8 +140,7 @@ def test_criterion_6_rate_identity_order():
     dt0 = 4 * default_dt(basis)
     free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config), t_stop,
                                 dt0)
-    gauge = ev.build_kick_chi(free, 0.3, 0.0, t_stop)
-    pot = ev.PureGaugePotential(gauge)
+    pot = ev.build_kick_chi(free, 0.3, 0.0, t_stop)
     halvings = (2, 4, 8)
     residuals = []
     for k in halvings:
@@ -231,8 +230,7 @@ def test_criterion_9_gauge_pair_residual_trend():
         state = ev.excite_wavepacket(
             ev.vacuum_state(basis, coupled_band_spec(basis)), 2.0, 0.2)
         profile = 0.2 * np.cos(TWO_PI * config.grid / config.box_length)
-        gauge = ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0,
-                                                1.5)
+        gauge = ev.PureGaugePotential(config, profile, 1.0, 0.0, 1.5)
         dt = default_dt(basis)
         free, _ = ev.run_trajectory(state, ev.ZeroPotential(config), 1.5, dt,
                                     sample_stride=10)
@@ -264,9 +262,7 @@ def test_criterion_10_response_equivalence():
     spec = VacuumSpec("standard")
     profile = 0.3 * np.cos(TWO_PI * basis.config.grid
                            / basis.config.box_length)
-    gauge = ev.GaugeFunction.ramped_profile(basis.config, profile, 1.0, 0.0,
-                                            1.5)
-    pot = ev.PureGaugePotential(gauge)
+    pot = ev.PureGaugePotential(basis.config, profile, 1.0, 0.0, 1.5)
     kernel = rs.vacuum_response_kernel(basis, spec)
     worst = 0.0
     for t in (0.7, 1.1, 1.5):
@@ -274,7 +270,7 @@ def test_criterion_10_response_equivalence():
                                         smearing="fourier",
                                         samples_per_period=80)
         contraction = rs.gauge_variation_response(sw.commutator_kernel(basis, spec),
-                                                  gauge, t)
+                                                  pot, t)
         worst = max(worst, float(np.abs(direct - contraction).max()))
         assert np.abs(contraction).max() > 10 * 1e-6
     assert worst < 1e-6
@@ -285,7 +281,7 @@ def test_criterion_10_response_equivalence():
                                          smearing="fourier",
                                          samples_per_period=80)
     band_contraction = rs.gauge_variation_response(
-        sw.commutator_kernel(basis, band), gauge, 1.1)
+        sw.commutator_kernel(basis, band), pot, 1.1)
     assert np.abs(band_direct - band_contraction).max() < 1e-6
 
     # finite-difference scaling against the integrated dynamics

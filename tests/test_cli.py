@@ -409,6 +409,23 @@ def single_error_line(capsys) -> dict:
     return json.loads(lines[0])
 
 
+def test_evolve_refuses_under_three_samples_before_evolving(tmp_path, capsys,
+                                                           monkeypatch):
+    """A stride that leaves two samples is refused before the free branch or
+    the kicked one evolves."""
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolution ran before the sample count was checked")
+
+    monkeypatch.setattr(ev, "run_branches", no_evolution)
+    cfg = write_config(tmp_path / "cfg.json", dict(
+        KICKED_PACKET, sample_stride=40000,
+        kick={"recipe": "density_rate", "f": 0.02}))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert single_error_line(capsys) == {
+        "error": "evolve records 2 samples and needs at least three; lower "
+                 "dt or sample_stride", "exit_code": 1}
+
+
 @pytest.mark.parametrize("command, config", [
     ("evolve", dict(KICKED_PACKET, t_a="x")),
     ("evolve", dict(KICKED_PACKET, t_b=None)),

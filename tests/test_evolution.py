@@ -50,8 +50,7 @@ def kicked_packet(basis, strength, sigma=0.2, t_stop=1.0):
     state = packet_state(basis, sigma=sigma)
     free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config), t_stop,
                                 default_dt(basis), sample_stride=10)
-    gauge = ev.build_kick_chi(free, strength, 0.0, t_stop)
-    return state, ev.PureGaugePotential(gauge)
+    return state, ev.build_kick_chi(free, strength, 0.0, t_stop)
 
 
 def test_vacuum_observables_vanish(basis_n9):
@@ -89,11 +88,10 @@ def test_eigenmode_phase_evolution(basis_n9):
 def test_unitarity_and_norms(basis_n9):
     state = packet_state(basis_n9)
     profile = 0.4 * np.cos(basis_n9.config.grid)
-    gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, profile, 1.0,
-                                            0.0, 1.0)
+    pot = ev.PureGaugePotential(basis_n9.config, profile, 1.0, 0.0, 1.0)
     final = state
     for _ in range(60):
-        final = one_step(final, ev.PureGaugePotential(gauge), 1.0 / 60)
+        final = one_step(final, pot, 1.0 / 60)
     assert final.gram_defect() < 1e-12
 
 
@@ -250,9 +248,8 @@ def test_batched_branches_match_single_runs(basis_n9):
     unit = ev.build_kick_chi(free, 1.0, 0.0, 1.0)
     reports = ev.gauge_pair_sweep(state, unit, strengths, free, dt, 5)
     for f, report in zip(strengths, reports):
-        gauge = ev.build_kick_chi(free, f, 0.0, 1.0)
-        single, _ = ev.run_trajectory(state, ev.PureGaugePotential(gauge), 1.0,
-                                      dt, sample_stride=5)
+        single, _ = ev.run_trajectory(state, ev.build_kick_chi(free, f, 0.0, 1.0),
+                                      1.0, dt, sample_stride=5)
         batched = report.gauge_branch
         assert np.array_equal(batched.times, single.times)
         for name in ("density", "current", "free_energy", "density_rate"):
@@ -262,12 +259,12 @@ def test_batched_branches_match_single_runs(basis_n9):
         ev.gauge_pair_sweep(state, unit, strengths, free, dt, 10)
 
 
-def shared_shape(gauge, strengths):
-    """Pure-gauge potentials of ``gauge``'s shape and window at each strength
-    times its own, built as ``gauge_pair_sweep`` builds its branches."""
-    return [ev.PureGaugePotential(ev.GaugeFunction(
-        gauge.config, f * gauge.strength, gauge.t_start, gauge.t_stop,
-        gauge.profile)) for f in strengths]
+def shared_shape(kick, strengths):
+    """Pure-gauge potentials of ``kick``'s profile and window at each
+    strength times its own, built as ``gauge_pair_sweep`` builds its
+    branches."""
+    return [ev.PureGaugePotential(kick.config, kick.profile, f * kick.strength,
+                                  kick.t_start, kick.t_stop) for f in strengths]
 
 
 def per_potential_couplings(config, potentials, t):
@@ -282,20 +279,23 @@ SHIPPED_STRENGTHS = (0.01, 0.02, 0.03, 0.04, 0.1, 0.2, 0.4, 1.0, 2.0, 4.0)
 
 @pytest.mark.parametrize("batch", ["ramped_profile", "mixed"])
 def test_batched_couplings_are_each_potentials_own(batch):
-    """A group of kicks sharing one shape, and a mixed batch (that shape,
-    also in another window, a plain ``Potential`` and a ``ZeroPotential``),
-    give each branch its own potential's couplings, bit for bit."""
+    """Kicks sharing one shape, and a mixed batch (that shape, also in
+    another window and with only a later start, a plain ``Potential`` and a
+    ``ZeroPotential``), give each branch its own potential's couplings, bit
+    for bit."""
     config = LatticeConfig(TWO_PI, 9, 1.0, -0.5)
     kicks = synthetic_kicks(config)
     if batch == "mixed":
         x = config.grid
         shape = kicks["ramped_profile"]
         ramped = shared_shape(shape, (0.3, -2.0))
-        other_window = ev.PureGaugePotential(ev.GaugeFunction(
-            config, 0.5, 0.2, 0.8, shape.profile))
+        other_window = ev.PureGaugePotential(config, shape.profile, 0.5, 0.2,
+                                             0.8)
+        late_start = ev.PureGaugePotential(config, shape.profile,
+                                           shape.strength, 0.2, shape.t_stop)
         potentials = [ramped[0], ev.Potential(
             config, a0_fn=lambda t: 0.2 * np.cos(x + t)),
-            ramped[1], other_window, ev.ZeroPotential(config)]
+            ramped[1], other_window, late_start, ev.ZeroPotential(config)]
     else:
         potentials = shared_shape(kicks[batch], SHIPPED_STRENGTHS + (-0.3,))
     for t in (-0.2, 0.0, 0.2137, 0.5311, 1.0, 1.3):
@@ -308,24 +308,24 @@ def test_batched_couplings_are_each_potentials_own(batch):
 
 
 def test_batched_couplings_refuse_a_nan_profile():
+    """A batch whose plain ``Potential`` has a NaN A0 is refused; a
+    ``PureGaugePotential`` refuses a non-finite profile itself."""
     config = LatticeConfig(TWO_PI, 9, 1.0)
-    profile = np.cos(config.grid)
-    profile[4] = np.nan
-    # past ``ramped_profile``, which refuses a non-finite profile itself
-    static = (profile, np.zeros(9))
-    gauge = ev.GaugeFunction(config, 1.0, 0.0, 1.0, lambda t: static)
+    a0 = np.cos(config.grid)
+    a0[4] = np.nan
+    kicks = shared_shape(synthetic_kicks(config)["ramped_profile"], (0.01, 0.4))
+    batch = [kicks[0], ev.Potential(config, a0_fn=lambda t: a0), kicks[1]]
     with pytest.raises(ValueError, match=r"^potential is not finite at t=0\.5$"):
-        ev._couplings(config, shared_shape(gauge, (0.01, 0.4)), 0.5)
+        ev._couplings(config, batch, 0.5)
 
 
 def test_couplings_refuse_a_nan_time():
     """The ramp keeps a NaN time NaN, so its fields are refused, not clamped."""
     config = LatticeConfig(TWO_PI, 9, 1.0)
-    gauge = ev.GaugeFunction.ramped_profile(config, np.cos(config.grid), 1.0,
-                                            0.0, 1.0)
+    gauge = ev.PureGaugePotential(config, np.cos(config.grid), 1.0, 0.0, 1.0)
     assert np.isnan(ev.ramp(np.nan)).all()
     with pytest.raises(ValueError, match=r"^potential is not finite at t=nan$"):
-        ev._couplings(config, [ev.PureGaugePotential(gauge)], np.float64(np.nan))
+        ev._couplings(config, [gauge], np.float64(np.nan))
 
 
 @pytest.mark.parametrize("t_start, t_stop", [
@@ -333,39 +333,46 @@ def test_couplings_refuse_a_nan_time():
 def test_gauge_window_must_be_finite_and_ordered(t_start, t_stop):
     config = LatticeConfig(TWO_PI, 9, 1.0)
     with pytest.raises(ValueError, match="gauge window"):
-        ev.GaugeFunction.ramped_profile(config, np.cos(config.grid), 1.0,
-                                        t_start, t_stop)
+        ev.PureGaugePotential(config, np.cos(config.grid), 1.0, t_start, t_stop)
 
 
-def test_shipped_sweep_evaluates_its_kick_shape_once_per_step(tmp_path,
-                                                             monkeypatch):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("profile, message", [
+    (lambda x: np.cos(x[1:]), "one sample per grid site"),
+    (lambda x: np.where(x == x[4], np.nan, np.cos(x)), "must be finite"),
+    (lambda x: np.where(x == x[4], np.inf, np.cos(x)), "must be finite"),
+    (lambda x: 1e308 * np.cos(2.0 * x), "must be finite"),
+], ids=["wrong-shape", "nan", "inf", "overflowing-derivative"])
+def test_kick_profile_must_be_finite_on_the_grid(profile, message):
+    """The constructor refuses, unwarned, a profile off the grid's shape, a
+    non-finite sample, and a finite profile whose derivative overflows."""
+    config = LatticeConfig(TWO_PI, 9, 1.0)
+    with pytest.raises(ValueError, match=message):
+        ev.PureGaugePotential(config, profile(config.grid), 1.0, 0.0, 1.0)
+
+
+def test_shipped_sweep_calls_the_ramp_once_per_kick_and_coupling_time(
+        tmp_path, monkeypatch):
     """In an in-turn run of the shipped extract-energy, each of the two
-    Gauss nodes of its 64 CFM4 steps calls the ramp and the kicks' one
-    profile once for all ten kicked strengths."""
+    Gauss nodes of its 64 CFM4 steps asks each of the ten kicked strengths
+    for its own fields, one ramp call each."""
     calls, per_step = [], []
-    build, couplings, ramp = ev.build_kick_chi, ev._couplings, ev.ramp
-
-    def spied_kick(*args):
-        gauge = build(*args)
-        profile = gauge.profile
-        gauge.profile = lambda t: calls.append("profile") or profile(t)
-        return gauge
+    couplings, ramp = ev._couplings, ev.ramp
 
     def counted(config, potentials, t):
         before = len(calls)
         out = couplings(config, potentials, t)
-        per_step.append(sorted(calls[before:]))
+        per_step.append(len(calls) - before)
         return out
 
-    monkeypatch.setattr(ev, "build_kick_chi", spied_kick)
-    monkeypatch.setattr(ev, "ramp", lambda s: calls.append("ramp") or ramp(s))
+    monkeypatch.setattr(ev, "ramp", lambda s: calls.append(s) or ramp(s))
     monkeypatch.setattr(ev, "_couplings", counted)
     monkeypatch.setattr(ev, "_splits", lambda psi, n_steps: False)
     shipped = Path(__file__).resolve().parents[1] / "configs" / "extract_energy.json"
     assert cli.main(["extract-energy", "--config", str(shipped),
                      "--out", str(tmp_path)]) == 0
     assert len(per_step) == 128
-    assert all(step == ["profile", "ramp"] for step in per_step)
+    assert per_step == [10] * 128
 
 
 def test_kicks_sharing_the_unit_shape_change_no_report(basis_n9):
@@ -377,13 +384,10 @@ def test_kicks_sharing_the_unit_shape_change_no_report(basis_n9):
                                 dt, sample_stride=5)
     strengths = (0.01, 0.4, 4.0)
     unit = ev.build_kick_chi(free, 1.0, 0.0, 1.0)
-    shared = [potential.gauge for potential in shared_shape(unit, strengths)]
+    shared = shared_shape(unit, strengths)
     own = [ev.build_kick_chi(free, f, 0.0, 1.0) for f in strengths]
-    assert len({g.profile for g in shared}) == 1
-    assert len({g.profile for g in own}) == len(strengths)  # a shape each
     reports = ev.gauge_pair_sweep(state, unit, strengths, free, dt, 5)
-    branches = ev.run_branches(state, [ev.PureGaugePotential(g) for g in own],
-                               1.0, dt, 5)
+    branches = ev.run_branches(state, own, 1.0, dt, 5)
     for report, (traj, _), gauge1, gauge2 in zip(reports, branches, shared, own):
         for field_name in TRAJECTORY_FIELDS:
             assert np.array_equal(getattr(report.gauge_branch, field_name),
@@ -406,9 +410,7 @@ def test_last_sample_observes_the_final_state(basis_n9):
 def test_step_is_second_order(basis_n9):
     state = packet_state(basis_n9)
     profile = 0.4 * np.cos(basis_n9.config.grid)
-    gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, profile, 1.0,
-                                            0.0, 0.8)
-    pot = ev.PureGaugePotential(gauge)
+    pot = ev.PureGaugePotential(basis_n9.config, profile, 1.0, 0.0, 0.8)
 
     def final_energy(dt):
         _, fin = ev.run_trajectory(state, pot, 0.8, dt)
@@ -425,9 +427,7 @@ def test_magnus_steps_are_fourth_order(basis_n9):
     CFM4 steps of 5 dt: 8, 16 and 32 of them."""
     state = packet_state(basis_n9)
     profile = 0.4 * np.cos(basis_n9.config.grid)
-    gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, profile, 1.0,
-                                            0.0, 0.8)
-    pot = ev.PureGaugePotential(gauge)
+    pot = ev.PureGaugePotential(basis_n9.config, profile, 1.0, 0.0, 0.8)
 
     def final_energy(n_steps):
         assert ev._magnus_multiple(n_steps, 5) == 5
@@ -464,9 +464,8 @@ def test_pure_gauge_vanishes_at_start(basis_n9):
     state = packet_state(basis_n9)
     traj1, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
                                  1.0, default_dt(basis_n9))
-    gauge = ev.build_kick_chi(traj1, 0.5, 0.0, 1.0)
-    assert np.abs(gauge.chi(0.0)).max() == 0.0
-    pot = ev.PureGaugePotential(gauge)
+    pot = ev.build_kick_chi(traj1, 0.5, 0.0, 1.0)
+    assert np.abs(pot.chi(0.0)).max() == 0.0
     assert np.abs(pot.fields(0.0)[0]).max() == 0.0
     h = single_particle_hamiltonian(basis_n9, pot, 0.0)
     assert np.abs(h - basis_n9.free_hamiltonian_matrix()).max() < 1e-13
@@ -562,10 +561,8 @@ def test_unsampled_time_is_refused(basis_n9):
 def test_kick_requires_free_trajectory(basis_n9):
     state = packet_state(basis_n9)
     profile = 0.1 * np.cos(basis_n9.config.grid)
-    gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, profile, 1.0,
-                                            0.0, 1.0)
-    traj, _ = ev.run_trajectory(state, ev.PureGaugePotential(gauge), 1.0,
-                                default_dt(basis_n9))
+    pot = ev.PureGaugePotential(basis_n9.config, profile, 1.0, 0.0, 1.0)
+    traj, _ = ev.run_trajectory(state, pot, 1.0, default_dt(basis_n9))
     with pytest.raises(ValueError):
         ev.build_kick_chi(traj, 0.1, 0.0, 1.0)
 
@@ -587,8 +584,8 @@ def test_uniform_gauge_function_leaves_observables_alone(basis_n9):
     """Spatially constant chi only multiplies every orbital by one phase."""
     state = packet_state(basis_n9)
     dt = default_dt(basis_n9)
-    gauge = ev.GaugeFunction.ramped_profile(
-        basis_n9.config, np.full(9, 0.7), 1.0, 0.0, 1.0)
+    gauge = ev.PureGaugePotential(basis_n9.config, np.full(9, 0.7), 1.0, 0.0,
+                                  1.0)
     free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
                                 dt)
     report = ev.gauge_pair_sweep(state, gauge, [1.0], free, dt)[0]
@@ -634,8 +631,7 @@ def test_rate_identity_second_order(basis_n9):
     dt0 = 4 * default_dt(basis_n9)
     traj1, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
                                  1.5, dt0)
-    gauge = ev.build_kick_chi(traj1, 0.3, 0.0, 1.5)
-    pot = ev.PureGaugePotential(gauge)
+    pot = ev.build_kick_chi(traj1, 0.3, 0.0, 1.5)
     residuals = []
     for k in (2, 4, 8):
         traj, _ = ev.run_trajectory(state, pot, 1.5, dt0 / k)
@@ -646,7 +642,7 @@ def test_rate_identity_second_order(basis_n9):
 
 def synthetic_kicks(config):
     """The kick recipe on a synthetic input: the ramp on cos x."""
-    return {"ramped_profile": ev.GaugeFunction.ramped_profile(
+    return {"ramped_profile": ev.PureGaugePotential(
         config, np.cos(config.grid), 0.7, 0.0, 1.0)}
 
 
@@ -656,13 +652,12 @@ def test_kick_recipe_is_pure_gauge(recipe):
     centred difference of chi, A against chi's spectral derivative, so the
     kick carries no electric field."""
     config = LatticeConfig(TWO_PI, 9, 1.0)
-    gauge = synthetic_kicks(config)[recipe]
-    pot = ev.PureGaugePotential(gauge)
+    pot = synthetic_kicks(config)[recipe]
     h = 1e-5
     for t in (0.2137, 0.5311, 0.7777):
         a0, a = pot.fields(t)
-        rate = (gauge.chi(t + h) - gauge.chi(t - h)) / (2.0 * h)
-        gradient = ev.spectral_derivative(gauge.chi(t), config.box_length)
+        rate = (pot.chi(t + h) - pot.chi(t - h)) / (2.0 * h)
+        gradient = ev.spectral_derivative(pot.chi(t), config.box_length)
         assert np.abs(a0).max() > 1e-2 and np.abs(a).max() > 1e-2
         assert np.abs(a0 - rate).max() < 1e-7 * np.abs(a0).max()
         assert np.abs(a + gradient).max() < 1e-14 * np.abs(a).max()
@@ -725,7 +720,7 @@ def test_band_vacuum_gauge_pair_residual_shrinks():
         basis = build_basis(config)
         state = ev.vacuum_state(basis, coupled_band_spec(basis))
         profile = 0.2 * np.cos(TWO_PI * config.grid / config.box_length)
-        gauge = ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0, 1.5)
+        gauge = ev.PureGaugePotential(config, profile, 1.0, 0.0, 1.5)
         dt = default_dt(basis)
         free, _ = ev.run_trajectory(state, ev.ZeroPotential(config), 1.5, dt,
                                     sample_stride=10)
@@ -738,8 +733,7 @@ def test_band_vacuum_gauge_pair_residual_shrinks():
 
 def test_gauge_pair_requires_aligned_start(basis_n9):
     state = packet_state(basis_n9)
-    gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, np.zeros(9), 1.0,
-                                            0.5, 1.0)
+    gauge = ev.PureGaugePotential(basis_n9.config, np.zeros(9), 1.0, 0.5, 1.0)
     free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
                                 0.01)
     with pytest.raises(ValueError):

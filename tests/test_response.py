@@ -13,12 +13,11 @@ TWO_PI = 2.0 * np.pi
 
 def harmonic_gauge(config, amplitude=0.3, k=1, t_stop=1.5):
     profile = amplitude * np.cos(k * TWO_PI * config.grid / config.box_length)
-    return ev.GaugeFunction.ramped_profile(config, profile, 1.0, 0.0, t_stop)
+    return ev.PureGaugePotential(config, profile, 1.0, 0.0, t_stop)
 
 
 def test_zero_chi_zero_gauge_variation(basis_n9):
-    gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, np.zeros(9), 1.0,
-                                            0.0, 1.0)
+    gauge = ev.PureGaugePotential(basis_n9.config, np.zeros(9), 1.0, 0.0, 1.0)
     for spec in (VacuumSpec("standard"), coupled_band_spec(basis_n9)):
         out = rs.gauge_variation_response(commutator_kernel(basis_n9, spec),
                                           gauge, 0.7)
@@ -69,32 +68,30 @@ def test_retarded_kernels_causal_and_real(basis_n9):
 
 def test_path_equivalence_standard_vacuum(basis_n9):
     spec = VacuumSpec("standard")
-    gauge = harmonic_gauge(basis_n9.config)
-    pot = ev.PureGaugePotential(gauge)
+    pot = harmonic_gauge(basis_n9.config)
     kernel = rs.vacuum_response_kernel(basis_n9, spec)
     for t in (0.7, 1.2, 1.5):
         direct = rs.first_order_current(kernel, pot, t, 0.0,
                                         smearing="fourier",
                                         samples_per_period=80)
         contraction = rs.gauge_variation_response(
-            commutator_kernel(basis_n9, spec), gauge, t)
+            commutator_kernel(basis_n9, spec), pot, t)
         assert np.abs(direct - contraction).max() < 1e-6
         assert np.abs(contraction).max() > 1e-5  # visibly nonzero
 
 
 def test_path_equivalence_band_vacuum(basis_n9):
     spec = coupled_band_spec(basis_n9)
-    gauge = harmonic_gauge(basis_n9.config)
-    pot = ev.PureGaugePotential(gauge)
+    pot = harmonic_gauge(basis_n9.config)
     kernel = rs.vacuum_response_kernel(basis_n9, spec)
     direct = rs.first_order_current(kernel, pot, 1.2, 0.0, smearing="fourier",
                                     samples_per_period=80)
     contraction = rs.gauge_variation_response(commutator_kernel(basis_n9, spec),
-                                              gauge, 1.2)
+                                              pot, 1.2)
     assert np.abs(direct - contraction).max() < 1e-6
     # the band vacuum's gauge response collapses where the sea's does not
     sea = rs.gauge_variation_response(
-        commutator_kernel(basis_n9, VacuumSpec("standard")), gauge, 1.2)
+        commutator_kernel(basis_n9, VacuumSpec("standard")), pot, 1.2)
     assert np.abs(contraction).max() < 1e-12 * np.abs(sea).max() + 1e-12
 
 
@@ -149,14 +146,12 @@ def test_path_equivalence_random_profiles(basis_n9, rng):
         grid = basis_n9.config.grid
         profile = sum(c * np.cos((k + 1) * grid + rng.uniform(0, TWO_PI))
                       for k, c in enumerate(coeffs))
-        gauge = ev.GaugeFunction.ramped_profile(basis_n9.config, profile, 1.0,
-                                                0.0, 1.2)
-        pot = ev.PureGaugePotential(gauge)
+        pot = ev.PureGaugePotential(basis_n9.config, profile, 1.0, 0.0, 1.2)
         direct = rs.first_order_current(kernel, pot, 0.9, 0.0,
                                         smearing="fourier",
                                         samples_per_period=80)
         contraction = rs.gauge_variation_response(
-            commutator_kernel(basis_n9, spec), gauge, 0.9)
+            commutator_kernel(basis_n9, spec), pot, 0.9)
         assert np.abs(direct - contraction).max() < 1e-6
 
 
@@ -198,9 +193,7 @@ def test_site_smearing_is_the_retarded_kernel_integral(basis_n9):
     for spec in (VacuumSpec("standard"), coupled_band_spec(basis_n9)):
         kernel = rs.vacuum_response_kernel(basis_n9, spec)
         profile = rng.normal(size=config.site_count)
-        gauge = ev.GaugeFunction.ramped_profile(config, profile, 1.0, t_start,
-                                                1.5)
-        pot = ev.PureGaugePotential(gauge)
+        pot = ev.PureGaugePotential(config, profile, 1.0, t_start, 1.5)
         direct = rs.first_order_current(kernel, pot, t, t_start,
                                         smearing="site")
         ts, weights = rs._time_grid(
@@ -226,8 +219,7 @@ def test_running_quadrature_matches_scalar_calls_and_contraction(
     later rows move only with their Simpson nodes, and every row keeps
     criterion 10's agreement with the gauge-variation contraction."""
     basis = {9: basis_n9, 41: basis_n41}[n_sites]
-    gauge = harmonic_gauge(basis.config)
-    pot = ev.PureGaugePotential(gauge)
+    pot = harmonic_gauge(basis.config)
     times = np.linspace(0.0, 1.5, 6)[1:]
     for spec in (VacuumSpec("standard"), coupled_band_spec(basis)):
         kernel = rs.vacuum_response_kernel(basis, spec)
@@ -245,13 +237,13 @@ def test_running_quadrature_matches_scalar_calls_and_contraction(
             if smearing == "fourier":  # criterion 10 at every output time
                 for t, row in zip(times, rows):
                     contraction = rs.gauge_variation_response(commutator,
-                                                              gauge, t)
+                                                              pot, t)
                     assert np.abs(row - contraction).max() < 1e-6
 
 
 def test_running_quadrature_zero_rows_and_order(basis_n9):
     kernel = rs.vacuum_response_kernel(basis_n9, VacuumSpec("standard"))
-    pot = ev.PureGaugePotential(harmonic_gauge(basis_n9.config))
+    pot = harmonic_gauge(basis_n9.config)
     rows = rs.first_order_current(kernel, pot, [-0.5, 0.2, 0.2, 0.7, 1.1],
                                   0.2)
     assert np.abs(rows[:3]).max() == 0.0
@@ -267,7 +259,7 @@ def test_running_quadrature_takes_each_sample_once(basis_n9, monkeypatch):
     """n output times cost the longest quadrature plus at most 17 samples
     per time, not one quadrature from t_start per time."""
     kernel = rs.vacuum_response_kernel(basis_n9, VacuumSpec("standard"))
-    pot = ev.PureGaugePotential(harmonic_gauge(basis_n9.config))
+    pot = harmonic_gauge(basis_n9.config)
     grids = []
     time_grid = rs._time_grid
 
@@ -289,7 +281,7 @@ def test_running_quadrature_samples_each_node_once(basis_n9, monkeypatch):
     """A segment's first node is the last node of the one before; the
     potential is evaluated there once, so once per distinct node."""
     kernel = rs.vacuum_response_kernel(basis_n9, VacuumSpec("standard"))
-    pot = ev.PureGaugePotential(harmonic_gauge(basis_n9.config))
+    pot = harmonic_gauge(basis_n9.config)
     grids, calls = [], []
     time_grid, fields = rs._time_grid, pot.fields
 
@@ -332,7 +324,7 @@ def test_phases_per_gap_match_phases_per_pair(basis_n9, basis_n41, n_sites):
     """Taking each node's phase once per distinct gap and gathering it to
     the pairs changes no float: both vacua, both smearings, bit for bit."""
     basis = {9: basis_n9, 41: basis_n41}[n_sites]
-    pot = ev.PureGaugePotential(harmonic_gauge(basis.config))
+    pot = harmonic_gauge(basis.config)
     times = np.array([-0.2, 0.0, 0.3, 0.3, 0.9, 1.5])
     for spec in (VacuumSpec("standard"), coupled_band_spec(basis)):
         kernel = rs.vacuum_response_kernel(basis, spec)
@@ -353,7 +345,7 @@ def test_first_order_current_memory_is_linear_in_pairs():
 
     basis = build_basis(LatticeConfig(TWO_PI, 101, 1.0, 1.0))
     kernel = rs.vacuum_response_kernel(basis, VacuumSpec("standard"))
-    pot = ev.PureGaugePotential(harmonic_gauge(basis.config))
+    pot = harmonic_gauge(basis.config)
     tracemalloc.start()
     try:
         rs.first_order_current(kernel, pot, 0.2, 0.0)

@@ -14,12 +14,13 @@ The set: the shipped ``extract-energy``, ``response`` and Schwinger
 ``sweep`` configs; ``verify``; ``check-basis`` at N = 101; three kicked
 ``evolve`` runs on the shipped packet at sample stride 5 (N = 81 over 40
 steps at f = 0.02 and at f = 2, where the midpoint step's error is
-largest, and N = 201 over 20 steps at f = 0.02); a small kicked
-``evolve`` at N = 27 (f = 0.3, window [0, 1], stride 10); and the kernel
-sizes: the Schwinger sweep over N = 9, 15, 21, 27, 51, 101, 151 on the
-filled sea, ``schwinger`` on the coupled band (half the headroom below the
-cutoff) at N = 151, and the shipped ``response`` at N = 41 on the filled
-sea and on the coupled band.  ``tools/step_accuracy.py`` reruns the
+largest, and N = 201 over 20 steps at f = 0.02); two small kicked
+``evolve`` runs at N = 27 (f = 0.3, stride 10), one in the window [0, 1]
+and one in [0.25, 1.25], so that a kick starting after t = 0 is compared
+too; and the kernel sizes: the Schwinger sweep over N = 9, 15, 21, 27,
+51, 101, 151 on the filled sea, ``schwinger`` on the coupled band (half the
+headroom below the cutoff) at N = 151, and the shipped ``response`` at
+N = 41 on the filled sea and on the coupled band.  ``tools/step_accuracy.py`` reruns the
 evolving ones against a finer step.
 """
 
@@ -81,6 +82,8 @@ def commands(parent_root: Path) -> dict[str, tuple[str, dict | None]]:
         "evolve-kick-N81-f2": ("evolve", _kicked_evolve(energy, 81, 40, 2.0)),
         "evolve-kick-N201": ("evolve", _kicked_evolve(energy, 201, 20)),
         "evolve-kick-N27": ("evolve", small_kick),
+        "evolve-kick-N27-late": ("evolve", dict(small_kick, t_a=0.25,
+                                                t_b=1.25)),
         "schwinger-sweep-N151": ("sweep", kernel_sweep),
         "schwinger-band-N151": ("schwinger", _coupled_band(
             {"lattice": schwinger["lattice"]}, 151)),
