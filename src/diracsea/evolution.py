@@ -6,34 +6,48 @@ carried entirely by the single-particle orbitals:
 
     i d/dt psi_o = [h0 - q alpha A(x,t) + q A0(x,t)] psi_o.
 
-A kicked run steps with the commutator-free fourth-order Magnus integrator
-CFM4:2, two exponentials per step, over m dt at a time, where m up to 5
-divides the sample stride and leaves the run at least 8 such steps
-(``_magnus_multiple``); elsewhere (m = 1) each step applies the midpoint
-Hamiltonian's exponential over dt, second-order accurate (``_time_step``).
-Both are unitary up to rounding, and the sample times still add dt one step
-at a time.  Each exponential (``_propagate``) is evaluated without forming
-h: as a Chebyshev series in h (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
-(1984)) whose terms each apply -i h once, by one real product with the
-cached derivative matrix ``ModeBasis.derivative_matrix`` and site-local 2x2
-matrices for the mass and the potentials, with Bessel weights from Miller's
-backward recurrence (numpy only), cut where the dropped tail falls below one
-rounding unit; when its couplings vanish it is the exact per-momentum
-rotation cos(E dt) - i sin(E dt) h(p)/E, applied by FFT.  A run whose
-potentials are all ``ZeroPotential`` takes that rotation once per sample
-interval.  Branches that share an initial state and step size advance, and
-are recorded, together as one site-major tensor (N, n_branch, 2, n_orb)
-(``run_branches``).  Every orbital evolves on its own, so a kicked run with
-enough work forks one child process that advances the second half of the
-orbital axis for the whole run, with BLAS on one thread in both processes
-(``_second_process``); elsewhere the run goes in turn, in this process.
+A kicked run steps by one of two integrators, chosen from what its kicks
+store (``_stepping``).  Where every potential is a ``PureGaugePotential``
+and the bound B on its couplings (``PureGaugePotential.coupling_bound``)
+keeps B m dt <= 0.05, m the largest divisor of the sample stride up to 5,
+it takes steps of m dt by the fourth-order Runge-Kutta-Nystrom splitting
+SRKN_6^b (Blanes & Moan, J. Comput. Appl. Math. 142 (2002) 313; for the
+Dirac equation, Bauke & Keitel, Comput. Phys. Commun. 182 (2011) 2454):
+exact site flows of the couplings alone (``_site_flow``) between exact free
+rotations (``_free_rotation``), with no series to sum
+(``_split_operator_interval``).  Elsewhere it steps with the
+commutator-free fourth-order Magnus integrator CFM4:2, two exponentials
+per step, over m dt at a time, where m up to 5 divides the sample stride
+and leaves the run at least 8 such steps (``_magnus_multiple``); where
+m = 1 each step applies the midpoint Hamiltonian's exponential over dt,
+second-order accurate (``_time_step``).  All are unitary up to rounding,
+and the sample times still add dt one step at a time.  Each exponential
+(``_propagate``) is evaluated without forming h: as a Chebyshev series in h
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)) whose terms each apply
+-i h once, by one real product with the cached derivative matrix
+``ModeBasis.derivative_matrix`` and site-local 2x2 matrices for the mass
+and the potentials, with Bessel weights from Miller's backward recurrence
+(numpy only), cut where the dropped tail falls below one rounding unit; when
+its couplings vanish it is the exact per-momentum rotation cos(E dt) - i
+sin(E dt) h(p)/E, applied by FFT.  A series run whose terms would take more
+than ``MAX_SERIES_WORK`` multiply-adds in all is refused before its first
+step.  A run whose coupling bound is 0 (every potential a
+``ZeroPotential``, or a kick of strength 0) takes the free rotation once
+per sample interval.  Branches that share an initial state and step size
+advance, and are recorded, together as one site-major tensor (N, n_branch,
+2, n_orb) (``run_branches``).  Every orbital evolves on its own, so a kicked
+run with enough work forks one child process that advances the second half
+of the orbital axis for the whole run, with BLAS on one thread in both
+processes (``_second_process``); elsewhere the run goes in turn, in this
+process.
 
 A potential gives both its fields at once, ``Potential.fields(t)`` ->
 (A0, A), so the rate identity and the Kubo source ask once per time; a
 pure-gauge potential holds its static profile and the profile's derivative,
 and reads (d chi/dt, -d chi/dx) off one call of the ramp.  Each coupling
-time (one per midpoint step, two per CFM4 step) stacks every branch's own
-fields (``_couplings``).
+time (one per midpoint step, two per CFM4 step, six per SRKN step and one
+more per sample interval) stacks every branch's own fields
+(``_couplings``).
 
 The module also hosts the gauge-kick experiment: build a pure-gauge kick
 from the density rate of a potential-free trajectory (``build_kick_chi``),
@@ -122,6 +136,14 @@ class PureGaugePotential(Potential):
     def chi(self, t: float) -> np.ndarray:
         s = (t - self.t_start) / (self.t_stop - self.t_start)
         return self.strength * ramp(s)[0] * self.profile
+
+    def coupling_bound(self) -> float:
+        """A bound on max|q A0| + max|q A| at every time, from what the kick
+        stores: |q strength| (15/8 max|P| / span + max|dP/dx|), since the
+        ramp's rate peaks at 15/8 and the ramp at 1."""
+        return abs(self.config.charge * self.strength) * (
+            1.875 * float(np.abs(self.profile).max()) / (self.t_stop - self.t_start)
+            + float(np.abs(self.profile_dx).max()))
 
     def fields(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """chi's derivatives from one call of the ramp."""
@@ -267,6 +289,19 @@ def _free_rotation(basis: ModeBasis, dt: float):
     return rotate
 
 
+def _site_flow(psi: np.ndarray, v0: np.ndarray, v1: np.ndarray,
+               tau: float) -> np.ndarray:
+    """psi -> exp(-i tau (v0 + v1 alpha)) psi at every site: the exact flow
+    of the couplings alone, e^(-i v0 tau) (cos(v1 tau) - i sin(v1 tau)
+    alpha), alpha swapping the spinor components; v0, v1 are psi.shape[:-2]."""
+    phase = np.exp(-1j * tau * v0)
+    diag = (phase * np.cos(tau * v1))[..., None, None]
+    off = (-1j * phase * np.sin(tau * v1))[..., None, None]
+    out = diag * psi
+    out += off * psi[..., ::-1, :]
+    return out
+
+
 def _bessel_weights(z: float, count: int) -> np.ndarray:
     """J_0(z) .. J_{count-1}(z) by Miller's backward recurrence.
 
@@ -394,6 +429,49 @@ def _time_step(basis: ModeBasis, psi: np.ndarray, potentials, time: float,
     return psi
 
 
+# SRKN_6^b, the six-stage fourth-order Runge-Kutta-Nystrom splitting of
+# Blanes & Moan (J. Comput. Appl. Math. 142 (2002) 313): over a step h,
+# site flows of b_1 h, b_2 h, b_3 h, b_4 h, b_3 h, b_2 h, b_1 h between
+# kinetic flows of a_1 h, a_2 h, a_3 h, a_3 h, a_2 h, a_1 h.
+_SRKN_A = (0.245298957184271, 0.604872665711080)
+_SRKN_A += (0.5 - sum(_SRKN_A),)
+_SRKN_B = (0.0829844064174052, 0.396309801498368, -0.0390563049223486)
+_SRKN_B += (1.0 - 2.0 * sum(_SRKN_B),)
+_SRKN_KINETIC = _SRKN_A + _SRKN_A[::-1]
+_SRKN_SITE = _SRKN_B + _SRKN_B[-2::-1]
+# the fractions of h at which each site flow takes its couplings: the
+# kinetic flows carry the time
+_SRKN_NODES = tuple(np.cumsum((0.0,) + _SRKN_KINETIC).tolist())
+
+
+def _split_operator_interval(basis: ModeBasis, psi: np.ndarray, potentials,
+                             times, h: float, rotations) -> np.ndarray:
+    """psi advanced by SRKN_6^b steps of h that start at ``times[:-1]``,
+    ``times[-1]`` being where the last one ends.
+
+    Each step composes exact flows: seven ``_site_flow`` calls, with the
+    couplings at t + c h for the nodes c of ``_SRKN_NODES``, and between
+    them six kinetic flows exp(-i h0 a h), taken from ``rotations``, the
+    ``_free_rotation`` closures of a_1 h, a_2 h and a_3 h.  A step's last
+    site flow and the next one's first act at the same time, so they are
+    one flow of 2 b_1 h.  No series is summed and nothing is refused: the
+    error grows with the couplings times h (``_stepping``).
+    """
+    config = basis.config
+    kinetic = rotations + rotations[::-1]
+    for k, start in enumerate(times[:-1]):
+        weight = _SRKN_SITE[0] if k == 0 else 2.0 * _SRKN_SITE[0]
+        psi = _site_flow(psi, *_couplings(config, potentials, start), weight * h)
+        for rotate, node, weight in zip(kinetic, _SRKN_NODES[1:-1],
+                                        _SRKN_SITE[1:-1]):
+            psi = rotate(psi)
+            psi = _site_flow(psi, *_couplings(config, potentials,
+                                              start + node * h), weight * h)
+        psi = kinetic[-1](psi)
+    return _site_flow(psi, *_couplings(config, potentials, times[-1]),
+                      _SRKN_SITE[0] * h)
+
+
 def apply_hamiltonian(basis: ModeBasis, orbitals: np.ndarray) -> np.ndarray:
     """h0 applied to site-major orbitals without forming it.
 
@@ -462,17 +540,18 @@ def step_count(t_start: float, t_final: float, dt: float,
     return n_steps, span / n_steps
 
 
-# A kicked run takes CFM4 steps of up to this many steps of dt, and only
+# A kicked run's steps span up to this many steps of dt; CFM4 steps only
 # while that leaves it at least MIN_MAGNUS_STEPS of them (``_magnus_multiple``).
 MAX_MAGNUS_MULTIPLE = 5
 MIN_MAGNUS_STEPS = 8
 
 
 def _magnus_multiple(n_steps: int, sample_stride: int) -> int:
-    """How many steps of dt one step of a kicked run of ``n_steps`` spans:
-    the largest m <= ``MAX_MAGNUS_MULTIPLE`` that divides the stride, so
-    that samples fall between steps, and leaves at least
-    ``MIN_MAGNUS_STEPS`` CFM4 steps; else 1, the midpoint step.
+    """How many steps of dt one CFM4 step of a series run of ``n_steps``
+    spans: the largest m <= ``MAX_MAGNUS_MULTIPLE`` that divides the stride,
+    so that samples fall between steps, and leaves at least
+    ``MIN_MAGNUS_STEPS`` CFM4 steps; else 1, the midpoint step.  A weak kick
+    takes SRKN steps instead (``_stepping``), which need no least count.
 
     Against CFM4 at dt/4 on the same sample times, CFM4 at 5 dt had 0.24 or
     less of the midpoint's xi0 error on runs of 40 to 320 steps of dt
@@ -480,11 +559,89 @@ def _magnus_multiple(n_steps: int, sample_stride: int) -> int:
     of 20 steps (4 CFM4 steps); at 10 dt the shipped extract-energy's
     density error was 3.5 times the midpoint's.  The midpoint step is also
     the faster one wherever m would be 1: at dt, CFM4's two exponentials
-    cost 1.6 to 1.7 times the midpoint's one.
+    cost 1.6 to 1.7 times the midpoint's one.  The series steps stay for
+    kicks too strong for SRKN: on the shipped sweep (N = 27, coupling bound
+    times 5 dt 0.149), SRKN at 5 dt grew ``max_J_dev``'s error 3.7e-8 ->
+    8.9e-8 and ``min_free_energy``'s 2.8e-10 -> 3.0e-9, and the order-6
+    SRKN_11^b, accurate enough there, needs 2.2 flows per dt, no cheaper at
+    N = 27 than the series, where one kinetic and one site flow cost about
+    two Chebyshev terms.
     """
     return max((m for m in range(2, MAX_MAGNUS_MULTIPLE + 1)
                 if sample_stride % m == 0 and n_steps >= MIN_MAGNUS_STEPS * m),
                default=1)
+
+
+def _coupling_bound(potentials) -> float | None:
+    """A bound on max|v0| + max|v1| over every branch and time, with no
+    ``fields`` call: the largest ``PureGaugePotential.coupling_bound``, 0
+    for ``ZeroPotential``s, None where another potential leaves it unknown."""
+    bound = 0.0
+    for potential in potentials:
+        if isinstance(potential, PureGaugePotential):
+            bound = max(bound, potential.coupling_bound())
+        elif not isinstance(potential, ZeroPotential):
+            return None
+    return bound
+
+
+# A kicked run takes SRKN_6^b steps of m dt where its coupling bound times
+# m dt is at most this (``_stepping``).
+WEAK_KICK_BOUND = 0.05
+
+
+def _stepping(potentials, n_steps: int, dt: float,
+              sample_stride: int) -> tuple[str, int]:
+    """How a run steps, and how many steps of dt one step spans.
+
+    ("free", stride) where the coupling bound B (``_coupling_bound``) is 0:
+    one exact rotation per sample interval.  ("split", m) where B m dt <=
+    ``WEAK_KICK_BOUND``, m the largest divisor of the stride up to
+    ``MAX_MAGNUS_MULTIPLE``: SRKN_6^b steps (``_split_operator_interval``).
+    Else ("series", ``_magnus_multiple``): CFM4 or midpoint steps of
+    Chebyshev series (``_time_step``).  B m dt reads 0.0024 and 0.0045 on
+    the bench's kicked N = 81 and N = 201 evolves (f = 0.02) and 0.014 on
+    the N = 27 evolve at f = 0.3, whose xi0 errors against a step of dt/4
+    SRKN cut 230, 83 and 42 times; it reads 0.149 on the shipped
+    extract-energy sweep and 0.24 on the N = 81 evolve at f = 2, which keep
+    the series (``_magnus_multiple``).
+    """
+    bound = _coupling_bound(potentials)
+    if bound == 0:
+        return "free", sample_stride
+    multiple = max(m for m in range(1, MAX_MAGNUS_MULTIPLE + 1)
+                   if sample_stride % m == 0)
+    if bound is not None and bound * multiple * dt <= WEAK_KICK_BOUND:
+        return "split", multiple
+    return "series", _magnus_multiple(n_steps, sample_stride)
+
+
+def _exponentials(n_steps: int, multiple: int) -> tuple[int, float]:
+    """How many ``_propagate`` calls a series run of ``n_steps`` takes at
+    ``multiple``, and the span of each in steps of dt: two half-steps per
+    CFM4 step, one per midpoint step."""
+    return (n_steps, 1.0) if multiple == 1 else (2 * (n_steps // multiple),
+                                                 0.5 * multiple)
+
+
+# Most multiply-adds a kicked run's Chebyshev series may take in all
+# (``_series_work``), refused before the first step: about 5 s of
+# single-threaded BLAS on a 2-core Xeon.  The shipped sweep takes 5.7e8 and
+# the kicked N = 81 evolve of 40 steps 1.9e8 at f = 2, 1.1e11 at f = 1e5.
+MAX_SERIES_WORK = 5e10
+
+
+def _series_work(basis: ModeBasis, psi: np.ndarray, potentials, n_steps: int,
+                 dt: float, multiple: int) -> float:
+    """Multiply-adds of a series run's products with D, N per tensor entry
+    and term: each exponential keeps the terms of the series at R = E_max
+    + B, B the coupling bound (``_coupling_bound``, 0 where unknown), and
+    at most ``MAX_SERIES_TERMS``, since a longer series is refused."""
+    count, span = _exponentials(n_steps, multiple)
+    z = (basis.max_energy + (_coupling_bound(potentials) or 0.0)) * span * dt
+    terms = (_kept_terms(_bessel_weights(z, int(z + 20.0 * np.cbrt(z)) + 30))
+             if _series_fits(z) else MAX_SERIES_TERMS)
+    return float(count * terms) * basis.config.site_count * psi.size
 
 
 def run_trajectory(state: SlaterState, potential: Potential, t_final: float,
@@ -509,7 +666,9 @@ def run_trajectory(state: SlaterState, potential: Potential, t_final: float,
 # 15, in two sessions: N = 81, 40 dt in 8 CFM4 steps (2.1e5), 29-31 ->
 # 30-38 ms; N = 41, 100 dt in 20 (1.4e5), 18-20 -> 26-27 ms; N = 27 with ten
 # branches, 100 dt in 20 (6.0e5), 57-65 -> 41-42 ms, and the shipped
-# extract-energy, 320 dt in 64 (1.9e6), 149 -> 111 ms.
+# extract-energy, 320 dt in 64 (1.9e6), 149 -> 111 ms.  An SRKN step counts
+# as one step.  The kicked N = 201 evolve of 20 dt in 4 SRKN steps (3.2e5)
+# took 112 ms in turn against 119 ms split (medians of 15, the run alone).
 SPLIT_WORK = 300_000
 
 # The thread-count getter and setter that numpy's bundled OpenBLAS exports.
@@ -636,18 +795,24 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
     """``run_trajectory`` for several potentials from one initial state.
 
     The branches advance together as one stacked orbital tensor, and each
-    sample makes one observation; every branch matches its own
-    ``run_trajectory`` up to rounding.  A kicked run takes CFM4 steps of
-    m dt, m = ``_magnus_multiple(n_steps, sample_stride)``, each two
-    ``_couplings`` calls and two ``_propagate`` calls (Chebyshev series) for
-    all branches; where m = 1, midpoint steps of dt, each one of each.  The
-    sample times add dt one step at a time either way.
-    When every potential is a ``ZeroPotential`` the run takes one exact free
-    rotation by ``sample_stride`` steps per sample interval.  A kicked run
-    that ``_splits`` advances the second half of its orbital axis in a second
-    process (``_second_process``), which calls ``_propagate`` with the same
-    couplings; the halves are joined only to be observed, and the outputs are
-    those of the run in turn up to dgemm's rounding by column block.
+    sample makes one observation.  ``_stepping`` picks one integrator for
+    the whole batch from its largest coupling bound, and every branch
+    matches its own ``run_trajectory`` up to rounding where that picks the
+    same.  A weak kick takes SRKN_6^b steps of m dt, each six kinetic flows
+    and six ``_couplings`` calls for all branches, and one more per sample
+    interval (``_split_operator_interval``).  A strong one takes CFM4 steps
+    of m dt, m = ``_magnus_multiple(n_steps, sample_stride)``, each two
+    ``_couplings`` calls and two ``_propagate`` calls (Chebyshev series);
+    where m = 1, midpoint steps of dt, each one of each; ValueError before
+    the first step where the series would take more than
+    ``MAX_SERIES_WORK`` multiply-adds (``_series_work``).  The sample times
+    add dt one step at a time either way.  Where the coupling bound is 0
+    the run takes one exact free rotation by ``sample_stride`` steps per
+    sample interval.  A kicked run that ``_splits`` advances the second
+    half of its orbital axis in a second process (``_second_process``),
+    which steps with the same couplings; the halves are joined only to be
+    observed, and the outputs are those of the run in turn up to dgemm's
+    rounding by column block.
     Returns one (trajectory, final_state) pair per potential.
     """
     n_steps, dt_eff = step_count(state.time, t_final, dt, sample_stride)
@@ -658,28 +823,44 @@ def run_branches(state: SlaterState, potentials, t_final: float, dt: float,
     config = basis.config
     psi = np.stack([state.orbitals.reshape(config.site_count, 2, -1)]
                    * len(potentials), axis=1)
-    # exp(-i h0 dt)^stride = exp(-i h0 stride dt): one rotation per sample
-    free = (_free_rotation(basis, sample_stride * dt_eff)
-            if all(isinstance(p, ZeroPotential) for p in potentials) else None)
-    multiple = 1 if free is not None else _magnus_multiple(n_steps, sample_stride)
+    kind, multiple = _stepping(potentials, n_steps, dt_eff, sample_stride)
+    if kind == "free":  # exp(-i h0 dt)^stride = exp(-i h0 stride dt)
+        free = _free_rotation(basis, sample_stride * dt_eff)
+    elif kind == "split":
+        rotations = tuple(_free_rotation(basis, a * multiple * dt_eff)
+                          for a in _SRKN_A)
+        work_steps = n_steps // multiple
+    else:
+        work_steps = _exponentials(n_steps, multiple)[0]
+        work = _series_work(basis, psi, potentials, n_steps, dt_eff, multiple)
+        if work > MAX_SERIES_WORK:
+            raise ValueError(
+                f"the run's Chebyshev series need about {work:.2g} "
+                f"multiply-adds, over the bound of {MAX_SERIES_WORK:.0e}; "
+                "lower the kick strength, N or the time window")
 
     def advance(part: np.ndarray, time: float):
         """The tensor and the time one sample interval on; the time adds dt
         one step at a time."""
-        if free is not None:
-            part = free(part)
+        starts = []
         for k in range(sample_stride):
-            if free is None and k % multiple == 0:
-                part = _time_step(basis, part, potentials, time, dt_eff, multiple)
+            if k % multiple == 0:
+                starts.append(time)
             time = time + dt_eff
+        if kind == "free":
+            return free(part), time
+        if kind == "split":
+            return _split_operator_interval(basis, part, potentials,
+                                            starts + [time],
+                                            multiple * dt_eff, rotations), time
+        for start in starts:
+            part = _time_step(basis, part, potentials, start, dt_eff, multiple)
         return part, time
 
     intervals = n_steps // sample_stride
     time = state.time
     times, samples = [time], [_observe(basis, state.subtractions, psi)]
-    # the split's work is counted in ``_propagate`` calls, two per CFM4 step
-    split = free is None and _splits(
-        psi, n_steps if multiple == 1 else 2 * (n_steps // multiple))
+    split = kind != "free" and _splits(psi, work_steps)
     with (_second_process(psi, time, advance, intervals) if split
           else nullcontext((psi, None))) as (part, receive):
         for _ in range(intervals):

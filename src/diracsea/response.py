@@ -99,8 +99,9 @@ def first_order_current(kernel: ResponseKernel, potential, t,
     time of an ascending 1-D array t.
 
     Each pair's source at a sample is a (conj(rho_p) A0_hat[d_p] - conj(j_p)
-    A_hat[d_p]), with a = L/N and A_hat the FFT of the potential's grid
-    samples, read at the pair's transfer d_p mod N.  ``smearing`` selects
+    A_hat[d_p]), with a = L/N and A0_hat, A_hat from one FFT of the
+    potential's stacked grid samples (A0, A), read at the pair's transfer
+    d_p mod N.  ``smearing`` selects
     which bins count: "site" reads every pair's aliased bin, the
     site-diagonal coupling of the evolution module's Hamiltonian; "fourier"
     keeps only |d_p| <= (N-1)/2, the exact integrals of the pair functions
@@ -148,9 +149,9 @@ def first_order_current(kernel: ResponseKernel, potential, t,
             for t_prime, w in zip(ts, weights):
                 if t_prime != sampled:  # a segment starts on the last's end
                     sampled = t_prime
-                    a0, vector = potential.fields(t_prime)
-                    source = (charge * np.fft.fft(a0)[bins]
-                              - current * np.fft.fft(vector)[bins])
+                    a0_hat, a_hat = np.fft.fft(potential.fields(t_prime)).take(
+                        bins, axis=1)
+                    source = charge * a0_hat - current * a_hat
                     phase = np.exp(-1j * gaps * t_prime)[gap_of_pair]
                 integral += w * source * phase
             reached = t_out

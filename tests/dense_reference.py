@@ -9,11 +9,11 @@ running quadrature with one phase exponential per pair and node, where
 intra-band double sum as written, one (N, N) sum over band-mode pairs of
 ``band_pair_tensors``, which ``schwinger.f2_identity_check`` reaches through
 the band projector.
-``kinetic_matrix``, ``mode_coefficients`` and ``single_particle_hamiltonian``
-are the dense single-particle operators of a basis, which ``src`` applies
-without forming them.  ``eigh_modes`` builds the mode arrays of a lattice
-one momentum at a time from a 2x2 ``eigh``, which ``lattice.ModeBasis``
-writes in closed form.
+``kinetic_matrix``, ``mode_coefficients``, ``site_coupling_matrix`` and
+``single_particle_hamiltonian`` are the dense single-particle operators of
+a basis, which ``src`` applies without forming them.  ``eigh_modes``
+builds the mode arrays of a lattice one momentum at a time from a 2x2
+``eigh``, which ``lattice.ModeBasis`` writes in closed form.
 
 The Fock helpers build whole many-body operators and states from ladder
 matrices.  ``build_ladders`` writes the sign rule out again, independently
@@ -192,23 +192,26 @@ def mode_coefficients(basis, psi: np.ndarray) -> np.ndarray:
     return basis.config.spacing * (basis.flat.conj().T @ psi.ravel())
 
 
+def site_coupling_matrix(basis, potential, t: float) -> np.ndarray:
+    """V(t) = q A0(x,t) - q alpha A(x,t), the site-local part of h(t), dense:
+    the reference for the couplings ``evolution._site_flow`` exponentiates."""
+    n_sites = basis.config.site_count
+    q = basis.config.charge
+    a0, a1 = potential.fields(t)
+    v = np.zeros((2 * n_sites, 2 * n_sites), dtype=complex)
+    idx = np.arange(n_sites)
+    v[2 * idx, 2 * idx] = v[2 * idx + 1, 2 * idx + 1] = q * a0
+    v[2 * idx, 2 * idx + 1] = v[2 * idx + 1, 2 * idx] = -q * a1
+    return v
+
+
 def single_particle_hamiltonian(basis, potential, t: float) -> np.ndarray:
     """h(t) = h0 - q alpha A(x,t) + q A0(x,t), dense and hermitian.
 
     The reference for i times ``evolution._minus_i_h`` at the couplings of
     ``evolution._couplings``; evolution never forms it.
     """
-    h = basis.free_hamiltonian_matrix().copy()
-    q = basis.config.charge
-    a0, a1 = potential.fields(t)
-    a0 = q * a0
-    a1 = -q * a1
-    idx = np.arange(basis.config.site_count)
-    h[2 * idx, 2 * idx] += a0
-    h[2 * idx + 1, 2 * idx + 1] += a0
-    h[2 * idx, 2 * idx + 1] += a1
-    h[2 * idx + 1, 2 * idx] += a1
-    return h
+    return basis.free_hamiltonian_matrix() + site_coupling_matrix(basis, potential, t)
 
 
 def bilinear_matrix(ladders, kernel):

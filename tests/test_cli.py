@@ -22,6 +22,7 @@ from diracsea import schwinger as sw
 from diracsea.cli import main
 from diracsea.lattice import LatticeConfig, build_basis
 from diracsea.vacua import VacuumSpec, coupled_band_spec
+from test_evolution import kick_large_evolve
 
 TWO_PI = 2.0 * np.pi
 
@@ -407,6 +408,26 @@ def single_error_line(capsys) -> dict:
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1, lines
     return json.loads(lines[0])
+
+
+def test_evolve_refuses_too_much_series_work_before_its_first_step(
+        tmp_path, capsys, monkeypatch):
+    """The bench's kicked N = 81 evolve at f = 1e5 would sum about 1.1e11
+    multiply-adds of Chebyshev terms (12 s in turn); it exits 1 with one
+    JSON line, and no kicked step runs."""
+    def no_step(*args):
+        raise AssertionError("a kicked step ran before the work was bounded")
+
+    monkeypatch.setattr(ev, "_time_step", no_step)
+    monkeypatch.setattr(ev, "_split_operator_interval", no_step)
+    config = kick_large_evolve(81, 40)
+    config["kick"]["f"] = 1e5
+    cfg = write_config(tmp_path / "cfg.json", config)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = single_error_line(capsys)
+    assert err["exit_code"] == 1
+    assert err["error"].startswith("the run's Chebyshev series need about 1.1e+11 "
+                                   "multiply-adds, over the bound of 5e+10")
 
 
 def test_evolve_refuses_under_three_samples_before_evolving(tmp_path, capsys,

@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import threading
@@ -16,6 +17,7 @@ from diracsea.operators import charge_kernel, current_kernel, free_hamiltonian_k
 from diracsea.vacua import VacuumSpec, coupled_band_spec, occupation_set
 
 TWO_PI = 2.0 * np.pi
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def default_dt(basis):
@@ -136,8 +138,9 @@ def test_recorded_density_rate_matches_dense(basis_n9):
 
 
 @pytest.mark.parametrize("n_sites, sigma", [(9, 0.2), (27, 0.8)])
-def test_step_matches_dense_midpoint_exponential(n_sites, sigma):
+def test_step_matches_dense_midpoint_exponential(n_sites, sigma, monkeypatch):
     basis = build_basis(LatticeConfig(TWO_PI, n_sites, 1.0, 1.0))
+    keep_the_series(monkeypatch)
     state, kicked = kicked_packet(basis, 4.0, sigma)
     # the ramp rate, and with it the Chebyshev radius, peaks mid-window
     start = ev.SlaterState(basis, state.reference, state.orbitals, 0.5,
@@ -154,6 +157,11 @@ def test_step_matches_dense_midpoint_exponential(n_sites, sigma):
         stepped = one_step(start, pot, dt)
         assert np.abs(stepped.orbitals - expected).max() < 1e-13
         assert stepped.time == start.time + dt
+
+
+def keep_the_series(monkeypatch):
+    """Sends every kicked run to the series step, however weak its kick."""
+    monkeypatch.setattr(ev, "WEAK_KICK_BOUND", 0.0)
 
 
 def magnus_cases(basis):
@@ -277,17 +285,16 @@ def per_potential_couplings(config, potentials, t):
 SHIPPED_STRENGTHS = (0.01, 0.02, 0.03, 0.04, 0.1, 0.2, 0.4, 1.0, 2.0, 4.0)
 
 
-@pytest.mark.parametrize("batch", ["ramped_profile", "mixed"])
+@pytest.mark.parametrize("batch", ["shared_shape", "mixed"])
 def test_batched_couplings_are_each_potentials_own(batch):
     """Kicks sharing one shape, and a mixed batch (that shape, also in
     another window and with only a later start, a plain ``Potential`` and a
     ``ZeroPotential``), give each branch its own potential's couplings, bit
     for bit."""
     config = LatticeConfig(TWO_PI, 9, 1.0, -0.5)
-    kicks = synthetic_kicks(config)
+    shape = synthetic_kick(config)
     if batch == "mixed":
         x = config.grid
-        shape = kicks["ramped_profile"]
         ramped = shared_shape(shape, (0.3, -2.0))
         other_window = ev.PureGaugePotential(config, shape.profile, 0.5, 0.2,
                                              0.8)
@@ -297,7 +304,7 @@ def test_batched_couplings_are_each_potentials_own(batch):
             config, a0_fn=lambda t: 0.2 * np.cos(x + t)),
             ramped[1], other_window, late_start, ev.ZeroPotential(config)]
     else:
-        potentials = shared_shape(kicks[batch], SHIPPED_STRENGTHS + (-0.3,))
+        potentials = shared_shape(shape, SHIPPED_STRENGTHS + (-0.3,))
     for t in (-0.2, 0.0, 0.2137, 0.5311, 1.0, 1.3):
         v0, v1 = ev._couplings(config, potentials, t)
         expected0, expected1 = per_potential_couplings(config, potentials, t)
@@ -313,7 +320,7 @@ def test_batched_couplings_refuse_a_nan_profile():
     config = LatticeConfig(TWO_PI, 9, 1.0)
     a0 = np.cos(config.grid)
     a0[4] = np.nan
-    kicks = shared_shape(synthetic_kicks(config)["ramped_profile"], (0.01, 0.4))
+    kicks = shared_shape(synthetic_kick(config), (0.01, 0.4))
     batch = [kicks[0], ev.Potential(config, a0_fn=lambda t: a0), kicks[1]]
     with pytest.raises(ValueError, match=r"^potential is not finite at t=0\.5$"):
         ev._couplings(config, batch, 0.5)
@@ -422,9 +429,10 @@ def test_step_is_second_order(basis_n9):
     assert min(orders) > 1.8
 
 
-def test_magnus_steps_are_fourth_order(basis_n9):
+def test_magnus_steps_are_fourth_order(basis_n9, monkeypatch):
     """The second-order test's run, sampled every 5 steps, so that it takes
     CFM4 steps of 5 dt: 8, 16 and 32 of them."""
+    keep_the_series(monkeypatch)
     state = packet_state(basis_n9)
     profile = 0.4 * np.cos(basis_n9.config.grid)
     pot = ev.PureGaugePotential(basis_n9.config, profile, 1.0, 0.0, 0.8)
@@ -438,6 +446,151 @@ def test_magnus_steps_are_fourth_order(basis_n9):
     errors = [abs(final_energy(n) - reference) for n in (40, 80, 160)]
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(orders) > 3.5
+
+
+# SRKN_6^b as Blanes & Moan (J. Comput. Appl. Math. 142 (2002) 313) give it:
+# site flows b_1 .. b_4 .. b_1 between kinetic flows a_1, a_2, a_3, a_3, a_2, a_1
+SRKN_A = (0.245298957184271, 0.604872665711080,
+          0.5 - (0.245298957184271 + 0.604872665711080))
+SRKN_B = (0.0829844064174052, 0.396309801498368, -0.0390563049223486,
+          1.0 - 2.0 * (0.0829844064174052 + 0.396309801498368
+                       - 0.0390563049223486))
+
+
+def dense_srkn_step(basis, potential, t, h):
+    """One SRKN_6^b step of h from t as a product of dense exact flows: each
+    site flow exp(-i b h V(t + c h)), c the kinetic fractions before it,
+    and each kinetic flow exp(-i a h h0)."""
+    h0 = basis.free_hamiltonian_matrix()
+    kinetic = SRKN_A + SRKN_A[::-1]
+    site = SRKN_B + SRKN_B[-2::-1]
+    node, out = 0.0, np.eye(len(h0))
+    for k, b in enumerate(site):
+        v = dense.site_coupling_matrix(basis, potential, t + node * h)
+        out = dense_propagator(v, b * h) @ out
+        if k < len(kinetic):
+            out = dense_propagator(h0, kinetic[k] * h) @ out
+            node += kinetic[k]
+    return out
+
+
+def test_site_flow_is_the_exponential_of_its_site_block(rng):
+    """exp(-i tau (v0 + v1 alpha)) at each site and branch against the
+    dense exponential of its 2x2 block, for couplings up to 40 tau."""
+    n_sites, n_branch, tau = 9, 3, 0.37
+    v0, v1 = 40.0 * (rng.random((2, n_sites, n_branch)) - 0.5)
+    psi = rng.normal(size=(n_sites, n_branch, 2, 4)) \
+        + 1j * rng.normal(size=(n_sites, n_branch, 2, 4))
+    flowed = ev._site_flow(psi, v0, v1, tau)
+    for j in range(n_sites):
+        for b in range(n_branch):
+            block = np.array([[v0[j, b], v1[j, b]], [v1[j, b], v0[j, b]]])
+            expected = dense_propagator(block, tau) @ psi[j, b]
+            assert np.abs(flowed[j, b] - expected).max() < 1e-13
+
+
+@pytest.mark.parametrize("n_sites", [9, 27])
+def test_split_operator_steps_match_dense_exact_flows(n_sites):
+    """Two SRKN_6^b steps of h = 5 dt in one interval, whose touching end
+    site flows act as one, against the product of the dense exact flows of
+    ``dense_srkn_step``; the kicked and the strong case of the CFM4 test."""
+    basis = build_basis(LatticeConfig(TWO_PI, n_sites, 1.0, 1.0))
+    start, cases = magnus_cases(basis)
+    psi = start.orbitals.reshape(n_sites, 1, 2, -1)
+    for pot, dt in cases:
+        h = 5 * dt
+        t = start.time
+        rotations = tuple(ev._free_rotation(basis, a * h) for a in SRKN_A)
+        stepped = ev._split_operator_interval(basis, psi, [pot],
+                                              [t, t + h, t + 2 * h], h,
+                                              rotations)
+        expected = (dense_srkn_step(basis, pot, t + h, h)
+                    @ dense_srkn_step(basis, pot, t, h) @ start.orbitals)
+        assert np.abs(stepped.reshape(expected.shape) - expected).max() < 1e-13
+
+
+def test_split_operator_steps_are_fourth_order(basis_n9):
+    """The CFM4 order test's run at strength 0.3, a weak kick, so that it
+    takes SRKN_6^b steps of 5 dt: the final orbitals' error against 512
+    steps falls as the fourth power of the step (4.0 measured)."""
+    state = packet_state(basis_n9)
+    profile = 0.4 * np.cos(basis_n9.config.grid)
+    pot = ev.PureGaugePotential(basis_n9.config, profile, 0.3, 0.0, 0.8)
+
+    def final_orbitals(n_steps):
+        assert ev._stepping([pot], n_steps, 0.8 / n_steps, 5) == ("split", 5)
+        return ev.run_trajectory(state, pot, 0.8, 0.8 / n_steps, 5)[1].orbitals
+
+    reference = final_orbitals(2560)
+    errors = [np.abs(final_orbitals(n) - reference).max() for n in (80, 160, 320)]
+    orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
+    assert min(orders) > 3.5
+
+
+def test_zero_strength_kick_takes_the_free_rotation(basis_n9, monkeypatch):
+    """A kick of strength 0 has coupling bound 0, so its run is the free
+    run bit for bit, with no couplings evaluated, at any stride."""
+    state = packet_state(basis_n9)
+    dt = default_dt(basis_n9)
+    free, final_free = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+                                         1.0, dt, 5)
+    kick = ev.build_kick_chi(free, 0.0, 0.0, 1.0)
+
+    def forbidden(*args):
+        raise AssertionError("couplings evaluated on a zero-strength kick")
+
+    monkeypatch.setattr(ev, "_couplings", forbidden)
+    traj, final = ev.run_trajectory(state, kick, 1.0, dt, 5)
+    for name in TRAJECTORY_FIELDS:
+        assert np.array_equal(getattr(traj, name), getattr(free, name)), name
+    assert np.array_equal(final.orbitals, final_free.orbitals)
+
+
+def kick_large_evolve(n_sites, steps):
+    """The bench's kick-large ``evolve`` config at N = n_sites: the shipped
+    packet, ``steps`` steps of the default dt, stride 5, f = 0.02."""
+    shipped = json.loads((CONFIGS / "extract_energy.json").read_text())
+    lattice = dict(shipped["lattice"], N=n_sites)
+    dt = 0.01 * TWO_PI / build_basis(LatticeConfig(
+        lattice["L"], n_sites, lattice["m"], lattice["q"])).max_energy
+    return {"lattice": lattice, "vacuum": "standard",
+            "packet": shipped["packet"], "t_a": 0.0, "t_b": steps * dt,
+            "dt": dt, "sample_stride": 5,
+            "kick": {"recipe": "density_rate", "f": 0.02}}
+
+
+@pytest.mark.parametrize("case, series, split_intervals", [
+    ("shipped-sweep", 128, 0),   # coupling bound x 5 dt = 0.149
+    ("kick-large-N81", 0, 8),    # 0.0024
+    ("kick-large-N201", 0, 4),   # 0.0045
+])
+def test_rule_sends_strong_kicks_to_the_series_and_weak_ones_to_the_split(
+        case, series, split_intervals, tmp_path, monkeypatch):
+    """In turn, the shipped extract-energy sweep sums 128 Chebyshev series
+    (64 CFM4 steps) and takes no split-operator step; the bench's kicked
+    N = 81 and N = 201 evolves take one SRKN interval per sample interval
+    and sum no series."""
+    calls = {"series": 0, "split": 0}
+    propagate, interval = ev._propagate, ev._split_operator_interval
+
+    def counted(name, function):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) \
+            or function(*args)
+
+    monkeypatch.setattr(ev, "_propagate", counted("series", propagate))
+    monkeypatch.setattr(ev, "_split_operator_interval",
+                        counted("split", interval))
+    monkeypatch.setattr(ev, "_splits", lambda psi, n_steps: False)
+    if case == "shipped-sweep":
+        command, config = "extract-energy", CONFIGS / "extract_energy.json"
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(kick_large_evolve(*{
+            "kick-large-N81": (81, 40), "kick-large-N201": (201, 20)}[case])))
+        command = "evolve"
+    assert cli.main([command, "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"series": series, "split": split_intervals}
 
 
 def test_zero_potential_conserves_free_energy(basis_n9):
@@ -640,19 +793,17 @@ def test_rate_identity_second_order(basis_n9):
     assert -order > 1.9
 
 
-def synthetic_kicks(config):
+def synthetic_kick(config):
     """The kick recipe on a synthetic input: the ramp on cos x."""
-    return {"ramped_profile": ev.PureGaugePotential(
-        config, np.cos(config.grid), 0.7, 0.0, 1.0)}
+    return ev.PureGaugePotential(config, np.cos(config.grid), 0.7, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("recipe", ["ramped_profile"])
-def test_kick_recipe_is_pure_gauge(recipe):
+def test_kick_recipe_is_pure_gauge():
     """(A0, A) = (d chi/dt, -d chi/dx) at interior times: A0 against a
     centred difference of chi, A against chi's spectral derivative, so the
     kick carries no electric field."""
     config = LatticeConfig(TWO_PI, 9, 1.0)
-    pot = synthetic_kicks(config)[recipe]
+    pot = synthetic_kick(config)
     h = 1e-5
     for t in (0.2137, 0.5311, 0.7777):
         a0, a = pot.fields(t)
@@ -909,6 +1060,7 @@ def test_split_needs_enough_work(shape, steps, splits, monkeypatch):
 ])
 def test_split_counts_each_exponential_as_a_step(n_steps, stride, counted,
                                                  basis_n9, monkeypatch):
+    keep_the_series(monkeypatch)
     seen = []
     monkeypatch.setattr(ev, "_splits",
                         lambda psi, steps: seen.append(steps) or False)
@@ -916,6 +1068,46 @@ def test_split_counts_each_exponential_as_a_step(n_steps, stride, counted,
     dt = default_dt(basis_n9)
     ev.run_trajectory(state, kicked, n_steps * dt, dt, stride)
     assert seen == [counted]
+
+
+@pytest.mark.parametrize("n_steps, stride, counted", [
+    (40, 5, 8),   # 8 SRKN steps of 5 dt
+    (20, 5, 4),   # 4 of them: unlike CFM4, no least step count
+    (20, 1, 20),
+])
+def test_split_counts_each_split_operator_step_as_a_step(n_steps, stride,
+                                                         counted, basis_n9,
+                                                         monkeypatch):
+    seen = []
+    monkeypatch.setattr(ev, "_splits",
+                        lambda psi, steps: seen.append(steps) or False)
+    state, kicked = kicked_packet(basis_n9, 0.3)
+    dt = default_dt(basis_n9)
+    assert ev._stepping([kicked], n_steps, dt, stride)[0] == "split"
+    ev.run_trajectory(state, kicked, n_steps * dt, dt, stride)
+    assert seen == [counted]
+
+
+@needs_split
+def test_split_operator_run_splits_bit_for_bit(basis_n9, monkeypatch):
+    """A weak two-branch run, in turn and with its second orbital half in a
+    child process: each FFT and site flow acts on one orbital at a time."""
+    state, kicked = kicked_packet(basis_n9, 0.3)
+    potentials = [kicked, ev.build_kick_chi(
+        ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 0.6,
+                          default_dt(basis_n9), 4)[0], -2.0, 0.0, 0.6)]
+    dt = default_dt(basis_n9)
+    assert ev._stepping(potentials, 40, dt, 4)[0] == "split"
+    in_turn = ev.run_branches(state, potentials, 0.6, dt, 4)
+    split_any_run(monkeypatch)
+    forked = record_forks(monkeypatch)
+    split = ev.run_branches(state, potentials, 0.6, dt, 4)
+    assert len(forked) == 1
+    for (traj1, final1), (traj2, final2) in zip(in_turn, split):
+        for name in TRAJECTORY_FIELDS:
+            assert np.array_equal(getattr(traj1, name), getattr(traj2, name)), name
+        assert np.array_equal(final1.orbitals, final2.orbitals)
+    assert_reaped(forked)
 
 
 @needs_split

@@ -11,10 +11,13 @@ absolute difference per column.  Exit status 0 only when every file is
 byte-identical on both sides and every exit code matches; 1 otherwise.
 
 The set: the shipped ``extract-energy``, ``response`` and Schwinger
-``sweep`` configs; ``verify``; ``check-basis`` at N = 101; three kicked
-``evolve`` runs on the shipped packet at sample stride 5 (N = 81 over 40
-steps at f = 0.02 and at f = 2, where the midpoint step's error is
-largest, and N = 201 over 20 steps at f = 0.02); two small kicked
+``sweep`` configs; ``verify``; ``check-basis`` at N = 101; six kicked
+``evolve`` runs on the shipped packet at the default dt: at sample stride
+5, N = 81 over 40 steps at f = 0.02, 0.3, 0.6 and 2 (coupling bound times
+step 0.0024, 0.036, 0.072 and 0.24, so on both sides of the 0.05 at which
+``evolution._stepping`` picks the split-operator step) and N = 201 over
+20 steps at f = 0.02, and N = 81 over 40 steps at f = 0.02 and stride 1,
+whose split-operator steps are one dt long; two small kicked
 ``evolve`` runs at N = 27 (f = 0.3, stride 10), one in the window [0, 1]
 and one in [0.25, 1.25], so that a kick starting after t = 0 is compared
 too; and the kernel sizes: the Schwinger sweep over N = 9, 15, 21, 27,
@@ -37,14 +40,14 @@ from pathlib import Path
 
 
 def _kicked_evolve(shipped: dict, n_sites: int, steps: int,
-                   strength: float = 0.02) -> dict:
+                   strength: float = 0.02, stride: int = 5) -> dict:
     """A density-rate kicked ``evolve`` of ``steps`` steps at the default dt."""
     lattice = dict(shipped["lattice"], N=n_sites)
     p_max = math.pi * (n_sites - 1) / lattice["L"]  # largest |p| = 2 pi k / L
     dt = 0.01 * 2.0 * math.pi / math.hypot(p_max, lattice["m"])
     return {"lattice": lattice, "vacuum": "standard",
             "packet": shipped["packet"], "t_a": 0.0, "t_b": steps * dt,
-            "dt": dt, "sample_stride": 5,
+            "dt": dt, "sample_stride": stride,
             "kick": {"recipe": "density_rate", "f": strength}}
 
 
@@ -80,6 +83,10 @@ def commands(parent_root: Path) -> dict[str, tuple[str, dict | None]]:
                              {"lattice": dict(energy["lattice"], N=101)}),
         "evolve-kick-N81": ("evolve", _kicked_evolve(energy, 81, 40)),
         "evolve-kick-N81-f2": ("evolve", _kicked_evolve(energy, 81, 40, 2.0)),
+        "evolve-kick-N81-f0.3": ("evolve", _kicked_evolve(energy, 81, 40, 0.3)),
+        "evolve-kick-N81-f0.6": ("evolve", _kicked_evolve(energy, 81, 40, 0.6)),
+        "evolve-kick-N81-stride1": ("evolve", _kicked_evolve(energy, 81, 40,
+                                                             stride=1)),
         "evolve-kick-N201": ("evolve", _kicked_evolve(energy, 201, 20)),
         "evolve-kick-N27": ("evolve", small_kick),
         "evolve-kick-N27-late": ("evolve", dict(small_kick, t_a=0.25,
