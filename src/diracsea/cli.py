@@ -37,16 +37,6 @@ KICK_RECIPES = ("density_rate", "eq39")
 REFUSED_RECIPES = ("continuity_rate", "eq42")
 
 
-def __getattr__(name: str):
-    """``concurrent`` (``concurrent.futures``) on first use.  Only a parallel
-    sweep needs it, and it loads ``logging``, which every other command
-    would pay for at start-up."""
-    if name == "concurrent":
-        import concurrent.futures
-        return concurrent
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class ConfigError(ValueError):
     exit_code = 1
 
@@ -428,11 +418,11 @@ def run_evolve(config: dict, out_dir: Path, seed: int) -> list[Path]:
 
     kick = _section(config, "kick")
     if kick is None:
-        potential = ev.ZeroPotential(basis.config)
+        potential = ev.Potential(basis.config)
     else:
         _kick_recipe(kick)
         strength = _number(kick, "f")
-        free_traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
+        free_traj, _ = ev.run_trajectory(state, ev.Potential(basis.config),
                                          t_stop, dt, stride)
         potential = ev.build_kick_chi(free_traj, strength, t_start, t_stop)
 
@@ -469,7 +459,7 @@ def run_extract_energy(config: dict, out_dir: Path, seed: int) -> list[Path]:
         raise ConfigError("the small_f_count smallest kick strengths need two "
                           "distinct values to fit a slope")
 
-    free_traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
+    free_traj, _ = ev.run_trajectory(state, ev.Potential(basis.config),
                                      t_stop, dt, stride)
     i_stop = free_traj.index_of(t_stop)
     # the slope of xi0_2_predicted in f: -a sum (d rho/dt)(t_b) chi_1(t_b),
@@ -649,7 +639,7 @@ def run_sweep(config: dict, out_dir: Path, seed: int, jobs: int) -> list[Path]:
     # the executor forks all its workers at once, so ask for no idle ones
     workers = min(jobs, len(tasks), ev._usable_cpus())
     if workers > 1:
-        import concurrent.futures  # here, not at module level: see __getattr__
+        import concurrent.futures  # not at module level: it loads logging
 
         # each worker's kicked runs then go in turn, unsplit (``ev.share_cpus``)
         with concurrent.futures.ProcessPoolExecutor(

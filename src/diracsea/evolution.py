@@ -7,9 +7,10 @@ carried entirely by the single-particle orbitals:
     i d/dt psi_o = [h0 - q alpha A(x,t) + q A0(x,t)] psi_o.
 
 A kicked run steps by one of two integrators, chosen from what its kicks
-store (``_stepping``).  Where every potential is a ``PureGaugePotential``
-and the bound B on its couplings (``PureGaugePotential.coupling_bound``)
-keeps B m dt <= 0.05, m the largest divisor of the sample stride up to 5,
+store (``_stepping``).  Where every potential bounds its own couplings
+(``coupling_bound``: a kick from its profile and window, the zero
+potential ``Potential(config)`` by 0) and the largest bound B keeps
+B m dt <= 0.05, m the largest divisor of the sample stride up to 5,
 it takes steps of m dt by the fourth-order Runge-Kutta-Nystrom splitting
 SRKN_6^b (Blanes & Moan, J. Comput. Appl. Math. 142 (2002) 313; for the
 Dirac equation, Bauke & Keitel, Comput. Phys. Commun. 182 (2011) 2454):
@@ -27,15 +28,15 @@ and the sample times still add dt one step at a time.  Each exponential
 -i h once, by one real product with the cached derivative matrix
 ``ModeBasis.derivative_matrix`` and site-local 2x2 matrices for the mass
 and the potentials, with Bessel weights from Miller's backward recurrence
-(numpy only), cut where the dropped tail falls below one rounding unit; when
-its couplings vanish it is the exact per-momentum rotation cos(E dt) - i
-sin(E dt) h(p)/E, applied by FFT.  A series run whose terms would take more
-than ``MAX_SERIES_WORK`` multiply-adds in all is refused before its first
-step.  A run whose coupling bound is 0 (every potential a
-``ZeroPotential``, or a kick of strength 0) takes the free rotation once
-per sample interval.  Branches that share an initial state and step size
-advance, and are recorded, together as one site-major tensor (N, n_branch,
-2, n_orb) (``run_branches``).  Every orbital evolves on its own, so a kicked
+(numpy only), cut where the dropped tail falls below one rounding unit.  A
+series run whose terms would take more than ``MAX_SERIES_WORK``
+multiply-adds in all is refused before its first step.  A run whose
+coupling bound is 0 (every potential the zero potential or a kick of
+strength 0) takes the exact per-momentum rotation cos(E dt) - i sin(E dt)
+h(p)/E, applied by FFT (``_free_rotation``), once per sample interval.
+Branches that share an initial state and step size advance, and are
+recorded, together as one site-major tensor (N, n_branch, 2, n_orb)
+(``run_branches``).  Every orbital evolves on its own, so a kicked
 run with enough work forks one child process that advances the second half
 of the orbital axis for the whole run, with BLAS on one thread in both
 processes (``_second_process``); elsewhere the run goes in turn, in this
@@ -78,29 +79,28 @@ def ramp(s):
 
 
 class Potential:
-    """External classical potential (A0, A) sampled on the grid."""
-
-    provenance = "custom"
+    """External classical potential (A0, A) sampled on the grid; with no
+    field function, the zero potential."""
 
     def __init__(self, config: LatticeConfig, a0_fn=None, a_fn=None):
         self.config = config
         self._fns = (a0_fn, a_fn)
+
+    @property
+    def provenance(self) -> str:
+        return "zero" if self._fns == (None, None) else "custom"
+
+    def coupling_bound(self) -> float | None:
+        """0 for the zero potential, whose runs ``run_branches`` steps by
+        exact free rotations without evaluating couplings; None (unknown)
+        once a field function is given."""
+        return 0.0 if self._fns == (None, None) else None
 
     def fields(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(A0, A) at time t, each one sample per site; zeros where no
         function was given."""
         return tuple(np.zeros(self.config.site_count) if fn is None
                      else np.asarray(fn(t), dtype=float) for fn in self._fns)
-
-
-class ZeroPotential(Potential):
-    """No fields.  Takes no field functions, so ``run_branches`` may step it
-    by exact free rotations without evaluating couplings."""
-
-    provenance = "zero"
-
-    def __init__(self, config: LatticeConfig):
-        super().__init__(config)
 
 
 class PureGaugePotential(Potential):
@@ -366,8 +366,6 @@ def _propagate(basis: ModeBasis, psi: np.ndarray, v0: np.ndarray,
     series; each orbital evolves on its own, so slices may run at the same
     time.  ValueError when the series would exceed ``MAX_SERIES_TERMS`` terms.
     """
-    if not (v0.any() or v1.any()):
-        return _free_rotation(basis, dt)(psi)
     radius = _series_radius(basis, v0, v1)
     z = radius * dt
     if not _series_fits(z):
@@ -574,15 +572,10 @@ def _magnus_multiple(n_steps: int, sample_stride: int) -> int:
 
 def _coupling_bound(potentials) -> float | None:
     """A bound on max|v0| + max|v1| over every branch and time, with no
-    ``fields`` call: the largest ``PureGaugePotential.coupling_bound``, 0
-    for ``ZeroPotential``s, None where another potential leaves it unknown."""
-    bound = 0.0
-    for potential in potentials:
-        if isinstance(potential, PureGaugePotential):
-            bound = max(bound, potential.coupling_bound())
-        elif not isinstance(potential, ZeroPotential):
-            return None
-    return bound
+    ``fields`` call: the largest of the potentials' own ``coupling_bound``s,
+    or None where any of them is unknown."""
+    bounds = [potential.coupling_bound() for potential in potentials]
+    return None if None in bounds else max(bounds, default=0.0)
 
 
 # A kicked run takes SRKN_6^b steps of m dt where its coupling bound times
@@ -594,12 +587,14 @@ def _stepping(potentials, n_steps: int, dt: float,
               sample_stride: int) -> tuple[str, int]:
     """How a run steps, and how many steps of dt one step spans.
 
-    ("free", stride) where the coupling bound B (``_coupling_bound``) is 0:
-    one exact rotation per sample interval.  ("split", m) where B m dt <=
-    ``WEAK_KICK_BOUND``, m the largest divisor of the stride up to
-    ``MAX_MAGNUS_MULTIPLE``: SRKN_6^b steps (``_split_operator_interval``).
-    Else ("series", ``_magnus_multiple``): CFM4 or midpoint steps of
-    Chebyshev series (``_time_step``).  B m dt reads 0.0024 and 0.0045 on
+    ("free", stride) where the coupling bound B (``_coupling_bound``) is 0,
+    as for the zero potential and kicks of strength 0: one exact rotation
+    per sample interval.  ("split", m) where B m dt <= ``WEAK_KICK_BOUND``,
+    m the largest divisor of the stride up to ``MAX_MAGNUS_MULTIPLE``:
+    SRKN_6^b steps (``_split_operator_interval``).  Else, B unknown (a
+    potential with field functions) or larger, ("series",
+    ``_magnus_multiple``): CFM4 or midpoint steps of Chebyshev series
+    (``_time_step``).  B m dt reads 0.0024 and 0.0045 on
     the bench's kicked N = 81 and N = 201 evolves (f = 0.02) and 0.014 on
     the N = 27 evolve at f = 0.3, whose xi0 errors against a step of dt/4
     SRKN cut 230, 83 and 42 times; it reads 0.149 on the shipped
@@ -667,8 +662,10 @@ def run_trajectory(state: SlaterState, potential: Potential, t_final: float,
 # 30-38 ms; N = 41, 100 dt in 20 (1.4e5), 18-20 -> 26-27 ms; N = 27 with ten
 # branches, 100 dt in 20 (6.0e5), 57-65 -> 41-42 ms, and the shipped
 # extract-energy, 320 dt in 64 (1.9e6), 149 -> 111 ms.  An SRKN step counts
-# as one step.  The kicked N = 201 evolve of 20 dt in 4 SRKN steps (3.2e5)
-# took 112 ms in turn against 119 ms split (medians of 15, the run alone).
+# as one step.  The kicked N = 201 evolve of 20 dt in 4 SRKN steps (3.2e5),
+# the run alone, medians of 15 in each of 3 fresh processes: 149-152 ms in
+# turn against 128-134 ms split, and 150-157 against 77-84 ms with BLAS left
+# at its default thread count.
 SPLIT_WORK = 300_000
 
 # The thread-count getter and setter that numpy's bundled OpenBLAS exports.

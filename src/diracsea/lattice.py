@@ -113,7 +113,13 @@ class ModeBasis:
         spinors = [np.where(upper, top, np.abs(p)),
                    np.where(upper, p, np.where(p > 0, -top, top))]
         self.spinors = (np.stack(spinors) / norm).astype(complex)
-        self.phi = self.sample(config.grid)
+        # on the grid exp(i p_k x_j) = exp(2 pi i r / N), r = j k reduced
+        # exactly, in integers, to |r| <= (N - 1) / 2: the float p x reaches
+        # about pi N, and its rounding with it
+        r = config.momentum_indices
+        roots = np.exp(2j * np.pi / N * r)
+        self.phi = self._modes(roots[(np.outer(np.arange(N), self.momentum_index)
+                                      + r[-1]) % N])
         self.flat = self.phi.reshape(2 * N, 2 * N)
 
     @property
@@ -125,17 +131,18 @@ class ModeBasis:
         return float(self.energy.max())
 
     def sample(self, points: np.ndarray) -> np.ndarray:
-        """Wavefunctions at arbitrary positions, shape (len(points), 2, 2N)."""
+        """Wavefunctions at arbitrary positions, shape (len(points), 2, 2N),
+        from the float products p x."""
         points = np.asarray(points, dtype=float)
         # each momentum is on both branches: one exponential per momentum
         config = self.config
-        phase = np.exp(1j * np.outer(points, config.momenta)).take(
-            self.momentum_index + (config.site_count - 1) // 2, axis=1)
-        return (
-            phase[:, None, :]
-            * self.spinors[None, :, :]
-            / np.sqrt(self.config.box_length)
-        )
+        return self._modes(np.exp(1j * np.outer(points, config.momenta)).take(
+            self.momentum_index + (config.site_count - 1) // 2, axis=1))
+
+    def _modes(self, phase: np.ndarray) -> np.ndarray:
+        """Wavefunctions from exp(i p_n x) per point and mode."""
+        return (phase[:, None, :] * self.spinors[None, :, :]
+                / np.sqrt(self.config.box_length))
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         """Grid inner product a * sum_j f^dag g for flat or (N,2) fields."""

@@ -138,7 +138,7 @@ def test_criterion_6_rate_identity_order():
         ev.vacuum_state(basis, VacuumSpec("standard")), 2.0, 0.2)
     t_stop = 1.5
     dt0 = 4 * default_dt(basis)
-    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config), t_stop,
+    free, _ = ev.run_trajectory(state, ev.Potential(basis.config), t_stop,
                                 dt0)
     pot = ev.build_kick_chi(free, 0.3, 0.0, t_stop)
     halvings = (2, 4, 8)
@@ -157,7 +157,7 @@ def test_criterion_7_zero_potential_conservation():
     state = ev.excite_wavepacket(
         ev.vacuum_state(basis, VacuumSpec("standard")), 2.0, 0.2)
     slow_period = TWO_PI / basis.config.mass
-    traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
+    traj, _ = ev.run_trajectory(state, ev.Potential(basis.config),
                                 10.0 * slow_period, default_dt(basis),
                                 sample_stride=100)
     drift = float(np.abs(traj.free_energy - traj.free_energy[0]).max())
@@ -173,7 +173,7 @@ def test_criterion_8_energy_extraction():
         ev.vacuum_state(basis, VacuumSpec("standard")), 2.0, 0.8)
     t_stop = 1.5
     dt = default_dt(basis)
-    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config), t_stop,
+    free, _ = ev.run_trajectory(state, ev.Potential(basis.config), t_stop,
                                 dt)
     rate = free.density_rate[free.index_of(t_stop)]
     slope_predicted = -basis.config.spacing * float(np.sum(rate**2))
@@ -182,7 +182,7 @@ def test_criterion_8_energy_extraction():
 
     tested = (0.01, 0.02, 0.03, 0.04, 0.1, 0.2, 0.4)
     energies = []
-    free20, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
+    free20, _ = ev.run_trajectory(state, ev.Potential(basis.config),
                                   t_stop, dt, sample_stride=20)
     for f in tested:
         gauge = ev.build_kick_chi(free, f, 0.0, t_stop)
@@ -200,7 +200,7 @@ def test_criterion_8_energy_extraction():
     # growing defect and never crosses the truncated many-body floor (0)
     huge = (1.0, 2.0, 4.0, 8.0)
     saturated = []
-    free50, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config),
+    free50, _ = ev.run_trajectory(state, ev.Potential(basis.config),
                                   t_stop, dt, sample_stride=50)
     for f in huge:
         gauge = ev.build_kick_chi(free, f, 0.0, t_stop)
@@ -232,7 +232,7 @@ def test_criterion_9_gauge_pair_residual_trend():
         profile = 0.2 * np.cos(TWO_PI * config.grid / config.box_length)
         gauge = ev.PureGaugePotential(config, profile, 1.0, 0.0, 1.5)
         dt = default_dt(basis)
-        free, _ = ev.run_trajectory(state, ev.ZeroPotential(config), 1.5, dt,
+        free, _ = ev.run_trajectory(state, ev.Potential(config), 1.5, dt,
                                     sample_stride=10)
         rep = ev.gauge_pair_sweep(state, gauge, [1.0], free, dt,
                                   sample_stride=10)[0]
@@ -243,7 +243,7 @@ def test_criterion_9_gauge_pair_residual_trend():
             # current deviation (its commutator kernel does not vanish)
             sea_state = ev.excite_wavepacket(
                 ev.vacuum_state(basis, VacuumSpec("standard")), 2.0, 0.2)
-            sea_free, _ = ev.run_trajectory(sea_state, ev.ZeroPotential(config),
+            sea_free, _ = ev.run_trajectory(sea_state, ev.Potential(config),
                                             1.5, dt, sample_stride=10)
             sea_rep = ev.gauge_pair_sweep(sea_state, gauge, [1.0], sea_free,
                                           dt, sample_stride=10)[0]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -55,6 +56,18 @@ def test_check_basis_ok(tmp_path):
         for name, digest in manifest["files"].items():
             actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert actual == digest
+
+
+@pytest.mark.parametrize("length, n_sites", [
+    (TWO_PI, 105), (TWO_PI, 151), (TWO_PI, 201), (1.0, 51), (1.0, 101)])
+def test_check_basis_passes_on_large_lattices(tmp_path, length, n_sites):
+    """Bases whose float phases p x once pushed the eigenrelation defect
+    past the 1e-12 gate (1.0e-12 at L = 2 pi, N = 105 up to 1.1e-11 at
+    L = 1, N = 101) pass it with exact grid phases."""
+    lattice = dict(BASE_LATTICE, L=length, N=n_sites)
+    cfg = write_config(tmp_path / "cfg.json", {"lattice": lattice})
+    assert main(["check-basis", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_config_errors_exit_1(tmp_path, capsys):
@@ -699,7 +712,7 @@ def test_sweep_workers_bounded_by_points_and_cpus(tmp_path, monkeypatch, jobs,
                                                   cpus, points, workers):
     monkeypatch.setattr(RecordingExecutor, "max_workers", [])
     monkeypatch.setattr(RecordingExecutor, "initializers", [])
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingExecutor)
     monkeypatch.setattr(ev, "_usable_cpus", lambda: cpus)
     values = [5, 7, 9][:points]
@@ -725,7 +738,7 @@ def test_sweep_workers_bounded_by_cpu_affinity(tmp_path, monkeypatch):
     ``--jobs 2`` runs the points in turn, with no pool."""
     monkeypatch.setattr(RecordingExecutor, "max_workers", [])
     monkeypatch.setattr(RecordingExecutor, "initializers", [])
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})

@@ -50,7 +50,7 @@ def apply_h(basis, orbitals, potential, t):
 def kicked_packet(basis, strength, sigma=0.2, t_stop=1.0):
     """Packet state and the pure-gauge potential of its density-rate kick."""
     state = packet_state(basis, sigma=sigma)
-    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis.config), t_stop,
+    free, _ = ev.run_trajectory(state, ev.Potential(basis.config), t_stop,
                                 default_dt(basis), sample_stride=10)
     return state, ev.build_kick_chi(free, strength, 0.0, t_stop)
 
@@ -81,7 +81,7 @@ def test_eigenmode_phase_evolution(basis_n9):
         basis_n9.flat[:, [mode]].copy(), 0.0)
     span = 0.7
     traj, final = ev.run_trajectory(
-        state, ev.ZeroPotential(basis_n9.config), span, default_dt(basis_n9))
+        state, ev.Potential(basis_n9.config), span, default_dt(basis_n9))
     phase = np.exp(-1j * basis_n9.lam[mode] * basis_n9.energy[mode] * span)
     assert np.abs(final.orbitals[:, 0]
                   - phase * basis_n9.flat[:, mode]).max() < 1e-10
@@ -149,7 +149,7 @@ def test_step_matches_dense_midpoint_exponential(n_sites, sigma, monkeypatch):
     strong = ev.Potential(basis.config, a0_fn=lambda t: 50.0 * np.cos(x),
                           a_fn=lambda t: 30.0 * np.sin(2.0 * x))
     cases = [(kicked, default_dt(basis)),
-             (ev.ZeroPotential(basis.config), default_dt(basis)),
+             (ev.Potential(basis.config), default_dt(basis)),
              (strong, 0.1)]  # R dt near 10: about 30 Chebyshev terms
     for pot, dt in cases:
         h = single_particle_hamiltonian(basis, pot, start.time + 0.5 * dt)
@@ -244,13 +244,13 @@ def test_step_rejects_non_finite_input(basis_n9):
         with pytest.raises(ValueError):
             one_step(state, pot, 0.01)
     with pytest.raises(ValueError):
-        one_step(state, ev.ZeroPotential(basis_n9.config), np.nan)
+        one_step(state, ev.Potential(basis_n9.config), np.nan)
 
 
 def test_batched_branches_match_single_runs(basis_n9):
     state = packet_state(basis_n9)
     dt = default_dt(basis_n9)
-    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
+    free, _ = ev.run_trajectory(state, ev.Potential(basis_n9.config), 1.0,
                                 dt, sample_stride=5)
     strengths = (0.01, 0.4, 4.0)
     unit = ev.build_kick_chi(free, 1.0, 0.0, 1.0)
@@ -288,9 +288,9 @@ SHIPPED_STRENGTHS = (0.01, 0.02, 0.03, 0.04, 0.1, 0.2, 0.4, 1.0, 2.0, 4.0)
 @pytest.mark.parametrize("batch", ["shared_shape", "mixed"])
 def test_batched_couplings_are_each_potentials_own(batch):
     """Kicks sharing one shape, and a mixed batch (that shape, also in
-    another window and with only a later start, a plain ``Potential`` and a
-    ``ZeroPotential``), give each branch its own potential's couplings, bit
-    for bit."""
+    another window and with only a later start, a ``Potential`` with a field
+    function and the zero ``Potential``), give each branch its own
+    potential's couplings, bit for bit."""
     config = LatticeConfig(TWO_PI, 9, 1.0, -0.5)
     shape = synthetic_kick(config)
     if batch == "mixed":
@@ -302,7 +302,7 @@ def test_batched_couplings_are_each_potentials_own(batch):
                                            shape.strength, 0.2, shape.t_stop)
         potentials = [ramped[0], ev.Potential(
             config, a0_fn=lambda t: 0.2 * np.cos(x + t)),
-            ramped[1], other_window, late_start, ev.ZeroPotential(config)]
+            ramped[1], other_window, late_start, ev.Potential(config)]
     else:
         potentials = shared_shape(shape, SHIPPED_STRENGTHS + (-0.3,))
     for t in (-0.2, 0.0, 0.2137, 0.5311, 1.0, 1.3):
@@ -387,7 +387,7 @@ def test_kicks_sharing_the_unit_shape_change_no_report(basis_n9):
     bit the branches of kicks built one per strength, and so is chi(t_b)."""
     state = packet_state(basis_n9)
     dt = default_dt(basis_n9)
-    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
+    free, _ = ev.run_trajectory(state, ev.Potential(basis_n9.config), 1.0,
                                 dt, sample_stride=5)
     strengths = (0.01, 0.4, 4.0)
     unit = ev.build_kick_chi(free, 1.0, 0.0, 1.0)
@@ -404,7 +404,7 @@ def test_kicks_sharing_the_unit_shape_change_no_report(basis_n9):
 
 def test_last_sample_observes_the_final_state(basis_n9):
     state, kicked = kicked_packet(basis_n9, 0.3)
-    branches = ev.run_branches(state, [kicked, ev.ZeroPotential(basis_n9.config)],
+    branches = ev.run_branches(state, [kicked, ev.Potential(basis_n9.config)],
                                0.6, default_dt(basis_n9), sample_stride=7)
     for traj, final in branches:
         snap = ev.observables(final)
@@ -532,7 +532,7 @@ def test_zero_strength_kick_takes_the_free_rotation(basis_n9, monkeypatch):
     run bit for bit, with no couplings evaluated, at any stride."""
     state = packet_state(basis_n9)
     dt = default_dt(basis_n9)
-    free, final_free = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+    free, final_free = ev.run_trajectory(state, ev.Potential(basis_n9.config),
                                          1.0, dt, 5)
     kick = ev.build_kick_chi(free, 0.0, 0.0, 1.0)
 
@@ -595,7 +595,7 @@ def test_rule_sends_strong_kicks_to_the_series_and_weak_ones_to_the_split(
 
 def test_zero_potential_conserves_free_energy(basis_n9):
     state = packet_state(basis_n9)
-    traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+    traj, _ = ev.run_trajectory(state, ev.Potential(basis_n9.config),
                                 10.0 * TWO_PI / 1.0, default_dt(basis_n9),
                                 sample_stride=50)
     drift = np.abs(traj.free_energy - traj.free_energy[0]).max()
@@ -615,7 +615,7 @@ def test_constant_scalar_potential_shifts_spectrum(basis_n9):
 
 def test_pure_gauge_vanishes_at_start(basis_n9):
     state = packet_state(basis_n9)
-    traj1, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+    traj1, _ = ev.run_trajectory(state, ev.Potential(basis_n9.config),
                                  1.0, default_dt(basis_n9))
     pot = ev.build_kick_chi(traj1, 0.5, 0.0, 1.0)
     assert np.abs(pot.chi(0.0)).max() == 0.0
@@ -681,7 +681,7 @@ def test_two_mode_beat_frequency(basis_n9):
                            orbital[:, None], 0.0)
     beat = abs(basis_n9.energy[picked[0]] - basis_n9.energy[picked[1]])
     span = 3.0 * TWO_PI / beat
-    traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+    traj, _ = ev.run_trajectory(state, ev.Potential(basis_n9.config),
                                 span, default_dt(basis_n9))
     series = traj.density[:, 0] - traj.density[:, 0].mean()
     freqs = np.fft.rfftfreq(len(series), d=traj.sample_spacing) * TWO_PI
@@ -692,7 +692,7 @@ def test_two_mode_beat_frequency(basis_n9):
 def test_density_rate_matches_finite_difference(basis_n9):
     state = packet_state(basis_n9)
     dt = default_dt(basis_n9)
-    traj, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+    traj, _ = ev.run_trajectory(state, ev.Potential(basis_n9.config),
                                 20 * dt, dt)
     i = len(traj.times) // 2
     fd = (traj.density[i + 1] - traj.density[i - 1]) / (2 * traj.sample_spacing)
@@ -701,7 +701,7 @@ def test_density_rate_matches_finite_difference(basis_n9):
 
 def test_unsampled_time_is_refused(basis_n9):
     free, _ = ev.run_trajectory(packet_state(basis_n9),
-                                ev.ZeroPotential(basis_n9.config), 1.0,
+                                ev.Potential(basis_n9.config), 1.0,
                                 default_dt(basis_n9), sample_stride=10)
     assert free.index_of(1.0) == len(free.times) - 1
     for t in (np.nan, np.inf, 1.5):
@@ -723,7 +723,7 @@ def test_kick_requires_free_trajectory(basis_n9):
 def test_zero_strength_kick_is_inert(basis_n9):
     state = packet_state(basis_n9)
     dt = default_dt(basis_n9)
-    traj1, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+    traj1, _ = ev.run_trajectory(state, ev.Potential(basis_n9.config),
                                  1.0, dt)
     gauge = ev.build_kick_chi(traj1, 0.0, 0.0, 1.0)
     report = ev.gauge_pair_sweep(state, gauge, [1.0], traj1, dt)[0]
@@ -739,7 +739,7 @@ def test_uniform_gauge_function_leaves_observables_alone(basis_n9):
     dt = default_dt(basis_n9)
     gauge = ev.PureGaugePotential(basis_n9.config, np.full(9, 0.7), 1.0, 0.0,
                                   1.0)
-    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
+    free, _ = ev.run_trajectory(state, ev.Potential(basis_n9.config), 1.0,
                                 dt)
     report = ev.gauge_pair_sweep(state, gauge, [1.0], free, dt)[0]
     assert report.max_density_deviation < 1e-12
@@ -752,11 +752,11 @@ def test_density_rate_kick_extracts_energy(basis_n9):
     state = packet_state(basis_n9)
     dt = default_dt(basis_n9)
     t_stop = 1.5
-    traj1, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+    traj1, _ = ev.run_trajectory(state, ev.Potential(basis_n9.config),
                                  t_stop, dt)
     rate = traj1.density_rate[traj1.index_of(t_stop)]
     predicted_slope = -basis_n9.config.spacing * np.sum(rate**2)
-    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+    free, _ = ev.run_trajectory(state, ev.Potential(basis_n9.config),
                                 t_stop, dt, sample_stride=10)
     energies = []
     strengths = (0.01, 0.02, 0.04)
@@ -774,7 +774,7 @@ def test_density_rate_kick_extracts_energy(basis_n9):
 
 def test_rate_identity_zero_potential(basis_n9):
     state = packet_state(basis_n9)
-    pot = ev.ZeroPotential(basis_n9.config)
+    pot = ev.Potential(basis_n9.config)
     traj, _ = ev.run_trajectory(state, pot, 1.0, default_dt(basis_n9))
     assert ev.rate_identity_residual(traj, pot) < 1e-10
 
@@ -782,7 +782,7 @@ def test_rate_identity_zero_potential(basis_n9):
 def test_rate_identity_second_order(basis_n9):
     state = packet_state(basis_n9)
     dt0 = 4 * default_dt(basis_n9)
-    traj1, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+    traj1, _ = ev.run_trajectory(state, ev.Potential(basis_n9.config),
                                  1.5, dt0)
     pot = ev.build_kick_chi(traj1, 0.3, 0.0, 1.5)
     residuals = []
@@ -834,14 +834,14 @@ def test_rate_identity_static_scalar_potential(basis_n9):
 
 def test_continuity_residual_vacuum_and_eigenmode(basis_n9):
     vacuum = ev.vacuum_state(basis_n9, VacuumSpec("standard"))
-    traj, _ = ev.run_trajectory(vacuum, ev.ZeroPotential(basis_n9.config),
+    traj, _ = ev.run_trajectory(vacuum, ev.Potential(basis_n9.config),
                                 0.5, default_dt(basis_n9))
     assert np.abs(traj.residual).max() < 1e-12
 
     mode = ev.SlaterState(basis_n9,
                           occupation_set(VacuumSpec("bare"), basis_n9),
                           basis_n9.flat[:, [5]].copy(), 0.0)
-    traj, _ = ev.run_trajectory(mode, ev.ZeroPotential(basis_n9.config),
+    traj, _ = ev.run_trajectory(mode, ev.Potential(basis_n9.config),
                                 0.5, default_dt(basis_n9))
     assert np.abs(traj.residual).max() < 1e-10
 
@@ -858,7 +858,7 @@ def test_continuity_residual_shrinks_with_cutoff():
         orbital = basis.flat[:, pos] @ weights
         state = ev.SlaterState(basis, occupation_set(VacuumSpec("bare"), basis),
                                orbital[:, None], 0.0)
-        traj, _ = ev.run_trajectory(state, ev.ZeroPotential(config), 0.5,
+        traj, _ = ev.run_trajectory(state, ev.Potential(config), 0.5,
                                     default_dt(basis))
         residuals.append(np.abs(traj.residual).max())
     assert residuals[0] > 10 * residuals[1] > 100 * residuals[2]
@@ -873,7 +873,7 @@ def test_band_vacuum_gauge_pair_residual_shrinks():
         profile = 0.2 * np.cos(TWO_PI * config.grid / config.box_length)
         gauge = ev.PureGaugePotential(config, profile, 1.0, 0.0, 1.5)
         dt = default_dt(basis)
-        free, _ = ev.run_trajectory(state, ev.ZeroPotential(config), 1.5, dt,
+        free, _ = ev.run_trajectory(state, ev.Potential(config), 1.5, dt,
                                     sample_stride=10)
         report = ev.gauge_pair_sweep(state, gauge, [1.0], free, dt,
                                      sample_stride=10)[0]
@@ -885,7 +885,7 @@ def test_band_vacuum_gauge_pair_residual_shrinks():
 def test_gauge_pair_requires_aligned_start(basis_n9):
     state = packet_state(basis_n9)
     gauge = ev.PureGaugePotential(basis_n9.config, np.zeros(9), 1.0, 0.5, 1.0)
-    free, _ = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 1.0,
+    free, _ = ev.run_trajectory(state, ev.Potential(basis_n9.config), 1.0,
                                 0.01)
     with pytest.raises(ValueError):
         ev.gauge_pair_sweep(state, gauge, [1.0], free, 0.01)[0]
@@ -992,7 +992,7 @@ def test_split_run_is_byte_identical_to_the_run_in_turn(basis_n9, monkeypatch):
         for name in TRAJECTORY_FIELDS:
             assert np.array_equal(getattr(traj1, name), getattr(traj2, name)), name
         assert np.array_equal(final1.orbitals, final2.orbitals)
-    zero = ev.ZeroPotential(basis_n9.config)
+    zero = ev.Potential(basis_n9.config)
     ev.run_branches(state, [zero, zero], 0.6, dt, 4)
     assert len(forked) == 1
     assert_reaped(forked)
@@ -1094,7 +1094,7 @@ def test_split_operator_run_splits_bit_for_bit(basis_n9, monkeypatch):
     child process: each FFT and site flow acts on one orbital at a time."""
     state, kicked = kicked_packet(basis_n9, 0.3)
     potentials = [kicked, ev.build_kick_chi(
-        ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config), 0.6,
+        ev.run_trajectory(state, ev.Potential(basis_n9.config), 0.6,
                           default_dt(basis_n9), 4)[0], -2.0, 0.0, 0.6)]
     dt = default_dt(basis_n9)
     assert ev._stepping(potentials, 40, dt, 4)[0] == "split"
@@ -1216,7 +1216,7 @@ def test_a_dead_child_is_reported_not_waited_on(basis_n9, monkeypatch):
 def test_free_sample_times_accumulate_per_step(basis_n9):
     state = packet_state(basis_n9)
     dt, stride = default_dt(basis_n9), 7
-    traj, final = ev.run_trajectory(state, ev.ZeroPotential(basis_n9.config),
+    traj, final = ev.run_trajectory(state, ev.Potential(basis_n9.config),
                                     1.0, dt, stride)
     n_steps, dt_eff = ev.step_count(0.0, 1.0, dt, stride)
     time, expected = 0.0, [0.0]
@@ -1230,38 +1230,62 @@ def test_free_sample_times_accumulate_per_step(basis_n9):
 
 @pytest.mark.parametrize("n_sites", [27, 81, 201])
 def test_free_stretch_matches_per_step_rotations(n_sites, basis_n201):
-    """One rotation per sample interval against one per step: a plain
-    ``Potential`` with no fields has zero couplings, so it takes the
-    per-step free rotation.  The orbitals agree within 1e-13 (4e-15
+    """One rotation per sample interval against ``_free_rotation`` of one
+    step applied once per step.  The orbitals agree within 1e-13 (4e-15
     measured); the observables sum about N orbitals weighted by up to
     E_max (100 at N = 201), so they get 1e-10 (4.9e-11 measured in xi0)."""
     basis = (basis_n201 if n_sites == 201
              else build_basis(LatticeConfig(TWO_PI, n_sites, 1.0, 1.0)))
     state = packet_state(basis, sigma=0.8)
-    dt = default_dt(basis)
-    stretch, per_step = (ev.run_trajectory(state, pot, 20 * dt, dt, 5)
-                         for pot in (ev.ZeroPotential(basis.config),
-                                     ev.Potential(basis.config)))
-    assert np.array_equal(stretch[0].times, per_step[0].times)
+    t_final = 20 * default_dt(basis)
+    stretch, final = ev.run_trajectory(state, ev.Potential(basis.config),
+                                       t_final, default_dt(basis), 5)
+    n_steps, dt = ev.step_count(0.0, t_final, default_dt(basis), 5)
+    rotate = ev._free_rotation(basis, dt)
+    psi = state.orbitals.reshape(n_sites, 1, 2, -1)
+    time, times, snapshots = 0.0, [0.0], [ev.observables(state)]
+    for k in range(n_steps):
+        psi = rotate(psi)
+        time = time + dt
+        if (k + 1) % 5 == 0:
+            times.append(time)
+            snapshots.append(ev.observables(ev.SlaterState(
+                basis, state.reference, psi.reshape(state.orbitals.shape),
+                time, state.subtractions)))
+    assert np.array_equal(stretch.times, times)
     for name in ("density", "current", "free_energy", "density_rate"):
-        assert np.abs(getattr(stretch[0], name)
-                      - getattr(per_step[0], name)).max() < 1e-10, name
-    assert np.abs(stretch[1].orbitals - per_step[1].orbitals).max() < 1e-13
+        per_step = np.array([getattr(snap, name) for snap in snapshots])
+        assert np.abs(getattr(stretch, name) - per_step).max() < 1e-10, name
+    assert np.abs(final.orbitals - psi.reshape(state.orbitals.shape)).max() < 1e-13
 
 
 def test_zero_potential_run_evaluates_no_couplings(basis_n9, monkeypatch):
+    """A potential with no field functions is the zero potential: provenance
+    "zero", coupling bound 0, and its runs evaluate no couplings."""
     def forbidden(*args):
         raise AssertionError("couplings evaluated on a potential-free run")
 
+    zero = ev.Potential(basis_n9.config)
+    assert zero.provenance == "zero" and zero.coupling_bound() == 0.0
     monkeypatch.setattr(ev, "_couplings", forbidden)
-    state = packet_state(basis_n9)
-    zero = ev.ZeroPotential(basis_n9.config)
-    ev.run_branches(state, [zero, zero], 0.3, default_dt(basis_n9), 3)
-    with pytest.raises(AssertionError):
-        ev.run_branches(state, [zero, ev.Potential(basis_n9.config)], 0.3,
-                        default_dt(basis_n9), 3)
+    ev.run_branches(packet_state(basis_n9), [zero, zero], 0.3,
+                    default_dt(basis_n9), 3)
 
 
-def test_zero_potential_takes_no_fields(basis_n9):
-    with pytest.raises(TypeError):
-        ev.ZeroPotential(basis_n9.config, a0_fn=lambda t: np.ones(9))
+def test_potential_with_a_field_function_is_custom(basis_n9, monkeypatch):
+    """A field function makes a potential "custom", with an unknown coupling
+    bound, and a batch that holds it evaluates couplings."""
+    calls = []
+    couplings = ev._couplings
+
+    def spy(config, potentials, t):
+        calls.append(t)
+        return couplings(config, potentials, t)
+
+    custom = ev.Potential(basis_n9.config, a0_fn=lambda t: np.ones(9))
+    assert custom.provenance == "custom" and custom.coupling_bound() is None
+    monkeypatch.setattr(ev, "_couplings", spy)
+    ev.run_branches(packet_state(basis_n9),
+                    [ev.Potential(basis_n9.config), custom], 0.3,
+                    default_dt(basis_n9), 3)
+    assert calls

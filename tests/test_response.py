@@ -26,7 +26,7 @@ def test_zero_chi_zero_gauge_variation(basis_n9):
 
 def test_zero_potential_zero_response(basis_n9):
     kernel = rs.vacuum_response_kernel(basis_n9, VacuumSpec("standard"))
-    pot = ev.ZeroPotential(basis_n9.config)
+    pot = ev.Potential(basis_n9.config)
     for smearing in ("site", "fourier"):
         out = rs.first_order_current(kernel, pot, 1.0, 0.0, smearing=smearing)
         assert np.abs(out).max() < 1e-15

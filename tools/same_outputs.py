@@ -11,7 +11,9 @@ absolute difference per column.  Exit status 0 only when every file is
 byte-identical on both sides and every exit code matches; 1 otherwise.
 
 The set: the shipped ``extract-energy``, ``response`` and Schwinger
-``sweep`` configs; ``verify``; ``check-basis`` at N = 101; six kicked
+``sweep`` configs; ``verify``; ``check-basis`` at N = 101 and 151 on the
+shipped lattice and at N = 101 with L = 1, whose exact grid phases keep
+the eigenrelation defect under the 1e-12 gate; six kicked
 ``evolve`` runs on the shipped packet at the default dt: at sample stride
 5, N = 81 over 40 steps at f = 0.02, 0.3, 0.6 and 2 (coupling bound times
 step 0.0024, 0.036, 0.072 and 0.24, so on both sides of the 0.05 at which
@@ -81,6 +83,10 @@ def commands(parent_root: Path) -> dict[str, tuple[str, dict | None]]:
         "verify": ("verify", None),
         "check-basis-N101": ("check-basis",
                              {"lattice": dict(energy["lattice"], N=101)}),
+        "check-basis-N151": ("check-basis",
+                             {"lattice": dict(energy["lattice"], N=151)}),
+        "check-basis-N101-L1": ("check-basis", {"lattice": dict(
+            energy["lattice"], N=101, L=1.0)}),
         "evolve-kick-N81": ("evolve", _kicked_evolve(energy, 81, 40)),
         "evolve-kick-N81-f2": ("evolve", _kicked_evolve(energy, 81, 40, 2.0)),
         "evolve-kick-N81-f0.3": ("evolve", _kicked_evolve(energy, 81, 40, 0.3)),
